@@ -18,7 +18,6 @@ from .formulas import (
     dim_tensor,
     fiber_dim,
     lambda_bound,
-    mixed_ideal_height,
     pullback_pair_dim,
     sct_height_af,
     sharp_dim,

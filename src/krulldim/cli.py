@@ -109,7 +109,7 @@ def _spectrum_json(summary: SpectrumSummary) -> dict:
             "td": summary.td,
             "dim": summary.dim,
             "is_af": summary.is_af,
-            "is_domain": summary.is_domain,
+            "is_domain": True,
             "is_pullback": summary.pullback_data is not None,
         },
     }

@@ -26,7 +26,6 @@ from .spectra import (
     KIND_CONTAINS,
     AlgebraExpr,
     Field,
-    PairStratum,
     SpectrumSummary,
     Stratum,
     summarize,
@@ -94,11 +93,15 @@ def d_value(s: int, d: int, b: SpectrumSummary) -> int:
 
 
 def _d_value_max(s, d, b):
+    """The maximum of ``d_value`` and the positions of B's strata attaining it."""
     if d > s:
         raise ConstraintError("d_value requires d <= s")
     best, winners = -1, []
-    for q in b.strata:
-        v = q.poly_height.eval(s) + min(s, d + q.residue_td)
+    caps, residues = b.caps, b.residues
+    for q, h in enumerate(b.heights):
+        # min() spelled out: this loop runs on every dim query.
+        c, r = caps[q], d + residues[q]
+        v = h + (c if c < s else s) + (r if r < s else s)
         if v > best:
             best, winners = v, [q]
         elif v == best:
@@ -152,18 +155,19 @@ def _require_gated(a: SpectrumSummary):
     return pd
 
 
-def _require_exact(pairs, context):
-    for pair in pairs:
-        if not pair.exact:
-            raise InexactPairError(
-                f"{context} needs quotient heights for pair {pair.label}, "
-                "which the non-catenarian model does not certify"
-            )
+def _inexact_error(summary, i, j, context):
+    return InexactPairError(
+        f"{context} needs quotient heights for pair {summary.pair_label(i, j)}, "
+        "which the non-catenarian model does not certify"
+    )
 
 
 def _check_membership(summary, stratum, side):
-    if stratum not in summary.strata:
+    """The stratum's position in ``summary``, which must have built it."""
+    i = stratum.index
+    if not (0 <= i < len(summary.heights) and summary.strata[i] is stratum):
         raise ConstraintError(f"stratum {stratum.label!r} is not part of summary {side}")
+    return i
 
 
 def _check_delta(p, q, delta):
@@ -185,37 +189,25 @@ def thm28_ht(
     """
     pd = _require_gated(a)
     _check_membership(a, p, "A")
-    _check_membership(b, q, "B")
+    j = _check_membership(b, q, "B")
     _check_delta(p, q, delta)
     if p.kind == KIND_CONTAINS:
-        return p.height + _through_max_at(pd, a.td, b, q)[0] + delta
+        return p.height + _through_max_at(pd, a.td, b, j) + delta
     return p.height + q.poly_height.eval(a.td) + delta
 
 
 def _through_max_at(pd, td_a, b, q):
-    """Inner maximum of the conductor formula for a fixed upper prime q."""
-    pairs = tuple(b.pairs_with_upper(q))
-    _require_exact(pairs, "conductor height formula")
-    best, winners = -1, []
-    for pair in pairs:
-        q1 = pair.lower
-        v = (
-            q1.poly_height.eval(td_a)
-            + pair.quotient_poly_height.eval(pd.td_d)
-            + min(q1.residue_td, pd.td_kd)
-        )
-        if v > best:
-            best, winners = v, [pair]
-        elif v == best:
-            winners.append(pair)
-    return best, winners
-
-
-def mixed_ideal_height(
-    a: SpectrumSummary, b: SpectrumSummary, p: Stratum, q: Stratum
-) -> int:
-    """Height of the mixed ideal p ox B + A ox q."""
-    return thm28_ht(a, b, p, q, 0)
+    """Inner maximum of the conductor formula for the upper prime at position q."""
+    for i, j in b.inexact:
+        if j == q:
+            raise _inexact_error(b, i, j, "conductor height formula")
+    heights, residues, caps = b.heights, b.residues, b.caps
+    return max(
+        heights[q1] + min(td_a, caps[q1])
+        + base + min(pd.td_d, cap)
+        + min(residues[q1], pd.td_kd)
+        for q1, base, cap in b.downs[q]
+    )
 
 
 def sct_height_af(
@@ -258,29 +250,34 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     + min(t.d.(D), dim(D) + t.d.(B/q)).
     """
     pd = _require_gated(a)
-    _require_exact(b.pairs, "tensor dimension formula")
+    if b.inexact:
+        raise _inexact_error(b, *b.inexact[0], "tensor dimension formula")
 
     term1, term1_winners = _d_value_max(a.td, pd.outside, b)
     term2, term2_winners = -1, []
-    for pair in b.pairs:
-        q1, q = pair.lower, pair.upper
-        v = pd.m + (
-            q1.poly_height.eval(a.td)
-            + pair.quotient_poly_height.eval(pd.td_d)
-            + min(q1.residue_td, pd.td_kd)
-            + min(pd.td_d, pd.dim_d + q.residue_td)
-        )
-        if v > term2:
-            term2, term2_winners = v, [pair]
-        elif v == term2:
-            term2_winners.append(pair)
+    heights, residues, caps = b.heights, b.residues, b.caps
+    td_d = pd.td_d
+    upper = [min(td_d, pd.dim_d + r) for r in residues]
+    for q1, row in enumerate(b.ups):
+        lower = pd.m + heights[q1] + min(a.td, caps[q1]) + min(residues[q1], pd.td_kd)
+        for q, base, cap in row:
+            # min(td_d, cap) spelled out: this loop runs on every dim query.
+            v = lower + base + (cap if cap < td_d else td_d) + upper[q]
+            if v > term2:
+                term2, term2_winners = v, [(q1, q)]
+            elif v == term2:
+                term2_winners.append((q1, q))
+    term2_winners.sort(key=lambda pair: b.pair_key(*pair))
 
     value = max(term1, term2)
     witnesses = []
     if term1 == value:
-        witnesses += [Witness(TERM_OUTSIDE, f"B:{s.label}", term1) for s in term1_winners]
+        witnesses += [Witness(TERM_OUTSIDE, f"B:{b.labels[q]}", term1) for q in term1_winners]
     if term2 == value:
-        witnesses += [Witness(TERM_THROUGH, f"B:{w.label}", term2) for w in term2_winners]
+        witnesses += [
+            Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
+            for q1, q in term2_winners
+        ]
     return DimReport(
         value=value,
         theorem=THEOREM_THM28,
@@ -304,9 +301,8 @@ def pullback_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
             )
 
     def term(x, x_pd, y):
-        return x.conductor_stratum.poly_height.eval(y.td) + d_value(
-            x_pd.td_d, x_pd.dim_d, y
-        )
+        m = x.conductor_index
+        return x.heights[m] + min(y.td, x.caps[m]) + d_value(x_pd.td_d, x_pd.dim_d, y)
 
     return max(term(a, pa, b), term(b, pb, a))
 
@@ -329,7 +325,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
     if isinstance(a, Field) and isinstance(b, Field):
         value = sharp_dim(sa.td, sb.td)
-        ref = f"A:{sa.zero_stratum.label}|B:{sb.zero_stratum.label}"
+        ref = f"A:{sa.labels[0]}|B:{sb.labels[0]}"
         return DimReport(
             value=value,
             theorem=THEOREM_SHARP,
@@ -347,8 +343,8 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
                 f"AF formulas disagree: min-form {value}, one-sided {d_ab} / {d_ba}"
             )
         witnesses = tuple(
-            [Witness("dim(A)+td(B)", f"B:{s.label}", d_ab) for s in wit_ab]
-            + [Witness("td(A)+dim(B)", f"A:{s.label}", d_ba) for s in wit_ba]
+            [Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab) for q in wit_ab]
+            + [Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba) for p in wit_ba]
         )
         return DimReport(
             value=value,
@@ -417,11 +413,13 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
     if one_sided:
         tag, (value, winners) = one_sided[0]
-        other = "B" if tag == "A" else "A"
+        other, other_summary = ("B", sb) if tag == "A" else ("A", sa)
         return DimReport(
             value=value,
             theorem=THEOREM_W37,
-            witnesses=tuple(Witness("D-max", f"{other}:{s.label}", value) for s in winners),
+            witnesses=tuple(
+                Witness("D-max", f"{other}:{other_summary.labels[i]}", value) for i in winners
+            ),
             term_breakdown=(("D-max", value),),
             gates=(f"{tag}:{GATE_AF}",),
         )

@@ -26,6 +26,9 @@ Legal moves, for a chain of primes of A ox B organized by the anchor
 3. the symmetric advance p -> p' at fixed q;
 4. one final fiber segment at the last anchor, of length at most
    min(t.d.(A/p), t.d.(B/q)).
+
+The moves read the summaries' position arrays directly and call no
+formula code, so the enumerator stays independent of what it checks.
 """
 from __future__ import annotations
 
@@ -100,7 +103,7 @@ def brewer_poly_dim(a: SpectrumSummary, n: int) -> int:
     """
     if n < 0:
         raise ConstraintError("polynomial variable count must be >= 0")
-    return max(s.poly_height.eval(n) + n for s in a.strata)
+    return max(h + min(n, c) + n for h, c in zip(a.heights, a.caps))
 
 
 def ext_field_dim(a: SpectrumSummary, s: int) -> int:
@@ -111,87 +114,110 @@ def ext_field_dim(a: SpectrumSummary, s: int) -> int:
     """
     if s < 0:
         raise ConstraintError("transcendence degree must be >= 0")
-    return max(q.poly_height.eval(s) + min(s, q.residue_td) for q in a.strata)
+    return max(
+        h + min(s, c) + min(s, r) for h, r, c in zip(a.heights, a.residues, a.caps)
+    )
 
 
 # --------------------------------------------------------------------------
 # Chain enumeration
 
 
-def _fixable(s: Stratum) -> bool:
-    # The side held fixed during an advance must present an AF model:
-    # cap 0 means the localization at the stratum is AF; containsM means
-    # the quotient by it is a quotient of D, again AF.
-    return s.poly_height.cap == 0 or s.kind == KIND_CONTAINS
+# Anchors are pairs (i, j) of stratum positions in A and in B.  A side
+# held fixed during an advance must be ``fixable``: its localization
+# (cap 0) or its quotient (containsM: a quotient of D) is an AF model.
 
 
-def _initial_jump(a, b, p, q) -> Optional[int]:
+def _initial_jump(a, b, i, j) -> Optional[int]:
     best = None
-    if p.poly_height.cap == 0:
-        best = q.poly_height.eval(a.td) + p.height
-    if q.poly_height.cap == 0:
-        v = p.poly_height.eval(b.td) + q.height
+    if a.caps[i] == 0:
+        best = b.heights[j] + min(a.td, b.caps[j]) + a.heights[i]
+    if b.caps[j] == 0:
+        v = a.heights[i] + min(b.td, a.caps[i]) + b.heights[j]
         best = v if best is None else max(best, v)
     return best
 
 
-def _advances(a, b, p, q) -> Iterator[tuple[Stratum, Stratum, int]]:
-    if _fixable(p):
-        for pair in b.pairs_with_lower(q):
-            if pair.upper != q:
-                yield p, pair.upper, pair.quotient_poly_height.eval(p.residue_td)
-    if _fixable(q):
-        for pair in a.pairs_with_lower(p):
-            if pair.upper != p:
-                yield pair.upper, q, pair.quotient_poly_height.eval(q.residue_td)
+def _advances(a, b, i, j) -> Iterator[tuple[int, int, int]]:
+    """(next i, next j, segment length) for every advance from anchor (i, j)."""
+    if a.fixable[i]:
+        r = a.residues[i]
+        for j2, base, cap in b.ups[j]:
+            if j2 != j:
+                yield i, j2, base + min(r, cap)
+    if b.fixable[j]:
+        r = b.residues[j]
+        for i2, base, cap in a.ups[i]:
+            if i2 != i:
+                yield i2, j, base + min(r, cap)
+
+
+def _fiber(a, b, i, j) -> int:
+    return min(a.residues[i], b.residues[j])
 
 
 def _require_exact_sides(a, b):
     for side, summary in (("A", a), ("B", b)):
-        bad = summary.inexact_pairs()
-        if bad:
+        if summary.inexact:
             raise InexactPairError(
                 f"chain enumeration needs exact pair data; side {side} has "
-                f"uncertified pair {bad[0].label}"
+                f"uncertified pair {summary.pair_label(*summary.inexact[0])}"
             )
 
 
-def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
-    """Maximum total over all legal anchored chains: a lower bound for dim."""
-    _require_exact_sides(a, b)
-    best_from: dict[tuple[Stratum, Stratum], int] = {}
+def _by_height_desc(summary) -> list[int]:
+    heights = summary.heights
+    return sorted(range(len(heights)), key=heights.__getitem__, reverse=True)
 
-    def suffix(p, q):
-        key = (p, q)
-        if key not in best_from:
-            best = fiber_dim(p, q)
-            for p2, q2, gain in _advances(a, b, p, q):
-                best = max(best, gain + suffix(p2, q2))
-            best_from[key] = best
-        return best_from[key]
+
+def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
+    """Maximum total over all legal anchored chains: a lower bound for dim.
+
+    ``tail[i * nb + j]`` is the longest run of advances plus the final
+    fiber segment from anchor (i, j).  An advance moves one side to a
+    distinct comparable stratum, which is higher, and keeps the other,
+    so visiting A's strata by decreasing height, and B's by decreasing
+    height within each, fills every anchor's successors first.
+    """
+    _require_exact_sides(a, b)
+    na, nb = len(a.heights), len(b.heights)
+    tail = [0] * (na * nb)
+    order_b = _by_height_desc(b)
+    for i in _by_height_desc(a):
+        for j in order_b:
+            best = _fiber(a, b, i, j)
+            for i2, j2, gain in _advances(a, b, i, j):
+                v = gain + tail[i2 * nb + j2]
+                if v > best:
+                    best = v
+            tail[i * nb + j] = best
 
     best = 0
-    for p, q in product(a.strata, b.strata):
-        jump = _initial_jump(a, b, p, q)
+    for i, j in product(range(na), range(nb)):
+        jump = _initial_jump(a, b, i, j)
         if jump is not None:
-            best = max(best, jump + suffix(p, q))
+            best = max(best, jump + tail[i * nb + j])
     return best
 
 
 def iter_chains(a: SpectrumSummary, b: SpectrumSummary) -> Iterator[AnchoredChain]:
     """Every legal anchored chain, each already carrying its fiber segment."""
     _require_exact_sides(a, b)
+    sa, sb = a.strata, b.strata
 
     def walk(anchors, segments):
-        p, q = anchors[-1]
-        yield AnchoredChain(tuple(anchors), tuple(segments + [fiber_dim(p, q)]))
-        for p2, q2, gain in _advances(a, b, p, q):
-            yield from walk(anchors + [(p2, q2)], segments + [gain])
+        i, j = anchors[-1]
+        yield AnchoredChain(
+            tuple((sa[x], sb[y]) for x, y in anchors),
+            tuple(segments + [_fiber(a, b, i, j)]),
+        )
+        for i2, j2, gain in _advances(a, b, i, j):
+            yield from walk(anchors + [(i2, j2)], segments + [gain])
 
-    for p, q in product(a.strata, b.strata):
-        jump = _initial_jump(a, b, p, q)
+    for i, j in product(range(len(sa)), range(len(sb))):
+        jump = _initial_jump(a, b, i, j)
         if jump is not None:
-            yield from walk([(p, q)], [jump])
+            yield from walk([(i, j)], [jump])
 
 
 def best_chain(a: SpectrumSummary, b: SpectrumSummary) -> AnchoredChain:
@@ -355,7 +381,7 @@ def _suite_gsct_identity(grid_max=None) -> CheckReport:
             sb = summarize(cat[b_name])
             ceiling = dim_tensor(a_expr, cat[b_name]).value
             for p, q in product(sa.strata, sb.strata):
-                base = formulas.mixed_ideal_height(sa, sb, p, q)
+                base = thm28_ht(sa, sb, p, q, 0)
                 for delta in range(fiber_dim(p, q) + 1):
                     cases += 1
                     got = thm28_ht(sa, sb, p, q, delta)
@@ -466,9 +492,9 @@ def _suite_lambda(grid_max=None) -> CheckReport:
         sa, sb = summarize(cat[a_name]), summarize(cat[b_name])
         zero_b = sb.zero_stratum
         for chain in iter_chains(sa, sb):
-            if chain.anchors[0][1] != zero_b:
+            if chain.anchors[0][1] is not zero_b:
                 continue
-            if any(q != zero_b for _, q in chain.anchors[:-1]):
+            if any(q is not zero_b for _, q in chain.anchors[:-1]):
                 continue
             cases += 1
             p, q = chain.anchors[-1]

@@ -10,12 +10,16 @@ Grammar (whitespace insensitive, decimal naturals, cat defaults true):
                            "D" "=" expr ["," "outside" "=" nat] ")"
 
 ``outside`` may be omitted when T is a valuation domain, where it is
-forced to m - 1.
+forced to m - 1.  Expressions nest at most ``MAX_NESTING`` levels deep.
 """
 from __future__ import annotations
 
 from .errors import ConstraintError, ParseError
 from .spectra import AfDomain, AlgebraExpr, Field, PolyRing, Pullback, Valuation
+
+# Parsing and every later walk over an expression recurse once per
+# level; this keeps them all far below the interpreter's recursion limit.
+MAX_NESTING = 200
 
 
 class _Scanner:
@@ -90,8 +94,10 @@ def parse_expr(text: str) -> AlgebraExpr:
     return expr
 
 
-def _expr(sc: _Scanner) -> AlgebraExpr:
+def _expr(sc: _Scanner, depth: int = 1) -> AlgebraExpr:
     start = sc.pos
+    if depth > MAX_NESTING:
+        raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", start)
     head = sc.word()
     try:
         if head == "field":
@@ -115,7 +121,7 @@ def _expr(sc: _Scanner) -> AlgebraExpr:
             return AfDomain(t, d, cat)
         if head == "poly":
             sc.expect("(")
-            base = _expr(sc)
+            base = _expr(sc, depth + 1)
             sc.expect(",")
             n = sc.nat()
             sc.expect(")")
@@ -131,7 +137,7 @@ def _expr(sc: _Scanner) -> AlgebraExpr:
             sc.expect("(")
             sc.expect("T")
             sc.expect("=")
-            ambient = _expr(sc)
+            ambient = _expr(sc, depth + 1)
             sc.expect(",")
             sc.expect("m")
             sc.expect("=")
@@ -139,7 +145,7 @@ def _expr(sc: _Scanner) -> AlgebraExpr:
             sc.expect(",")
             sc.expect("D")
             sc.expect("=")
-            subring = _expr(sc)
+            subring = _expr(sc, depth + 1)
             outside = None
             sc.skip_ws()
             if sc.text.startswith(",", sc.pos):

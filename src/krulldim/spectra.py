@@ -12,12 +12,27 @@ degree, polynomial-height behaviour), plus certified quotient data for
 comparable pairs.  All dimension and height formulas evaluate against
 these summaries, never against ring elements; the model is spectrum
 level only.
+
+A summary stores its model by position.  Stratum ``i`` is described by
+``kinds[i]``, ``heights[i]``, ``residues[i]`` (residue transcendence
+degree), ``caps[i]`` (ht(p[n]) = height + min(n, cap)) and
+``fixable[i]``.  Position 0 is the zero ideal.  An AF model lists its
+strata by height; a pullback lists the strata outside M by height, then
+those containing M by D-height, the conductor M itself first among them.
+Comparable pairs are adjacency lists of int tuples: ``ups[i]`` holds
+``(j, quot_base, quot_cap)`` for every certified pair i <= j, including
+the reflexive one, and ``downs[j]`` holds ``(i, quot_base, quot_cap)``
+for the same pairs seen from above.  The quotient height of a pair is
+n -> quot_base + min(n, quot_cap).  Pairs present but not certified
+are listed in ``inexact`` as ``(i, j)``.  ``Stratum`` and
+``PairStratum`` objects are views built from these arrays on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Optional, Union
+from functools import cached_property, lru_cache
+from itertools import chain
+from typing import Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -59,7 +74,8 @@ class Stratum:
     ``kind`` records the position relative to the conductor ideal M of a
     pullback ("outsideM" / "containsM"); non-pullback strata are "plain".
     ``label`` and ``provenance`` are display data and do not take part in
-    equality.
+    equality.  ``index`` is the stratum's position in the summary that
+    built it, or -1 for a stratum built on its own.
     """
 
     height: int
@@ -68,6 +84,7 @@ class Stratum:
     kind: str = KIND_PLAIN
     label: str = field(default="", compare=False)
     provenance: str = field(default="", compare=False)
+    index: int = field(default=-1, compare=False)
 
     def __post_init__(self):
         if self.height < 0 or self.residue_td < 0:
@@ -135,44 +152,111 @@ class PullbackData:
     conductor_is_top: bool
 
 
+Pair = tuple[int, int, int]
+
+
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Finite stratified model of Spec of a constructor expression."""
+    """Finite stratified model of Spec of a constructor expression.
+
+    The model is stored by position (see the module docstring).
+    ``fixable[i]`` says that the localization at stratum i (cap 0) or
+    the quotient by it (containsM: a quotient of D) is an AF model.
+    ``source`` names the constructor for provenance strings only.
+    """
 
     td: int
     dim: int
-    strata: tuple[Stratum, ...]
-    pairs: tuple[PairStratum, ...]
     is_af: bool
-    is_domain: bool = True
+    kinds: tuple[str, ...]
+    heights: tuple[int, ...]
+    residues: tuple[int, ...]
+    caps: tuple[int, ...]
+    fixable: tuple[bool, ...]
+    ups: tuple[tuple[Pair, ...], ...]
+    downs: tuple[tuple[Pair, ...], ...]
+    inexact: tuple[tuple[int, int], ...]
     pullback_data: Optional[PullbackData] = None
+    source: str = field(default="", compare=False)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Display label per position: ``h<height>``, ``out:<height>`` or ``in:<D-height>``."""
+        m = self.pullback_data.m if self.pullback_data is not None else 0
+        return tuple(
+            f"h{h}" if kind == KIND_PLAIN else f"out:{h}" if kind == KIND_OUTSIDE
+            else f"in:{h - m}"
+            for kind, h in zip(self.kinds, self.heights)
+        )
+
+    def pair_label(self, i: int, j: int) -> str:
+        return f"{self.labels[i]}<={self.labels[j]}"
+
+    def pair_key(self, i: int, j: int) -> tuple[int, int, int]:
+        """Sort key giving the listing order of ``pairs``.
+
+        Pairs among strata outside M (or plain strata) come first, then
+        pairs from outside M up to M, then pairs over M; each group by
+        lower, then upper position.
+        """
+        kinds = self.kinds
+        return ((kinds[i] == KIND_CONTAINS) + (kinds[j] == KIND_CONTAINS), i, j)
+
+    def _provenance(self, i: int) -> str:
+        kind, h = self.kinds[i], self.heights[i]
+        if kind == KIND_PLAIN:
+            return f"{self.source}/ht={h}"
+        if kind == KIND_OUTSIDE:
+            return f"pullback/outside M/ht={h}"
+        return f"pullback/contains M/D-ht={h - self.pullback_data.m}"
+
+    @cached_property
+    def strata(self) -> tuple[Stratum, ...]:
+        return tuple(
+            Stratum(
+                height=h,
+                residue_td=r,
+                poly_height=HeightFn(h, c),
+                kind=kind,
+                label=self.labels[i],
+                provenance=self._provenance(i),
+                index=i,
+            )
+            for i, (kind, h, r, c) in enumerate(
+                zip(self.kinds, self.heights, self.residues, self.caps)
+            )
+        )
+
+    @cached_property
+    def pairs(self) -> tuple[PairStratum, ...]:
+        found = [
+            (i, j, HeightFn(base, cap))
+            for i, row in enumerate(self.ups)
+            for j, base, cap in row
+        ]
+        found += [(i, j, None) for i, j in self.inexact]
+        found.sort(key=lambda pair: self.pair_key(pair[0], pair[1]))
+        strata = self.strata
+        return tuple(PairStratum(strata[i], strata[j], quot) for i, j, quot in found)
 
     @property
     def zero_stratum(self) -> Stratum:
-        return next(s for s in self.strata if s.height == 0)
+        return self.strata[0]
 
     @property
     def top_stratum(self) -> Stratum:
-        return max(self.strata, key=lambda s: s.height)
+        return self.strata[self.heights.index(self.dim)]
+
+    @property
+    def conductor_index(self) -> int:
+        """Position of the conductor ideal M itself (pullbacks only)."""
+        if self.pullback_data is None:
+            raise ConstraintError("conductor stratum requested on a non-pullback summary")
+        return self.kinds.index(KIND_CONTAINS)
 
     @property
     def conductor_stratum(self) -> Stratum:
-        """The stratum of the conductor ideal M itself (pullbacks only)."""
-        pd = self.pullback_data
-        if pd is None:
-            raise ConstraintError("conductor stratum requested on a non-pullback summary")
-        return next(
-            s for s in self.strata if s.kind == KIND_CONTAINS and s.height == pd.m
-        )
-
-    def pairs_with_upper(self, upper: Stratum) -> Iterator[PairStratum]:
-        return (p for p in self.pairs if p.upper == upper)
-
-    def pairs_with_lower(self, lower: Stratum) -> Iterator[PairStratum]:
-        return (p for p in self.pairs if p.lower == lower)
-
-    def inexact_pairs(self) -> tuple[PairStratum, ...]:
-        return tuple(p for p in self.pairs if not p.exact)
+        return self.strata[self.conductor_index]
 
     def select(self, selector: str) -> Stratum:
         """Resolve a stratum selector: ``0``, ``M``, ``out:<h>`` or ``in:<e>``.
@@ -188,25 +272,23 @@ class SpectrumSummary:
         if selector == "M":
             return self.conductor_stratum if pd is not None else self.top_stratum
         if selector.startswith("out:"):
-            h = _selector_index(selector)
             kind = KIND_OUTSIDE if pd is not None else KIND_PLAIN
-            for s in self.strata:
-                if s.kind == kind and s.height == h:
-                    return s
-            raise ConstraintError(f"no stratum matches selector {selector!r}")
-        if selector.startswith("in:"):
+            height = _selector_index(selector)
+        elif selector.startswith("in:"):
             if pd is None:
                 raise ConstraintError(
                     f"selector {selector!r} needs a pullback summary"
                 )
-            e = _selector_index(selector)
-            for s in self.strata:
-                if s.kind == KIND_CONTAINS and s.height == pd.m + e:
-                    return s
-            raise ConstraintError(f"no stratum matches selector {selector!r}")
-        raise ConstraintError(
-            f"unknown stratum selector {selector!r} (use 0, M, out:<h> or in:<e>)"
-        )
+            kind = KIND_CONTAINS
+            height = pd.m + _selector_index(selector)
+        else:
+            raise ConstraintError(
+                f"unknown stratum selector {selector!r} (use 0, M, out:<h> or in:<e>)"
+            )
+        for i, (k, h) in enumerate(zip(self.kinds, self.heights)):
+            if k == kind and h == height:
+                return self.strata[i]
+        raise ConstraintError(f"no stratum matches selector {selector!r}")
 
 
 def _selector_index(selector: str) -> int:
@@ -369,11 +451,16 @@ def expr_dim(expr: AlgebraExpr) -> int:
 
 
 def expr_catenarian(expr: AlgebraExpr) -> bool:
-    """Whether the model of the expression certifies all quotient pairs."""
+    """Whether the model of the expression certifies all quotient pairs.
+
+    A domain of dimension at most 1 is catenarian whatever its flag
+    says: every nonzero prime is maximal and has height 1, so no two
+    saturated chains between the same primes can differ in length.
+    """
     if isinstance(expr, (Field, Valuation)):
         return True
     if isinstance(expr, AfDomain):
-        return expr.catenarian
+        return expr.catenarian or expr.dim <= 1
     if isinstance(expr, PolyRing):
         return expr_catenarian(expr.base)
     raise TypeError(f"no catenarity model for {expr!r}")
@@ -382,15 +469,19 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 # --------------------------------------------------------------------------
 # Compilation to summaries
 
+# More than the distinct operands of any benchmark workload, so that
+# the cache only stops a long-running process from growing without end.
+SUMMARY_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=SUMMARY_CACHE_SIZE)
 def summarize(expr: AlgebraExpr) -> SpectrumSummary:
     """Compile an algebra expression into its stratified spectrum model."""
     if isinstance(expr, Field):
         return _summarize_af(expr.td, 0, True, f"field({expr.td})")
     if isinstance(expr, AfDomain):
         return _summarize_af(
-            expr.td, expr.dim, expr.catenarian, f"af({expr.td},{expr.dim})"
+            expr.td, expr.dim, expr_catenarian(expr), f"af({expr.td},{expr.dim})"
         )
     if isinstance(expr, Valuation):
         return _summarize_af(expr.td, expr.dim, True, f"val({expr.td},{expr.dim})")
@@ -403,28 +494,50 @@ def summarize(expr: AlgebraExpr) -> SpectrumSummary:
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
-def _summarize_af(td, dim, catenarian, prov) -> SpectrumSummary:
-    strata = tuple(
-        Stratum(
-            height=h,
-            residue_td=td - h,
-            poly_height=HeightFn(h, 0),
-            kind=KIND_PLAIN,
-            label=f"h{h}",
-            provenance=f"{prov}/ht={h}",
-        )
-        for h in range(dim + 1)
+class _PairLists:
+    """Comparable pairs of n strata, sorted into adjacency lists as found.
+
+    ``quot`` is (base, cap) for a certified pair and None otherwise.
+    """
+
+    def __init__(self, n: int):
+        self.ups: list[list[Pair]] = [[] for _ in range(n)]
+        self.downs: list[list[Pair]] = [[] for _ in range(n)]
+        self.inexact: list[tuple[int, int]] = []
+
+    def add(self, i: int, j: int, quot: Optional[tuple[int, int]]) -> None:
+        if quot is None:
+            self.inexact.append((i, j))
+        else:
+            self.ups[i].append((j, *quot))
+            self.downs[j].append((i, *quot))
+
+    def add_chain(self, n: int, catenarian: bool) -> None:
+        """Pairs among strata 0..n-1 at heights 0..n-1 of an AF model.
+
+        Without catenarity only pairs from the zero ideal and reflexive
+        pairs are certified.
+        """
+        for i in range(n):
+            for j in range(i, n):
+                exact = catenarian or i == j or i == 0
+                self.add(i, j, (j - i, 0) if exact else None)
+
+
+def _summarize_af(td, dim, catenarian, source) -> SpectrumSummary:
+    n = dim + 1
+    pairs = _PairLists(n)
+    pairs.add_chain(n, catenarian)
+    return _finish(
+        td,
+        kinds=(KIND_PLAIN,) * n,
+        heights=tuple(range(n)),
+        residues=tuple(td - h for h in range(n)),
+        caps=(0,) * n,
+        pairs=pairs,
+        pullback_data=None,
+        source=source,
     )
-    pairs = []
-    for i, lo in enumerate(strata):
-        for up in strata[i:]:
-            gap = up.height - lo.height
-            if catenarian or gap == 0 or lo.height == 0:
-                quot = HeightFn(gap, 0)
-            else:
-                quot = None
-            pairs.append(PairStratum(lo, up, quot))
-    return _finish(td, strata, tuple(pairs), pullback_data=None)
 
 
 def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
@@ -445,65 +558,51 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
         conductor_is_top=(m == expr_dim(expr.ambient)),
     )
 
-    outs = tuple(
-        Stratum(
-            height=h,
-            residue_td=td - h,
-            poly_height=HeightFn(h, 0),
-            kind=KIND_OUTSIDE,
-            label=f"out:{h}",
-            provenance=f"pullback/outside M/ht={h}",
-        )
-        for h in range(max(m - 1, expr.outside) + 1)
+    # Strata outside M at heights 0..n_out-1, then one per stratum of D.
+    n_out = max(m - 1, expr.outside) + 1
+    n_in = len(sub.heights)
+    pairs = _PairLists(n_out + n_in)
+    pairs.add_chain(n_out, t_cat)
+    # Primes at height >= m outside M are incomparable with M.
+    for i in range(m):
+        exact = t_cat or i == 0
+        for e, d_height in enumerate(sub.heights):
+            pairs.add(i, n_out + e, (m - i + d_height, td_kd) if exact else None)
+    for i, row in enumerate(sub.ups):
+        for j, base, cap in row:
+            pairs.add(n_out + i, n_out + j, (base, cap))
+    for i, j in sub.inexact:
+        pairs.add(n_out + i, n_out + j, None)
+
+    return _finish(
+        td,
+        kinds=(KIND_OUTSIDE,) * n_out + (KIND_CONTAINS,) * n_in,
+        heights=tuple(range(n_out)) + tuple(m + h for h in sub.heights),
+        residues=tuple(td - h for h in range(n_out)) + sub.residues,
+        caps=(0,) * n_out + (td_kd,) * n_in,
+        pairs=pairs,
+        pullback_data=data,
+        source="pullback",
     )
-    ins = tuple(
-        Stratum(
-            height=m + s.height,
-            residue_td=s.residue_td,
-            poly_height=HeightFn(m + s.height, td_kd),
-            kind=KIND_CONTAINS,
-            label=f"in:{s.height}",
-            provenance=f"pullback/contains M/D-ht={s.height}",
-        )
-        for s in sub.strata
-    )
-    by_d_height = {s.height - m: s for s in ins}
-
-    pairs = []
-    for i, lo in enumerate(outs):
-        for up in outs[i:]:
-            gap = up.height - lo.height
-            exact = t_cat or gap == 0 or lo.height == 0
-            pairs.append(PairStratum(lo, up, HeightFn(gap, 0) if exact else None))
-    for lo in outs:
-        if lo.height > m - 1:
-            continue  # primes at height >= m outside M are incomparable with M
-        for up in ins:
-            e = up.height - m
-            exact = t_cat or lo.height == 0
-            quot = HeightFn(m - lo.height + e, td_kd) if exact else None
-            pairs.append(PairStratum(lo, up, quot))
-    for sub_pair in sub.pairs:
-        lo = by_d_height[sub_pair.lower.height]
-        up = by_d_height[sub_pair.upper.height]
-        pairs.append(PairStratum(lo, up, sub_pair.quotient_poly_height))
-
-    return _finish(td, outs + ins, tuple(pairs), pullback_data=data)
 
 
-def _finish(td, strata, pairs, pullback_data) -> SpectrumSummary:
-    dim = max(s.height for s in strata)
-    is_af = all(
-        s.height + s.residue_td == td and s.poly_height.cap == 0 for s in strata
-    )
+def _finish(
+    td, kinds, heights, residues, caps, pairs: _PairLists, pullback_data, source
+) -> SpectrumSummary:
     summary = SpectrumSummary(
         td=td,
-        dim=dim,
-        strata=strata,
-        pairs=pairs,
-        is_af=is_af,
-        is_domain=True,
+        dim=max(heights),
+        is_af=all(h + r == td and c == 0 for h, r, c in zip(heights, residues, caps)),
+        kinds=kinds,
+        heights=heights,
+        residues=residues,
+        caps=caps,
+        fixable=tuple(c == 0 or k == KIND_CONTAINS for c, k in zip(caps, kinds)),
+        ups=tuple(map(tuple, pairs.ups)),
+        downs=tuple(map(tuple, pairs.downs)),
+        inexact=tuple(pairs.inexact),
         pullback_data=pullback_data,
+        source=source,
     )
     _check_summary(summary)
     return summary
@@ -511,17 +610,29 @@ def _finish(td, strata, pairs, pullback_data) -> SpectrumSummary:
 
 def _check_summary(summary: SpectrumSummary) -> None:
     """Internal coherence guards; violations are bugs, not user errors."""
-    zero = summary.zero_stratum
-    if zero.residue_td != summary.td or zero.poly_height != HeightFn(0, 0):
-        raise ConsistencyError("zero stratum must be (0, td, 0+min(n,0))")
-    reflexive = {p.lower for p in summary.pairs if p.lower == p.upper}
-    for s in summary.strata:
-        if s.height + s.residue_td > summary.td:
-            raise ConsistencyError(f"height + residue_td > td at {s.label}")
-        if s not in reflexive:
-            raise ConsistencyError(f"missing reflexive pair for {s.label}")
-    if summary.dim != max(s.height for s in summary.strata):
-        raise ConsistencyError("dim differs from the maximal stratum height")
+    heights = summary.heights
+    if (heights[0], summary.residues[0], summary.caps[0]) != (0, summary.td, 0):
+        raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
+    for i, (h, r, c) in enumerate(zip(heights, summary.residues, summary.caps)):
+        if min(h, r, c) < 0:
+            raise ConsistencyError(f"negative height, residue or cap at {summary.labels[i]}")
+        if h + r > summary.td:
+            raise ConsistencyError(f"height + residue_td > td at {summary.labels[i]}")
+        if (i, 0, 0) not in summary.ups[i]:
+            raise ConsistencyError(f"missing reflexive pair for {summary.labels[i]}")
+    certified = (
+        (i, j, base) for i, row in enumerate(summary.ups) for j, base, _ in row
+    )
+    uncertified = ((i, j, 0) for i, j in summary.inexact)
+    for i, j, base in chain(certified, uncertified):
+        # Distinct comparable primes differ in height; the chain oracle's
+        # bottom-up order relies on it.
+        if i != j and heights[i] >= heights[j]:
+            raise ConsistencyError(f"pair {summary.pair_label(i, j)} does not rise in height")
+        if heights[i] + base > heights[j]:
+            raise ConsistencyError(
+                f"quotient base {base} exceeds height gap of pair {summary.pair_label(i, j)}"
+            )
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:
@@ -532,5 +643,6 @@ def is_af_poly(summary: SpectrumSummary, n: int) -> bool:
     if n < 0:
         raise ConstraintError("polynomial variable count must be >= 0")
     return all(
-        s.poly_height.eval(n) + s.residue_td == summary.td for s in summary.strata
+        h + min(n, c) + r == summary.td
+        for h, r, c in zip(summary.heights, summary.residues, summary.caps)
     )

@@ -39,6 +39,11 @@ class TestDim:
         code, _, err = run(capsys, "dim", "field(", "field(1)")
         assert code == 2 and "syntax error" in err
 
+    def test_deep_nesting_exit_2(self, capsys):
+        deep = "poly(" * 2000 + "field(1)" + ",0)" * 2000
+        code, _, err = run(capsys, "dim", deep, "field(1)")
+        assert code == 2 and "nests deeper" in err
+
 
 class TestHt:
     def test_pullback_height(self, capsys):

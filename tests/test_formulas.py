@@ -19,7 +19,6 @@ from krulldim.formulas import (
     dim_tensor,
     fiber_dim,
     lambda_bound,
-    mixed_ideal_height,
     pullback_pair_dim,
     sct_height_af,
     sharp_dim,
@@ -109,13 +108,13 @@ class TestThm28Height:
 
 class TestMixedIdealHeight:
     def test_conductor_over_maximal(self):
-        assert mixed_ideal_height(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum) == 3
+        assert thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum, 0) == 3
 
     def test_conductor_over_zero(self):
-        assert mixed_ideal_height(S_KM, S_KX, S_KM.conductor_stratum, S_KX.zero_stratum) == 2
+        assert thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.zero_stratum, 0) == 2
 
     def test_zero_ideal(self):
-        assert mixed_ideal_height(S_KM, S_KX, S_KM.zero_stratum, S_KX.zero_stratum) == 0
+        assert thm28_ht(S_KM, S_KX, S_KM.zero_stratum, S_KX.zero_stratum, 0) == 0
 
 
 class TestSctHeight:

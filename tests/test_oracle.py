@@ -59,6 +59,11 @@ class TestChainEnumerate:
     def test_km_km_needs_conductor_moves(self):
         assert chain_enumerate(S_KM, S_KM) == 3
 
+    def test_long_chain_needs_no_recursion(self):
+        # 1250 strata: one anchor advance per height from the zero ideal.
+        a, b = AfDomain(1249, 1249), Field(1)
+        assert chain_enumerate(summarize(a), summarize(b)) == dim_tensor(a, b).value
+
     def test_rejects_uncertified_pairs(self):
         bad = summarize(AfDomain(3, 3, catenarian=False))
         with pytest.raises(InexactPairError):

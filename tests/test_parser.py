@@ -2,7 +2,7 @@
 import pytest
 
 from krulldim.errors import ConstraintError, ParseError
-from krulldim.parser import parse_expr, to_source
+from krulldim.parser import MAX_NESTING, parse_expr, to_source
 from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation
 
 
@@ -44,6 +44,15 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_expr(text)
         assert err.value.position == position
+
+    def test_nesting_is_capped(self):
+        def nested(depth):
+            return "poly(" * (depth - 1) + "field(1)" + ",0)" * (depth - 1)
+
+        assert isinstance(parse_expr(nested(MAX_NESTING)), PolyRing)
+        with pytest.raises(ParseError) as err:
+            parse_expr(nested(MAX_NESTING + 1))
+        assert err.value.position == 5 * MAX_NESTING
 
     def test_constraint_error_names_invariant_and_span(self):
         with pytest.raises(ConstraintError) as err:

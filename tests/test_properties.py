@@ -1,10 +1,9 @@
 """Property-based tests for model invariants and formula agreements."""
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krulldim.formulas import (
     dim_tensor,
     fiber_dim,
-    mixed_ideal_height,
     sct_height_af,
     thm28_ht,
 )
@@ -72,6 +71,14 @@ def pullback_exprs(draw, max_m=3, max_td_kd=2):
 
 def any_exprs():
     return st.one_of(catenarian_af_exprs(max_td=3), pullback_exprs(max_m=2, max_td_kd=2))
+
+
+# Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
+# which catenarian_af_exprs can draw under two poly levels.
+LOW_DIM_FLAGGED = (
+    PolyRing(PolyRing(AfDomain(0, 0, False), 0), 2),
+    PolyRing(PolyRing(AfDomain(1, 1, False), 0), 2),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +167,8 @@ class TestFormulaAgreements:
 
     @settings(max_examples=60, deadline=None)
     @given(a=any_exprs(), b=any_exprs())
+    @example(a=LOW_DIM_FLAGGED[0], b=Field(1))
+    @example(a=Field(1), b=LOW_DIM_FLAGGED[1])
     def test_enumerator_is_a_sound_bound(self, a, b):
         assert chain_enumerate(summarize(a), summarize(b)) <= dim_tensor(a, b).value
 
@@ -171,19 +180,34 @@ class TestFormulaAgreements:
         p = data.draw(st.sampled_from(sa.strata))
         q = data.draw(st.sampled_from(sb.strata))
         delta = data.draw(st.integers(0, fiber_dim(p, q)))
-        assert thm28_ht(sa, sb, p, q, delta) == mixed_ideal_height(sa, sb, p, q) + delta
+        assert thm28_ht(sa, sb, p, q, delta) == thm28_ht(sa, sb, p, q, 0) + delta
 
     @settings(max_examples=40, deadline=None)
     @given(b=any_exprs(), data=st.data())
+    @example(b=LOW_DIM_FLAGGED[0], data=None)
+    @example(b=LOW_DIM_FLAGGED[1], data=None)
     def test_trivial_pullback_heights_match_special_chain(self, b, data):
-        """With D = K the conductor formula collapses to the AF special chain."""
+        """With D = K the conductor formula collapses to the AF special chain.
+
+        An explicit example passes no ``data`` and checks every (p, q, delta).
+        """
         a = Pullback(Valuation(3, 2), 2, Field(1))
         sa, sb = summarize(a), summarize(b)
         assert sa.is_af
-        p = data.draw(st.sampled_from([s for s in sa.strata if s.kind == KIND_CONTAINS]))
-        q = data.draw(st.sampled_from(sb.strata))
-        delta = data.draw(st.integers(0, fiber_dim(p, q)))
-        assert thm28_ht(sa, sb, p, q, delta) == sct_height_af(sa, sb, p, q, delta)
+        over_m = [s for s in sa.strata if s.kind == KIND_CONTAINS]
+        if data is None:
+            cases = [
+                (p, q, delta)
+                for p in over_m
+                for q in sb.strata
+                for delta in range(fiber_dim(p, q) + 1)
+            ]
+        else:
+            p = data.draw(st.sampled_from(over_m))
+            q = data.draw(st.sampled_from(sb.strata))
+            cases = [(p, q, data.draw(st.integers(0, fiber_dim(p, q))))]
+        for p, q, delta in cases:
+            assert thm28_ht(sa, sb, p, q, delta) == sct_height_af(sa, sb, p, q, delta)
 
 
 # ---------------------------------------------------------------------------

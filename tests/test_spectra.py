@@ -3,6 +3,7 @@ import pytest
 
 from krulldim.errors import ConstraintError
 from krulldim.spectra import (
+    SUMMARY_CACHE_SIZE,
     AfDomain,
     Field,
     HeightFn,
@@ -10,6 +11,7 @@ from krulldim.spectra import (
     Pullback,
     Stratum,
     Valuation,
+    expr_catenarian,
     expr_dim,
     expr_td,
     is_af_poly,
@@ -96,9 +98,22 @@ class TestSummarize:
         assert flags[(0, 2)] and flags[(1, 1)]
         assert not flags[(1, 2)] and not flags[(1, 3)] and not flags[(2, 3)]
 
+    def test_low_dimension_domains_are_catenarian(self):
+        # A domain of dimension <= 1 is catenarian whatever its flag says,
+        # and so is the model of a polynomial ring over it.
+        for base in (AfDomain(0, 0, False), AfDomain(1, 1, False)):
+            assert expr_catenarian(base)
+            assert not summarize(PolyRing(PolyRing(base, 0), 2)).inexact
+        assert summarize(PolyRing(AfDomain(2, 2, False), 1)).inexact
+
+    def test_cache_is_bounded(self):
+        for t in range(SUMMARY_CACHE_SIZE + 100):
+            summarize(Field(t))
+        assert summarize.cache_info().currsize <= SUMMARY_CACHE_SIZE
+
     def test_noncatenarian_ambient_marks_pullback_pairs(self):
         s = summarize(Pullback(AfDomain(4, 3, catenarian=False), 3, Field(0), outside=2))
-        assert s.inexact_pairs()
+        assert s.inexact
         assert not s.pullback_data.ambient_catenarian
 
     def test_trivial_pullback_is_af(self):
