@@ -22,10 +22,7 @@ from .formulas import DimReport, dim_tensor
 from .parser import parse_expr, to_source
 from .spectra import SpectrumSummary, summarize
 
-_THEOREM_DISPLAY = {
-    formulas.THEOREM_THM28: "Thm 2.8",
-    formulas.THEOREM_PULLBACK_PAIR: "Pullback pair",
-}
+_THEOREM_DISPLAY = {formulas.THEOREM_THM28: "Thm 2.8"}
 
 
 def _display_theorem(label: str) -> str:

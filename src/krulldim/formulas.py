@@ -8,14 +8,14 @@ k-algebras and is named after the label it reports:
   AF-domains.
 * ``Wadsworth3.7``: the one-sided formula D(t.d.(A), dim(A), B) valid
   for AF A against arbitrary B.
-* ``PullbackPair``: the two-sided formula for two pullbacks whose
-  conductors have full height.
 * ``Thm2.8``: the pullback-against-arbitrary formula with its inner
   maximum over comparable prime pairs of B.
 
 ``dim_tensor`` dispatches a pair of expressions to the strongest
 applicable formula, cross-checks every other formula that also applies,
-and reports witnesses for each maximum.
+and reports witnesses for each maximum.  The two-sided formula for two
+pullbacks whose conductors have full height (``pullback_pair_dim``) is
+only ever such a cross-check.
 """
 from __future__ import annotations
 
@@ -34,9 +34,7 @@ from .spectra import (
 THEOREM_SHARP = "Sharp"
 THEOREM_W38 = "Wadsworth3.8"
 THEOREM_W37 = "Wadsworth3.7"
-THEOREM_PULLBACK_PAIR = "PullbackPair"
 THEOREM_THM28 = "Thm2.8"
-THEOREM_UNSUPPORTED = "Unsupported"
 
 GATE_AF = "AF"
 GATE_CATENARIAN = "Thm2.8-catenarian"
@@ -53,7 +51,6 @@ class Applicability:
     """Which hypothesis gates a summary passes; ``label`` is the strongest."""
 
     label: str
-    notes: str
     gates: tuple[str, ...]
 
 
@@ -129,13 +126,7 @@ def applicability(a: SpectrumSummary) -> Applicability:
             gates.append(GATE_HT_M)
         if pd.td_kd <= 2:
             gates.append(GATE_TD_KD)
-    if not gates:
-        return Applicability(
-            label=GATE_UNSUPPORTED,
-            notes="no gate passes: T model non-catenarian, ht(M) > 2, t.d.(K:D) > 2",
-            gates=(),
-        )
-    return Applicability(label=gates[0], notes=", ".join(gates), gates=tuple(gates))
+    return Applicability(label=gates[0] if gates else GATE_UNSUPPORTED, gates=tuple(gates))
 
 
 def _require_pullback(a: SpectrumSummary):
@@ -146,13 +137,15 @@ def _require_pullback(a: SpectrumSummary):
 
 
 def _require_gated(a: SpectrumSummary):
+    """The pullback data of ``a`` and the gates it passes, at least one."""
     pd = _require_pullback(a)
-    if applicability(a).label == GATE_UNSUPPORTED:
+    gates = applicability(a).gates
+    if not gates:
         raise ApplicabilityError(
             "pullback passes no hypothesis gate (catenarian T, ht(M) <= 2 "
             "or t.d.(K:D) <= 2 needed)"
         )
-    return pd
+    return pd, gates
 
 
 def _inexact_error(summary, i, j, context):
@@ -187,7 +180,7 @@ def thm28_ht(
     ht(q1[t.d.(A)]) + ht((q/q1)[t.d.(D)]) + min(t.d.(B/q1), t.d.(K:D)),
     plus delta.
     """
-    pd = _require_gated(a)
+    pd, _ = _require_gated(a)
     _check_membership(a, p, "A")
     j = _check_membership(b, q, "B")
     _check_delta(p, q, delta)
@@ -206,7 +199,9 @@ def _through_max_at(pd, td_a, b, q):
         heights[q1] + min(td_a, caps[q1])
         + base + min(pd.td_d, cap)
         + min(residues[q1], pd.td_kd)
-        for q1, base, cap in b.downs[q]
+        for q1, row in enumerate(b.ups)
+        for j, base, cap in row
+        if j == q
     )
 
 
@@ -249,7 +244,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     ht(q1[t.d.(A)]) + ht((q/q1)[t.d.(D)]) + min(t.d.(B/q1), t.d.(K:D))
     + min(t.d.(D), dim(D) + t.d.(B/q)).
     """
-    pd = _require_gated(a)
+    pd, gates = _require_gated(a)
     if b.inexact:
         raise _inexact_error(b, *b.inexact[0], "tensor dimension formula")
 
@@ -283,7 +278,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
         theorem=THEOREM_THM28,
         witnesses=tuple(witnesses),
         term_breakdown=((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)),
-        gates=applicability(a).gates,
+        gates=gates,
     )
 
 
@@ -357,97 +352,52 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             gates=("A:AF", "B:AF"),
         )
 
-    # At least one side is now a pullback that is not AF.
-    attempts, failures = [], []
-    if sa.pullback_data is not None:
-        attempts.append(("A", sa, sb))
-    if sb.pullback_data is not None:
-        attempts.append(("B", sb, sa))
-    reports = []
-    for tag, x, y in attempts:
-        try:
-            reports.append((tag, thm28_dim(x, y)))
-        except (ApplicabilityError, InexactPairError) as exc:
-            failures.append(f"{tag}: {exc}")
+    # At least one side is now a pullback that is not AF, so at most one
+    # side is AF.  thm28_dim names its other operand B in every witness.
+    reports, refusals, one_sided = [], [], []
+    for tag, x, other, y in (("A", sa, "B", sb), ("B", sb, "A", sa)):
+        if x.pullback_data is not None:
+            try:
+                reports.append((tag, thm28_dim(x, y)))
+            except (ApplicabilityError, InexactPairError) as exc:
+                refusals.append(f"{tag}: {exc}")
+        if x.is_af:
+            one_sided.append((tag, other, y, *_d_value_max(x.td, x.dim, y)))
 
-    one_sided = []
-    if sa.is_af:
-        one_sided.append(("A", _d_value_max(sa.td, sa.dim, sb)))
-    if sb.is_af:
-        one_sided.append(("B", _d_value_max(sb.td, sb.dim, sa)))
-
-    if reports:
-        values = {rep.value for _, rep in reports}
-        if len(values) != 1:
-            raise ConsistencyError(f"conductor formula orientations disagree: {values}")
-        value = values.pop()
-        for tag, (v, _) in one_sided:
-            if v != value:
-                raise ConsistencyError(
-                    f"one-sided AF formula ({tag}) gives {v}, conductor formula {value}"
-                )
-        if (
-            sa.pullback_data is not None
-            and sb.pullback_data is not None
-            and sa.pullback_data.conductor_is_top
-            and sb.pullback_data.conductor_is_top
-        ):
-            pp = pullback_pair_dim(sa, sb)
-            if pp != value:
-                raise ConsistencyError(
-                    f"two-sided pullback formula gives {pp}, conductor formula {value}"
-                )
-        tag, report = reports[0]
-        if tag == "B":
-            report = _swap_sides(report)
-        gates = tuple(
-            f"{tag}:{g}" for tag, s in (("A", sa), ("B", sb)) for g in applicability(s).gates
-        )
-        return DimReport(
-            value=report.value,
-            theorem=THEOREM_THM28,
-            witnesses=report.witnesses,
-            term_breakdown=report.term_breakdown,
-            gates=gates,
-        )
-
-    if one_sided:
-        tag, (value, winners) = one_sided[0]
-        other, other_summary = ("B", sb) if tag == "A" else ("A", sa)
+    if not reports:
+        if not one_sided:
+            raise ApplicabilityError("no formula applies to this pair: " + "; ".join(refusals))
+        tag, other, y, value, winners = one_sided[0]
         return DimReport(
             value=value,
             theorem=THEOREM_W37,
-            witnesses=tuple(
-                Witness("D-max", f"{other}:{other_summary.labels[i]}", value) for i in winners
-            ),
+            witnesses=tuple(Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners),
             term_breakdown=(("D-max", value),),
             gates=(f"{tag}:{GATE_AF}",),
         )
 
-    raise ApplicabilityError(
-        "no formula applies to this pair: " + "; ".join(failures or ["no gate passes"])
-    )
-
-
-def _swap_sides(report: DimReport) -> DimReport:
-    def flip(ref: str) -> str:
-        parts = ref.split("|")
-        out = []
-        for part in parts:
-            if part.startswith("A:"):
-                out.append("B:" + part[2:])
-            elif part.startswith("B:"):
-                out.append("A:" + part[2:])
-            else:
-                out.append(part)
-        return "|".join(out)
-
+    # (formula, orientation, value) of every cross-check; a message is
+    # formatted only for one that fails.
+    (tag, report), *others = reports
+    checks = [("conductor formula orientation", t, r.value) for t, r in others]
+    checks += [("one-sided AF formula", t, v) for t, _, _, v, _ in one_sided]
+    pa, pb = sa.pullback_data, sb.pullback_data
+    if pa is not None and pb is not None and pa.conductor_is_top and pb.conductor_is_top:
+        checks.append(("two-sided pullback formula", "A, B", pullback_pair_dim(sa, sb)))
+    for formula, t, v in checks:
+        if v != report.value:
+            raise ConsistencyError(
+                f"{formula} ({t}) gives {v}, conductor formula ({tag}) {report.value}"
+            )
+    witnesses = report.witnesses
+    if tag == "B":
+        witnesses = tuple(Witness(w.term, "A" + w.ref[1:], w.value) for w in witnesses)
     return DimReport(
         value=report.value,
-        theorem=report.theorem,
-        witnesses=tuple(
-            Witness(w.term, flip(w.ref), w.value) for w in report.witnesses
-        ),
+        theorem=THEOREM_THM28,
+        witnesses=witnesses,
         term_breakdown=report.term_breakdown,
-        gates=report.gates,
+        gates=tuple(
+            f"{t}:{g}" for t, s in (("A", sa), ("B", sb)) for g in applicability(s).gates
+        ),
     )

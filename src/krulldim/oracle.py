@@ -32,7 +32,6 @@ formula code, so the enumerator stays independent of what it checks.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Optional
@@ -54,7 +53,9 @@ from .spectra import (
     summarize,
 )
 
-GRID_ENV_VAR = "KRULLDIM_GRID_MAX"
+# Largest grid_max a check suite accepts: ``check all --grid-max 16``
+# runs in about a second, and the grids grow as grid_max**4.
+MAX_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,7 @@ _GSCT_B_NAMES = ("field0", "field2", "af11", "af21", "af22", "val21", "kM", "pb-
 
 
 def _grid_default(grid_max, fallback):
-    if grid_max is not None:
-        return grid_max
-    env = os.environ.get(GRID_ENV_VAR)
-    return int(env) if env else fallback
+    return fallback if grid_max is None else grid_max
 
 
 def _report(suite, cases, failures):
@@ -600,7 +598,12 @@ def suite_names() -> tuple[str, ...]:
 
 
 def run_suite(name: str, grid_max: Optional[int] = None) -> CheckReport:
-    """Run one named check suite (or ``all``) over its deterministic grid."""
+    """Run one named check suite (or ``all``) over its deterministic grid.
+
+    ``grid_max`` sizes the grid suites and must lie in 0..MAX_GRID.
+    """
+    if grid_max is not None and not 0 <= grid_max <= MAX_GRID:
+        raise ConstraintError(f"grid_max must lie in 0..{MAX_GRID}, got {grid_max}")
     if name == "all":
         cases, failures = 0, []
         for sub in _SUITES:

@@ -1,6 +1,7 @@
 """Text form of algebra expressions.
 
-Grammar (whitespace insensitive, decimal naturals, cat defaults true):
+Grammar (whitespace insensitive, cat defaults true; a nat is 1 to
+``MAX_DIGITS`` ASCII digits):
 
     expr := "field" "(" nat ")"
           | "af" "(" nat "," nat ["," "cat" "=" bool] ")"
@@ -15,7 +16,7 @@ forced to m - 1.  Expressions nest at most ``MAX_NESTING`` levels deep.
 from __future__ import annotations
 
 from .errors import ConstraintError, ParseError
-from .spectra import AfDomain, AlgebraExpr, Field, PolyRing, Pullback, Valuation
+from .spectra import MAX_DIGITS, AfDomain, AlgebraExpr, Field, PolyRing, Pullback, Valuation
 
 # Parsing and every later walk over an expression recurse once per
 # level; this keeps them all far below the interpreter's recursion limit.
@@ -59,11 +60,13 @@ class _Scanner:
     def nat(self) -> int:
         self.skip_ws()
         end = self.pos
-        while end < len(self.text) and self.text[end].isdigit():
+        while end < len(self.text) and self.text[end] in "0123456789":
             end += 1
         if end == self.pos:
             found = self.text[self.pos : self.pos + 1] or "end of input"
             raise ParseError(f"found {found!r}", self.pos, expected="a number")
+        if end - self.pos > MAX_DIGITS:
+            raise ParseError(f"numeral longer than {MAX_DIGITS} digits", self.pos)
         value = int(self.text[self.pos : end])
         self.pos = end
         return value

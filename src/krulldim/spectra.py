@@ -21,11 +21,14 @@ strata by height; a pullback lists the strata outside M by height, then
 those containing M by D-height, the conductor M itself first among them.
 Comparable pairs are adjacency lists of int tuples: ``ups[i]`` holds
 ``(j, quot_base, quot_cap)`` for every certified pair i <= j, including
-the reflexive one, and ``downs[j]`` holds ``(i, quot_base, quot_cap)``
-for the same pairs seen from above.  The quotient height of a pair is
-n -> quot_base + min(n, quot_cap).  Pairs present but not certified
-are listed in ``inexact`` as ``(i, j)``.  ``Stratum`` and
+the reflexive one, each pair stored once.  The quotient height of a
+pair is n -> quot_base + min(n, quot_cap).  Pairs present but not
+certified are listed in ``inexact`` as ``(i, j)``.  ``Stratum`` and
 ``PairStratum`` objects are views built from these arrays on first use.
+
+A model of S strata holds up to S(S+1)/2 pairs, so ``summarize``
+refuses, with ``ConstraintError``, an expression whose model would have
+more than ``MAX_STRATA`` strata.
 """
 from __future__ import annotations
 
@@ -35,6 +38,10 @@ from itertools import chain
 from typing import Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
+
+# Longest decimal numeral accepted in an expression or a selector, far
+# below the interpreter's limit on converting digit strings to int.
+MAX_DIGITS = 100
 
 KIND_PLAIN = "plain"
 KIND_OUTSIDE = "outsideM"
@@ -174,7 +181,6 @@ class SpectrumSummary:
     caps: tuple[int, ...]
     fixable: tuple[bool, ...]
     ups: tuple[tuple[Pair, ...], ...]
-    downs: tuple[tuple[Pair, ...], ...]
     inexact: tuple[tuple[int, int], ...]
     pullback_data: Optional[PullbackData] = None
     source: str = field(default="", compare=False)
@@ -293,8 +299,10 @@ class SpectrumSummary:
 
 def _selector_index(selector: str) -> int:
     _, _, tail = selector.partition(":")
-    if not tail.isdigit():
-        raise ConstraintError(f"selector {selector!r} needs a decimal index")
+    if not (tail.isascii() and tail.isdigit() and len(tail) <= MAX_DIGITS):
+        raise ConstraintError(
+            f"selector {selector!r} needs a decimal index of at most {MAX_DIGITS} digits"
+        )
     return int(tail)
 
 
@@ -473,6 +481,11 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 # the cache only stops a long-running process from growing without end.
 SUMMARY_CACHE_SIZE = 4096
 
+# Largest model summarize builds.  An AF model of S strata holds
+# S(S+1)/2 pairs: at 2048 strata that is about 2.1M pairs, built in
+# about a second.
+MAX_STRATA = 2048
+
 
 @lru_cache(maxsize=SUMMARY_CACHE_SIZE)
 def summarize(expr: AlgebraExpr) -> SpectrumSummary:
@@ -501,8 +514,11 @@ class _PairLists:
     """
 
     def __init__(self, n: int):
+        if n > MAX_STRATA:
+            raise ConstraintError(
+                f"a spectrum model of {n} strata is over the limit of {MAX_STRATA}"
+            )
         self.ups: list[list[Pair]] = [[] for _ in range(n)]
-        self.downs: list[list[Pair]] = [[] for _ in range(n)]
         self.inexact: list[tuple[int, int]] = []
 
     def add(self, i: int, j: int, quot: Optional[tuple[int, int]]) -> None:
@@ -510,7 +526,6 @@ class _PairLists:
             self.inexact.append((i, j))
         else:
             self.ups[i].append((j, *quot))
-            self.downs[j].append((i, *quot))
 
     def add_chain(self, n: int, catenarian: bool) -> None:
         """Pairs among strata 0..n-1 at heights 0..n-1 of an AF model.
@@ -599,7 +614,6 @@ def _finish(
         caps=caps,
         fixable=tuple(c == 0 or k == KIND_CONTAINS for c, k in zip(caps, kinds)),
         ups=tuple(map(tuple, pairs.ups)),
-        downs=tuple(map(tuple, pairs.downs)),
         inexact=tuple(pairs.inexact),
         pullback_data=pullback_data,
         source=source,

@@ -39,6 +39,23 @@ class TestDim:
         code, _, err = run(capsys, "dim", "field(", "field(1)")
         assert code == 2 and "syntax error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "field(\u00b2)", "field(1)"],
+            ["dim", "field(" + "9" * 5000 + ")", "field(1)"],
+            ["dim", "af(100000,100000)", "field(1)"],
+            ["ht", "af(2,2)", "af(1,1)", "--p", "out:\u00b2", "--q", "0"],
+            ["check", "af-grid", "--grid-max", "-1"],
+            ["check", "af-grid", "--grid-max", "40"],
+        ],
+        ids=["superscript", "5000-digits", "too-many-strata", "selector", "grid-low", "grid-high"],
+    )
+    def test_refusal_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_deep_nesting_exit_2(self, capsys):
         deep = "poly(" * 2000 + "field(1)" + ",0)" * 2000
         code, _, err = run(capsys, "dim", deep, "field(1)")

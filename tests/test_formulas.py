@@ -1,7 +1,16 @@
 """Formula evaluators, applicability gates and dispatch."""
+import dataclasses
+from itertools import product
+
 import pytest
 
-from krulldim.errors import ApplicabilityError, ConstraintError, InexactPairError
+from krulldim import formulas
+from krulldim.errors import (
+    ApplicabilityError,
+    ConsistencyError,
+    ConstraintError,
+    InexactPairError,
+)
 from krulldim.formulas import (
     GATE_AF,
     GATE_CATENARIAN,
@@ -25,6 +34,7 @@ from krulldim.formulas import (
     thm28_dim,
     thm28_ht,
 )
+from krulldim.oracle import catalog
 from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
@@ -251,3 +261,90 @@ class TestDimTensor:
     def test_gates_are_reported(self):
         gates = dim_tensor(KM, AfDomain(1, 1)).gates
         assert "A:Thm2.8-catenarian" in gates and "B:AF" in gates
+
+
+def _flip_side(tagged):
+    return {"A": "B", "B": "A"}[tagged[0]] + tagged[1:]
+
+
+class TestOrientation:
+    """Exactly one side is a pullback: swapping the operands swaps A: and B:."""
+
+    def test_af_against_km(self):
+        refs = [w.ref for w in dim_tensor(AfDomain(2, 2), KM).witnesses]
+        assert refs == ["A:h0<=h2", "A:h1<=h2"]
+
+    def test_swapped_operands_swap_witness_sides(self):
+        cat = catalog()
+        pairs = [
+            (x_name, y_name)
+            for x_name, y_name in product(cat, cat)
+            if summarize(cat[x_name]).pullback_data is not None
+            and not summarize(cat[x_name]).is_af
+            and summarize(cat[y_name]).pullback_data is None
+        ]
+        assert len(pairs) == 234
+        for x_name, y_name in pairs:
+            xy = dim_tensor(cat[x_name], cat[y_name])
+            yx = dim_tensor(cat[y_name], cat[x_name])
+            where = f"{y_name} ox {x_name}"
+            assert (yx.value, yx.theorem, yx.term_breakdown) == (
+                xy.value, xy.theorem, xy.term_breakdown
+            ), where
+            assert yx.witnesses == tuple(
+                dataclasses.replace(w, ref=_flip_side(w.ref)) for w in xy.witnesses
+            ), where
+            assert sorted(yx.gates) == sorted(map(_flip_side, xy.gates)), where
+
+
+PB_VAL32 = Pullback(Valuation(3, 2), 2, Field(0))
+
+
+def _bumped(fn, when):
+    """``fn`` answering one more than it should on the calls ``when`` selects."""
+
+    def wrong(*args):
+        got = fn(*args)
+        if not when(*args):
+            return got
+        if isinstance(got, tuple):
+            return (got[0] + 1, *got[1:])
+        if isinstance(got, int):
+            return got + 1
+        return dataclasses.replace(got, value=got.value + 1)
+
+    return wrong
+
+
+class TestCrossChecks:
+    """Each cross-check in dim_tensor raises, naming the formula, when it disagrees."""
+
+    def test_af_min_form(self, monkeypatch):
+        monkeypatch.setattr(formulas, "af_pair_dim", _bumped(af_pair_dim, lambda a, b: True))
+        with pytest.raises(ConsistencyError, match="AF formulas disagree"):
+            dim_tensor(AfDomain(2, 2), AfDomain(1, 1))
+
+    def test_other_orientation(self, monkeypatch):
+        b = summarize(PB_VAL32)
+        monkeypatch.setattr(
+            formulas, "thm28_dim", _bumped(formulas.thm28_dim, lambda x, y: x is b)
+        )
+        with pytest.raises(ConsistencyError, match="conductor formula orientation"):
+            dim_tensor(KM, PB_VAL32)
+
+    def test_one_sided_af(self, monkeypatch):
+        a, b = summarize(KM), summarize(AfDomain(1, 1))
+        monkeypatch.setattr(
+            formulas,
+            "_d_value_max",
+            _bumped(formulas._d_value_max, lambda s, d, y: (s, d, y) == (b.td, b.dim, a)),
+        )
+        with pytest.raises(ConsistencyError, match=r"one-sided AF formula \(B\)"):
+            dim_tensor(KM, AfDomain(1, 1))
+
+    def test_two_sided_pullback(self, monkeypatch):
+        monkeypatch.setattr(
+            formulas, "pullback_pair_dim", _bumped(pullback_pair_dim, lambda a, b: True)
+        )
+        with pytest.raises(ConsistencyError, match="two-sided pullback formula"):
+            dim_tensor(KM, PB_VAL32)

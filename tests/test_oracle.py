@@ -1,9 +1,10 @@
 """Independent evaluators, the chain enumerator and the check suites."""
 import pytest
 
-from krulldim.errors import InexactPairError, KrulldimError
+from krulldim.errors import ConstraintError, InexactPairError, KrulldimError
 from krulldim.formulas import dim_tensor
 from krulldim.oracle import (
+    MAX_GRID,
     best_chain,
     brewer_poly_dim,
     catalog,
@@ -104,9 +105,12 @@ class TestSuites:
         with pytest.raises(KrulldimError):
             run_suite("no-such-suite")
 
-    def test_grid_env_var(self, monkeypatch):
-        monkeypatch.setenv("KRULLDIM_GRID_MAX", "3")
-        assert run_suite("sharp-grid").cases == 16
+    def test_grid_range(self):
+        assert run_suite("sharp-grid", 0).cases == 1
+        assert run_suite("sharp-grid", MAX_GRID).cases == (MAX_GRID + 1) ** 2
+        for grid_max in (-1, MAX_GRID + 1):
+            with pytest.raises(ConstraintError, match="grid_max"):
+                run_suite("af-grid", grid_max)
 
     def test_all_aggregates(self):
         report = run_suite("all")

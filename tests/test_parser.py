@@ -3,7 +3,7 @@ import pytest
 
 from krulldim.errors import ConstraintError, ParseError
 from krulldim.parser import MAX_NESTING, parse_expr, to_source
-from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation
+from krulldim.spectra import MAX_DIGITS, AfDomain, Field, PolyRing, Pullback, Valuation
 
 
 class TestParse:
@@ -53,6 +53,18 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse_expr(nested(MAX_NESTING + 1))
         assert err.value.position == 5 * MAX_NESTING
+
+    @pytest.mark.parametrize("text", ["field(\u00b2)", "field(\u0663)", "af(2,\uff11)"])
+    def test_numerals_are_ascii_digits(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text)
+        assert "expected a number" in str(err.value)
+
+    def test_numeral_length_is_capped(self):
+        assert parse_expr("field(" + "0" * (MAX_DIGITS - 1) + "7)") == Field(7)
+        with pytest.raises(ParseError) as err:
+            parse_expr("field(" + "1" * (MAX_DIGITS + 1) + ")")
+        assert err.value.position == 6
 
     def test_constraint_error_names_invariant_and_span(self):
         with pytest.raises(ConstraintError) as err:

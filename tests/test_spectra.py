@@ -3,6 +3,8 @@ import pytest
 
 from krulldim.errors import ConstraintError
 from krulldim.spectra import (
+    MAX_DIGITS,
+    MAX_STRATA,
     SUMMARY_CACHE_SIZE,
     AfDomain,
     Field,
@@ -111,6 +113,16 @@ class TestSummarize:
             summarize(Field(t))
         assert summarize.cache_info().currsize <= SUMMARY_CACHE_SIZE
 
+    def test_model_size_is_bounded(self):
+        with pytest.raises(ConstraintError, match="strata"):
+            summarize(AfDomain(MAX_STRATA, MAX_STRATA))
+        # MAX_STRATA strata outside M and two over it.
+        wide = Pullback(
+            AfDomain(MAX_STRATA + 5, MAX_STRATA - 1), 1, AfDomain(2, 1), outside=MAX_STRATA - 1
+        )
+        with pytest.raises(ConstraintError, match="strata"):
+            summarize(wide)
+
     def test_noncatenarian_ambient_marks_pullback_pairs(self):
         s = summarize(Pullback(AfDomain(4, 3, catenarian=False), 3, Field(0), outside=2))
         assert s.inexact
@@ -183,7 +195,18 @@ class TestSelectors:
         assert s.select("M").height == 2
         assert s.select("out:1").height == 1
 
-    @pytest.mark.parametrize("sel", ["in:0", "out:9", "x", "in:x"])
+    @pytest.mark.parametrize(
+        "sel",
+        [
+            "in:0",
+            "out:9",
+            "x",
+            "in:x",
+            "out:\u00b2",
+            "out:\u0661",
+            pytest.param("out:" + "0" * MAX_DIGITS + "1", id="out:overlong"),
+        ],
+    )
     def test_bad_selectors(self, sel):
         with pytest.raises(ConstraintError):
             summarize(AfDomain(3, 2)).select(sel)
