@@ -40,8 +40,6 @@ from .spectra import (
     AfDomain,
     AlgebraExpr,
     Field,
-    HeightFn,
-    PairStratum,
     PolyRing,
     Pullback,
     SpectrumSummary,

@@ -20,7 +20,7 @@ from . import formulas, oracle
 from .errors import KrulldimError
 from .formulas import DimReport, dim_tensor
 from .parser import parse_expr, to_source
-from .spectra import SpectrumSummary, summarize
+from .spectra import SpectrumSummary, read_natural, summarize
 
 _THEOREM_DISPLAY = {formulas.THEOREM_THM28: "Thm 2.8"}
 
@@ -47,7 +47,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_ht.add_argument("b")
     p_ht.add_argument("--p", required=True, help="stratum selector in A (0, M, out:<h>, in:<e>)")
     p_ht.add_argument("--q", required=True, help="stratum selector in B")
-    p_ht.add_argument("--delta", type=int, default=0, help="fiber offset, 0..fiber_dim")
+    p_ht.add_argument("--delta", default="0", help="fiber offset, 0..fiber_dim")
     p_ht.add_argument("--json", action="store_true")
 
     p_spec = sub.add_parser("spectrum", help="stratified spectrum of A")
@@ -56,7 +56,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a check suite")
     p_check.add_argument("suite", help="suite name or 'all'")
-    p_check.add_argument("--grid-max", type=int, default=None)
+    p_check.add_argument("--grid-max", default=None)
     p_check.add_argument("--json", action="store_true")
 
     p_explain = sub.add_parser("explain", help="dispatch path and witnesses for A ox B")
@@ -79,6 +79,17 @@ def _dim_json(report: DimReport) -> dict:
     }
 
 
+def _pair_json(summary: SpectrumSummary, i: int, j: int, quot) -> dict:
+    base, cap = quot if quot is not None else (None, None)
+    return {
+        "lower": summary.labels[i],
+        "upper": summary.labels[j],
+        "exact": quot is not None,
+        "quot_base": base,
+        "quot_cap": cap,
+    }
+
+
 def _spectrum_json(summary: SpectrumSummary) -> dict:
     return {
         "strata": [
@@ -87,21 +98,12 @@ def _spectrum_json(summary: SpectrumSummary) -> dict:
                 "kind": s.kind,
                 "height": s.height,
                 "residue_td": s.residue_td,
-                "poly_base": s.poly_height.base,
-                "poly_cap": s.poly_height.cap,
+                "poly_base": s.height,
+                "poly_cap": s.cap,
             }
             for s in summary.strata
         ],
-        "pairs": [
-            {
-                "lower": p.lower.label,
-                "upper": p.upper.label,
-                "exact": p.exact,
-                "quot_base": p.quotient_poly_height.base if p.exact else None,
-                "quot_cap": p.quotient_poly_height.cap if p.exact else None,
-            }
-            for p in summary.pairs
-        ],
+        "pairs": [_pair_json(summary, *pair) for pair in summary.pairs],
         "flags": {
             "td": summary.td,
             "dim": summary.dim,
@@ -125,12 +127,12 @@ def _print_spectrum_text(summary: SpectrumSummary) -> None:
     for s in summary.strata:
         print(
             f"  {s.label:<7} ht={s.height}  res={s.residue_td}  "
-            f"ht(p[n])={s.poly_height}  [{s.provenance}]"
+            f"ht(p[n])={s.height}+min(n,{s.cap})  [{summary.provenance(s.index)}]"
         )
     print("pairs:")
-    for p in summary.pairs:
-        quot = str(p.quotient_poly_height) if p.exact else "uncertified"
-        print(f"  {p.label:<16} quot={quot}")
+    for i, j, quot in summary.pairs:
+        shown = "uncertified" if quot is None else "{}+min(n,{})".format(*quot)
+        print(f"  {summary.pair_label(i, j):<16} quot={shown}")
 
 
 def _run_dim(args) -> int:
@@ -143,21 +145,20 @@ def _run_dim(args) -> int:
 
 
 def _run_ht(args) -> int:
+    delta = read_natural(args.delta, f"--delta {args.delta!r}")
     sa = summarize(parse_expr(args.a))
     sb = summarize(parse_expr(args.b))
     p = sa.select(args.p)
     q = sb.select(args.q)
     if sa.pullback_data is not None:
         rule = "conductor-split"
-        value = formulas.thm28_ht(sa, sb, p, q, args.delta)
+        value = formulas.thm28_ht(sa, sb, p, q, delta)
     else:
         rule = "special-chain"
-        value = formulas.sct_height_af(sa, sb, p, q, args.delta)
+        value = formulas.sct_height_af(sa, sb, p, q, delta)
     if args.json:
         print(
-            json.dumps(
-                {"value": value, "p": p.label, "q": q.label, "delta": args.delta, "rule": rule}
-            )
+            json.dumps({"value": value, "p": p.label, "q": q.label, "delta": delta, "rule": rule})
         )
     else:
         print(value)
@@ -174,7 +175,10 @@ def _run_spectrum(args) -> int:
 
 
 def _run_check(args) -> int:
-    report = oracle.run_suite(args.suite, args.grid_max)
+    grid_max = args.grid_max
+    if grid_max is not None:
+        grid_max = read_natural(grid_max, f"--grid-max {grid_max!r}")
+    report = oracle.run_suite(args.suite, grid_max)
     if args.json:
         print(
             json.dumps(

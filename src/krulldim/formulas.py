@@ -186,7 +186,7 @@ def thm28_ht(
     _check_delta(p, q, delta)
     if p.kind == KIND_CONTAINS:
         return p.height + _through_max_at(pd, a.td, b, j) + delta
-    return p.height + q.poly_height.eval(a.td) + delta
+    return p.height + q.height + min(a.td, q.cap) + delta
 
 
 def _through_max_at(pd, td_a, b, q):
@@ -214,7 +214,7 @@ def sct_height_af(
     _check_membership(a, p, "A")
     _check_membership(b, q, "B")
     _check_delta(p, q, delta)
-    return q.poly_height.eval(a.td) + p.height + delta
+    return q.height + min(a.td, q.cap) + p.height + delta
 
 
 def lambda_bound(
@@ -226,7 +226,7 @@ def lambda_bound(
     """
     _check_membership(a, p, "A")
     _check_membership(b, q, "B")
-    return a.td - p.residue_td + q.poly_height.eval(p.residue_td) + delta
+    return a.td - p.residue_td + q.height + min(p.residue_td, q.cap) + delta
 
 
 def composed_height_bound(

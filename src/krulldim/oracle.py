@@ -396,14 +396,15 @@ def _suite_prop24(grid_max=None) -> CheckReport:
     """Every certified pair satisfies lower height + quotient base <= upper height."""
     cases, failures = 0, []
     for name, expr in catalog().items():
-        for pair in summarize(expr).pairs:
-            if not pair.exact:
+        s = summarize(expr)
+        for i, j, quot in s.pairs:
+            if quot is None:
                 continue
             cases += 1
-            lhs = pair.lower.height + pair.quotient_poly_height.base
-            if lhs > pair.upper.height:
+            lhs = s.heights[i] + quot[0]
+            if lhs > s.heights[j]:
                 failures.append(
-                    CheckFailure(f"{name}: {pair.label}", f"<= {pair.upper.height}", str(lhs))
+                    CheckFailure(f"{name}: {s.pair_label(i, j)}", f"<= {s.heights[j]}", str(lhs))
                 )
     return _report("prop24", cases, failures)
 
@@ -523,8 +524,9 @@ def _suite_specialization(grid_max=None) -> CheckReport:
                 for q in sb.strata:
                     cases += 1
                     ht = thm28_ht(sa, sb, p, q, 0)
-                    lhs1 = q.poly_height.eval(sa.td) + p.poly_height.eval(q.residue_td)
-                    lhs2 = p.poly_height.eval(sb.td) + q.poly_height.eval(p.residue_td)
+                    # ht(q[t.d.(A)]) + ht(p[t.d.(B/q)]) and ht(p[t.d.(B)]) + ht(q[t.d.(A/p)])
+                    lhs1 = q.height + min(sa.td, q.cap) + p.height + min(q.residue_td, p.cap)
+                    lhs2 = p.height + min(sb.td, p.cap) + q.height + min(p.residue_td, q.cap)
                     if max(lhs1, lhs2) > ht:
                         failures.append(
                             CheckFailure(

@@ -23,8 +23,11 @@ Comparable pairs are adjacency lists of int tuples: ``ups[i]`` holds
 ``(j, quot_base, quot_cap)`` for every certified pair i <= j, including
 the reflexive one, each pair stored once.  The quotient height of a
 pair is n -> quot_base + min(n, quot_cap).  Pairs present but not
-certified are listed in ``inexact`` as ``(i, j)``.  ``Stratum`` and
-``PairStratum`` objects are views built from these arrays on first use.
+certified are listed in ``inexact`` as ``(i, j)``.  These arrays are the
+model; the formulas and the oracle read them.  Two views are built on
+first use: ``strata``, one ``Stratum`` per position (the only object
+view), and ``pairs``, every comparable pair as a triple
+``(i, j, (quot_base, quot_cap))``, or ``(i, j, None)`` if uncertified.
 
 A model of S strata holds up to S(S+1)/2 pairs, so ``summarize``
 refuses, with ``ConstraintError``, an expression whose model would have
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
@@ -49,93 +52,23 @@ KIND_CONTAINS = "containsM"
 
 
 @dataclass(frozen=True)
-class HeightFn:
-    """Height of p[n] as a function of n: ``base + min(n, cap)``.
-
-    ``base`` is the height in the ring itself, ``cap`` the extra height
-    gained in polynomial extensions.  AF strata have cap 0 (locally
-    Jaffard behaviour); pullback strata containing the conductor gain
-    up to t.d.(K:D).
-    """
-
-    base: int
-    cap: int
-
-    def __post_init__(self):
-        if self.base < 0 or self.cap < 0:
-            raise ConstraintError("HeightFn requires base >= 0 and cap >= 0")
-
-    def eval(self, n: int) -> int:
-        if n < 0:
-            raise ConstraintError("polynomial variable count must be >= 0")
-        return self.base + min(n, self.cap)
-
-    def __str__(self):
-        return f"{self.base}+min(n,{self.cap})"
-
-
-@dataclass(frozen=True)
 class Stratum:
-    """A class of primes sharing height, residue t.d. and p[n] heights.
+    """View of position ``index`` of a summary: primes of one height and residue t.d.
 
-    ``kind`` records the position relative to the conductor ideal M of a
-    pullback ("outsideM" / "containsM"); non-pullback strata are "plain".
-    ``label`` and ``provenance`` are display data and do not take part in
-    equality.  ``index`` is the stratum's position in the summary that
-    built it, or -1 for a stratum built on its own.
+    Their heights in polynomial extensions are ht(p[n]) = height +
+    min(n, cap).  ``kind`` records the position relative to the
+    conductor ideal M of a pullback ("outsideM" / "containsM");
+    non-pullback strata are "plain".  ``label`` is the display name.
+    Each summary builds its strata once, and the height formulas accept
+    only the objects of the summary they are given.
     """
 
+    index: int
+    kind: str
     height: int
     residue_td: int
-    poly_height: HeightFn
-    kind: str = KIND_PLAIN
-    label: str = field(default="", compare=False)
-    provenance: str = field(default="", compare=False)
-    index: int = field(default=-1, compare=False)
-
-    def __post_init__(self):
-        if self.height < 0 or self.residue_td < 0:
-            raise ConstraintError("stratum height and residue_td must be >= 0")
-        if self.poly_height.base != self.height:
-            raise ConsistencyError(
-                f"poly_height.base = {self.poly_height.base} differs from "
-                f"height = {self.height}"
-            )
-
-
-@dataclass(frozen=True)
-class PairStratum:
-    """A comparable pair of strata q1 <= q with quotient height data.
-
-    ``quotient_poly_height`` models n -> ht((q/q1)[n]) computed in the
-    quotient by the lower prime.  ``None`` marks the pair as present but
-    not certified (non-catenarian models); formulas that need it raise
-    instead of guessing.
-    """
-
-    lower: Stratum
-    upper: Stratum
-    quotient_poly_height: Optional[HeightFn]
-
-    def __post_init__(self):
-        if self.lower.height > self.upper.height:
-            raise ConstraintError("pair stratum requires lower.height <= upper.height")
-        q = self.quotient_poly_height
-        if q is not None and self.lower.height + q.base > self.upper.height:
-            raise ConsistencyError(
-                f"quotient base {q.base} exceeds height gap of pair "
-                f"{self.lower.height}..{self.upper.height}"
-            )
-        if self.lower == self.upper and q is not None and q != HeightFn(0, 0):
-            raise ConsistencyError("reflexive pair must have quotient 0+min(n,0)")
-
-    @property
-    def exact(self) -> bool:
-        return self.quotient_poly_height is not None
-
-    @property
-    def label(self) -> str:
-        return f"{self.lower.label}<={self.upper.label}"
+    cap: int
+    label: str
 
 
 @dataclass(frozen=True)
@@ -208,7 +141,8 @@ class SpectrumSummary:
         kinds = self.kinds
         return ((kinds[i] == KIND_CONTAINS) + (kinds[j] == KIND_CONTAINS), i, j)
 
-    def _provenance(self, i: int) -> str:
+    def provenance(self, i: int) -> str:
+        """Where stratum i comes from, for display."""
         kind, h = self.kinds[i], self.heights[i]
         if kind == KIND_PLAIN:
             return f"{self.source}/ht={h}"
@@ -219,31 +153,22 @@ class SpectrumSummary:
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
         return tuple(
-            Stratum(
-                height=h,
-                residue_td=r,
-                poly_height=HeightFn(h, c),
-                kind=kind,
-                label=self.labels[i],
-                provenance=self._provenance(i),
-                index=i,
-            )
-            for i, (kind, h, r, c) in enumerate(
-                zip(self.kinds, self.heights, self.residues, self.caps)
-            )
+            map(Stratum, count(), self.kinds, self.heights, self.residues, self.caps, self.labels)
         )
 
     @cached_property
-    def pairs(self) -> tuple[PairStratum, ...]:
+    def pairs(self) -> tuple[tuple[int, int, Optional[tuple[int, int]]], ...]:
+        """Every comparable pair in ``pair_key`` order.
+
+        A certified pair is ``(i, j, (quot_base, quot_cap))``, an
+        uncertified one ``(i, j, None)``.
+        """
         found = [
-            (i, j, HeightFn(base, cap))
-            for i, row in enumerate(self.ups)
-            for j, base, cap in row
+            (i, j, (base, cap)) for i, row in enumerate(self.ups) for j, base, cap in row
         ]
         found += [(i, j, None) for i, j in self.inexact]
         found.sort(key=lambda pair: self.pair_key(pair[0], pair[1]))
-        strata = self.strata
-        return tuple(PairStratum(strata[i], strata[j], quot) for i, j, quot in found)
+        return tuple(found)
 
     @property
     def zero_stratum(self) -> Stratum:
@@ -298,12 +223,20 @@ class SpectrumSummary:
 
 
 def _selector_index(selector: str) -> int:
-    _, _, tail = selector.partition(":")
-    if not (tail.isascii() and tail.isdigit() and len(tail) <= MAX_DIGITS):
+    return read_natural(selector.partition(":")[2], f"selector {selector!r}")
+
+
+def read_natural(text: str, what: str) -> int:
+    """``text`` as a natural number: ASCII digits only, at most ``MAX_DIGITS``.
+
+    Unlike ``int``, refuses signs, underscores and non-ASCII digits;
+    ``what`` names the input in the ``ConstraintError``.
+    """
+    if not (text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS):
         raise ConstraintError(
-            f"selector {selector!r} needs a decimal index of at most {MAX_DIGITS} digits"
+            f"{what} needs a decimal numeral of at most {MAX_DIGITS} ASCII digits"
         )
-    return int(tail)
+    return int(text)
 
 
 # --------------------------------------------------------------------------
@@ -635,10 +568,16 @@ def _check_summary(summary: SpectrumSummary) -> None:
         if (i, 0, 0) not in summary.ups[i]:
             raise ConsistencyError(f"missing reflexive pair for {summary.labels[i]}")
     certified = (
-        (i, j, base) for i, row in enumerate(summary.ups) for j, base, _ in row
+        (i, j, base, cap) for i, row in enumerate(summary.ups) for j, base, cap in row
     )
-    uncertified = ((i, j, 0) for i, j in summary.inexact)
-    for i, j, base in chain(certified, uncertified):
+    uncertified = ((i, j, 0, 0) for i, j in summary.inexact)
+    for i, j, base, cap in chain(certified, uncertified):
+        if base < 0 or cap < 0:
+            raise ConsistencyError(f"negative quotient data at pair {summary.pair_label(i, j)}")
+        if i == j and (base, cap) != (0, 0):
+            raise ConsistencyError(
+                f"reflexive pair {summary.pair_label(i, j)} needs quotient (0, 0)"
+            )
         # Distinct comparable primes differ in height; the chain oracle's
         # bottom-up order relies on it.
         if i != j and heights[i] >= heights[j]:

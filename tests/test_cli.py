@@ -9,6 +9,80 @@ from krulldim.oracle import CheckFailure, CheckReport
 KM = "pullback(T=val(2,1),m=1,D=field(0),outside=0)"
 
 
+def _pair(lower, upper, quot):
+    base, cap = quot if quot is not None else (None, None)
+    return {"lower": lower, "upper": upper, "exact": quot is not None,
+            "quot_base": base, "quot_cap": cap}
+
+
+HT_AF = ["ht", "af(2,2)", "af(2,1)", "--p", "out:1", "--q", "0"]
+AF33_NONCAT = "af(3,3,cat=false)"
+
+SPECTRUM_TEXT = {
+    KM: """\
+td=2 dim=1 af=false pullback(m=1, td_K=1, td_D=0, dim_D=0, td_KD=1, outside=0)
+strata:
+  out:0   ht=0  res=2  ht(p[n])=0+min(n,0)  [pullback/outside M/ht=0]
+  in:0    ht=1  res=0  ht(p[n])=1+min(n,1)  [pullback/contains M/D-ht=0]
+pairs:
+  out:0<=out:0     quot=0+min(n,0)
+  out:0<=in:0      quot=1+min(n,1)
+  in:0<=in:0       quot=0+min(n,0)
+""",
+    AF33_NONCAT: """\
+td=3 dim=3 af=true
+strata:
+  h0      ht=0  res=3  ht(p[n])=0+min(n,0)  [af(3,3)/ht=0]
+  h1      ht=1  res=2  ht(p[n])=1+min(n,0)  [af(3,3)/ht=1]
+  h2      ht=2  res=1  ht(p[n])=2+min(n,0)  [af(3,3)/ht=2]
+  h3      ht=3  res=0  ht(p[n])=3+min(n,0)  [af(3,3)/ht=3]
+pairs:
+  h0<=h0           quot=0+min(n,0)
+  h0<=h1           quot=1+min(n,0)
+  h0<=h2           quot=2+min(n,0)
+  h0<=h3           quot=3+min(n,0)
+  h1<=h1           quot=0+min(n,0)
+  h1<=h2           quot=uncertified
+  h1<=h3           quot=uncertified
+  h2<=h2           quot=0+min(n,0)
+  h2<=h3           quot=uncertified
+  h3<=h3           quot=0+min(n,0)
+""",
+}
+
+SPECTRUM_JSON = {
+    KM: {
+        "strata": [
+            {"label": "out:0", "kind": "outsideM", "height": 0, "residue_td": 2,
+             "poly_base": 0, "poly_cap": 0},
+            {"label": "in:0", "kind": "containsM", "height": 1, "residue_td": 0,
+             "poly_base": 1, "poly_cap": 1},
+        ],
+        "pairs": [
+            _pair("out:0", "out:0", (0, 0)),
+            _pair("out:0", "in:0", (1, 1)),
+            _pair("in:0", "in:0", (0, 0)),
+        ],
+        "flags": {"td": 2, "dim": 1, "is_af": False, "is_domain": True, "is_pullback": True},
+    },
+    AF33_NONCAT: {
+        "strata": [
+            {"label": f"h{h}", "kind": "plain", "height": h, "residue_td": 3 - h,
+             "poly_base": h, "poly_cap": 0}
+            for h in range(4)
+        ],
+        "pairs": [
+            _pair(f"h{i}", f"h{j}", (j - i, 0) if i in (0, j) else None)
+            for i in range(4)
+            for j in range(i, 4)
+        ],
+        "flags": {"td": 3, "dim": 3, "is_af": True, "is_domain": True, "is_pullback": False},
+    },
+}
+# The exact bytes printed: json.dumps with its default separators, one line.
+SPECTRUM_JSON = {expr: json.dumps(payload) + "\n" for expr, payload in SPECTRUM_JSON.items()}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -42,14 +116,23 @@ class TestDim:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["dim", "field(\u00b2)", "field(1)"],
-            ["dim", "field(" + "9" * 5000 + ")", "field(1)"],
-            ["dim", "af(100000,100000)", "field(1)"],
-            ["ht", "af(2,2)", "af(1,1)", "--p", "out:\u00b2", "--q", "0"],
-            ["check", "af-grid", "--grid-max", "-1"],
-            ["check", "af-grid", "--grid-max", "40"],
+            pytest.param(["dim", "field(\u00b2)", "field(1)"], id="superscript"),
+            pytest.param(["dim", "field(" + "9" * 5000 + ")", "field(1)"], id="5000-digits"),
+            pytest.param(["dim", "af(100000,100000)", "field(1)"], id="too-many-strata"),
+            pytest.param(
+                ["ht", "af(2,2)", "af(1,1)", "--p", "out:\u00b2", "--q", "0"], id="selector"
+            ),
+            pytest.param(["check", "af-grid", "--grid-max", "-1"], id="grid-low"),
+            pytest.param(["check", "af-grid", "--grid-max", "40"], id="grid-high"),
+            # int() accepts these three numerals.
+            *(
+                pytest.param([*argv, value], id=f"{argv[-1]}={name}")
+                for argv in (HT_AF + ["--delta"], ["check", "sharp-grid", "--grid-max"])
+                for name, value in (
+                    ("arabic-indic", "\u0661"), ("underscore", "1_0"), ("plus", "+1")
+                )
+            ),
         ],
-        ids=["superscript", "5000-digits", "too-many-strata", "selector", "grid-low", "grid-high"],
     )
     def test_refusal_is_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -102,6 +185,14 @@ class TestSpectrum:
             "is_pullback": True,
         }
         assert {s["label"] for s in payload["strata"]} == {"out:0", "in:0"}
+
+    @pytest.mark.parametrize("expr", list(SPECTRUM_TEXT), ids=["kM", "af33-noncat"])
+    def test_text_golden(self, capsys, expr):
+        assert run(capsys, "spectrum", expr) == (0, SPECTRUM_TEXT[expr], "")
+
+    @pytest.mark.parametrize("expr", list(SPECTRUM_JSON), ids=["kM", "af33-noncat"])
+    def test_json_golden(self, capsys, expr):
+        assert run(capsys, "spectrum", expr, "--json") == (0, SPECTRUM_JSON[expr], "")
 
 
 class TestCheck:

@@ -135,7 +135,8 @@ class TestSctHeight:
     def test_field_side(self):
         a, b = summarize(Field(2)), S_KM
         q = b.conductor_stratum
-        assert sct_height_af(a, b, a.zero_stratum, q, 0) == q.poly_height.eval(2)
+        # ht(q[2]) = ht(q) + min(2, cap) = 1 + 1
+        assert sct_height_af(a, b, a.zero_stratum, q, 0) == q.height + min(2, q.cap) == 2
 
     def test_with_fiber_offset(self):
         a, b = summarize(AfDomain(2, 2)), summarize(Field(1))
@@ -163,6 +164,29 @@ class TestLambdaBound:
         for p in S_KM.strata:
             for q in S_KM.strata:
                 assert thm28_ht(S_KM, S_KM, p, q, 0) <= composed_height_bound(S_KM, S_KM, p, q)
+
+
+class TestMembership:
+    """A stratum must come from the very summary it is evaluated against."""
+
+    @pytest.mark.parametrize(
+        "fn, a_expr",
+        [(thm28_ht, KM), (sct_height_af, AfDomain(2, 1)), (lambda_bound, KM)],
+        ids=["thm28_ht", "sct_height_af", "lambda_bound"],
+    )
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_stratum_of_an_equal_summary_is_refused(self, fn, a_expr, side):
+        b_expr = AfDomain(1, 1)
+        a, b = summarize(a_expr), summarize(b_expr)
+        twin = summarize.__wrapped__(a_expr if side == "A" else b_expr)
+        assert twin == (a if side == "A" else b) and twin is not a and twin is not b
+        p, q = a.zero_stratum, b.zero_stratum
+        if side == "A":
+            p = twin.zero_stratum
+        else:
+            q = twin.zero_stratum
+        with pytest.raises(ConstraintError, match=f"not part of summary {side}"):
+            fn(a, b, p, q, 0)
 
 
 class TestApplicability:

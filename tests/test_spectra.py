@@ -1,18 +1,19 @@
 """Constructor validation and spectrum compilation."""
+import dataclasses
+
 import pytest
 
-from krulldim.errors import ConstraintError
+from krulldim.errors import ConsistencyError, ConstraintError
 from krulldim.spectra import (
     MAX_DIGITS,
     MAX_STRATA,
     SUMMARY_CACHE_SIZE,
     AfDomain,
     Field,
-    HeightFn,
     PolyRing,
     Pullback,
-    Stratum,
     Valuation,
+    _check_summary,
     expr_catenarian,
     expr_dim,
     expr_td,
@@ -24,21 +25,7 @@ KM = Pullback(Valuation(2, 1), 1, Field(0))
 
 
 def heights(summary):
-    return sorted((s.kind, s.height, s.residue_td, s.poly_height.cap) for s in summary.strata)
-
-
-class TestHeightFn:
-    def test_eval(self):
-        f = HeightFn(2, 1)
-        assert [f.eval(n) for n in range(4)] == [2, 3, 3, 3]
-
-    def test_eval_rejects_negative(self):
-        with pytest.raises(ConstraintError):
-            HeightFn(0, 0).eval(-1)
-
-    def test_negative_base_rejected(self):
-        with pytest.raises(ConstraintError):
-            HeightFn(-1, 0)
+    return sorted((s.kind, s.height, s.residue_td, s.cap) for s in summary.strata)
 
 
 class TestSummarize:
@@ -46,7 +33,7 @@ class TestSummarize:
         s = summarize(Field(2))
         assert s.td == 2 and s.dim == 0 and s.is_af
         assert heights(s) == [("plain", 0, 2, 0)]
-        assert len(s.pairs) == 1 and s.pairs[0].lower == s.pairs[0].upper
+        assert s.pairs == ((0, 0, (0, 0)),)
 
     def test_valuation_21(self):
         s = summarize(Valuation(2, 1))
@@ -58,7 +45,7 @@ class TestSummarize:
         assert s.td == 2 and s.dim == 1 and not s.is_af
         assert heights(s) == [("containsM", 1, 0, 1), ("outsideM", 0, 2, 0)]
         m_stratum = s.conductor_stratum
-        assert m_stratum.poly_height == HeightFn(1, 1)
+        assert (m_stratum.height, m_stratum.cap) == (1, 1)
         pd = s.pullback_data
         assert (pd.m, pd.td_k, pd.td_d, pd.dim_d, pd.td_kd, pd.outside) == (1, 1, 0, 0, 1, 0)
         assert pd.conductor_is_top
@@ -68,11 +55,8 @@ class TestSummarize:
         assert heights(s) == [("plain", 0, 3, 0), ("plain", 1, 2, 0), ("plain", 2, 1, 0)]
         assert s.is_af
         # catenarian model: every comparable pair is certified with an exact base
-        assert all(p.exact for p in s.pairs)
-        assert all(
-            p.lower.height + p.quotient_poly_height.base == p.upper.height
-            for p in s.pairs
-        )
+        assert not s.inexact
+        assert all(s.heights[i] + quot[0] == s.heights[j] for i, j, quot in s.pairs)
 
     def test_poly_over_field_matches_af_profile(self):
         assert summarize(PolyRing(Field(2), 1)) == summarize(AfDomain(3, 1))
@@ -87,16 +71,16 @@ class TestSummarize:
     def test_pullback_pairs(self):
         s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
         # out heights 0..1, single in stratum at m = 2
-        by_label = {p.label: p for p in s.pairs}
-        assert by_label["out:0<=in:0"].quotient_poly_height == HeightFn(2, 1)
-        assert by_label["out:1<=in:0"].quotient_poly_height == HeightFn(1, 1)
-        assert by_label["out:0<=out:1"].quotient_poly_height == HeightFn(1, 0)
+        by_label = {s.pair_label(i, j): quot for i, j, quot in s.pairs}
+        assert by_label["out:0<=in:0"] == (2, 1)
+        assert by_label["out:1<=in:0"] == (1, 1)
+        assert by_label["out:0<=out:1"] == (1, 0)
         # out:1 has height m - 1; nothing outside M at height >= m is comparable
-        assert all(p.exact for p in s.pairs)
+        assert None not in by_label.values()
 
     def test_noncatenarian_pairs_uncertified(self):
         s = summarize(AfDomain(3, 3, catenarian=False))
-        flags = {(p.lower.height, p.upper.height): p.exact for p in s.pairs}
+        flags = {(s.heights[i], s.heights[j]): quot is not None for i, j, quot in s.pairs}
         assert flags[(0, 2)] and flags[(1, 1)]
         assert not flags[(1, 2)] and not flags[(1, 3)] and not flags[(2, 3)]
 
@@ -131,6 +115,27 @@ class TestSummarize:
     def test_trivial_pullback_is_af(self):
         s = summarize(Pullback(Valuation(2, 1), 1, Field(1)))
         assert s.is_af and s.pullback_data.td_kd == 0
+
+
+class TestCheckSummary:
+    """Coherence guards on a compiled summary; each breaks one pair entry."""
+
+    def broken(self, row0):
+        s = summarize(AfDomain(2, 2))
+        return dataclasses.replace(s, ups=(row0,) + s.ups[1:])
+
+    def test_compiled_summary_passes(self):
+        _check_summary(summarize(AfDomain(2, 2)))
+
+    def test_negative_quotient_cap(self):
+        s = self.broken(((0, 0, 0), (1, 1, -1), (2, 2, 0)))
+        with pytest.raises(ConsistencyError, match="negative quotient"):
+            _check_summary(s)
+
+    def test_second_reflexive_entry(self):
+        s = self.broken(((0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0)))
+        with pytest.raises(ConsistencyError, match="reflexive"):
+            _check_summary(s)
 
 
 class TestIsAfPoly:
@@ -210,8 +215,3 @@ class TestSelectors:
     def test_bad_selectors(self, sel):
         with pytest.raises(ConstraintError):
             summarize(AfDomain(3, 2)).select(sel)
-
-    def test_stratum_equality_ignores_labels(self):
-        a = Stratum(1, 2, HeightFn(1, 0), label="x", provenance="p1")
-        b = Stratum(1, 2, HeightFn(1, 0), label="y", provenance="p2")
-        assert a == b and hash(a) == hash(b)
