@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 parse or constraint error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,13 @@ def _display_theorem(label: str) -> str:
     return _THEOREM_DISPLAY.get(label, label)
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    Each ``parse_args`` call fills a fresh namespace, so no state carries
+    over from one request to the next.
+    """
     ap = argparse.ArgumentParser(
         prog="krulldim",
         description="Krull dimensions and prime heights of tensor products "
@@ -210,6 +217,7 @@ def _run_explain(args) -> int:
     if args.json:
         payload = _dim_json(report)
         payload["path"] = path
+        payload["refusals"] = list(report.refusals)
         print(json.dumps(payload))
         return 0
     print(f"dim(A (x) B) = {report.value} via {_display_theorem(report.theorem)}")
@@ -220,6 +228,8 @@ def _run_explain(args) -> int:
         print(f"  term {label} = {value}")
     for w in report.witnesses:
         print(f"  witness [{w.term}] {w.ref} -> {w.value}")
+    for refusal in report.refusals:
+        print(f"  refused {refusal}")
     return 0
 
 

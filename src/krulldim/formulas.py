@@ -19,6 +19,7 @@ only ever such a cross-check.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
@@ -65,13 +66,18 @@ class Witness:
 
 @dataclass(frozen=True)
 class DimReport:
-    """A dimension answer plus the formula that produced it."""
+    """A dimension answer plus the formula that produced it.
+
+    ``refusals`` gives, for each conductor-formula orientation that
+    declined the pair, the side and the reason.
+    """
 
     value: int
     theorem: str
     witnesses: tuple[Witness, ...]
     term_breakdown: tuple[tuple[str, int], ...]
     gates: tuple[str, ...] = ()
+    refusals: tuple[str, ...] = ()
 
 
 def sharp_dim(s: int, t: int) -> int:
@@ -195,14 +201,20 @@ def _through_max_at(pd, td_a, b, q):
         if j == q:
             raise _inexact_error(b, i, j, "conductor height formula")
     heights, residues, caps = b.heights, b.residues, b.caps
-    return max(
-        heights[q1] + min(td_a, caps[q1])
-        + base + min(pd.td_d, cap)
-        + min(residues[q1], pd.td_kd)
-        for q1, row in enumerate(b.ups)
-        for j, base, cap in row
-        if j == q
-    )
+    best = -1
+    # Each row is sorted by strictly increasing upper end (_check_summary),
+    # so the pair (q1, q), if there is one, is where (q,) would go.
+    for q1, row in enumerate(b.ups):
+        k = bisect_left(row, (q,))
+        if k < len(row) and row[k][0] == q:
+            _, base, cap = row[k]
+            best = max(
+                best,
+                heights[q1] + min(td_a, caps[q1])
+                + base + min(pd.td_d, cap)
+                + min(residues[q1], pd.td_kd),
+            )
+    return best
 
 
 def sct_height_af(
@@ -374,6 +386,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             witnesses=tuple(Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners),
             term_breakdown=(("D-max", value),),
             gates=(f"{tag}:{GATE_AF}",),
+            refusals=tuple(refusals),
         )
 
     # (formula, orientation, value) of every cross-check; a message is
@@ -400,4 +413,5 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
         gates=tuple(
             f"{t}:{g}" for t, s in (("A", sa), ("B", sb)) for g in applicability(s).gates
         ),
+        refusals=tuple(refusals),
     )

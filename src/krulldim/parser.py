@@ -15,12 +15,18 @@ forced to m - 1.  Expressions nest at most ``MAX_NESTING`` levels deep.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import ConstraintError, ParseError
 from .spectra import MAX_DIGITS, AfDomain, AlgebraExpr, Field, PolyRing, Pullback, Valuation
 
 # Parsing and every later walk over an expression recurse once per
 # level; this keeps them all far below the interpreter's recursion limit.
 MAX_NESTING = 200
+
+# Texts whose parsed value ``parse_expr`` keeps.  Values are frozen, so
+# every caller of one text can share one; failed parses are not kept.
+PARSE_CACHE_SIZE = 256
 
 
 class _Scanner:
@@ -81,12 +87,15 @@ class _Scanner:
         raise ParseError(f"found {w!r}", start, expected="'true' or 'false'")
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_expr(text: str) -> AlgebraExpr:
     """Parse an algebra expression, validating constructor invariants.
 
     Syntax problems raise :class:`ParseError` with the offending
     position; invariant violations raise :class:`ConstraintError`
-    naming the constraint and the source span.
+    naming the constraint and the source span.  The
+    ``PARSE_CACHE_SIZE`` texts used most recently are memoised, so a
+    repeated text returns the same expression object.
     """
     scanner = _Scanner(text)
     expr = _expr(scanner)

@@ -21,13 +21,14 @@ strata by height; a pullback lists the strata outside M by height, then
 those containing M by D-height, the conductor M itself first among them.
 Comparable pairs are adjacency lists of int tuples: ``ups[i]`` holds
 ``(j, quot_base, quot_cap)`` for every certified pair i <= j, including
-the reflexive one, each pair stored once.  The quotient height of a
-pair is n -> quot_base + min(n, quot_cap).  Pairs present but not
-certified are listed in ``inexact`` as ``(i, j)``.  These arrays are the
-model; the formulas and the oracle read them.  Two views are built on
-first use: ``strata``, one ``Stratum`` per position (the only object
-view), and ``pairs``, every comparable pair as a triple
-``(i, j, (quot_base, quot_cap))``, or ``(i, j, None)`` if uncertified.
+the reflexive one, each pair stored once, in increasing order of j.
+The quotient height of a pair is n -> quot_base + min(n, quot_cap).
+Pairs present but not certified are listed in ``inexact`` as ``(i, j)``.
+These arrays are the model; the formulas and the oracle read them.
+Two views are built on first use: ``strata``, one ``Stratum`` per
+position (the only object view), and ``pairs``, every comparable pair
+as a triple ``(i, j, (quot_base, quot_cap))``, or ``(i, j, None)`` if
+uncertified.
 
 A model of S strata holds up to S(S+1)/2 pairs, so ``summarize``
 refuses, with ``ConstraintError``, an expression whose model would have
@@ -567,11 +568,22 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError(f"height + residue_td > td at {summary.labels[i]}")
         if (i, 0, 0) not in summary.ups[i]:
             raise ConsistencyError(f"missing reflexive pair for {summary.labels[i]}")
-    certified = (
-        (i, j, base, cap) for i, row in enumerate(summary.ups) for j, base, cap in row
-    )
+
+    def certified():
+        for i, row in enumerate(summary.ups):
+            last = -1
+            for j, base, cap in row:
+                yield i, j, base, cap
+                # Checked once the loop below has vetted the pair itself.
+                # The conductor height formula bisects each row by upper end.
+                if j <= last:
+                    raise ConsistencyError(
+                        f"pairs above {summary.labels[i]} do not rise strictly in upper end"
+                    )
+                last = j
+
     uncertified = ((i, j, 0, 0) for i, j in summary.inexact)
-    for i, j, base, cap in chain(certified, uncertified):
+    for i, j, base, cap in chain(certified(), uncertified):
         if base < 0 or cap < 0:
             raise ConsistencyError(f"negative quotient data at pair {summary.pair_label(i, j)}")
         if i == j and (base, cap) != (0, 0):

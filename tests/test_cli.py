@@ -1,12 +1,29 @@
 """Command line behaviour: outputs, schemas and exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import krulldim
 from krulldim import cli, oracle
 from krulldim.oracle import CheckFailure, CheckReport
 
 KM = "pullback(T=val(2,1),m=1,D=field(0),outside=0)"
+# Gated (ht(M) = 1), but its non-catenarian T leaves pairs uncertified, so
+# the conductor formula refuses it as the other operand.
+PB_NONCAT = "pullback(T=af(4,3,cat=false),m=1,D=field(0),outside=2)"
+# Passes no hypothesis gate.
+PB_UNGATED = "pullback(T=af(6,5,cat=false),m=3,D=field(0),outside=2)"
+UNCERTIFIED = (
+    "tensor dimension formula needs quotient heights for pair out:1<=out:2, "
+    "which the non-catenarian model does not certify"
+)
+NO_GATE = (
+    "pullback passes no hypothesis gate (catenarian T, ht(M) <= 2 or t.d.(K:D) <= 2 needed)"
+)
 
 
 def _pair(lower, upper, quot):
@@ -232,6 +249,92 @@ class TestExplain:
         code, out, _ = run(capsys, "explain", "field(1)", "field(2)", "--json")
         payload = json.loads(out)
         assert code == 0 and payload["path"][-1] == "dispatched to Sharp"
+
+    @pytest.mark.parametrize(
+        "a, b, theorem, refusal",
+        [
+            (PB_NONCAT, KM, "Thm2.8", "B: " + UNCERTIFIED),
+            ("field(1)", PB_UNGATED, "Wadsworth3.7", "B: " + NO_GATE),
+        ],
+        ids=["thm28", "w37"],
+    )
+    def test_refused_orientation_is_reported(self, capsys, a, b, theorem, refusal):
+        code, out, _ = run(capsys, "explain", a, b, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["theorem"] == theorem
+        assert list(payload)[-2:] == ["path", "refusals"]
+        assert payload["refusals"] == [refusal]
+        code, out, _ = run(capsys, "explain", a, b)
+        assert code == 0 and out.endswith(f"\n  refused {refusal}\n")
+        # dim keeps its schema: the refusals are explain's alone.
+        code, out, _ = run(capsys, "dim", a, b, "--json")
+        assert list(json.loads(out)) == ["value", "theorem", "witnesses", "terms", "gates"]
+
+    def test_no_refusals(self, capsys):
+        assert json.loads(run(capsys, "explain", KM, KM, "--json")[1])["refusals"] == []
+        assert "refused" not in run(capsys, "explain", KM, KM)[1]
+
+
+class TestSharedParser:
+    def test_built_once_across_calls(self, capsys):
+        cli.build_arg_parser.cache_clear()
+        for _ in range(100):
+            assert cli.main(["dim", "field(1)", "field(2)"]) == 0
+        info = cli.build_arg_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 99)
+
+    def test_no_state_carries_between_calls(self, capsys):
+        ht = ["ht", "af(3,3)", "af(3,3)", "--p", "0", "--q", "0", "--json"]
+        assert json.loads(run(capsys, *ht, "--delta", "3")[1])["delta"] == 3
+        assert run(capsys, "dim", "field(1)", "field(2)") == (0, "1 (Sharp)\n", "")
+        assert json.loads(run(capsys, *ht)[1])["delta"] == 0
+
+    def test_usage_error_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dim", "field(1)"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "dim", "field(1)", "field(2)") == (0, "1 (Sharp)\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["ht", "--help"],
+            [],
+            ["nope"],
+            ["dim", "field(1)"],
+            ["ht", "af(1,1)", "af(1,1)", "--p", "0"],
+            ["spectrum", "field(1)", "--bogus"],
+        ],
+        ids=["help", "ht-help", "no-command", "bad-command", "missing-b", "missing-q", "bogus"],
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
+        run(capsys, "dim", "field(1)", "field(2)")
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        fresh = cli.build_arg_parser.__wrapped__()
+        assert outcome(cli.main) == outcome(fresh.parse_args)
+
+
+def test_import_builds_no_parser_and_parses_nothing():
+    path = [str(Path(krulldim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = (
+        "from krulldim import cli, parser; "
+        "print(cli.build_arg_parser.cache_info().currsize, "
+        "parser.parse_expr.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0"]
 
 
 def test_round_trip_of_printed_expression(capsys):

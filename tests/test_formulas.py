@@ -34,7 +34,7 @@ from krulldim.formulas import (
     thm28_dim,
     thm28_ht,
 )
-from krulldim.oracle import catalog
+from krulldim.oracle import catalog, catalog_pullbacks
 from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
@@ -114,6 +114,20 @@ class TestThm28Height:
         bad_b = summarize(AfDomain(3, 3, catenarian=False))
         with pytest.raises(InexactPairError):
             thm28_ht(S_KM, bad_b, S_KM.conductor_stratum, bad_b.top_stratum, 0)
+
+    @pytest.mark.parametrize("b_name", sorted(catalog()))
+    def test_through_term_is_the_maximum_over_pairs_into_q(self, b_name):
+        b = summarize(catalog()[b_name])
+        for a in map(summarize, catalog_pullbacks().values()):
+            pd, m = a.pullback_data, a.conductor_stratum
+            for q in b.strata:
+                brute = max(
+                    b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
+                    + min(b.residues[q1], pd.td_kd)
+                    for q1, j, (base, cap) in b.pairs
+                    if j == q.index
+                )
+                assert thm28_ht(a, b, m, q, 0) == m.height + brute
 
 
 class TestMixedIdealHeight:

@@ -2,7 +2,7 @@
 import pytest
 
 from krulldim.errors import ConstraintError, ParseError
-from krulldim.parser import MAX_NESTING, parse_expr, to_source
+from krulldim.parser import MAX_NESTING, PARSE_CACHE_SIZE, parse_expr, to_source
 from krulldim.spectra import MAX_DIGITS, AfDomain, Field, PolyRing, Pullback, Valuation
 
 
@@ -75,6 +75,26 @@ class TestErrors:
     def test_outside_required_for_af_ambient(self):
         with pytest.raises(ConstraintError):
             parse_expr("pullback(T=af(3,2), m=1, D=field(0))")
+
+
+class TestMemo:
+    def test_repeated_text_returns_the_same_object(self):
+        text = "pullback(T=val(3,2),m=2,D=af(1,1))"
+        assert parse_expr(text) is parse_expr(text)
+
+    def test_failed_parse_is_not_cached(self):
+        parse_expr.cache_clear()
+        for calls in range(1, 4):
+            with pytest.raises(ParseError):
+                parse_expr("field(")
+            info = parse_expr.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, calls, 0)
+
+    def test_memo_is_bounded(self):
+        assert parse_expr.cache_info().maxsize == PARSE_CACHE_SIZE
+        for t in range(PARSE_CACHE_SIZE + 10):
+            parse_expr(f"field({t})")
+        assert parse_expr.cache_info().currsize == PARSE_CACHE_SIZE
 
 
 ROUND_TRIP = [

@@ -137,6 +137,15 @@ class TestCheckSummary:
         with pytest.raises(ConsistencyError, match="reflexive"):
             _check_summary(s)
 
+    @pytest.mark.parametrize(
+        "row0",
+        [((0, 0, 0), (2, 2, 0), (1, 1, 0)), ((0, 0, 0), (1, 1, 0), (1, 1, 0), (2, 2, 0))],
+        ids=["descending", "repeated"],
+    )
+    def test_upper_ends_must_rise_strictly(self, row0):
+        with pytest.raises(ConsistencyError, match="rise strictly in upper end"):
+            _check_summary(self.broken(row0))
+
 
 class TestIsAfPoly:
     def test_km(self):
