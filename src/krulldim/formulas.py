@@ -197,9 +197,10 @@ def thm28_ht(
 
 def _through_max_at(pd, td_a, b, q):
     """Inner maximum of the conductor formula for the upper prime at position q."""
-    for i, j in b.inexact:
-        if j == q:
-            raise _inexact_error(b, i, j, "conductor height formula")
+    # Exact models, the common case, never build the index.
+    i = b.first_inexact_below.get(q) if b.inexact else None
+    if i is not None:
+        raise _inexact_error(b, i, q, "conductor height formula")
     heights, residues, caps = b.heights, b.residues, b.caps
     best = -1
     # Each row is sorted by strictly increasing upper end (_check_summary),

@@ -1,4 +1,4 @@
-"""Independent evaluators and an exhaustive chain enumerator.
+"""Independent evaluators and a chain enumerator.
 
 Everything here validates the closed formulas from primitive facts
 rather than from the formulas under test:
@@ -7,12 +7,16 @@ rather than from the formulas under test:
   decomposition ht(P) = ht(q[n]) + ht(P / q[n]).
 * ``ext_field_dim`` computes dim(A ox k(s transcendentals)) as a
   localization of A[s].
-* ``chain_enumerate`` searches exhaustively over anchored chains built
-  from a small set of legal moves, each justified by a primitive fact
-  about contractions and fibers.  Its maximum is a certified lower
-  bound for dim(A ox B); the check suites assert it is tight on the
-  whole catalog, so a formula bug shows up either as a violated bound
-  or as a tightness failure, never as a silent pass.
+* ``chain_enumerate`` finds the longest anchored chain built from a
+  small set of legal moves, each justified by a primitive fact about
+  contractions and fibers.  It does so in one bottom-up pass over the
+  anchors, which adds the initial jump to each anchor's best run of
+  advances.  ``iter_chains`` enumerates the same chains move by move;
+  it is the literal reference the pass is tested against.  The maximum
+  is a certified lower bound for dim(A ox B); the check suites assert
+  it is tight on the whole catalog, so a formula bug shows up either
+  as a violated bound or as a tightness failure, never as a silent
+  pass.
 
 Legal moves, for a chain of primes of A ox B organized by the anchor
 (p, q) = (contraction to A, contraction to B):
@@ -174,31 +178,65 @@ def _by_height_desc(summary) -> list[int]:
 def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """Maximum total over all legal anchored chains: a lower bound for dim.
 
-    ``tail[i * nb + j]`` is the longest run of advances plus the final
-    fiber segment from anchor (i, j).  An advance moves one side to a
-    distinct comparable stratum, which is higher, and keeps the other,
-    so visiting A's strata by decreasing height, and B's by decreasing
-    height within each, fills every anchor's successors first.
+    One bottom-up pass computes the maximum that ``iter_chains``
+    enumerates move by move, with the moves of ``_initial_jump`` and
+    ``_advances`` written out inline.  ``tail[i * nb + j]`` is the
+    longest run of advances plus the final fiber segment from anchor
+    (i, j).  An advance moves one side to a distinct comparable stratum,
+    which is higher, and keeps the other, so visiting A's strata by
+    decreasing height, and B's by decreasing height within each, fills
+    every anchor's successors first.  Once an anchor's tail is known,
+    the initial jump to it is added and the best total kept.
     """
     _require_exact_sides(a, b)
-    na, nb = len(a.heights), len(b.heights)
-    tail = [0] * (na * nb)
+    nb = len(b.heights)
+    heights_a, residues_a, caps_a, fixable_a, ups_a = (
+        a.heights, a.residues, a.caps, a.fixable, a.ups
+    )
+    heights_b, residues_b, caps_b, fixable_b = b.heights, b.residues, b.caps, b.fixable
+    # Advances of the B side, without the reflexive pair: (j2, base, cap).
+    steps_b = [[up for up in row if up[0] != j] for j, row in enumerate(b.ups)]
+    # ht(q[t.d.(A)]) per position of B: the initial jump to (i, j) is
+    # this plus ht(p) when A's side has cap 0.
+    jump_b = [h + min(a.td, c) for h, c in zip(heights_b, caps_b)]
     order_b = _by_height_desc(b)
+    tail = [0] * (len(heights_a) * nb)
+    total = 0
     for i in _by_height_desc(a):
+        row = i * nb
+        r_a = residues_a[i]
+        # Advances of the A side from row i, each as (row of i2, base, cap).
+        steps_a = [(i2 * nb, base, cap) for i2, base, cap in ups_a[i] if i2 != i]
+        a_fixed = fixable_a[i]
+        h_a, c_a = heights_a[i], caps_a[i]
+        # ht(p[t.d.(B)]): the initial jump to (i, j) is this plus ht(q)
+        # when B's side has cap 0.
+        jump_a = h_a + min(b.td, c_a)
         for j in order_b:
-            best = _fiber(a, b, i, j)
-            for i2, j2, gain in _advances(a, b, i, j):
-                v = gain + tail[i2 * nb + j2]
-                if v > best:
-                    best = v
-            tail[i * nb + j] = best
-
-    best = 0
-    for i, j in product(range(na), range(nb)):
-        jump = _initial_jump(a, b, i, j)
-        if jump is not None:
-            best = max(best, jump + tail[i * nb + j])
-    return best
+            r_b = residues_b[j]
+            best = r_a if r_a < r_b else r_b
+            if a_fixed:
+                for j2, base, cap in steps_b[j]:
+                    v = base + (cap if cap < r_a else r_a) + tail[row + j2]
+                    if v > best:
+                        best = v
+            if fixable_b[j]:
+                for row2, base, cap in steps_a:
+                    v = base + (cap if cap < r_b else r_b) + tail[row2 + j]
+                    if v > best:
+                        best = v
+            tail[row + j] = best
+            # With c_a == 0, A's jump ht(p) + ht(q[t.d.(A)]) is at least
+            # B's, ht(p[t.d.(B)]) + ht(q) = ht(p) + ht(q), so it alone counts.
+            if c_a == 0:
+                best += h_a + jump_b[j]
+            elif caps_b[j] == 0:
+                best += jump_a + heights_b[j]
+            else:
+                continue
+            if best > total:
+                total = best
+    return total
 
 
 def iter_chains(a: SpectrumSummary, b: SpectrumSummary) -> Iterator[AnchoredChain]:

@@ -25,10 +25,11 @@ the reflexive one, each pair stored once, in increasing order of j.
 The quotient height of a pair is n -> quot_base + min(n, quot_cap).
 Pairs present but not certified are listed in ``inexact`` as ``(i, j)``.
 These arrays are the model; the formulas and the oracle read them.
-Two views are built on first use: ``strata``, one ``Stratum`` per
-position (the only object view), and ``pairs``, every comparable pair
+Three views are built on first use: ``strata``, one ``Stratum`` per
+position (the only object view); ``pairs``, every comparable pair
 as a triple ``(i, j, (quot_base, quot_cap))``, or ``(i, j, None)`` if
-uncertified.
+uncertified; and ``first_inexact_below``, which indexes ``inexact`` by
+upper end.
 
 A model of S strata holds up to S(S+1)/2 pairs, so ``summarize``
 refuses, with ``ConstraintError``, an expression whose model would have
@@ -170,6 +171,18 @@ class SpectrumSummary:
         found += [(i, j, None) for i, j in self.inexact]
         found.sort(key=lambda pair: self.pair_key(pair[0], pair[1]))
         return tuple(found)
+
+    @cached_property
+    def first_inexact_below(self) -> dict[int, int]:
+        """For each upper end of an uncertified pair, the lower end of its first one.
+
+        "First" is in ``inexact`` order, so a refusal that names this
+        pair names the one a scan of ``inexact`` would meet first.
+        """
+        first: dict[int, int] = {}
+        for i, j in self.inexact:
+            first.setdefault(j, i)
+        return first
 
     @property
     def zero_stratum(self) -> Stratum:

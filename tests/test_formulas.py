@@ -129,6 +129,44 @@ class TestThm28Height:
                 )
                 assert thm28_ht(a, b, m, q, 0) == m.height + brute
 
+    @pytest.mark.parametrize(
+        "b_expr",
+        [
+            AfDomain(3, 3, catenarian=False),
+            Pullback(AfDomain(4, 3, catenarian=False), 2, Field(0), outside=2),
+            Pullback(Valuation(3, 1), 1, AfDomain(2, 2, catenarian=False)),
+        ],
+    )
+    def test_non_catenarian_b_names_the_first_uncertified_pair_into_q(self, b_expr):
+        b = summarize(b_expr)
+        assert b.inexact
+        pd, m = S_KM.pullback_data, S_KM.conductor_stratum
+        for q in b.strata:
+            into_q = [i for i, j in b.inexact if j == q.index]
+            if into_q:
+                label = b.pair_label(into_q[0], q.index)
+                with pytest.raises(
+                    InexactPairError,
+                    match=f"^conductor height formula needs quotient heights for pair {label},",
+                ):
+                    thm28_ht(S_KM, b, m, q, 0)
+            else:
+                brute = max(
+                    b.heights[q1] + min(S_KM.td, b.caps[q1]) + base + min(pd.td_d, cap)
+                    + min(b.residues[q1], pd.td_kd)
+                    for q1, j, quot in b.pairs
+                    if j == q.index
+                    for base, cap in [quot]
+                )
+                assert thm28_ht(S_KM, b, m, q, 0) == m.height + brute
+
+    def test_first_uncertified_pair_into_q_is_pinned(self):
+        b = summarize(Pullback(AfDomain(4, 3, catenarian=False), 2, Field(0), outside=2))
+        m = S_KM.conductor_stratum
+        with pytest.raises(InexactPairError, match="pair out:1<=in:0,"):
+            thm28_ht(S_KM, b, m, b.select("in:0"), 0)
+        assert thm28_ht(S_KM, b, m, b.select("out:1"), 0) == 3
+
 
 class TestMixedIdealHeight:
     def test_conductor_over_maximal(self):

@@ -1,6 +1,10 @@
 """Independent evaluators, the chain enumerator and the check suites."""
+import inspect
+from itertools import product
+
 import pytest
 
+from krulldim import formulas, oracle
 from krulldim.errors import ConstraintError, InexactPairError, KrulldimError
 from krulldim.formulas import dim_tensor
 from krulldim.oracle import (
@@ -87,6 +91,27 @@ class TestChains:
         sb = summarize(AfDomain(1, 1))
         assert best_chain(S_KM, sb).total == chain_enumerate(S_KM, sb)
 
+    def test_fused_pass_matches_the_literal_enumerator_on_the_catalog(self):
+        summaries = [summarize(e) for e in catalog().values()]
+        for a, b in product(summaries, summaries):
+            assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            AfDomain(3, 3, catenarian=False),
+            Pullback(AfDomain(4, 3, catenarian=False), 1, Field(0), outside=2),
+            Pullback(Valuation(3, 1), 1, AfDomain(2, 2, catenarian=False)),
+        ],
+    )
+    def test_both_refuse_a_non_catenarian_side(self, bad):
+        s_bad = summarize(bad)
+        for a, b in ((s_bad, S_KM), (S_KM, s_bad)):
+            with pytest.raises(InexactPairError, match="chain enumeration"):
+                chain_enumerate(a, b)
+            with pytest.raises(InexactPairError, match="chain enumeration"):
+                best_chain(a, b)
+
 
 class TestSuites:
     @pytest.mark.parametrize("name", suite_names())
@@ -131,3 +156,51 @@ class TestCatalogCrossChecks:
         other = Pullback(Valuation(3, 2), 2, Field(0))
         assert chain_enumerate(S_KM, summarize(other)) == 4
         assert dim_tensor(KM, other).value == 4
+
+
+# Values the oracle gives with the formulas switched off, each equal to
+# dim_tensor on the same pair.
+PINNED = {
+    ("field2", "field3"): 2,
+    ("af22", "af11"): 3,
+    ("kM", "af11"): 3,
+    ("kM", "kM"): 3,
+    ("kM", "pb-val32"): 4,
+    ("pb-val41-d11", "poly-f1-2"): 6,
+    ("pb-af33-wide", "pb-val42-f1"): 6,
+    ("val43", "pb-poly"): 6,
+}
+
+
+class TestIndependence:
+    def test_pins_agree_with_the_formulas(self):
+        cat = catalog()
+        for (a_name, b_name), value in PINNED.items():
+            assert dim_tensor(cat[a_name], cat[b_name]).value == value
+
+    def test_chain_enumerate_calls_no_formula_code(self, monkeypatch):
+        originals = {
+            name: fn
+            for name, fn in vars(formulas).items()
+            if inspect.isfunction(fn) and fn.__module__ == formulas.__name__
+        }
+
+        def refuse(name):
+            def raiser(*args, **kwargs):
+                raise AssertionError(f"the oracle called formulas.{name}")
+            return raiser
+
+        imported = [name for name, fn in originals.items() if vars(oracle).get(name) is fn]
+        assert {"dim_tensor", "thm28_ht"} <= set(imported)
+        for name in originals:
+            monkeypatch.setattr(formulas, name, refuse(name))
+        for name in imported:
+            monkeypatch.setattr(oracle, name, refuse(name))
+        with pytest.raises(AssertionError, match="called formulas.dim_tensor"):
+            oracle.dim_tensor(KM, KM)
+
+        cat = catalog()
+        for (a_name, b_name), value in PINNED.items():
+            a, b = summarize(cat[a_name]), summarize(cat[b_name])
+            assert chain_enumerate(a, b) == value
+            assert chain_enumerate(b, a) == value

@@ -1,13 +1,15 @@
 """Property-based tests for model invariants and formula agreements."""
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from krulldim.errors import InexactPairError
 from krulldim.formulas import (
     dim_tensor,
     fiber_dim,
     sct_height_af,
     thm28_ht,
 )
-from krulldim.oracle import chain_enumerate
+from krulldim.oracle import best_chain, chain_enumerate
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
@@ -16,6 +18,7 @@ from krulldim.spectra import (
     PolyRing,
     Pullback,
     Valuation,
+    expr_dim,
     is_af_poly,
     summarize,
 )
@@ -70,6 +73,17 @@ def pullback_exprs(draw, max_m=3, max_td_kd=2):
 
 def any_exprs():
     return st.one_of(catenarian_af_exprs(max_td=3), pullback_exprs(max_m=2, max_td_kd=2))
+
+
+def small_exprs():
+    """Operands of at most 7 strata, whose chains ``iter_chains`` lists in milliseconds.
+
+    AF operands may be flagged non-catenarian.
+    """
+    return st.one_of(
+        af_exprs(max_td=3).filter(lambda e: expr_dim(e) <= 3),
+        pullback_exprs(max_m=2, max_td_kd=1),
+    )
 
 
 # Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
@@ -157,6 +171,23 @@ class TestFormulaAgreements:
     @example(a=Field(1), b=LOW_DIM_FLAGGED[1])
     def test_enumerator_is_a_sound_bound(self, a, b):
         assert chain_enumerate(summarize(a), summarize(b)) <= dim_tensor(a, b).value
+
+    @settings(deadline=None)
+    @given(a=small_exprs(), b=small_exprs())
+    @example(
+        a=Pullback(AfDomain(4, 3), 2, AfDomain(2, 2), outside=3),
+        b=Pullback(Valuation(3, 1), 1, Field(1)),
+    )
+    @example(a=Pullback(Valuation(2, 1), 1, Field(0)), b=AfDomain(3, 3, False))
+    def test_fused_pass_matches_the_literal_enumerator(self, a, b):
+        """chain_enumerate's one pass and the move-by-move maximum agree, or both refuse."""
+        sa, sb = summarize(a), summarize(b)
+        if sa.inexact or sb.inexact:
+            for enumerate_chains in (chain_enumerate, best_chain):
+                with pytest.raises(InexactPairError):
+                    enumerate_chains(sa, sb)
+        else:
+            assert chain_enumerate(sa, sb) == best_chain(sa, sb).total
 
     @settings(max_examples=40, deadline=None)
     @given(a=pullback_exprs(max_m=2), b=any_exprs(), data=st.data())
