@@ -19,8 +19,9 @@ only ever such a cross-check.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
 from .spectra import (
@@ -197,25 +198,19 @@ def thm28_ht(
 
 def _through_max_at(pd, td_a, b, q):
     """Inner maximum of the conductor formula for the upper prime at position q."""
-    # Exact models, the common case, never build the index.
-    i = b.first_inexact_below.get(q) if b.inexact else None
-    if i is not None:
-        raise _inexact_error(b, i, q, "conductor height formula")
-    heights, residues, caps = b.heights, b.residues, b.caps
+    pair = b.first_uncertified(q)
+    if pair is not None:
+        raise _inexact_error(b, *pair, "conductor height formula")
+    residues, caps = b.residues, b.caps
     best = -1
-    # Each row is sorted by strictly increasing upper end (_check_summary),
-    # so the pair (q1, q), if there is one, is where (q,) would go.
-    for q1, row in enumerate(b.ups):
-        k = bisect_left(row, (q,))
-        if k < len(row) and row[k][0] == q:
-            _, base, cap = row[k]
-            best = max(
-                best,
-                heights[q1] + min(td_a, caps[q1])
-                + base + min(pd.td_d, cap)
-                + min(residues[q1], pd.td_kd),
-            )
-    return best
+    # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so ht(q1)
+    # cancels and ht(q) is added once at the end.
+    for block in b.blocks:
+        if q in block.upper:
+            c = min(pd.td_d, block.cap)
+            for q1 in range(block.lower.start, min(q + 1, block.lower.stop)):
+                best = max(best, min(td_a, caps[q1]) + c + min(residues[q1], pd.td_kd))
+    return b.heights[q] + best
 
 
 def sct_height_af(
@@ -258,34 +253,50 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     + min(t.d.(D), dim(D) + t.d.(B/q)).
     """
     pd, gates = _require_gated(a)
-    if b.inexact:
-        raise _inexact_error(b, *b.inexact[0], "tensor dimension formula")
+    pair = b.first_uncertified()
+    if pair is not None:
+        raise _inexact_error(b, *pair, "tensor dimension formula")
 
     term1, term1_winners = _d_value_max(a.td, pd.outside, b)
-    term2, term2_winners = -1, []
-    heights, residues, caps = b.heights, b.residues, b.caps
-    td_d = pd.td_d
-    upper = [min(td_d, pd.dim_d + r) for r in residues]
-    for q1, row in enumerate(b.ups):
-        lower = pd.m + heights[q1] + min(a.td, caps[q1]) + min(residues[q1], pd.td_kd)
-        for q, base, cap in row:
-            # min(td_d, cap) spelled out: this loop runs on every dim query.
-            v = lower + base + (cap if cap < td_d else td_d) + upper[q]
-            if v > term2:
-                term2, term2_winners = v, [(q1, q)]
-            elif v == term2:
-                term2_winners.append((q1, q))
-    term2_winners.sort(key=lambda pair: b.pair_key(*pair))
+    # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
+    # block of cap c the pair's through-M value is f(q1) + g(q) +
+    # min(t.d.(D), c).  min() spelled out: this runs on every dim query.
+    td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
+    f = [
+        pd.m + (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
+        for r, c in zip(b.residues, b.caps)
+    ]
+    g = [h + (td_d if td_d < dim_d + r else dim_d + r) for h, r in zip(b.heights, b.residues)]
+    through = []  # the best value of each block
+    for block in b.blocks:
+        lower, upper = block.lower, block.upper
+        f_lower, g_upper = f[lower.start:lower.stop], g[upper.start:upper.stop]
+        if lower == upper:  # a chain: the best pair into q takes a prefix maximum of f
+            best = max(map(add, accumulate(f_lower, max), g_upper))
+        else:  # every lower end lies below every upper end
+            best = max(f_lower) + max(g_upper)
+        through.append(best + min(td_d, block.cap))
+    term2 = max(through)
 
     value = max(term1, term2)
     witnesses = []
     if term1 == value:
         witnesses += [Witness(TERM_OUTSIDE, f"B:{b.labels[q]}", term1) for q in term1_winners]
     if term2 == value:
-        witnesses += [
-            Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
-            for q1, q in term2_winners
-        ]
+        # The tied pairs in pair_key order: by block, lower end, upper end.
+        for block, best in zip(b.blocks, through):
+            if best != term2:
+                continue
+            tied = term2 - min(td_d, block.cap)
+            by_g: dict[int, list[int]] = {}
+            for q in block.upper:
+                by_g.setdefault(g[q], []).append(q)
+            witnesses += [
+                Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
+                for q1 in block.lower
+                for q in by_g.get(tied - f[q1], ())
+                if q1 <= q
+            ]
     return DimReport(
         value=value,
         theorem=THEOREM_THM28,

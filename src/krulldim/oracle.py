@@ -26,7 +26,10 @@ Legal moves, for a chain of primes of A ox B organized by the anchor
    ht(p[t.d.(B)]) + ht(q) when the q side has cap 0;
 2. advance q -> q' at fixed p: length ht((q'/q)[t.d.(A/p)]), legal
    when the fixed side localizes (cap 0) or quotients (contains the
-   conductor, so A/p is a quotient of D) to an AF model;
+   conductor, so A/p is a quotient of D) to an AF model.  Every stratum
+   does one or the other, since a summary may give a cap > 0 only to a
+   stratum containing M (``spectra._check_summary``), so any stratum
+   can be held fixed;
 3. the symmetric advance p -> p' at fixed q;
 4. one final fiber segment at the last anchor, of length at most
    min(t.d.(A/p), t.d.(B/q)).
@@ -128,9 +131,7 @@ def ext_field_dim(a: SpectrumSummary, s: int) -> int:
 # Chain enumeration
 
 
-# Anchors are pairs (i, j) of stratum positions in A and in B.  A side
-# held fixed during an advance must be ``fixable``: its localization
-# (cap 0) or its quotient (containsM: a quotient of D) is an AF model.
+# Anchors are pairs (i, j) of stratum positions in A and in B.
 
 
 def _initial_jump(a, b, i, j) -> Optional[int]:
@@ -145,16 +146,14 @@ def _initial_jump(a, b, i, j) -> Optional[int]:
 
 def _advances(a, b, i, j) -> Iterator[tuple[int, int, int]]:
     """(next i, next j, segment length) for every advance from anchor (i, j)."""
-    if a.fixable[i]:
-        r = a.residues[i]
-        for j2, base, cap in b.ups[j]:
-            if j2 != j:
-                yield i, j2, base + min(r, cap)
-    if b.fixable[j]:
-        r = b.residues[j]
-        for i2, base, cap in a.ups[i]:
-            if i2 != i:
-                yield i2, j, base + min(r, cap)
+    r = a.residues[i]
+    for j2, base, cap in b.ups[j]:
+        if j2 != j:
+            yield i, j2, base + min(r, cap)
+    r = b.residues[j]
+    for i2, base, cap in a.ups[i]:
+        if i2 != i:
+            yield i2, j, base + min(r, cap)
 
 
 def _fiber(a, b, i, j) -> int:
@@ -163,10 +162,11 @@ def _fiber(a, b, i, j) -> int:
 
 def _require_exact_sides(a, b):
     for side, summary in (("A", a), ("B", b)):
-        if summary.inexact:
+        pair = summary.first_uncertified()
+        if pair is not None:
             raise InexactPairError(
                 f"chain enumeration needs exact pair data; side {side} has "
-                f"uncertified pair {summary.pair_label(*summary.inexact[0])}"
+                f"uncertified pair {summary.pair_label(*pair)}"
             )
 
 
@@ -190,15 +190,13 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """
     _require_exact_sides(a, b)
     nb = len(b.heights)
-    heights_a, residues_a, caps_a, fixable_a, ups_a = (
-        a.heights, a.residues, a.caps, a.fixable, a.ups
-    )
-    heights_b, residues_b, caps_b, fixable_b = b.heights, b.residues, b.caps, b.fixable
+    heights_a, residues_a, caps_a, ups_a = a.heights, a.residues, a.caps, a.ups
+    residues_b = b.residues
     # Advances of the B side, without the reflexive pair: (j2, base, cap).
     steps_b = [[up for up in row if up[0] != j] for j, row in enumerate(b.ups)]
     # ht(q[t.d.(A)]) per position of B: the initial jump to (i, j) is
     # this plus ht(p) when A's side has cap 0.
-    jump_b = [h + min(a.td, c) for h, c in zip(heights_b, caps_b)]
+    jump_b = [h + min(a.td, c) for h, c in zip(b.heights, b.caps)]
     order_b = _by_height_desc(b)
     tail = [0] * (len(heights_a) * nb)
     total = 0
@@ -207,35 +205,32 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
         r_a = residues_a[i]
         # Advances of the A side from row i, each as (row of i2, base, cap).
         steps_a = [(i2 * nb, base, cap) for i2, base, cap in ups_a[i] if i2 != i]
-        a_fixed = fixable_a[i]
         h_a, c_a = heights_a[i], caps_a[i]
-        # ht(p[t.d.(B)]): the initial jump to (i, j) is this plus ht(q)
-        # when B's side has cap 0.
-        jump_a = h_a + min(b.td, c_a)
         for j in order_b:
             r_b = residues_b[j]
             best = r_a if r_a < r_b else r_b
-            if a_fixed:
-                for j2, base, cap in steps_b[j]:
-                    v = base + (cap if cap < r_a else r_a) + tail[row + j2]
-                    if v > best:
-                        best = v
-            if fixable_b[j]:
-                for row2, base, cap in steps_a:
-                    v = base + (cap if cap < r_b else r_b) + tail[row2 + j]
-                    if v > best:
-                        best = v
+            for j2, base, cap in steps_b[j]:
+                v = base + (cap if cap < r_a else r_a) + tail[row + j2]
+                if v > best:
+                    best = v
+            for row2, base, cap in steps_a:
+                v = base + (cap if cap < r_b else r_b) + tail[row2 + j]
+                if v > best:
+                    best = v
             tail[row + j] = best
-            # With c_a == 0, A's jump ht(p) + ht(q[t.d.(A)]) is at least
-            # B's, ht(p[t.d.(B)]) + ht(q) = ht(p) + ht(q), so it alone counts.
+            # Only A's initial jump, ht(p) + ht(q[t.d.(A)]) when c_a == 0,
+            # can set the maximum.  B's jump, ht(p[t.d.(B)]) + ht(q) when
+            # B's cap is 0, never beats a chain from the zero anchor:
+            # - pairs from the zero ideal are certified with base = height,
+            #   and every stratum can be held fixed;
+            # - so (0, 0) -> (i, 0) by an A-advance gains
+            #   h_i + min(t.d.(B), cap_A(i)), exactly B's jump to (i, 0);
+            # - a B-advance 0 -> j at fixed i then gains at least h_j, and
+            #   the chain goes on from (i, j) as the jump's would.
             if c_a == 0:
                 best += h_a + jump_b[j]
-            elif caps_b[j] == 0:
-                best += jump_a + heights_b[j]
-            else:
-                continue
-            if best > total:
-                total = best
+                if best > total:
+                    total = best
     return total
 
 

@@ -15,32 +15,33 @@ level only.
 
 A summary stores its model by position.  Stratum ``i`` is described by
 ``kinds[i]``, ``heights[i]``, ``residues[i]`` (residue transcendence
-degree), ``caps[i]`` (ht(p[n]) = height + min(n, cap)) and
-``fixable[i]``.  Position 0 is the zero ideal.  An AF model lists its
-strata by height; a pullback lists the strata outside M by height, then
-those containing M by D-height, the conductor M itself first among them.
-Comparable pairs are adjacency lists of int tuples: ``ups[i]`` holds
-``(j, quot_base, quot_cap)`` for every certified pair i <= j, including
-the reflexive one, each pair stored once, in increasing order of j.
-The quotient height of a pair is n -> quot_base + min(n, quot_cap).
-Pairs present but not certified are listed in ``inexact`` as ``(i, j)``.
-These arrays are the model; the formulas and the oracle read them.
-Three views are built on first use: ``strata``, one ``Stratum`` per
-position (the only object view); ``pairs``, every comparable pair
-as a triple ``(i, j, (quot_base, quot_cap))``, or ``(i, j, None)`` if
-uncertified; and ``first_inexact_below``, which indexes ``inexact`` by
-upper end.
+degree) and ``caps[i]`` (ht(p[n]) = height + min(n, cap)).  Position 0
+is the zero ideal.  An AF model lists its strata by height; a pullback
+lists the strata outside M by height, then those containing M by
+D-height, the conductor M itself first among them.  Comparable pairs
+are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
+AF model's chain; or a pullback's chain outside M, its strata outside M
+below height m under those containing M, and D's chain over M.  A pair
+(i, j) has quotient height n -> heights[j] - heights[i] + min(n, cap)
+with its block's cap.  These arrays and blocks are the model; the
+formulas and the oracle read them.  Views built on first use:
+``strata``, one ``Stratum`` per position (the only object view);
+``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
+or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
+``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j; and
+``inexact``, the uncertified pairs as ``(i, j)`` in ``pairs`` order.
+The formulas build none of the pair views.
 
-A model of S strata holds up to S(S+1)/2 pairs, so ``summarize``
-refuses, with ``ConstraintError``, an expression whose model would have
-more than ``MAX_STRATA`` strata.
+A model of S strata has up to S(S+1)/2 pairs, which the views and the
+oracle walk one by one, so ``summarize`` refuses, with
+``ConstraintError``, a model of more than ``MAX_STRATA`` strata.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, count
-from typing import Optional, Union
+from itertools import chain, count, pairwise
+from typing import NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -97,14 +98,30 @@ class PullbackData:
 Pair = tuple[int, int, int]
 
 
+class PairBlock(NamedTuple):
+    """The comparable pairs (i, j) with i in ``lower``, j in ``upper`` and i <= j.
+
+    A chain block has ``lower == upper`` and holds the reflexive pairs of
+    its positions; in a product block every lower position lies below
+    every upper one.  Every pair's quotient cap is ``cap``.  In a block
+    that is not ``exact`` only the reflexive pairs and the pairs from
+    its bottom position ``lower.start`` are certified.  A named tuple,
+    not a dataclass, whose class takes a tenth as long to build at import.
+    """
+
+    lower: range
+    upper: range
+    cap: int
+    exact: bool
+
+
 @dataclass(frozen=True)
 class SpectrumSummary:
     """Finite stratified model of Spec of a constructor expression.
 
-    The model is stored by position (see the module docstring).
-    ``fixable[i]`` says that the localization at stratum i (cap 0) or
-    the quotient by it (containsM: a quotient of D) is an AF model.
-    ``source`` names the constructor for provenance strings only.
+    The model is stored by position and by pair block (see the module
+    docstring).  ``source`` names the constructor for provenance strings
+    only.
     """
 
     td: int
@@ -114,9 +131,7 @@ class SpectrumSummary:
     heights: tuple[int, ...]
     residues: tuple[int, ...]
     caps: tuple[int, ...]
-    fixable: tuple[bool, ...]
-    ups: tuple[tuple[Pair, ...], ...]
-    inexact: tuple[tuple[int, int], ...]
+    blocks: tuple[PairBlock, ...]
     pullback_data: Optional[PullbackData] = None
     source: str = field(default="", compare=False)
 
@@ -158,6 +173,15 @@ class SpectrumSummary:
             map(Stratum, count(), self.kinds, self.heights, self.residues, self.caps, self.labels)
         )
 
+    def _each_pair(self):
+        heights = self.heights
+        for block in self.blocks:
+            bottom, upper = block.lower.start, block.upper
+            for i in block.lower:
+                for j in range(max(i, upper.start), upper.stop):
+                    certified = block.exact or i == j or i == bottom
+                    yield i, j, (heights[j] - heights[i], block.cap) if certified else None
+
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, Optional[tuple[int, int]]], ...]:
         """Every comparable pair in ``pair_key`` order.
@@ -165,24 +189,37 @@ class SpectrumSummary:
         A certified pair is ``(i, j, (quot_base, quot_cap))``, an
         uncertified one ``(i, j, None)``.
         """
-        found = [
-            (i, j, (base, cap)) for i, row in enumerate(self.ups) for j, base, cap in row
-        ]
-        found += [(i, j, None) for i, j in self.inexact]
-        found.sort(key=lambda pair: self.pair_key(pair[0], pair[1]))
-        return tuple(found)
+        return tuple(self._each_pair())
 
     @cached_property
-    def first_inexact_below(self) -> dict[int, int]:
-        """For each upper end of an uncertified pair, the lower end of its first one.
+    def ups(self) -> tuple[tuple[Pair, ...], ...]:
+        """``ups[i]``: ``(j, quot_base, quot_cap)`` per certified pair i <= j, by increasing j."""
+        rows: list[list[Pair]] = [[] for _ in self.heights]
+        for i, j, quot in self._each_pair():
+            if quot is not None:
+                rows[i].append((j, *quot))
+        return tuple(map(tuple, rows))
 
-        "First" is in ``inexact`` order, so a refusal that names this
-        pair names the one a scan of ``inexact`` would meet first.
+    @cached_property
+    def inexact(self) -> tuple[tuple[int, int], ...]:
+        """The uncertified pairs ``(i, j)``, in ``pairs`` order."""
+        return tuple((i, j) for i, j, quot in self._each_pair() if quot is None)
+
+    def first_uncertified(self, upper: Optional[int] = None) -> Optional[tuple[int, int]]:
+        """The first uncertified pair in ``pairs`` order, or None.
+
+        With ``upper``, the first whose upper end is that position.  An
+        uncertified pair is a non-reflexive pair of an inexact block whose
+        lower end is not the block's bottom, so the first starts just above it.
         """
-        first: dict[int, int] = {}
-        for i, j in self.inexact:
-            first.setdefault(j, i)
-        return first
+        for block in self.blocks:
+            i = block.lower.start + 1
+            if block.exact or i not in block.lower:
+                continue
+            j = max(i + 1, block.upper.start) if upper is None else upper
+            if i < j and j in block.upper:
+                return i, j
+        return None
 
     @property
     def zero_stratum(self) -> Stratum:
@@ -428,9 +465,9 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 # the cache only stops a long-running process from growing without end.
 SUMMARY_CACHE_SIZE = 4096
 
-# Largest model summarize builds.  An AF model of S strata holds
-# S(S+1)/2 pairs: at 2048 strata that is about 2.1M pairs, built in
-# about a second.
+# Largest model summarize builds.  A model stores O(S) data, but at 2048
+# strata an AF model has about 2.1M pairs, which ``spectrum``, the chain
+# oracle and a fully tied witness list each walk one by one.
 MAX_STRATA = 2048
 
 
@@ -454,49 +491,23 @@ def summarize(expr: AlgebraExpr) -> SpectrumSummary:
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
-class _PairLists:
-    """Comparable pairs of n strata, sorted into adjacency lists as found.
-
-    ``quot`` is (base, cap) for a certified pair and None otherwise.
-    """
-
-    def __init__(self, n: int):
-        if n > MAX_STRATA:
-            raise ConstraintError(
-                f"a spectrum model of {n} strata is over the limit of {MAX_STRATA}"
-            )
-        self.ups: list[list[Pair]] = [[] for _ in range(n)]
-        self.inexact: list[tuple[int, int]] = []
-
-    def add(self, i: int, j: int, quot: Optional[tuple[int, int]]) -> None:
-        if quot is None:
-            self.inexact.append((i, j))
-        else:
-            self.ups[i].append((j, *quot))
-
-    def add_chain(self, n: int, catenarian: bool) -> None:
-        """Pairs among strata 0..n-1 at heights 0..n-1 of an AF model.
-
-        Without catenarity only pairs from the zero ideal and reflexive
-        pairs are certified.
-        """
-        for i in range(n):
-            for j in range(i, n):
-                exact = catenarian or i == j or i == 0
-                self.add(i, j, (j - i, 0) if exact else None)
+def _check_size(n: int) -> None:
+    if n > MAX_STRATA:
+        raise ConstraintError(
+            f"a spectrum model of {n} strata is over the limit of {MAX_STRATA}"
+        )
 
 
 def _summarize_af(td, dim, catenarian, source) -> SpectrumSummary:
     n = dim + 1
-    pairs = _PairLists(n)
-    pairs.add_chain(n, catenarian)
+    _check_size(n)
     return _finish(
         td,
         kinds=(KIND_PLAIN,) * n,
         heights=tuple(range(n)),
         residues=tuple(td - h for h in range(n)),
         caps=(0,) * n,
-        pairs=pairs,
+        blocks=(PairBlock(range(n), range(n), 0, catenarian),),
         pullback_data=None,
         source=source,
     )
@@ -523,34 +534,27 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     # Strata outside M at heights 0..n_out-1, then one per stratum of D.
     n_out = max(m - 1, expr.outside) + 1
     n_in = len(sub.heights)
-    pairs = _PairLists(n_out + n_in)
-    pairs.add_chain(n_out, t_cat)
-    # Primes at height >= m outside M are incomparable with M.
-    for i in range(m):
-        exact = t_cat or i == 0
-        for e, d_height in enumerate(sub.heights):
-            pairs.add(i, n_out + e, (m - i + d_height, td_kd) if exact else None)
-    for i, row in enumerate(sub.ups):
-        for j, base, cap in row:
-            pairs.add(n_out + i, n_out + j, (base, cap))
-    for i, j in sub.inexact:
-        pairs.add(n_out + i, n_out + j, None)
-
+    _check_size(n_out + n_in)
+    outside, inside = range(n_out), range(n_out, n_out + n_in)
+    blocks = (
+        PairBlock(outside, outside, 0, t_cat),
+        # Primes at height >= m outside M are incomparable with M.
+        PairBlock(range(m), inside, td_kd, t_cat),
+        PairBlock(inside, inside, 0, expr_catenarian(expr.subring)),
+    )
     return _finish(
         td,
         kinds=(KIND_OUTSIDE,) * n_out + (KIND_CONTAINS,) * n_in,
-        heights=tuple(range(n_out)) + tuple(m + h for h in sub.heights),
-        residues=tuple(td - h for h in range(n_out)) + sub.residues,
+        heights=tuple(outside) + tuple(m + h for h in sub.heights),
+        residues=tuple(td - h for h in outside) + sub.residues,
         caps=(0,) * n_out + (td_kd,) * n_in,
-        pairs=pairs,
+        blocks=blocks,
         pullback_data=data,
         source="pullback",
     )
 
 
-def _finish(
-    td, kinds, heights, residues, caps, pairs: _PairLists, pullback_data, source
-) -> SpectrumSummary:
+def _finish(td, kinds, heights, residues, caps, blocks, pullback_data, source) -> SpectrumSummary:
     summary = SpectrumSummary(
         td=td,
         dim=max(heights),
@@ -559,9 +563,7 @@ def _finish(
         heights=heights,
         residues=residues,
         caps=caps,
-        fixable=tuple(c == 0 or k == KIND_CONTAINS for c, k in zip(caps, kinds)),
-        ups=tuple(map(tuple, pairs.ups)),
-        inexact=tuple(pairs.inexact),
+        blocks=blocks,
         pullback_data=pullback_data,
         source=source,
     )
@@ -574,43 +576,32 @@ def _check_summary(summary: SpectrumSummary) -> None:
     heights = summary.heights
     if (heights[0], summary.residues[0], summary.caps[0]) != (0, summary.td, 0):
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
-    for i, (h, r, c) in enumerate(zip(heights, summary.residues, summary.caps)):
+    strata = zip(summary.kinds, heights, summary.residues, summary.caps)
+    for i, (kind, h, r, c) in enumerate(strata):
         if min(h, r, c) < 0:
             raise ConsistencyError(f"negative height, residue or cap at {summary.labels[i]}")
         if h + r > summary.td:
             raise ConsistencyError(f"height + residue_td > td at {summary.labels[i]}")
-        if (i, 0, 0) not in summary.ups[i]:
-            raise ConsistencyError(f"missing reflexive pair for {summary.labels[i]}")
+        # Every stratum then localizes (cap 0) or quotients (containsM: a
+        # quotient of D) to an AF model, so the chain oracle may hold any
+        # stratum fixed.
+        if c > 0 and kind != KIND_CONTAINS:
+            raise ConsistencyError(f"cap > 0 outside M at {summary.labels[i]}")
 
-    def certified():
-        for i, row in enumerate(summary.ups):
-            last = -1
-            for j, base, cap in row:
-                yield i, j, base, cap
-                # Checked once the loop below has vetted the pair itself.
-                # The conductor height formula bisects each row by upper end.
-                if j <= last:
-                    raise ConsistencyError(
-                        f"pairs above {summary.labels[i]} do not rise strictly in upper end"
-                    )
-                last = j
-
-    uncertified = ((i, j, 0, 0) for i, j in summary.inexact)
-    for i, j, base, cap in chain(certified(), uncertified):
-        if base < 0 or cap < 0:
-            raise ConsistencyError(f"negative quotient data at pair {summary.pair_label(i, j)}")
-        if i == j and (base, cap) != (0, 0):
-            raise ConsistencyError(
-                f"reflexive pair {summary.pair_label(i, j)} needs quotient (0, 0)"
-            )
-        # Distinct comparable primes differ in height; the chain oracle's
-        # bottom-up order relies on it.
-        if i != j and heights[i] >= heights[j]:
-            raise ConsistencyError(f"pair {summary.pair_label(i, j)} does not rise in height")
-        if heights[i] + base > heights[j]:
-            raise ConsistencyError(
-                f"quotient base {base} exceeds height gap of pair {summary.pair_label(i, j)}"
-            )
+    chains = [block.lower for block in summary.blocks if block.lower == block.upper]
+    if list(chain.from_iterable(chains)) != list(range(len(heights))):
+        raise ConsistencyError("chain blocks must hold each reflexive pair once, by position")
+    for block in summary.blocks:
+        if block.cap < 0:
+            raise ConsistencyError(f"negative quotient cap in {block}")
+        if block.lower == block.upper and block.cap:
+            raise ConsistencyError(f"reflexive pairs of {block} need quotient cap 0")
+        # Distinct comparable primes differ in height, which the chain
+        # oracle's bottom-up order relies on; the pair rule i <= j needs
+        # the positions to rise as well.
+        run = block.lower if block.lower == block.upper else chain(block.lower, block.upper)
+        if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
+            raise ConsistencyError(f"positions and heights do not rise strictly in {block}")
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:

@@ -1,8 +1,10 @@
 """Command line behaviour: outputs, schemas and exit codes."""
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ import pytest
 import krulldim
 from krulldim import cli, oracle
 from krulldim.oracle import CheckFailure, CheckReport
+from krulldim.parser import parse_expr, to_source
+from krulldim.spectra import summarize
 
 KM = "pullback(T=val(2,1),m=1,D=field(0),outside=0)"
 # Gated (ht(M) = 1), but its non-catenarian T leaves pairs uncertified, so
@@ -322,6 +326,18 @@ class TestSharedParser:
         assert outcome(cli.main) == outcome(fresh.parse_args)
 
 
+def test_answering_builds_no_pair_view(capsys):
+    # The catalog shares kM with other tests, which may have built its views.
+    summarize.cache_clear()
+    big = "af(300,300)"
+    for a, b in ((KM, big), (big, KM)):
+        for argv in (["dim", a, b], ["ht", a, b, "--p", "M", "--q", "M"], ["explain", a, b]):
+            assert run(capsys, *argv)[0] == 0
+    for text in (KM, big):
+        built = vars(summarize(parse_expr(text)))
+        assert not {"ups", "inexact", "pairs"} & set(built), text
+
+
 def test_import_builds_no_parser_and_parses_nothing():
     path = [str(Path(krulldim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -343,3 +359,34 @@ def test_round_trip_of_printed_expression(capsys):
 
     expr = parse_expr(KM)
     assert parse_expr(to_source(expr)) == expr
+
+
+# The catalog and four non-catenarian inputs: a non-catenarian AF-domain,
+# a gated and an ungated pullback over a non-catenarian T, and a pullback
+# over a non-catenarian D.
+PARITY_OPERANDS = [to_source(e) for e in oracle.catalog().values()] + [
+    AF33_NONCAT,
+    PB_NONCAT,
+    PB_UNGATED,
+    "pullback(T=val(3,1),m=1,D=af(2,2,cat=false),outside=0)",
+]
+# sha256 of every exit code, stdout and stderr below, pinned so that a
+# change to the model or the formulas cannot alter a byte of output.
+PARITY_SHA256 = "eba5f56023ddedf04ea7693dd60f784732d5b7bfe6edb296fa87c61e5c729bb8"
+
+
+def test_output_parity_pin(capsys):
+    digest = hashlib.sha256()
+
+    def feed(*argv):
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+
+    for a in PARITY_OPERANDS:
+        feed("spectrum", a, "--json")
+    for a, b in product(PARITY_OPERANDS, repeat=2):
+        feed("dim", a, b, "--json")
+        feed("explain", a, b, "--json")
+        for p, q in product("0M", repeat=2):
+            feed("ht", a, b, "--p", p, "--q", q, "--json")
+    assert digest.hexdigest() == PARITY_SHA256

@@ -17,6 +17,8 @@ from krulldim.formulas import (
     GATE_HT_M,
     GATE_TD_KD,
     GATE_UNSUPPORTED,
+    TERM_OUTSIDE,
+    TERM_THROUGH,
     THEOREM_SHARP,
     THEOREM_THM28,
     THEOREM_W37,
@@ -278,6 +280,67 @@ class TestThm28Dim:
         s = summarize(Pullback(AfDomain(7, 3, catenarian=False), 3, Field(0), outside=3))
         with pytest.raises(ApplicabilityError):
             thm28_dim(s, S_KX)
+
+
+NON_CATENARIAN = (
+    AfDomain(3, 3, catenarian=False),
+    Pullback(AfDomain(4, 3, catenarian=False), 1, Field(0), outside=2),
+    Pullback(AfDomain(6, 5, catenarian=False), 3, Field(0), outside=2),
+    Pullback(Valuation(3, 1), 1, AfDomain(2, 2, catenarian=False)),
+)
+
+
+def _thm28_dim_over_pairs(a, b):
+    """thm28_dim evaluated pair by pair over the ``pairs`` view of B.
+
+    Returns the refusal message, or the value, the terms and the labels
+    of the tied through-M pairs in ``pair_key`` order.
+    """
+    uncertified = [(i, j) for i, j, quot in b.pairs if quot is None]
+    if uncertified:
+        return (
+            "tensor dimension formula needs quotient heights for pair "
+            f"{b.pair_label(*uncertified[0])}, which the non-catenarian model does not certify"
+        )
+    pd = a.pullback_data
+    through = {
+        (q1, q): pd.m + b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
+        + min(b.residues[q1], pd.td_kd) + min(pd.td_d, pd.dim_d + b.residues[q])
+        for q1, q, (base, cap) in b.pairs
+    }
+    term1, term2 = d_value(a.td, pd.outside, b), max(through.values())
+    value = max(term1, term2)
+    ties = sorted((p for p, v in through.items() if v == value), key=lambda p: b.pair_key(*p))
+    return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), [b.pair_label(*p) for p in ties]
+
+
+class TestBlockEvaluation:
+    """The formulas read pair blocks; a pair-by-pair evaluation must agree."""
+
+    def test_pairs_follow_pair_key_order(self):
+        for b in map(summarize, [*catalog().values(), *NON_CATENARIAN]):
+            assert list(b.pairs) == sorted(b.pairs, key=lambda p: b.pair_key(p[0], p[1]))
+
+    def test_thm28_dim_matches_the_pairs_view(self):
+        operands = [*catalog().values(), *NON_CATENARIAN]
+        gated = [
+            a for a in map(summarize, operands)
+            if a.pullback_data is not None and applicability(a).gates
+        ]
+        assert len(gated) == len(catalog_pullbacks()) + 2
+        refused = 0
+        for a, b in product(gated, map(summarize, operands)):
+            want = _thm28_dim_over_pairs(a, b)
+            if isinstance(want, str):
+                refused += 1
+                with pytest.raises(InexactPairError) as err:
+                    thm28_dim(a, b)
+                assert str(err.value) == want
+                continue
+            report = thm28_dim(a, b)
+            through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
+            assert (report.value, report.term_breakdown, through) == want, (a.source, b.source)
+        assert refused == len(NON_CATENARIAN) * len(gated)
 
 
 class TestPullbackPair:

@@ -10,6 +10,7 @@ from krulldim.spectra import (
     SUMMARY_CACHE_SIZE,
     AfDomain,
     Field,
+    PairBlock,
     PolyRing,
     Pullback,
     Valuation,
@@ -118,33 +119,50 @@ class TestSummarize:
 
 
 class TestCheckSummary:
-    """Coherence guards on a compiled summary; each breaks one pair entry."""
+    """Coherence guards on a compiled summary; each breaks one piece of model data."""
 
-    def broken(self, row0):
-        s = summarize(AfDomain(2, 2))
-        return dataclasses.replace(s, ups=(row0,) + s.ups[1:])
+    def broken(self, block):
+        """``pb-val32`` (out:0, out:1 and M at height 2) with its product block replaced."""
+        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
+        outside, product, inside = s.blocks
+        assert (product.lower, product.upper) == (range(2), range(2, 3))
+        return dataclasses.replace(s, blocks=(outside, block, inside))
 
     def test_compiled_summary_passes(self):
         _check_summary(summarize(AfDomain(2, 2)))
+        _check_summary(self.broken(PairBlock(range(2), range(2, 3), 1, True)))
 
     def test_negative_quotient_cap(self):
-        s = self.broken(((0, 0, 0), (1, 1, -1), (2, 2, 0)))
+        s = self.broken(PairBlock(range(2), range(2, 3), -1, True))
         with pytest.raises(ConsistencyError, match="negative quotient"):
             _check_summary(s)
 
     def test_second_reflexive_entry(self):
-        s = self.broken(((0, 0, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0)))
+        s = summarize(AfDomain(2, 2))
+        again = PairBlock(range(1, 2), range(1, 2), 0, True)
         with pytest.raises(ConsistencyError, match="reflexive"):
-            _check_summary(s)
+            _check_summary(dataclasses.replace(s, blocks=s.blocks + (again,)))
+
+    def test_reflexive_pairs_need_cap_0(self):
+        s = summarize(AfDomain(2, 2))
+        capped = PairBlock(range(3), range(3), 1, True)
+        with pytest.raises(ConsistencyError, match="reflexive"):
+            _check_summary(dataclasses.replace(s, blocks=(capped,)))
 
     @pytest.mark.parametrize(
-        "row0",
-        [((0, 0, 0), (2, 2, 0), (1, 1, 0)), ((0, 0, 0), (1, 1, 0), (1, 1, 0), (2, 2, 0))],
+        "block",
+        [PairBlock(range(2, 3), range(2), 1, True), PairBlock(range(2), range(1, 3), 1, True)],
         ids=["descending", "repeated"],
     )
-    def test_upper_ends_must_rise_strictly(self, row0):
-        with pytest.raises(ConsistencyError, match="rise strictly in upper end"):
-            _check_summary(self.broken(row0))
+    def test_upper_ends_must_rise_strictly(self, block):
+        with pytest.raises(ConsistencyError, match="rise strictly"):
+            _check_summary(self.broken(block))
+
+    def test_cap_only_over_m(self):
+        # A stratum outside M with a cap > 0 could not be held fixed by the chain oracle.
+        s = dataclasses.replace(summarize(AfDomain(2, 2)), caps=(0, 1, 0))
+        with pytest.raises(ConsistencyError, match="cap > 0 outside M at h1"):
+            _check_summary(s)
 
 
 class TestIsAfPoly:
