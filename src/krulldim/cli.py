@@ -110,7 +110,7 @@ def _spectrum_json(summary: SpectrumSummary) -> dict:
             }
             for s in summary.strata
         ],
-        "pairs": [_pair_json(summary, *pair) for pair in summary.pairs],
+        "pairs": [_pair_json(summary, *pair) for pair in summary.iter_pairs()],
         "flags": {
             "td": summary.td,
             "dim": summary.dim,
@@ -137,7 +137,7 @@ def _print_spectrum_text(summary: SpectrumSummary) -> None:
             f"ht(p[n])={s.height}+min(n,{s.cap})  [{summary.provenance(s.index)}]"
         )
     print("pairs:")
-    for i, j, quot in summary.pairs:
+    for i, j, quot in summary.iter_pairs():
         shown = "uncertified" if quot is None else "{}+min(n,{})".format(*quot)
         print(f"  {summary.pair_label(i, j):<16} quot={shown}")
 

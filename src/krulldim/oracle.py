@@ -10,13 +10,15 @@ rather than from the formulas under test:
 * ``chain_enumerate`` finds the longest anchored chain built from a
   small set of legal moves, each justified by a primitive fact about
   contractions and fibers.  It does so in one bottom-up pass over the
-  anchors, which adds the initial jump to each anchor's best run of
-  advances.  ``iter_chains`` enumerates the same chains move by move;
-  it is the literal reference the pass is tested against.  The maximum
-  is a certified lower bound for dim(A ox B); the check suites assert
-  it is tight on the whole catalog, so a formula bug shows up either
-  as a violated bound or as a tightness failure, never as a silent
-  pass.
+  anchors that reads the pair blocks: the best advance through a block
+  is a running maximum kept per block, so an anchor costs O(blocks),
+  and the pass adds the initial jump to each anchor's best run of
+  advances.  ``iter_chains`` enumerates the same chains move by move
+  over the ``ups`` view; it is the literal reference the pass is
+  tested against.  The maximum is a certified lower bound for
+  dim(A ox B); the check suites assert it is tight on the whole
+  catalog, so a formula bug shows up either as a violated bound or as
+  a tightness failure, never as a silent pass.
 
 Legal moves, for a chain of primes of A ox B organized by the anchor
 (p, q) = (contraction to A, contraction to B):
@@ -34,8 +36,9 @@ Legal moves, for a chain of primes of A ox B organized by the anchor
 4. one final fiber segment at the last anchor, of length at most
    min(t.d.(A/p), t.d.(B/q)).
 
-The moves read the summaries' position arrays directly and call no
-formula code, so the enumerator stays independent of what it checks.
+The moves read the summaries' position arrays and pair blocks directly
+and call no formula code, so the enumerator stays independent of what
+it checks.
 """
 from __future__ import annotations
 
@@ -175,62 +178,98 @@ def _by_height_desc(summary) -> list[int]:
     return sorted(range(len(heights)), key=heights.__getitem__, reverse=True)
 
 
+def _advance_blocks(summary) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
+    """Per position, the blocks a step leaves it by and the blocks it is reached in.
+
+    ``starts[i]`` holds ``(k, cap)`` for each block k with a pair (i, i2),
+    i < i2; ``ends[i]`` holds each k whose upper range holds i.
+    """
+    starts: list[list[tuple[int, int]]] = [[] for _ in summary.heights]
+    ends: list[list[int]] = [[] for _ in summary.heights]
+    for k, block in enumerate(summary.blocks):
+        for i in block.lower:
+            if block.upper and i < block.upper[-1]:
+                starts[i].append((k, block.cap))
+        for i in block.upper:
+            ends[i].append(k)
+    return starts, ends
+
+
 def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """Maximum total over all legal anchored chains: a lower bound for dim.
 
-    One bottom-up pass computes the maximum that ``iter_chains``
-    enumerates move by move, with the moves of ``_initial_jump`` and
-    ``_advances`` written out inline.  ``tail[i * nb + j]`` is the
-    longest run of advances plus the final fiber segment from anchor
-    (i, j).  An advance moves one side to a distinct comparable stratum,
-    which is higher, and keeps the other, so visiting A's strata by
-    decreasing height, and B's by decreasing height within each, fills
-    every anchor's successors first.  Once an anchor's tail is known,
-    the initial jump to it is added and the best total kept.
+    One bottom-up pass over the anchors (i, j) computes the maximum that
+    ``iter_chains`` enumerates move by move, reading the pair blocks
+    rather than the pairs.  tail(i, j) is the longest run of advances
+    plus the final fiber segment from (i, j).  A B-advance through block
+    k of B moves j to a strict successor j2 and gains heights_b[j2] -
+    heights_b[j] + min(t.d.(A/p), cap_k) + tail(i, j2), so the best one
+    is ``row[k] - heights_b[j] + min(r_a, cap_k)``, where ``row[k]`` is
+    the maximum of heights_b[j2] + tail(i, j2) over those successors.
+    A-advances read ``col[k][j]``, the same maximum per block k of A and
+    position j of B.
+
+    A's strata are walked by decreasing height, and B's by decreasing
+    height within each row.  Inside a chain block positions and heights
+    rise together, and in a product block every upper position lies
+    above every lower one, so the positions of a block already walked
+    are exactly the strict successors of the current one: each maximum,
+    updated once an anchor's tail is known, is complete when read and
+    holds no position it must not.  So an anchor costs O(blocks), and
+    the pass O(na * nb * blocks) time, against O(na * nb * (na + nb))
+    for a scan over the comparable pairs.  The initial jump to each
+    anchor is added to its tail and the best total kept.
     """
     _require_exact_sides(a, b)
-    nb = len(b.heights)
-    heights_a, residues_a, caps_a, ups_a = a.heights, a.residues, a.caps, a.ups
-    residues_b = b.residues
-    # Advances of the B side, without the reflexive pair: (j2, base, cap).
-    steps_b = [[up for up in row if up[0] != j] for j, row in enumerate(b.ups)]
-    # ht(q[t.d.(A)]) per position of B: the initial jump to (i, j) is
-    # this plus ht(p) when A's side has cap 0.
-    jump_b = [h + min(a.td, c) for h, c in zip(b.heights, b.caps)]
-    order_b = _by_height_desc(b)
-    tail = [0] * (len(heights_a) * nb)
+    heights_a, residues_a, caps_a = a.heights, a.residues, a.caps
+    starts_a, ends_a = _advance_blocks(a)
+    starts_b, ends_b = _advance_blocks(b)
+    # The maxima start at 0, below every heights + tail, and a step reads
+    # a block only from a position with a successor in it, walked first.
+    col = [[0] * len(b.heights) for _ in a.blocks]
+    # Per position of B: its own steps and ht(q[t.d.(A)]), to which the
+    # initial jump to (i, j) adds ht(p) when A's side has cap 0.
+    walk_b = [
+        (j, b.heights[j], b.residues[j], starts_b[j], ends_b[j],
+         b.heights[j] + min(a.td, b.caps[j]))
+        for j in _by_height_desc(b)
+    ]
     total = 0
     for i in _by_height_desc(a):
-        row = i * nb
-        r_a = residues_a[i]
-        # Advances of the A side from row i, each as (row of i2, base, cap).
-        steps_a = [(i2 * nb, base, cap) for i2, base, cap in ups_a[i] if i2 != i]
-        h_a, c_a = heights_a[i], caps_a[i]
-        for j in order_b:
-            r_b = residues_b[j]
+        h_a, r_a = heights_a[i], residues_a[i]
+        row = [0] * len(b.blocks)
+        steps_a = [(col[k], cap) for k, cap in starts_a[i]]
+        into_a = [col[k] for k in ends_a[i]]
+        # Only A's initial jump, ht(p) + ht(q[t.d.(A)]) when A's cap is 0,
+        # can set the maximum.  B's jump, ht(p[t.d.(B)]) + ht(q) when B's
+        # cap is 0, never beats a chain from the zero anchor:
+        # - pairs from the zero ideal are certified with base = height,
+        #   and every stratum can be held fixed;
+        # - so (0, 0) -> (i, 0) by an A-advance gains
+        #   h_i + min(t.d.(B), cap_A(i)), exactly B's jump to (i, 0);
+        # - a B-advance 0 -> j at fixed i then gains at least h_j, and
+        #   the chain goes on from (i, j) as the jump's would.
+        jumps = caps_a[i] == 0
+        for j, h_b, r_b, steps_b, into_b, jump_b in walk_b:
             best = r_a if r_a < r_b else r_b
-            for j2, base, cap in steps_b[j]:
-                v = base + (cap if cap < r_a else r_a) + tail[row + j2]
+            for k, cap in steps_b:
+                v = row[k] + (cap if cap < r_a else r_a) - h_b
                 if v > best:
                     best = v
-            for row2, base, cap in steps_a:
-                v = base + (cap if cap < r_b else r_b) + tail[row2 + j]
+            for col_k, cap in steps_a:
+                v = col_k[j] + (cap if cap < r_b else r_b) - h_a
                 if v > best:
                     best = v
-            tail[row + j] = best
-            # Only A's initial jump, ht(p) + ht(q[t.d.(A)]) when c_a == 0,
-            # can set the maximum.  B's jump, ht(p[t.d.(B)]) + ht(q) when
-            # B's cap is 0, never beats a chain from the zero anchor:
-            # - pairs from the zero ideal are certified with base = height,
-            #   and every stratum can be held fixed;
-            # - so (0, 0) -> (i, 0) by an A-advance gains
-            #   h_i + min(t.d.(B), cap_A(i)), exactly B's jump to (i, 0);
-            # - a B-advance 0 -> j at fixed i then gains at least h_j, and
-            #   the chain goes on from (i, j) as the jump's would.
-            if c_a == 0:
-                best += h_a + jump_b[j]
-                if best > total:
-                    total = best
+            v = h_b + best
+            for k in into_b:
+                if v > row[k]:
+                    row[k] = v
+            v = h_a + best
+            for col_k in into_a:
+                if v > col_k[j]:
+                    col_k[j] = v
+            if jumps and v + jump_b > total:
+                total = v + jump_b
     return total
 
 

@@ -30,18 +30,21 @@ formulas and the oracle read them.  Views built on first use:
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j; and
 ``inexact``, the uncertified pairs as ``(i, j)`` in ``pairs`` order.
-The formulas build none of the pair views.
+``iter_pairs`` generates the ``pairs`` entries without keeping them.
+The formulas, the chain oracle and the ``spectrum`` command build none
+of the pair views; the check suites and the oracle's literal
+enumerator ``iter_chains`` do.
 
-A model of S strata has up to S(S+1)/2 pairs, which the views and the
-oracle walk one by one, so ``summarize`` refuses, with
-``ConstraintError``, a model of more than ``MAX_STRATA`` strata.
+A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
+one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
+of more than ``MAX_STRATA`` strata.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, count, pairwise
-from typing import NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -173,7 +176,8 @@ class SpectrumSummary:
             map(Stratum, count(), self.kinds, self.heights, self.residues, self.caps, self.labels)
         )
 
-    def _each_pair(self):
+    def iter_pairs(self) -> Iterator[tuple[int, int, Optional[tuple[int, int]]]]:
+        """Generate the entries of ``pairs`` from the blocks, keeping none."""
         heights = self.heights
         for block in self.blocks:
             bottom, upper = block.lower.start, block.upper
@@ -189,13 +193,13 @@ class SpectrumSummary:
         A certified pair is ``(i, j, (quot_base, quot_cap))``, an
         uncertified one ``(i, j, None)``.
         """
-        return tuple(self._each_pair())
+        return tuple(self.iter_pairs())
 
     @cached_property
     def ups(self) -> tuple[tuple[Pair, ...], ...]:
         """``ups[i]``: ``(j, quot_base, quot_cap)`` per certified pair i <= j, by increasing j."""
         rows: list[list[Pair]] = [[] for _ in self.heights]
-        for i, j, quot in self._each_pair():
+        for i, j, quot in self.iter_pairs():
             if quot is not None:
                 rows[i].append((j, *quot))
         return tuple(map(tuple, rows))
@@ -203,7 +207,7 @@ class SpectrumSummary:
     @cached_property
     def inexact(self) -> tuple[tuple[int, int], ...]:
         """The uncertified pairs ``(i, j)``, in ``pairs`` order."""
-        return tuple((i, j) for i, j, quot in self._each_pair() if quot is None)
+        return tuple((i, j) for i, j, quot in self.iter_pairs() if quot is None)
 
     def first_uncertified(self, upper: Optional[int] = None) -> Optional[tuple[int, int]]:
         """The first uncertified pair in ``pairs`` order, or None.
@@ -466,8 +470,9 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores O(S) data, but at 2048
-# strata an AF model has about 2.1M pairs, which ``spectrum``, the chain
-# oracle and a fully tied witness list each walk one by one.
+# strata an AF model has about 2.1M pairs, which ``spectrum`` and a fully
+# tied witness list each walk one by one.  The chain oracle's work grows
+# with the product of its two sides' strata, not with their pairs.
 MAX_STRATA = 2048
 
 

@@ -331,7 +331,13 @@ def test_answering_builds_no_pair_view(capsys):
     summarize.cache_clear()
     big = "af(300,300)"
     for a, b in ((KM, big), (big, KM)):
-        for argv in (["dim", a, b], ["ht", a, b, "--p", "M", "--q", "M"], ["explain", a, b]):
+        for argv in (
+            ["dim", a, b],
+            ["ht", a, b, "--p", "M", "--q", "M"],
+            ["explain", a, b],
+            ["spectrum", a],
+            ["spectrum", a, "--json"],
+        ):
             assert run(capsys, *argv)[0] == 0
     for text in (KM, big):
         built = vars(summarize(parse_expr(text)))

@@ -1,0 +1,171 @@
+"""Seeded fuzz of the CLI contract.
+
+Every command line ends in exit code 0, or in exit code 2 with one
+``error:`` line on stderr, and raises nothing else.  The command lines
+are built from the expression grammar, then mutated, with numerals,
+selectors and expressions at and just past each input bound.  A fixed
+``random.Random`` seed draws the same commands on every run.
+"""
+import contextlib
+import io
+import random
+
+from krulldim import cli
+from krulldim.oracle import MAX_GRID
+from krulldim.parser import MAX_NESTING
+from krulldim.spectra import MAX_DIGITS, MAX_STRATA
+
+SEED = 20090101
+COMMANDS = 8000
+
+# Numerals at and past each bound, and text that int() reads as a
+# number but the grammar refuses.
+NUMERALS = [
+    "0", "1", "2", "3", "00", "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1),
+    str(MAX_STRATA - 1), str(MAX_STRATA), str(MAX_GRID), str(MAX_GRID + 1),
+    "-1", "+1", "1_0", "١", "²", " 1", "",
+]
+# Characters a mutation inserts: the grammar's own, digits, blanks and
+# a few that look like them.
+ALPHABET = "()=,:0123456789 \t\nafieldpolyvalpullbackTDmoutsidecatruesM-+_١²"
+
+
+def _nat(rng):
+    return str(rng.randrange(6))
+
+
+def _expr(rng, depth=0, pullbacks=True):
+    """(text, t.d., dim) of an expression of the grammar that meets its constraints."""
+    kinds = ["field", "af", "val"] + ["poly"] * (depth < 2) + ["pullback"] * pullbacks
+    kind = rng.choice(kinds)
+    if kind == "field":
+        t = rng.randrange(4)
+        return f"field({t})", t, 0
+    if kind == "af":
+        t = rng.randrange(6)
+        d = rng.randint(0, t)
+        flag = rng.choice(["", ",cat=false", ",cat=true", " , cat = false"])
+        return f"af({t},{d}{flag})", t, d
+    if kind == "val":
+        t = rng.randint(1, 5)
+        d = rng.randint(1, t)
+        return f"val({t},{d})", t, d
+    if kind == "poly":
+        base, t, d = _expr(rng, depth + 1, pullbacks=False)
+        n = rng.randrange(3)
+        return f"poly({base},{n})", t + n, d + n
+    while True:
+        ambient, t, d = _expr(rng, depth + 1, pullbacks=False)
+        if d >= 1:
+            break
+    if ambient.startswith("val"):
+        m, outside = d, rng.choice(["", f",outside={d - 1}"])
+    else:
+        m = rng.randint(1, d)
+        outside = f",outside={rng.randint(m - 1, d)}"
+    while True:
+        sub, t_d, d_d = _expr(rng, depth + 1, pullbacks=False)
+        if t_d <= t - m:
+            break
+    return f"pullback(T={ambient},m={m},D={sub}{outside})", t, max(d, m + d_d)
+
+
+def _bound_expr(rng):
+    """An expression at or just past a bound on numerals, nesting or strata."""
+    big = rng.choice([MAX_STRATA - 1, MAX_STRATA])
+    levels = rng.choice([MAX_NESTING - 1, MAX_NESTING])
+    return rng.choice(
+        [
+            f"af({big},{big})",
+            f"val({big},{big})",
+            f"poly(field(0),{big})",
+            f"pullback(T=val({big},{big}),m={big},D=field(0))",
+            f"field({rng.choice(NUMERALS)})",
+            f"af({rng.choice(NUMERALS)},{rng.choice(NUMERALS)})",
+            "poly(" * levels + "field(1)" + ",0)" * levels,
+        ]
+    )
+
+
+def _mutate(rng, text, edits):
+    for _ in range(rng.randint(0, edits)):
+        at = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:at] + rng.choice(ALPHABET) + text[at:]
+        elif op == 1:
+            text = text[:at] + text[at + 1 :]
+        elif op == 2:
+            text = text[:at] + rng.choice(ALPHABET) + text[at + 1 :]
+        else:
+            text = text[:at]
+    return text
+
+
+def _maybe_mutate(rng, text, edits):
+    return _mutate(rng, text, edits) if rng.random() < 0.4 else text
+
+
+def _selector(rng):
+    text = rng.choice(["0", "M", "0", "M", "out:", "in:"])
+    if text.endswith(":"):
+        text += rng.choice([_nat(rng), rng.choice(NUMERALS)])
+    return _maybe_mutate(rng, text, 1)
+
+
+def _argv(rng):
+    """One command line; at most one operand sits at a bound.
+
+    ``spectrum`` lists O(S^2) pairs, so its operand gets one edit at most,
+    which keeps every model it prints small.
+    """
+    command = rng.choice(["dim", "dim", "ht", "ht", "explain", "spectrum", "check"])
+    if command == "spectrum":
+        argv = [command, _maybe_mutate(rng, _expr(rng)[0], 1)]
+    elif command == "check":
+        suite = rng.choice(["sharp-grid", "towers", "prop23", "nope", ""])
+        argv = [command, _maybe_mutate(rng, suite, 1)]
+        if rng.random() < 0.7:
+            argv += ["--grid-max", rng.choice(NUMERALS)]
+    else:
+        a, b = (_maybe_mutate(rng, _expr(rng)[0], 3) for _ in "ab")
+        if rng.random() < 0.3:
+            a = _bound_expr(rng)
+        if rng.random() < 0.5:
+            a, b = b, a
+        argv = [command, a, b]
+        if command == "ht":
+            argv += ["--p", _selector(rng), "--q", _selector(rng)]
+            if rng.random() < 0.5:
+                argv += ["--delta", rng.choice([_nat(rng), *NUMERALS])]
+    if rng.random() < 0.5:
+        argv.append("--json")
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["--bogus", "--p", "-"]))
+    return argv
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, usage = cli.main(argv), False
+        except SystemExit as exc:  # argparse refuses the command line
+            code, usage = exc.code, True
+    return code, usage, out.getvalue(), err.getvalue()
+
+
+def test_every_command_line_exits_0_or_2_with_one_error_line():
+    rng = random.Random(SEED)
+    codes = {0: 0, 2: 0}
+    for _ in range(COMMANDS):
+        argv = _argv(rng)
+        code, usage, out, err = _outcome(argv)
+        assert code in (0, 2), argv
+        codes[code] += 1
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == (code == 2), (argv, err)
+        if code == 2 and not usage:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    # Both outcomes are drawn often, so the fuzz reaches past the parser.
+    assert min(codes.values()) > COMMANDS // 10, codes

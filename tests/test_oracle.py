@@ -19,10 +19,25 @@ from krulldim.oracle import (
     run_suite,
     suite_names,
 )
-from krulldim.spectra import AfDomain, Field, Pullback, Valuation, summarize
+from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
+
+# Operands of 10 to 20 strata, the size certify runs at: three AF models
+# and five pullbacks, with product blocks under M of height m = 2 to 5
+# and quotient caps 1 to 9.  A cap above the other side's residue t.d.
+# makes the min(t.d.(A/p), cap) of an advance matter.
+CERTIFY_SIZE = [
+    AfDomain(12, 9),
+    Valuation(19, 19),
+    PolyRing(AfDomain(8, 6), 6),
+    Pullback(Valuation(14, 5), 5, AfDomain(6, 6)),
+    Pullback(AfDomain(16, 12), 3, AfDomain(8, 5), outside=9),
+    Pullback(PolyRing(Valuation(6, 4), 6), 4, PolyRing(Field(2), 5), outside=8),
+    Pullback(AfDomain(18, 15), 2, Valuation(10, 8), outside=1),
+    Pullback(AfDomain(15, 12), 4, AfDomain(2, 2), outside=6),
+]
 
 
 class TestBrewer:
@@ -73,6 +88,22 @@ class TestChainEnumerate:
         bad = summarize(AfDomain(3, 3, catenarian=False))
         with pytest.raises(InexactPairError):
             chain_enumerate(bad, S_KM)
+
+    def test_builds_no_pair_view(self):
+        # The catalog shares kM with other tests, which may have built its views.
+        summarize.cache_clear()
+        big = AfDomain(300, 300)
+        for x, y in ((big, big), (KM, big), (KM, KM)):
+            sx, sy = summarize(x), summarize(y)
+            assert chain_enumerate(sx, sy) == chain_enumerate(sy, sx)
+            for s in (sx, sy):
+                assert not {"ups", "inexact", "pairs"} & set(vars(s)), s.source
+
+    def test_equals_dim_tensor_at_certify_size(self):
+        # iter_chains cannot reach these sizes; dim_tensor can.
+        for x, y in product(CERTIFY_SIZE, CERTIFY_SIZE):
+            got = chain_enumerate(summarize(x), summarize(y))
+            assert got == dim_tensor(x, y).value, (x, y)
 
 
 class TestChains:
