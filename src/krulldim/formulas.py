@@ -12,19 +12,27 @@ k-algebras and is named after the label it reports:
   maximum over comparable prime pairs of B.
 
 ``dim_tensor`` dispatches a pair of expressions to the strongest
-applicable formula, cross-checks every other formula that also applies,
-and reports witnesses for each maximum.  The two-sided formula for two
-pullbacks whose conductors have full height (``pullback_pair_dim``) is
-only ever such a cross-check.
+applicable formula and cross-checks every other formula that also
+applies.  Its report keeps, as positions, the strata and pairs that
+attain each maximum, and labels them as witnesses only when they are
+first read, so an answer that only needs its value builds none.  The
+two-sided formula for two pullbacks whose conductors have full height
+(``pullback_pair_dim``) is only ever such a cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import add
+from typing import Callable, Iterable
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
-from .spectra import (
+from .spectra import (  # the gates are derived, and named, where a summary is compiled
+    GATE_AF,
+    GATE_CATENARIAN,
+    GATE_HT_M,
+    GATE_TD_KD,
     KIND_CONTAINS,
     AlgebraExpr,
     Field,
@@ -38,10 +46,6 @@ THEOREM_W38 = "Wadsworth3.8"
 THEOREM_W37 = "Wadsworth3.7"
 THEOREM_THM28 = "Thm2.8"
 
-GATE_AF = "AF"
-GATE_CATENARIAN = "Thm2.8-catenarian"
-GATE_HT_M = "Cor2.9-htM<=2"
-GATE_TD_KD = "Prop2.10-tdKD<=2"
 GATE_UNSUPPORTED = "Unsupported"
 
 TERM_OUTSIDE = "outside-M"
@@ -69,16 +73,24 @@ class Witness:
 class DimReport:
     """A dimension answer plus the formula that produced it.
 
-    ``refusals`` gives, for each conductor-formula orientation that
-    declined the pair, the side and the reason.
+    ``witnesses`` are built by calling ``build_witnesses`` when they are
+    first read, and that tuple is kept for later reads; a caller that
+    reads only the value builds none.  Neither takes part in ``==`` or
+    ``repr``.  ``refusals`` gives, for each conductor-formula
+    orientation that declined the pair, the side and the reason.
     """
 
     value: int
     theorem: str
-    witnesses: tuple[Witness, ...]
     term_breakdown: tuple[tuple[str, int], ...]
+    build_witnesses: Callable[[], Iterable[Witness]] = field(repr=False, compare=False)
     gates: tuple[str, ...] = ()
     refusals: tuple[str, ...] = ()
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """The strata or pairs attaining each maximum, in formula order."""
+        return tuple(self.build_witnesses())
 
 
 def sharp_dim(s: int, t: int) -> int:
@@ -122,18 +134,8 @@ def af_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
 
 def applicability(a: SpectrumSummary) -> Applicability:
     """All hypothesis gates the summary passes, strongest first."""
-    gates = []
-    if a.is_af:
-        gates.append(GATE_AF)
-    pd = a.pullback_data
-    if pd is not None:
-        if pd.ambient_catenarian:
-            gates.append(GATE_CATENARIAN)
-        if pd.m <= 2:
-            gates.append(GATE_HT_M)
-        if pd.td_kd <= 2:
-            gates.append(GATE_TD_KD)
-    return Applicability(label=gates[0] if gates else GATE_UNSUPPORTED, gates=tuple(gates))
+    gates = a.gates
+    return Applicability(label=gates[0] if gates else GATE_UNSUPPORTED, gates=gates)
 
 
 def _require_pullback(a: SpectrumSummary):
@@ -146,7 +148,7 @@ def _require_pullback(a: SpectrumSummary):
 def _require_gated(a: SpectrumSummary):
     """The pullback data of ``a`` and the gates it passes, at least one."""
     pd = _require_pullback(a)
-    gates = applicability(a).gates
+    gates = a.gates
     if not gates:
         raise ApplicabilityError(
             "pullback passes no hypothesis gate (catenarian T, ht(M) <= 2 "
@@ -279,29 +281,31 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     term2 = max(through)
 
     value = max(term1, term2)
-    witnesses = []
-    if term1 == value:
-        witnesses += [Witness(TERM_OUTSIDE, f"B:{b.labels[q]}", term1) for q in term1_winners]
-    if term2 == value:
-        # The tied pairs in pair_key order: by block, lower end, upper end.
-        for block, best in zip(b.blocks, through):
-            if best != term2:
-                continue
-            tied = term2 - min(td_d, block.cap)
-            by_g: dict[int, list[int]] = {}
-            for q in block.upper:
-                by_g.setdefault(g[q], []).append(q)
-            witnesses += [
-                Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
-                for q1 in block.lower
-                for q in by_g.get(tied - f[q1], ())
-                if q1 <= q
-            ]
+
+    def witnesses(side="B"):
+        if term1 == value:
+            labels = b.labels
+            for q in term1_winners:
+                yield Witness(TERM_OUTSIDE, f"{side}:{labels[q]}", term1)
+        if term2 == value:
+            # The tied pairs in pair_key order: by block, lower end, upper end.
+            for block, best in zip(b.blocks, through):
+                if best != term2:
+                    continue
+                tied = term2 - min(td_d, block.cap)
+                by_g: dict[int, list[int]] = {}
+                for q in block.upper:
+                    by_g.setdefault(g[q], []).append(q)
+                for q1 in block.lower:
+                    for q in by_g.get(tied - f[q1], ()):
+                        if q1 <= q:
+                            yield Witness(TERM_THROUGH, f"{side}:{b.pair_label(q1, q)}", term2)
+
     return DimReport(
         value=value,
         theorem=THEOREM_THM28,
-        witnesses=tuple(witnesses),
         term_breakdown=((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)),
+        build_witnesses=witnesses,
         gates=gates,
     )
 
@@ -344,12 +348,13 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
     if isinstance(a, Field) and isinstance(b, Field):
         value = sharp_dim(sa.td, sb.td)
-        ref = f"A:{sa.labels[0]}|B:{sb.labels[0]}"
         return DimReport(
             value=value,
             theorem=THEOREM_SHARP,
-            witnesses=(Witness("min-td", ref, value),),
             term_breakdown=(("td(A)", sa.td), ("td(B)", sb.td)),
+            build_witnesses=lambda: (
+                Witness("min-td", f"A:{sa.labels[0]}|B:{sb.labels[0]}", value),
+            ),
             gates=("A:AF", "B:AF"),
         )
 
@@ -361,23 +366,27 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             raise ConsistencyError(
                 f"AF formulas disagree: min-form {value}, one-sided {d_ab} / {d_ba}"
             )
-        witnesses = tuple(
-            [Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab) for q in wit_ab]
-            + [Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba) for p in wit_ba]
-        )
+
+        def witnesses():
+            for q in wit_ab:
+                yield Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab)
+            for p in wit_ba:
+                yield Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba)
+
         return DimReport(
             value=value,
             theorem=THEOREM_W38,
-            witnesses=witnesses,
             term_breakdown=(
                 ("dim(A)+td(B)", sa.dim + sb.td),
                 ("td(A)+dim(B)", sa.td + sb.dim),
             ),
+            build_witnesses=witnesses,
             gates=("A:AF", "B:AF"),
         )
 
     # At least one side is now a pullback that is not AF, so at most one
-    # side is AF.  thm28_dim names its other operand B in every witness.
+    # side is AF.  thm28_dim names its other operand B in every witness
+    # unless its witness builder is given another side.
     reports, refusals, one_sided = [], [], []
     for tag, x, other, y in (("A", sa, "B", sb), ("B", sb, "A", sa)):
         if x.pullback_data is not None:
@@ -395,8 +404,10 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
         return DimReport(
             value=value,
             theorem=THEOREM_W37,
-            witnesses=tuple(Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners),
             term_breakdown=(("D-max", value),),
+            build_witnesses=lambda: (
+                Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners
+            ),
             gates=(f"{tag}:{GATE_AF}",),
             refusals=tuple(refusals),
         )
@@ -414,16 +425,13 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             raise ConsistencyError(
                 f"{formula} ({t}) gives {v}, conductor formula ({tag}) {report.value}"
             )
-    witnesses = report.witnesses
-    if tag == "B":
-        witnesses = tuple(Witness(w.term, "A" + w.ref[1:], w.value) for w in witnesses)
     return DimReport(
         value=report.value,
         theorem=THEOREM_THM28,
-        witnesses=witnesses,
         term_breakdown=report.term_breakdown,
-        gates=tuple(
-            f"{t}:{g}" for t, s in (("A", sa), ("B", sb)) for g in applicability(s).gates
+        build_witnesses=(
+            report.build_witnesses if tag == "A" else partial(report.build_witnesses, "A")
         ),
+        gates=tuple(f"{t}:{g}" for t, s in (("A", sa), ("B", sb)) for g in s.gates),
         refusals=tuple(refusals),
     )

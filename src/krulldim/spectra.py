@@ -56,6 +56,13 @@ KIND_PLAIN = "plain"
 KIND_OUTSIDE = "outsideM"
 KIND_CONTAINS = "containsM"
 
+# Hypothesis gates of the dimension formulas, strongest first (see
+# ``SpectrumSummary.gates``).
+GATE_AF = "AF"
+GATE_CATENARIAN = "Thm2.8-catenarian"
+GATE_HT_M = "Cor2.9-htM<=2"
+GATE_TD_KD = "Prop2.10-tdKD<=2"
+
 
 @dataclass(frozen=True)
 class Stratum:
@@ -123,8 +130,11 @@ class SpectrumSummary:
     """Finite stratified model of Spec of a constructor expression.
 
     The model is stored by position and by pair block (see the module
-    docstring).  ``source`` names the constructor for provenance strings
-    only.
+    docstring).  ``gates`` lists the hypothesis gates of the dimension
+    formulas the model passes, strongest first, derived once when it is
+    compiled: AF, then for a pullback catenarian T (Thm 2.8), ht(M) <= 2
+    (Cor 2.9) and t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the
+    constructor for provenance strings only.
     """
 
     td: int
@@ -136,6 +146,7 @@ class SpectrumSummary:
     caps: tuple[int, ...]
     blocks: tuple[PairBlock, ...]
     pullback_data: Optional[PullbackData] = None
+    gates: tuple[str, ...] = ()
     source: str = field(default="", compare=False)
 
     @cached_property
@@ -560,20 +571,34 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
 
 
 def _finish(td, kinds, heights, residues, caps, blocks, pullback_data, source) -> SpectrumSummary:
+    is_af = all(h + r == td and c == 0 for h, r, c in zip(heights, residues, caps))
     summary = SpectrumSummary(
         td=td,
         dim=max(heights),
-        is_af=all(h + r == td and c == 0 for h, r, c in zip(heights, residues, caps)),
+        is_af=is_af,
         kinds=kinds,
         heights=heights,
         residues=residues,
         caps=caps,
         blocks=blocks,
         pullback_data=pullback_data,
+        gates=_gates(is_af, pullback_data),
         source=source,
     )
     _check_summary(summary)
     return summary
+
+
+def _gates(is_af: bool, pd: Optional[PullbackData]) -> tuple[str, ...]:
+    gates = [GATE_AF] if is_af else []
+    if pd is not None:
+        if pd.ambient_catenarian:
+            gates.append(GATE_CATENARIAN)
+        if pd.m <= 2:
+            gates.append(GATE_HT_M)
+        if pd.td_kd <= 2:
+            gates.append(GATE_TD_KD)
+    return tuple(gates)
 
 
 def _check_summary(summary: SpectrumSummary) -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import krulldim
-from krulldim import cli, oracle
+from krulldim import cli, formulas, oracle
 from krulldim.oracle import CheckFailure, CheckReport
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import summarize
@@ -342,6 +342,17 @@ def test_answering_builds_no_pair_view(capsys):
     for text in (KM, big):
         built = vars(summarize(parse_expr(text)))
         assert not {"ups", "inexact", "pairs"} & set(built), text
+
+
+def test_text_dim_builds_no_witness(capsys, monkeypatch):
+    # About 2.1M tied through-M pairs, each a witness once listed.
+    tied = "pullback(T=af(2048,1),m=1,D=af(2046,10),outside=0)"
+
+    def no_witness(*args):
+        raise AssertionError("a Witness was built")
+
+    monkeypatch.setattr(formulas, "Witness", no_witness)
+    assert run(capsys, "dim", tied, "af(2047,2047)") == (0, "2059 (Thm 2.8)\n", "")
 
 
 def test_import_builds_no_parser_and_parses_nothing():

@@ -1,10 +1,11 @@
 """Formula evaluators, applicability gates and dispatch."""
 import dataclasses
+import json
 from itertools import product
 
 import pytest
 
-from krulldim import formulas
+from krulldim import cli, formulas
 from krulldim.errors import (
     ApplicabilityError,
     ConsistencyError,
@@ -37,6 +38,7 @@ from krulldim.formulas import (
     thm28_ht,
 )
 from krulldim.oracle import catalog, catalog_pullbacks
+from krulldim.parser import to_source
 from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
@@ -437,6 +439,50 @@ class TestOrientation:
 
 
 PB_VAL32 = Pullback(Valuation(3, 2), 2, Field(0))
+UNGATED = Pullback(AfDomain(7, 3, catenarian=False), 3, Field(0), outside=3)
+
+
+def _no_witness(*args):
+    raise AssertionError("a Witness was built")
+
+
+class TestLazyWitnesses:
+    """Witnesses are labelled when first read; answering the value builds none."""
+
+    @pytest.mark.parametrize(
+        "a, b, theorem",
+        [
+            (Field(2), Field(3), THEOREM_SHARP),
+            (AfDomain(2, 2), AfDomain(1, 1), THEOREM_W38),
+            (AfDomain(2, 2), UNGATED, THEOREM_W37),
+            (KM, AfDomain(2, 2), THEOREM_THM28),
+            (AfDomain(2, 2), KM, THEOREM_THM28),
+            (KM, PB_VAL32, THEOREM_THM28),
+            (PB_VAL32, KM, THEOREM_THM28),
+        ],
+        ids=["sharp", "w38", "w37", "pb-af", "af-pb", "pb-pb", "pb-pb-swapped"],
+    )
+    def test_value_builds_no_witness(self, monkeypatch, a, b, theorem):
+        want = dim_tensor(a, b)
+        monkeypatch.setattr(formulas, "Witness", _no_witness)
+        report = dim_tensor(a, b)
+        assert (report.value, report.theorem) == (want.value, theorem)
+        with pytest.raises(AssertionError, match="a Witness was built"):
+            report.witnesses
+
+    def test_witnesses_match_explain_json(self, capsys):
+        cat = catalog()
+        for x, y in product(cat.values(), cat.values()):
+            assert cli.main(["explain", to_source(x), to_source(y), "--json"]) == 0
+            printed = json.loads(capsys.readouterr().out)["witnesses"]
+            report = dim_tensor(x, y)
+            first = report.witnesses
+            assert report.witnesses is first
+            assert [dataclasses.asdict(w) for w in first] == printed, (x, y)
+            if summarize(y).pullback_data is None and not summarize(x).is_af:
+                flipped = [{**w, "ref": _flip_side(w["ref"])} for w in printed]
+                swapped = dim_tensor(y, x).witnesses
+                assert [dataclasses.asdict(w) for w in swapped] == flipped, (y, x)
 
 
 def _bumped(fn, when):
