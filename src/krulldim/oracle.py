@@ -13,12 +13,14 @@ rather than from the formulas under test:
   anchors that reads the pair blocks: the best advance through a block
   is a running maximum kept per block, so an anchor costs O(blocks),
   and the pass adds the initial jump to each anchor's best run of
-  advances.  ``iter_chains`` enumerates the same chains move by move
-  over the ``ups`` view; it is the literal reference the pass is
-  tested against.  The maximum is a certified lower bound for
-  dim(A ox B); the check suites assert it is tight on the whole
-  catalog, so a formula bug shows up either as a violated bound or as
-  a tightness failure, never as a silent pass.
+  advances.  Each side's walk order and per-position block lists are
+  its summary's ``walk_plan``, built in O(S) once per summary; a call
+  then costs O(na * nb * blocks).  ``iter_chains`` enumerates the same
+  chains move by move over the ``ups`` view; it is the literal
+  reference the pass is tested against.  The maximum is a certified
+  lower bound for dim(A ox B); the check suites assert it is tight on
+  the whole catalog, so a formula bug shows up either as a violated
+  bound or as a tightness failure, never as a silent pass.
 
 Legal moves, for a chain of primes of A ox B organized by the anchor
 (p, q) = (contraction to A, contraction to B):
@@ -173,28 +175,6 @@ def _require_exact_sides(a, b):
             )
 
 
-def _by_height_desc(summary) -> list[int]:
-    heights = summary.heights
-    return sorted(range(len(heights)), key=heights.__getitem__, reverse=True)
-
-
-def _advance_blocks(summary) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
-    """Per position, the blocks a step leaves it by and the blocks it is reached in.
-
-    ``starts[i]`` holds ``(k, cap)`` for each block k with a pair (i, i2),
-    i < i2; ``ends[i]`` holds each k whose upper range holds i.
-    """
-    starts: list[list[tuple[int, int]]] = [[] for _ in summary.heights]
-    ends: list[list[int]] = [[] for _ in summary.heights]
-    for k, block in enumerate(summary.blocks):
-        for i in block.lower:
-            if block.upper and i < block.upper[-1]:
-                starts[i].append((k, block.cap))
-        for i in block.upper:
-            ends[i].append(k)
-    return starts, ends
-
-
 def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """Maximum total over all legal anchored chains: a lower bound for dim.
 
@@ -219,11 +199,16 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     the pass O(na * nb * blocks) time, against O(na * nb * (na + nb))
     for a scan over the comparable pairs.  The initial jump to each
     anchor is added to its tail and the best total kept.
+
+    The walk order and the per-position block lists depend on one side
+    only: each summary's ``walk_plan`` builds them in O(S) on its first
+    call and keeps them, so a call builds only its maxima and B's walk
+    (whose jump term reads t.d.(A)) and costs O(na * nb * blocks).
     """
     _require_exact_sides(a, b)
     heights_a, residues_a, caps_a = a.heights, a.residues, a.caps
-    starts_a, ends_a = _advance_blocks(a)
-    starts_b, ends_b = _advance_blocks(b)
+    order_a, starts_a, ends_a = a.walk_plan
+    order_b, starts_b, ends_b = b.walk_plan
     # The maxima start at 0, below every heights + tail, and a step reads
     # a block only from a position with a successor in it, walked first.
     col = [[0] * len(b.heights) for _ in a.blocks]
@@ -232,10 +217,10 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     walk_b = [
         (j, b.heights[j], b.residues[j], starts_b[j], ends_b[j],
          b.heights[j] + min(a.td, b.caps[j]))
-        for j in _by_height_desc(b)
+        for j in order_b
     ]
     total = 0
-    for i in _by_height_desc(a):
+    for i in order_a:
         h_a, r_a = heights_a[i], residues_a[i]
         row = [0] * len(b.blocks)
         steps_a = [(col[k], cap) for k, cap in starts_a[i]]
@@ -249,6 +234,12 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
         #   h_i + min(t.d.(B), cap_A(i)), exactly B's jump to (i, 0);
         # - a B-advance 0 -> j at fixed i then gains at least h_j, and
         #   the chain goes on from (i, j) as the jump's would.
+        # A's own cap-0 condition, move 1's legality, never decides either:
+        # - position 0 has cap 0, and the pair (0, i) is certified in every
+        #   model, from the bottom of a block, with base = h_i;
+        # - so the jump to (0, j) then the A-advance 0 -> i at fixed j gains
+        #   ht(q[t.d.(A)]) + h_i + min(t.d.(B/q), cap) >= the jump to (i, j),
+        #   and the chain goes on from (i, j) as the jump's would.
         jumps = caps_a[i] == 0
         for j, h_b, r_b, steps_b, into_b, jump_b in walk_b:
             best = r_a if r_a < r_b else r_b

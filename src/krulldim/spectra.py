@@ -28,12 +28,14 @@ formulas and the oracle read them.  Views built on first use:
 ``strata``, one ``Stratum`` per position (the only object view);
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
-``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j; and
-``inexact``, the uncertified pairs as ``(i, j)`` in ``pairs`` order.
-``iter_pairs`` generates the ``pairs`` entries without keeping them.
-The formulas, the chain oracle and the ``spectrum`` command build none
-of the pair views; the check suites and the oracle's literal
-enumerator ``iter_chains`` do.
+``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
+``inexact``, the uncertified pairs as ``(i, j)`` in ``pairs`` order;
+and ``walk_plan``, the chain oracle's walk order and per-position block
+lists, O(S) references built from ``heights`` and ``blocks`` on the
+oracle's first call.  ``iter_pairs`` generates the ``pairs`` entries
+without keeping them.  The formulas, the chain oracle and the
+``spectrum`` command build none of the pair views; the check suites and
+the oracle's literal enumerator ``iter_chains`` do.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
@@ -214,6 +216,32 @@ class SpectrumSummary:
             if quot is not None:
                 rows[i].append((j, *quot))
         return tuple(map(tuple, rows))
+
+    @cached_property
+    def walk_plan(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...]]:
+        """``(order, starts, ends)``: what the chain oracle walks over this model.
+
+        ``order`` lists the positions by decreasing height.  ``starts[i]``
+        holds ``(k, cap)`` for each block k with a pair (i, i2), i < i2, and
+        ``ends[i]`` each k whose upper range holds i.  Equal entries are one
+        shared tuple, so a plan holds O(S) references.
+        """
+        heights = self.heights
+        starts: list[list[tuple[int, int]]] = [[] for _ in heights]
+        ends: list[list[int]] = [[] for _ in heights]
+        for k, block in enumerate(self.blocks):
+            step = (k, block.cap)
+            for i in block.lower:
+                if block.upper and i < block.upper[-1]:
+                    starts[i].append(step)
+            for i in block.upper:
+                ends[i].append(k)
+        shared: dict[tuple, tuple] = {}
+        return (
+            tuple(sorted(range(len(heights)), key=heights.__getitem__, reverse=True)),
+            tuple(shared.setdefault(t, t) for t in map(tuple, starts)),
+            tuple(shared.setdefault(t, t) for t in map(tuple, ends)),
+        )
 
     @cached_property
     def inexact(self) -> tuple[tuple[int, int], ...]:
@@ -478,6 +506,8 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 
 # More than the distinct operands of any benchmark workload, so that
 # the cache only stops a long-running process from growing without end.
+# A cached summary keeps the views built on it, such as the chain
+# oracle's O(S) ``walk_plan``, for as long as it stays cached.
 SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores O(S) data, but at 2048

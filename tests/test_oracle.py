@@ -1,5 +1,6 @@
 """Independent evaluators, the chain enumerator and the check suites."""
 import inspect
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -19,7 +20,15 @@ from krulldim.oracle import (
     run_suite,
     suite_names,
 )
-from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
+from krulldim.spectra import (
+    AfDomain,
+    Field,
+    PolyRing,
+    Pullback,
+    SpectrumSummary,
+    Valuation,
+    summarize,
+)
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
@@ -99,6 +108,37 @@ class TestChainEnumerate:
             for s in (sx, sy):
                 assert not {"ups", "inexact", "pairs"} & set(vars(s)), s.source
 
+    def test_walk_plan_is_built_once_per_summary(self, monkeypatch):
+        build = vars(SpectrumSummary)["walk_plan"].func
+        built = []
+
+        def counted(summary):
+            built.append(summary.source)
+            return build(summary)
+
+        plan = cached_property(counted)
+        plan.__set_name__(SpectrumSummary, "walk_plan")
+        monkeypatch.setattr(SpectrumSummary, "walk_plan", plan)
+        summarize.cache_clear()
+        a = summarize(Pullback(Valuation(14, 5), 5, AfDomain(6, 6)))
+        partners = [summarize(AfDomain(12, 9)), summarize(Valuation(19, 19))]
+        # summarize builds no plan; the oracle's first call does.
+        assert all("walk_plan" not in vars(s) for s in (a, *partners))
+        chain_enumerate(a, partners[0])
+        first = a.walk_plan
+        chain_enumerate(a, partners[1])
+        assert a.walk_plan is first
+        assert built == [a.source, partners[0].source, partners[1].source]
+        summarize.cache_clear()
+
+    def test_walk_plan_shares_equal_entries(self):
+        order, starts, ends = summarize(AfDomain(300, 300)).walk_plan
+        # Every position of an AF chain but the top steps through block 0,
+        # and every one is reached in it.
+        assert order == tuple(range(300, -1, -1))
+        assert len({id(t) for t in starts + ends if t}) == 2
+        assert starts[300] == ()
+
     def test_equals_dim_tensor_at_certify_size(self):
         # iter_chains cannot reach these sizes; dim_tensor can.
         for x, y in product(CERTIFY_SIZE, CERTIFY_SIZE):
@@ -125,6 +165,18 @@ class TestChains:
     def test_fused_pass_matches_the_literal_enumerator_on_the_catalog(self):
         summaries = [summarize(e) for e in catalog().values()]
         for a, b in product(summaries, summaries):
+            assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
+
+    def test_warm_plans_carry_nothing_between_partners(self):
+        # Each plan is first built against the summary itself, whose t.d. is
+        # not the next partner's, then read over the ordered catalog pairs
+        # walked forward and in reverse.  Other tests may have built plans.
+        summarize.cache_clear()
+        summaries = [summarize(e) for e in catalog().values()]
+        for s in summaries:
+            chain_enumerate(s, s)
+        pairs = list(product(summaries, summaries))
+        for a, b in pairs + pairs[::-1]:
             assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
 
     @pytest.mark.parametrize(
