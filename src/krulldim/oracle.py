@@ -11,12 +11,15 @@ rather than from the formulas under test:
   small set of legal moves, each justified by a primitive fact about
   contractions and fibers.  It does so in one bottom-up pass over the
   anchors that reads the pair blocks: the best advance through a block
-  is a running maximum kept per block, so an anchor costs O(blocks),
-  and the pass adds the initial jump to each anchor's best run of
-  advances.  Each side's walk order and per-position block lists are
-  its summary's ``walk_plan``, built in O(S) once per summary; a call
-  then costs O(na * nb * blocks).  ``iter_chains`` enumerates the same
-  chains move by move over the ``ups`` view; it is the literal
+  is a running maximum kept per block, so an anchor costs O(blocks).
+  The pass returns the best run from the zero anchor (0, 0), the last
+  anchor it walks, and needs only the initial jump to (0, 0): the zero
+  ideal lies under every stratum, so a chain that climbs from (0, 0)
+  gains at least what any other jump does.  Each side's walk order and
+  per-position block lists are its summary's ``walk_plan``, built in
+  O(S) once per summary; a call then costs O(na * nb * blocks).
+  ``iter_chains`` enumerates the same chains move by move over the
+  ``ups`` view, with every legal initial jump; it is the literal
   reference the pass is tested against.  The maximum is a certified
   lower bound for dim(A ox B); the check suites assert it is tight on
   the whole catalog, so a formula bug shows up either as a violated
@@ -197,51 +200,39 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     updated once an anchor's tail is known, is complete when read and
     holds no position it must not.  So an anchor costs O(blocks), and
     the pass O(na * nb * blocks) time, against O(na * nb * (na + nb))
-    for a scan over the comparable pairs.  The initial jump to each
-    anchor is added to its tail and the best total kept.
+    for a scan over the comparable pairs.
+
+    The answer is tail(0, 0), the last anchor walked: the initial jump
+    to (0, 0) has length 0, and no other jump beats a chain from there.
+    The zero ideal lies under every other stratum, by a certified pair
+    of base h and the stratum's own cap (``spectra._check_summary``),
+    and every stratum can be held fixed.  So the chain (0, 0) -> (0, j)
+    -> (i, j) gains ht(q[t.d.(A)]) + h_i + min(t.d.(B/q), cap), at least
+    A's jump to (i, j), ht(q[t.d.(A)]) + ht(p) when p's cap is 0, and
+    goes on from (i, j) as the jump's chain would; B's jump is the
+    mirror image, through (i, 0).
 
     The walk order and the per-position block lists depend on one side
     only: each summary's ``walk_plan`` builds them in O(S) on its first
     call and keeps them, so a call builds only its maxima and B's walk
-    (whose jump term reads t.d.(A)) and costs O(na * nb * blocks).
+    and costs O(na * nb * blocks).
     """
     _require_exact_sides(a, b)
-    heights_a, residues_a, caps_a = a.heights, a.residues, a.caps
+    heights_a, residues_a = a.heights, a.residues
     order_a, starts_a, ends_a = a.walk_plan
     order_b, starts_b, ends_b = b.walk_plan
     # The maxima start at 0, below every heights + tail, and a step reads
     # a block only from a position with a successor in it, walked first.
     col = [[0] * len(b.heights) for _ in a.blocks]
-    # Per position of B: its own steps and ht(q[t.d.(A)]), to which the
-    # initial jump to (i, j) adds ht(p) when A's side has cap 0.
     walk_b = [
-        (j, b.heights[j], b.residues[j], starts_b[j], ends_b[j],
-         b.heights[j] + min(a.td, b.caps[j]))
-        for j in order_b
+        (j, b.heights[j], b.residues[j], starts_b[j], ends_b[j]) for j in order_b
     ]
-    total = 0
     for i in order_a:
         h_a, r_a = heights_a[i], residues_a[i]
         row = [0] * len(b.blocks)
         steps_a = [(col[k], cap) for k, cap in starts_a[i]]
         into_a = [col[k] for k in ends_a[i]]
-        # Only A's initial jump, ht(p) + ht(q[t.d.(A)]) when A's cap is 0,
-        # can set the maximum.  B's jump, ht(p[t.d.(B)]) + ht(q) when B's
-        # cap is 0, never beats a chain from the zero anchor:
-        # - pairs from the zero ideal are certified with base = height,
-        #   and every stratum can be held fixed;
-        # - so (0, 0) -> (i, 0) by an A-advance gains
-        #   h_i + min(t.d.(B), cap_A(i)), exactly B's jump to (i, 0);
-        # - a B-advance 0 -> j at fixed i then gains at least h_j, and
-        #   the chain goes on from (i, j) as the jump's would.
-        # A's own cap-0 condition, move 1's legality, never decides either:
-        # - position 0 has cap 0, and the pair (0, i) is certified in every
-        #   model, from the bottom of a block, with base = h_i;
-        # - so the jump to (0, j) then the A-advance 0 -> i at fixed j gains
-        #   ht(q[t.d.(A)]) + h_i + min(t.d.(B/q), cap) >= the jump to (i, j),
-        #   and the chain goes on from (i, j) as the jump's would.
-        jumps = caps_a[i] == 0
-        for j, h_b, r_b, steps_b, into_b, jump_b in walk_b:
+        for j, h_b, r_b, steps_b, into_b in walk_b:
             best = r_a if r_a < r_b else r_b
             for k, cap in steps_b:
                 v = row[k] + (cap if cap < r_a else r_a) - h_b
@@ -259,9 +250,8 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
             for col_k in into_a:
                 if v > col_k[j]:
                     col_k[j] = v
-            if jumps and v + jump_b > total:
-                total = v + jump_b
-    return total
+    # Both walks end at position 0, the only stratum of height 0.
+    return best
 
 
 def iter_chains(a: SpectrumSummary, b: SpectrumSummary) -> Iterator[AnchoredChain]:

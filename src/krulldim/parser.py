@@ -18,15 +18,20 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import ConstraintError, ParseError
-from .spectra import MAX_DIGITS, AfDomain, AlgebraExpr, Field, PolyRing, Pullback, Valuation
+from .spectra import (
+    MAX_DIGITS,
+    SUMMARY_CACHE_SIZE,
+    AfDomain,
+    AlgebraExpr,
+    Field,
+    PolyRing,
+    Pullback,
+    Valuation,
+)
 
 # Parsing and every later walk over an expression recurse once per
 # level; this keeps them all far below the interpreter's recursion limit.
 MAX_NESTING = 200
-
-# Texts whose parsed value ``parse_expr`` keeps.  Values are frozen, so
-# every caller of one text can share one; failed parses are not kept.
-PARSE_CACHE_SIZE = 256
 
 
 class _Scanner:
@@ -87,14 +92,18 @@ class _Scanner:
         raise ParseError(f"found {w!r}", start, expected="'true' or 'false'")
 
 
-@lru_cache(maxsize=PARSE_CACHE_SIZE)
+# Parsed values are frozen, so every caller of one text can share one;
+# failed parses are not kept.  A request reaches a cached summary only
+# through a parse of its text, so the memo has the summary cache's
+# bound: a smaller one would make every summary hit pay for a parse.
+@lru_cache(maxsize=SUMMARY_CACHE_SIZE)
 def parse_expr(text: str) -> AlgebraExpr:
     """Parse an algebra expression, validating constructor invariants.
 
     Syntax problems raise :class:`ParseError` with the offending
     position; invariant violations raise :class:`ConstraintError`
     naming the constraint and the source span.  The
-    ``PARSE_CACHE_SIZE`` texts used most recently are memoised, so a
+    ``SUMMARY_CACHE_SIZE`` texts used most recently are memoised, so a
     repeated text returns the same expression object.
     """
     scanner = _Scanner(text)

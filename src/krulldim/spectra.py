@@ -16,7 +16,8 @@ level only.
 A summary stores its model by position.  Stratum ``i`` is described by
 ``kinds[i]``, ``heights[i]``, ``residues[i]`` (residue transcendence
 degree) and ``caps[i]`` (ht(p[n]) = height + min(n, cap)).  Position 0
-is the zero ideal.  An AF model lists its strata by height; a pullback
+is the zero ideal, the only stratum of height 0, and lies under every
+other stratum.  An AF model lists its strata by height; a pullback
 lists the strata outside M by height, then those containing M by
 D-height, the conductor M itself first among them.  Comparable pairs
 are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
@@ -507,7 +508,8 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 # More than the distinct operands of any benchmark workload, so that
 # the cache only stops a long-running process from growing without end.
 # A cached summary keeps the views built on it, such as the chain
-# oracle's O(S) ``walk_plan``, for as long as it stays cached.
+# oracle's O(S) ``walk_plan``, for as long as it stays cached.  The
+# parser's memo of texts has the same bound.
 SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores O(S) data, but at 2048
@@ -662,6 +664,20 @@ def _check_summary(summary: SpectrumSummary) -> None:
         run = block.lower if block.lower == block.upper else chain(block.lower, block.upper)
         if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
             raise ConsistencyError(f"positions and heights do not rise strictly in {block}")
+
+    # The zero ideal lies under every prime, and A/(0) is A, so each pair
+    # (0, j) is certified with stratum j's own cap; stratum 0 is then the
+    # only one of height 0.  The chain oracle walks (0, 0) last and
+    # returns its tail on the strength of this.
+    caps_over_zero = {}
+    for block in summary.blocks:
+        if 0 in block.lower:
+            caps_over_zero.update(dict.fromkeys(block.upper, block.cap))
+    for j, c in enumerate(summary.caps):
+        if caps_over_zero.get(j) != c:
+            raise ConsistencyError(
+                f"{summary.labels[j]} must lie over the zero ideal by a pair of cap {c}"
+            )
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:

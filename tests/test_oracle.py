@@ -167,6 +167,15 @@ class TestChains:
         for a, b in product(summaries, summaries):
             assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
 
+    def test_chains_from_the_zero_anchor_reach_the_maximum(self):
+        # chain_enumerate returns tail(0, 0); the move-by-move reference
+        # checks that no other initial jump does better.
+        summaries = [summarize(e) for e in catalog().values()]
+        for a, b in product(summaries, summaries):
+            zero = (a.zero_stratum, b.zero_stratum)
+            from_zero = max(c.total for c in iter_chains(a, b) if c.anchors[0] == zero)
+            assert from_zero == best_chain(a, b).total, (a.source, b.source)
+
     def test_warm_plans_carry_nothing_between_partners(self):
         # Each plan is first built against the summary itself, whose t.d. is
         # not the next partner's, then read over the ordered catalog pairs

@@ -2,8 +2,16 @@
 import pytest
 
 from krulldim.errors import ConstraintError, ParseError
-from krulldim.parser import MAX_NESTING, PARSE_CACHE_SIZE, parse_expr, to_source
-from krulldim.spectra import MAX_DIGITS, AfDomain, Field, PolyRing, Pullback, Valuation
+from krulldim.parser import MAX_NESTING, parse_expr, to_source
+from krulldim.spectra import (
+    MAX_DIGITS,
+    SUMMARY_CACHE_SIZE,
+    AfDomain,
+    Field,
+    PolyRing,
+    Pullback,
+    Valuation,
+)
 
 
 class TestParse:
@@ -91,10 +99,23 @@ class TestMemo:
             assert (info.hits, info.misses, info.currsize) == (0, calls, 0)
 
     def test_memo_is_bounded(self):
-        assert parse_expr.cache_info().maxsize == PARSE_CACHE_SIZE
-        for t in range(PARSE_CACHE_SIZE + 10):
+        assert parse_expr.cache_info().maxsize == SUMMARY_CACHE_SIZE
+        for t in range(SUMMARY_CACHE_SIZE + 10):
             parse_expr(f"field({t})")
-        assert parse_expr.cache_info().currsize == PARSE_CACHE_SIZE
+        assert parse_expr.cache_info().currsize == SUMMARY_CACHE_SIZE
+
+    def test_cycle_of_400_texts_hits_on_the_second_pass(self):
+        # Cycling through more texts than a memo holds misses on every
+        # parse, even while the summary cache still holds their summaries.
+        texts = [f"af({t},{t % 7})" for t in range(7, 407)]
+        parse_expr.cache_clear()
+        for text in texts:
+            parse_expr(text)
+        assert parse_expr.cache_info().misses == len(texts)
+        for text in texts:
+            parse_expr(text)
+        info = parse_expr.cache_info()
+        assert (info.hits, info.misses) == (len(texts), len(texts))
 
 
 ROUND_TRIP = [

@@ -9,7 +9,7 @@ from krulldim.formulas import (
     sct_height_af,
     thm28_ht,
 )
-from krulldim.oracle import best_chain, chain_enumerate
+from krulldim.oracle import best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
@@ -188,6 +188,17 @@ class TestFormulaAgreements:
                     enumerate_chains(sa, sb)
         else:
             assert chain_enumerate(sa, sb) == best_chain(sa, sb).total
+
+    @settings(deadline=None)
+    @given(a=small_exprs(), b=small_exprs())
+    def test_chains_from_the_zero_anchor_reach_the_maximum(self, a, b):
+        """The best chain anchored at (0, 0) is a best chain: what chain_enumerate returns."""
+        sa, sb = summarize(a), summarize(b)
+        if sa.inexact or sb.inexact:
+            return
+        zero = (sa.zero_stratum, sb.zero_stratum)
+        from_zero = max(c.total for c in iter_chains(sa, sb) if c.anchors[0] == zero)
+        assert from_zero == best_chain(sa, sb).total
 
     @settings(max_examples=40, deadline=None)
     @given(a=pullback_exprs(max_m=2), b=any_exprs(), data=st.data())

@@ -158,6 +158,28 @@ class TestCheckSummary:
         with pytest.raises(ConsistencyError, match="rise strictly"):
             _check_summary(self.broken(block))
 
+    def test_second_height_0_stratum(self):
+        # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
+        # ideal does not lie under; the chain oracle, which walks (0, 0)
+        # last and returns its tail, would end at the wrong anchor.
+        s = dataclasses.replace(
+            summarize(AfDomain(2, 2)),
+            heights=(0, 1, 0),
+            residues=(2, 1, 2),
+            blocks=(
+                PairBlock(range(2), range(2), 0, True),
+                PairBlock(range(2, 3), range(2, 3), 0, True),
+            ),
+        )
+        with pytest.raises(ConsistencyError, match="h0 must lie over the zero ideal"):
+            _check_summary(s)
+
+    def test_pair_from_zero_needs_the_stratum_cap(self):
+        # M has cap 1 (t.d.(K:D) = 1), so the pair (0, M) must have cap 1 too.
+        match = "in:0 must lie over the zero ideal by a pair of cap 1"
+        with pytest.raises(ConsistencyError, match=match):
+            _check_summary(self.broken(PairBlock(range(2), range(2, 3), 0, True)))
+
     def test_cap_only_over_m(self):
         # A stratum outside M with a cap > 0 could not be held fixed by the chain oracle.
         s = dataclasses.replace(summarize(AfDomain(2, 2)), caps=(0, 1, 0))
