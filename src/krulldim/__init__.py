@@ -9,11 +9,9 @@ from .errors import (
     ParseError,
 )
 from .formulas import (
-    Applicability,
     DimReport,
     Witness,
     af_pair_dim,
-    applicability,
     d_value,
     dim_tensor,
     fiber_dim,

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Optional
 
 from . import formulas, oracle
 from .errors import KrulldimError
@@ -30,9 +31,51 @@ def _display_theorem(label: str) -> str:
     return _THEOREM_DISPLAY.get(label, label)
 
 
+class Flag:
+    """One option of a command: it stores a value, or True if ``takes_value`` is false."""
+
+    __slots__ = ("takes_value", "default", "required", "help")
+
+    def __init__(self, takes_value=True, default=None, required=False, help=None):
+        self.takes_value, self.default, self.required = takes_value, default, required
+        self.help = help
+
+
+_JSON = Flag(takes_value=False, default=False)
+
+# The one declaration of the CLI's arguments.  Each command maps to its
+# help line, its positionals (name -> help) and its flags (option string
+# -> Flag), each in order.  ``build_arg_parser`` builds the argparse
+# parser from it, and ``read_argv`` reads plain command lines by it
+# without argparse.  Tuples and a plain class, since building NamedTuple
+# classes would add ~0.5 ms to every import.
+COMMANDS = {
+    "dim": ("dimension of A ox B", {"a": None, "b": None}, {"--json": _JSON}),
+    "ht": (
+        "height over a stratum pair of A ox B",
+        {"a": None, "b": None},
+        {
+            "--p": Flag(required=True, help="stratum selector in A (0, M, out:<h>, in:<e>)"),
+            "--q": Flag(required=True, help="stratum selector in B"),
+            "--delta": Flag(default="0", help="fiber offset, 0..fiber_dim"),
+            "--json": _JSON,
+        },
+    ),
+    "spectrum": ("stratified spectrum of A", {"a": None}, {"--json": _JSON}),
+    "check": (
+        "run a check suite",
+        {"suite": "suite name or 'all'"},
+        {"--grid-max": Flag(), "--json": _JSON},
+    ),
+    "explain": (
+        "dispatch path and witnesses for A ox B", {"a": None, "b": None}, {"--json": _JSON}
+    ),
+}
+
+
 @functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later one.
+    """The CLI's parser, built from ``COMMANDS`` on the first call and shared by every later one.
 
     Each ``parse_args`` call fills a fresh namespace, so no state carries
     over from one request to the next.
@@ -43,35 +86,59 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "of k-algebras built from a constructor language.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_dim = sub.add_parser("dim", help="dimension of A ox B")
-    p_dim.add_argument("a")
-    p_dim.add_argument("b")
-    p_dim.add_argument("--json", action="store_true")
-
-    p_ht = sub.add_parser("ht", help="height over a stratum pair of A ox B")
-    p_ht.add_argument("a")
-    p_ht.add_argument("b")
-    p_ht.add_argument("--p", required=True, help="stratum selector in A (0, M, out:<h>, in:<e>)")
-    p_ht.add_argument("--q", required=True, help="stratum selector in B")
-    p_ht.add_argument("--delta", default="0", help="fiber offset, 0..fiber_dim")
-    p_ht.add_argument("--json", action="store_true")
-
-    p_spec = sub.add_parser("spectrum", help="stratified spectrum of A")
-    p_spec.add_argument("a")
-    p_spec.add_argument("--json", action="store_true")
-
-    p_check = sub.add_parser("check", help="run a check suite")
-    p_check.add_argument("suite", help="suite name or 'all'")
-    p_check.add_argument("--grid-max", default=None)
-    p_check.add_argument("--json", action="store_true")
-
-    p_explain = sub.add_parser("explain", help="dispatch path and witnesses for A ox B")
-    p_explain.add_argument("a")
-    p_explain.add_argument("b")
-    p_explain.add_argument("--json", action="store_true")
-
+    for name, (summary, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for positional, text in positionals.items():
+            p.add_argument(positional, help=text)
+        for option, flag in flags.items():
+            p.add_argument(
+                option,
+                action="store" if flag.takes_value else "store_true",
+                default=flag.default,
+                required=flag.required,
+                help=flag.help,
+            )
     return ap
+
+
+def read_argv(argv) -> Optional[argparse.Namespace]:
+    """The namespace ``build_arg_parser().parse_args(argv)`` returns, or None.
+
+    Reads only a plain, well-formed command line: a command name, then
+    exactly its positionals, none starting with ``-``, and its flags, each
+    spelled in full, at most once, with a value not starting with ``-``
+    where it takes one, every required flag present.  Anything else, such
+    as ``--help``, an abbreviation, ``--p=M``, ``--``, ``-1`` or a usage
+    error, gives None, and is left to the argparse parser.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _, names, flags = command
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag = flags.get(token)
+        if flag is None or token in given:
+            return None
+        if flag.takes_value:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            given[token] = value
+        else:
+            given[token] = True
+    if len(positionals) != len(names):
+        return None
+    args = dict(zip(names, positionals), command=argv[0])
+    for option, flag in flags.items():
+        if flag.required and option not in given:
+            return None
+        args[option[2:].replace("-", "_")] = given.get(option, flag.default)
+    return argparse.Namespace(**args)
 
 
 def _dim_json(report: DimReport) -> dict:
@@ -243,7 +310,11 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_argv(argv)
+    if args is None:  # help, or not well formed: argparse answers
+        args = build_arg_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except KrulldimError as exc:

@@ -46,18 +46,8 @@ THEOREM_W38 = "Wadsworth3.8"
 THEOREM_W37 = "Wadsworth3.7"
 THEOREM_THM28 = "Thm2.8"
 
-GATE_UNSUPPORTED = "Unsupported"
-
 TERM_OUTSIDE = "outside-M"
 TERM_THROUGH = "through-M"
-
-
-@dataclass(frozen=True)
-class Applicability:
-    """Which hypothesis gates a summary passes; ``label`` is the strongest."""
-
-    label: str
-    gates: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -130,12 +120,6 @@ def af_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
     if not (a.is_af and b.is_af):
         raise ApplicabilityError("af_pair_dim needs two AF summaries")
     return min(a.dim + b.td, a.td + b.dim)
-
-
-def applicability(a: SpectrumSummary) -> Applicability:
-    """All hypothesis gates the summary passes, strongest first."""
-    gates = a.gates
-    return Applicability(label=gates[0] if gates else GATE_UNSUPPORTED, gates=gates)
 
 
 def _require_pullback(a: SpectrumSummary):

@@ -30,7 +30,6 @@ formulas and the oracle read them.  Views built on first use:
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-``inexact``, the uncertified pairs as ``(i, j)`` in ``pairs`` order;
 and ``walk_plan``, the chain oracle's walk order and per-position block
 lists, O(S) references built from ``heights`` and ``blocks`` on the
 oracle's first call.  ``iter_pairs`` generates the ``pairs`` entries
@@ -243,11 +242,6 @@ class SpectrumSummary:
             tuple(shared.setdefault(t, t) for t in map(tuple, starts)),
             tuple(shared.setdefault(t, t) for t in map(tuple, ends)),
         )
-
-    @cached_property
-    def inexact(self) -> tuple[tuple[int, int], ...]:
-        """The uncertified pairs ``(i, j)``, in ``pairs`` order."""
-        return tuple((i, j) for i, j, quot in self.iter_pairs() if quot is None)
 
     def first_uncertified(self, upper: Optional[int] = None) -> Optional[tuple[int, int]]:
         """The first uncertified pair in ``pairs`` order, or None.

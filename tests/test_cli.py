@@ -1,4 +1,5 @@
 """Command line behaviour: outputs, schemas and exit codes."""
+import argparse
 import hashlib
 import json
 import os
@@ -280,12 +281,34 @@ class TestExplain:
 
 
 class TestSharedParser:
-    def test_built_once_across_calls(self, capsys):
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        # Well-formed command lines are read without argparse; help and
+        # usage errors share one parser, built on the first of them.
+        def no_parse(*args, **kwargs):
+            raise AssertionError("argparse parsed a well-formed command line")
+
+        well_formed = [
+            ["dim", "field(1)", "field(2)"],
+            ["ht", "af(3,3)", "af(3,3)", "--p", "0", "--q", "0", "--delta", "1", "--json"],
+            ["spectrum", "field(1)", "--json"],
+            ["explain", "--json", "field(1)", "field(2)"],
+        ]
         cli.build_arg_parser.cache_clear()
-        for _ in range(100):
-            assert cli.main(["dim", "field(1)", "field(2)"]) == 0
-        info = cli.build_arg_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 99)
+        with monkeypatch.context() as patched:
+            patched.setattr(argparse.ArgumentParser, "parse_args", no_parse)
+            for i in range(100):
+                assert cli.main(well_formed[i % len(well_formed)]) == 0
+        assert cli.build_arg_parser.cache_info().misses == 0
+        assert cli.main(["dim", "field(1)", "field(2)", "--js"]) == 0
+        for argv in (["--help"], ["dim", "field(1)"], ["ht", "--help"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        assert cli.build_arg_parser.cache_info().misses == 1
+
+    def test_argv_defaults_to_the_process_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["krulldim", "dim", "field(2)", "field(3)"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "2 (Sharp)\n"
 
     def test_no_state_carries_between_calls(self, capsys):
         ht = ["ht", "af(3,3)", "af(3,3)", "--p", "0", "--q", "0", "--json"]
@@ -341,7 +364,7 @@ def test_answering_builds_no_pair_view(capsys):
             assert run(capsys, *argv)[0] == 0
     for text in (KM, big):
         built = vars(summarize(parse_expr(text)))
-        assert not {"ups", "inexact", "pairs"} & set(built), text
+        assert not {"ups", "pairs"} & set(built), text
 
 
 def test_text_dim_builds_no_witness(capsys, monkeypatch):

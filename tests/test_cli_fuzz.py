@@ -10,6 +10,8 @@ import contextlib
 import io
 import random
 
+import pytest
+
 from krulldim import cli
 from krulldim.oracle import MAX_GRID
 from krulldim.parser import MAX_NESTING
@@ -169,3 +171,92 @@ def test_every_command_line_exits_0_or_2_with_one_error_line():
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
     # Both outcomes are drawn often, so the fuzz reaches past the parser.
     assert min(codes.values()) > COMMANDS // 10, codes
+
+
+# Tokens on which argparse's reading differs from a plain one: help,
+# abbreviations, attached values, the end-of-options marker, operands
+# that start with "-", and the empty operand.
+EDGE_TOKENS = [
+    "-h", "--help", "--js", "--p=M", "--", "-1", "-", "", "--p", "--q", "--delta",
+    "--json", "--grid-max", "0", "M",
+]
+
+
+def _edit_tokens(rng, argv):
+    """``argv`` with an edge token inserted, a token deleted or two swapped."""
+    argv = list(argv)
+    op = rng.randrange(3)
+    if op == 0:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(EDGE_TOKENS))
+    elif op == 1:
+        del argv[rng.randrange(len(argv))]
+    else:
+        i, j = rng.randrange(len(argv)), rng.randrange(len(argv))
+        argv[i], argv[j] = argv[j], argv[i]
+    return argv
+
+
+def _read_as_argparse(argv):
+    """True if ``read_argv`` reads ``argv``; it must then equal ``parse_args``."""
+    args = cli.read_argv(argv)
+    if args is None:
+        return False
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parsed = cli.build_arg_parser().parse_args(argv)
+    except SystemExit:
+        raise AssertionError(f"read {argv}, which argparse refuses: {err.getvalue()}") from None
+    assert vars(args) == vars(parsed), argv
+    return True
+
+
+def test_reader_declines_or_reads_as_argparse():
+    rng, edits = random.Random(SEED), random.Random(SEED + 1)
+    read = edited = 0
+    for _ in range(COMMANDS):
+        argv = _argv(rng)
+        read += _read_as_argparse(argv)
+        edited += _read_as_argparse(_edit_tokens(edits, argv))
+    # Most plain command lines are read; edited ones are often declined.
+    assert read > COMMANDS * 0.8 and 0 < edited < read, (read, edited)
+
+
+PLAIN = ["ht", "a", "b", "--p", "0", "--q", "M"]
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["dim", "a", "b", "--js"], False),
+        (["ht", "a", "b", "--p=M", "--q", "0"], False),
+        (["dim", "a", "b", "--"], False),
+        (["dim", "--", "a", "b"], False),
+        (["dim", "a", "b", "-h"], False),
+        (["ht", "a", "b", "--help"], False),
+        ([*PLAIN, "--p", "M"], False),
+        (["dim", "a", "b", "--json", "--json"], False),
+        (["dim", "-1", "b"], False),
+        (["dim", "a", "-"], False),
+        ([*PLAIN, "--delta", "-1"], False),
+        (["ht", "a", "b", "--p", "0"], False),
+        (["ht", "a", "b", "--q", "0", "--p"], False),
+        (["dim", "a"], False),
+        (["dim", "a", "b", "c"], False),
+        (["check"], False),
+        ([], False),
+        (["nope", "a", "b"], False),
+        (["--json", "dim", "a", "b"], False),
+        (["dim", "", "b"], True),
+        (["dim", "--json", "a", "b"], True),
+        (["dim", "a", "--json", "b"], True),
+        (["dim", "a", "b", "--json"], True),
+        (PLAIN, True),
+        (["ht", "--p", "0", "a", "--delta", "2", "b", "--q", ""], True),
+        (["check", "all", "--grid-max", "3", "--json"], True),
+        (["spectrum", "a"], True),
+        (["explain", "a", "b"], True),
+    ],
+)
+def test_reader_on_edge_argv(argv, read):
+    assert _read_as_argparse(argv) is read

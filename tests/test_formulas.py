@@ -17,7 +17,6 @@ from krulldim.formulas import (
     GATE_CATENARIAN,
     GATE_HT_M,
     GATE_TD_KD,
-    GATE_UNSUPPORTED,
     TERM_OUTSIDE,
     TERM_THROUGH,
     THEOREM_SHARP,
@@ -25,7 +24,6 @@ from krulldim.formulas import (
     THEOREM_W37,
     THEOREM_W38,
     af_pair_dim,
-    applicability,
     composed_height_bound,
     d_value,
     dim_tensor,
@@ -143,10 +141,11 @@ class TestThm28Height:
     )
     def test_non_catenarian_b_names_the_first_uncertified_pair_into_q(self, b_expr):
         b = summarize(b_expr)
-        assert b.inexact
+        uncertified = [(i, j) for i, j, quot in b.iter_pairs() if quot is None]
+        assert uncertified
         pd, m = S_KM.pullback_data, S_KM.conductor_stratum
         for q in b.strata:
-            into_q = [i for i, j in b.inexact if j == q.index]
+            into_q = [i for i, j in uncertified if j == q.index]
             if into_q:
                 label = b.pair_label(into_q[0], q.index)
                 with pytest.raises(
@@ -246,22 +245,24 @@ class TestMembership:
 
 
 class TestApplicability:
+    """``SpectrumSummary.gates``: the hypothesis gates a model passes, strongest first."""
+
     def test_km_passes_all_gates(self):
-        app = applicability(S_KM)
-        assert app.label == GATE_CATENARIAN
-        assert set(app.gates) == {GATE_CATENARIAN, GATE_HT_M, GATE_TD_KD}
+        assert S_KM.gates == (GATE_CATENARIAN, GATE_HT_M, GATE_TD_KD)
 
     def test_af(self):
-        assert applicability(summarize(AfDomain(3, 2))).label == GATE_AF
+        assert summarize(AfDomain(3, 2)).gates == (GATE_AF,)
 
     def test_noncatenarian_small_conductor(self):
         s = summarize(Pullback(AfDomain(4, 2, catenarian=False), 2, Field(0), outside=2))
-        assert applicability(s).label == GATE_HT_M
+        assert s.gates == (GATE_HT_M, GATE_TD_KD)
 
     def test_unsupported(self):
         s = summarize(Pullback(AfDomain(7, 3, catenarian=False), 3, Field(0), outside=3))
         assert s.pullback_data.td_kd == 4
-        assert applicability(s).label == GATE_UNSUPPORTED
+        assert s.gates == ()
+        with pytest.raises(ApplicabilityError, match="passes no hypothesis gate"):
+            thm28_dim(s, S_KX)
 
 
 class TestThm28Dim:
@@ -327,7 +328,7 @@ class TestBlockEvaluation:
         operands = [*catalog().values(), *NON_CATENARIAN]
         gated = [
             a for a in map(summarize, operands)
-            if a.pullback_data is not None and applicability(a).gates
+            if a.pullback_data is not None and a.gates
         ]
         assert len(gated) == len(catalog_pullbacks()) + 2
         refused = 0

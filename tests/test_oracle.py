@@ -106,7 +106,7 @@ class TestChainEnumerate:
             sx, sy = summarize(x), summarize(y)
             assert chain_enumerate(sx, sy) == chain_enumerate(sy, sx)
             for s in (sx, sy):
-                assert not {"ups", "inexact", "pairs"} & set(vars(s)), s.source
+                assert not {"ups", "pairs"} & set(vars(s)), s.source
 
     def test_walk_plan_is_built_once_per_summary(self, monkeypatch):
         build = vars(SpectrumSummary)["walk_plan"].func
