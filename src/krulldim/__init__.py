@@ -1,5 +1,6 @@
 """Krull dimensions of tensor products of k-algebras over a constructor DSL."""
 
+from .checks import CheckReport, catalog, run_suite, suite_names
 from .errors import (
     ApplicabilityError,
     ConsistencyError,
@@ -22,17 +23,7 @@ from .formulas import (
     thm28_dim,
     thm28_ht,
 )
-from .oracle import (
-    AnchoredChain,
-    CheckReport,
-    brewer_poly_dim,
-    catalog,
-    chain_enumerate,
-    ext_field_dim,
-    iter_chains,
-    run_suite,
-    suite_names,
-)
+from .oracle import AnchoredChain, brewer_poly_dim, chain_enumerate, ext_field_dim, iter_chains
 from .parser import parse_expr, to_source
 from .spectra import (
     AfDomain,

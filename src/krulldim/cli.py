@@ -12,13 +12,13 @@ Exit codes: 0 success, 1 check failure, 2 parse or constraint error.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
-from . import formulas, oracle
+from . import checks, formulas
 from .errors import KrulldimError
 from .formulas import DimReport, dim_tensor
 from .parser import parse_expr, to_source
@@ -74,12 +74,15 @@ COMMANDS = {
 
 
 @functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
     """The CLI's parser, built from ``COMMANDS`` on the first call and shared by every later one.
 
     Each ``parse_args`` call fills a fresh namespace, so no state carries
-    over from one request to the next.
+    over from one request to the next.  argparse is imported here, so a
+    command line that ``read_argv`` reads never loads it.
     """
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="krulldim",
         description="Krull dimensions and prime heights of tensor products "
@@ -101,8 +104,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def read_argv(argv) -> Optional[argparse.Namespace]:
-    """The namespace ``build_arg_parser().parse_args(argv)`` returns, or None.
+def read_argv(argv) -> Optional[SimpleNamespace]:
+    """The attributes ``build_arg_parser().parse_args(argv)`` returns, or None.
 
     Reads only a plain, well-formed command line: a command name, then
     exactly its positionals, none starting with ``-``, and its flags, each
@@ -138,7 +141,7 @@ def read_argv(argv) -> Optional[argparse.Namespace]:
         if flag.required and option not in given:
             return None
         args[option[2:].replace("-", "_")] = given.get(option, flag.default)
-    return argparse.Namespace(**args)
+    return SimpleNamespace(**args)
 
 
 def _dim_json(report: DimReport) -> dict:
@@ -252,7 +255,7 @@ def _run_check(args) -> int:
     grid_max = args.grid_max
     if grid_max is not None:
         grid_max = read_natural(grid_max, f"--grid-max {grid_max!r}")
-    report = oracle.run_suite(args.suite, grid_max)
+    report = checks.run_suite(args.suite, grid_max)
     if args.json:
         print(
             json.dumps(

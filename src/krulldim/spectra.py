@@ -33,9 +33,9 @@ or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 and ``walk_plan``, the chain oracle's walk order and per-position block
 lists, O(S) references built from ``heights`` and ``blocks`` on the
 oracle's first call.  ``iter_pairs`` generates the ``pairs`` entries
-without keeping them.  The formulas, the chain oracle and the
-``spectrum`` command build none of the pair views; the check suites and
-the oracle's literal enumerator ``iter_chains`` do.
+without keeping them.  The formulas, the chain oracle, the ``spectrum``
+command and the check suites' own loops build neither pair view; only
+the oracle's literal enumerator ``iter_chains`` builds ``ups``.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model

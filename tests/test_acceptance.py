@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from krulldim.checks import run_suite, suite_names
 from krulldim.formulas import (
     THEOREM_THM28,
     af_pair_dim,
@@ -14,7 +15,7 @@ from krulldim.formulas import (
     dim_tensor,
     pullback_pair_dim,
 )
-from krulldim.oracle import brewer_poly_dim, chain_enumerate, run_suite, suite_names
+from krulldim.oracle import brewer_poly_dim, chain_enumerate
 from krulldim.spectra import (
     AfDomain,
     Field,

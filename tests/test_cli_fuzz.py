@@ -13,7 +13,7 @@ import random
 import pytest
 
 from krulldim import cli
-from krulldim.oracle import MAX_GRID
+from krulldim.checks import MAX_GRID
 from krulldim.parser import MAX_NESTING
 from krulldim.spectra import MAX_DIGITS, MAX_STRATA
 

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from krulldim import cli, formulas
+from krulldim.checks import catalog, catalog_pullbacks
 from krulldim.errors import (
     ApplicabilityError,
     ConsistencyError,
@@ -35,7 +36,6 @@ from krulldim.formulas import (
     thm28_dim,
     thm28_ht,
 )
-from krulldim.oracle import catalog, catalog_pullbacks
 from krulldim.parser import to_source
 from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
 

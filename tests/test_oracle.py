@@ -1,24 +1,22 @@
 """Independent evaluators, the chain enumerator and the check suites."""
+import ast
 import inspect
 from functools import cached_property
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from krulldim import formulas, oracle
 from krulldim.errors import ConstraintError, InexactPairError, KrulldimError
-from krulldim.formulas import dim_tensor
+from krulldim.checks import MAX_GRID, catalog, run_suite, suite_names
+from krulldim.formulas import dim_tensor, fiber_dim
 from krulldim.oracle import (
-    MAX_GRID,
     best_chain,
     brewer_poly_dim,
-    catalog,
     chain_enumerate,
     ext_field_dim,
-    fiber_dim,
     iter_chains,
-    run_suite,
-    suite_names,
 )
 from krulldim.spectra import (
     AfDomain,
@@ -270,26 +268,36 @@ class TestIndependence:
         for (a_name, b_name), value in PINNED.items():
             assert dim_tensor(cat[a_name], cat[b_name]).value == value
 
+    def test_oracle_imports_only_spectra_and_errors(self):
+        imported = set()
+        for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "krulldim" + (f".{node.module}" if node.module else "")
+                base = base if node.level else node.module
+                names = [f"krulldim.{alias.name}" for alias in node.names]
+                names = names if base == "krulldim" else [base]
+            else:
+                continue
+            imported.update(n.split(".")[1] for n in names if n.startswith("krulldim."))
+        assert imported == {"errors", "spectra"}
+
     def test_chain_enumerate_calls_no_formula_code(self, monkeypatch):
-        originals = {
-            name: fn
+        names = [
+            name
             for name, fn in vars(formulas).items()
             if inspect.isfunction(fn) and fn.__module__ == formulas.__name__
-        }
+        ]
+        assert {"dim_tensor", "thm28_ht"} <= set(names)
 
         def refuse(name):
             def raiser(*args, **kwargs):
                 raise AssertionError(f"the oracle called formulas.{name}")
             return raiser
 
-        imported = [name for name, fn in originals.items() if vars(oracle).get(name) is fn]
-        assert {"dim_tensor", "thm28_ht"} <= set(imported)
-        for name in originals:
+        for name in names:
             monkeypatch.setattr(formulas, name, refuse(name))
-        for name in imported:
-            monkeypatch.setattr(oracle, name, refuse(name))
-        with pytest.raises(AssertionError, match="called formulas.dim_tensor"):
-            oracle.dim_tensor(KM, KM)
 
         cat = catalog()
         for (a_name, b_name), value in PINNED.items():
