@@ -9,15 +9,19 @@ rather than from the formulas under test:
   localization of A[s].
 * ``chain_enumerate`` finds the longest anchored chain built from a
   small set of legal moves, each justified by a primitive fact about
-  contractions and fibers.  It does so in one bottom-up pass over the
-  anchors that reads the pair blocks: the best advance through a block
-  is a running maximum kept per block, so an anchor costs O(blocks).
-  The pass returns the best run from the zero anchor (0, 0), the last
-  anchor it walks, and needs only the initial jump to (0, 0): the zero
-  ideal lies under every stratum, so a chain that climbs from (0, 0)
-  gains at least what any other jump does.  Each side's walk order and
-  per-position block lists are its summary's ``walk_plan``, built in
-  O(S) once per summary; a call then costs O(na * nb * blocks).
+  contractions and fibers.  It does so in one bottom-up pass that reads
+  the pair blocks, one row of anchors (a stratum of A against every
+  stratum of B) at a time, in values Z = height of A + height of B +
+  best run.  In Z an advance gains only min(residue t.d., cap), so a
+  chain block (cap 0) of B is a suffix maximum along the row and a
+  product block one maximum over its upper positions; the best
+  A-advance through a block is a running maximum per block, kept as one
+  row.  The pass returns the best run from the zero anchor (0, 0), in
+  the last row it walks, and needs only the initial jump to (0, 0): the
+  zero ideal lies under every stratum, so a chain that climbs from
+  (0, 0) gains at least what any other jump does.  Each side's walk
+  order, block lists and row steps are its summary's ``walk_plan``,
+  built in O(S) once per summary; a call then costs O(na * nb * blocks).
   ``iter_chains`` enumerates the same chains move by move over the
   ``ups`` view, with every legal initial jump; it is the literal
   reference the pass is tested against.  The maximum is a certified
@@ -144,77 +148,98 @@ def _require_exact_sides(a, b):
 def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """Maximum total over all legal anchored chains: a lower bound for dim.
 
-    One bottom-up pass over the anchors (i, j) computes the maximum that
-    ``iter_chains`` enumerates move by move, reading the pair blocks
-    rather than the pairs.  tail(i, j) is the longest run of advances
-    plus the final fiber segment from (i, j).  A B-advance through block
-    k of B moves j to a strict successor j2 and gains heights_b[j2] -
-    heights_b[j] + min(t.d.(A/p), cap_k) + tail(i, j2), so the best one
-    is ``row[k] - heights_b[j] + min(r_a, cap_k)``, where ``row[k]`` is
-    the maximum of heights_b[j2] + tail(i, j2) over those successors.
-    A-advances read ``col[k][j]``, the same maximum per block k of A and
-    position j of B.
+    One bottom-up pass computes the maximum that ``iter_chains``
+    enumerates move by move, reading the pair blocks rather than the
+    pairs, one row of anchors (i, j), all positions j of B, at a time.
+    tail(i, j) is the longest run of advances plus the final fiber
+    segment from (i, j); the pass works on Z(i, j) = heights_a[i] +
+    heights_b[j] + tail(i, j), in which an advance gains no height
+    difference.  A B-advance through block k of B from (i, j) to a
+    strict successor j2 gives Z(i, j2) + min(t.d.(A/p), cap_k), and an
+    A-advance through block k of A gives Z(i2, j) + min(t.d.(B/q),
+    cap_k); the fiber gives heights_a[i] + heights_b[j] +
+    min(r_a, r_b).  Every chain block has cap 0
+    (``spectra._check_summary``), so a step inside one adds nothing.
 
-    A's strata are walked by decreasing height, and B's by decreasing
-    height within each row.  Inside a chain block positions and heights
-    rise together, and in a product block every upper position lies
-    above every lower one, so the positions of a block already walked
-    are exactly the strict successors of the current one: each maximum,
-    updated once an anchor's tail is known, is complete when read and
-    holds no position it must not.  So an anchor costs O(blocks), and
-    the pass O(na * nb * blocks) time, against O(na * nb * (na + nb))
-    for a scan over the comparable pairs.
+    A's strata are walked by decreasing height, one row each.
+    ``col[k]`` holds, per position j of B, the maximum of Z(i2, j) over
+    the positions i2 of block k of A already walked.  Inside a chain
+    block positions and heights rise together, and in a product block
+    every upper position lies above every lower one, so those positions
+    are exactly the strict successors of the current one.
 
-    The answer is tail(0, 0), the last anchor walked: the initial jump
-    to (0, 0) has length 0, and no other jump beats a chain from there.
-    The zero ideal lies under every other stratum, by a certified pair
-    of base h and the stratum's own cap (``spectra._check_summary``),
-    and every stratum can be held fixed.  So the chain (0, 0) -> (0, j)
-    -> (i, j) gains ht(q[t.d.(A)]) + h_i + min(t.d.(B/q), cap), at least
-    A's jump to (i, j), ht(q[t.d.(A)]) + ht(p) when p's cap is 0, and
-    goes on from (i, j) as the jump's chain would; B's jump is the
-    mirror image, through (i, 0).
+    A row starts from the fiber and takes the A-advances from ``col``,
+    one block of A at a time, then the B-advances over B's blocks in
+    reverse storage order.  In a chain block of B every higher position
+    of the block is a strict successor and a step adds min(r_a, 0) = 0,
+    so the block is a suffix maximum, taken from its top down.  In a
+    product block every upper position is a successor of every lower
+    one, so each lower position rises to the maximum over the upper ones
+    plus min(r_a, cap).  Each block reads finished values: the blocks
+    taken after it are those stored before it, and no block raises a
+    position that a block stored after it reads (``spectra._check_summary``
+    refuses any other model).  Last the row enters ``col[k]`` for each
+    block k of A whose upper range holds i.  Where the row stepped
+    through k (a chain block) it already dominates ``col[k]``, and where
+    i is k's top position, walked first, ``col[k]`` is still empty, so
+    the row itself becomes ``col[k]``; otherwise the two are merged
+    elementwise.  So a row costs O(nb) per block of either side, and the
+    pass O(na * nb * blocks).
 
-    The walk order and the per-position block lists depend on one side
+    The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
+    jump to (0, 0) has length 0, and no other jump beats a chain from
+    there.  The zero ideal lies under every other stratum, by a
+    certified pair of base h and the stratum's own cap
+    (``spectra._check_summary``), and every stratum can be held fixed.
+    So the chain (0, 0) -> (0, j) -> (i, j) gains ht(q[t.d.(A)]) + h_i +
+    min(t.d.(B/q), cap), at least A's jump to (i, j), ht(q[t.d.(A)]) +
+    ht(p) when p's cap is 0, and goes on from (i, j) as the jump's chain
+    would; B's jump is the mirror image, through (i, 0).
+
+    A's walk order and block lists and B's row steps depend on one side
     only: each summary's ``walk_plan`` builds them in O(S) on its first
-    call and keeps them, so a call builds only its maxima and B's walk
-    and costs O(na * nb * blocks).
+    call and keeps them, so a call builds only ``col``, one list per
+    cap of A's blocks and its rows.
     """
     _require_exact_sides(a, b)
+    order_a, starts_a, ends_a, _ = a.walk_plan
+    steps_b = b.walk_plan[3]
     heights_a, residues_a = a.heights, a.residues
-    order_a, starts_a, ends_a = a.walk_plan
-    order_b, starts_b, ends_b = b.walk_plan
-    # The maxima start at 0, below every heights + tail, and a step reads
-    # a block only from a position with a successor in it, walked first.
-    col = [[0] * len(b.heights) for _ in a.blocks]
-    walk_b = [
-        (j, b.heights[j], b.residues[j], starts_b[j], ends_b[j]) for j in order_b
-    ]
+    heights_b, residues_b = b.heights, b.residues
+    # min(cap, r_b) per position of B, for the A-advances through a block
+    # of cap > 0.
+    capped = {
+        cap: [cap if cap < r else r for r in residues_b]
+        for cap in {block.cap for block in a.blocks}
+        if cap
+    }
+    # An A-step reads a block only from a position with a successor in
+    # it, walked first, so no entry is read before it is written.
+    col: list = [None] * len(a.blocks)
     for i in order_a:
         h_a, r_a = heights_a[i], residues_a[i]
-        row = [0] * len(b.blocks)
-        steps_a = [(col[k], cap) for k, cap in starts_a[i]]
-        into_a = [col[k] for k in ends_a[i]]
-        for j, h_b, r_b, steps_b, into_b in walk_b:
-            best = r_a if r_a < r_b else r_b
-            for k, cap in steps_b:
-                v = row[k] + (cap if cap < r_a else r_a) - h_b
-                if v > best:
-                    best = v
-            for col_k, cap in steps_a:
-                v = col_k[j] + (cap if cap < r_b else r_b) - h_a
-                if v > best:
-                    best = v
-            v = h_b + best
-            for k in into_b:
-                if v > row[k]:
-                    row[k] = v
-            v = h_a + best
-            for col_k in into_a:
-                if v > col_k[j]:
-                    col_k[j] = v
-    # Both walks end at position 0, the only stratum of height 0.
-    return best
+        z = [h_a + h + (r_a if r_a < r else r) for h, r in zip(heights_b, residues_b)]
+        for k, cap in starts_a[i]:
+            up = col[k]
+            if cap:
+                up = [u + c for u, c in zip(up, capped[cap])]
+            z = [v if v > u else u for v, u in zip(z, up)]
+        for lower, upper, cap in steps_b:
+            if upper is None:
+                best = 0
+                for j in lower:
+                    v = z[j]
+                    if v < best:
+                        z[j] = best
+                    else:
+                        best = v
+            else:
+                p = max(z[upper]) + (cap if cap < r_a else r_a)
+                z[lower] = [v if v > p else p for v in z[lower]]
+        for k, fresh in ends_a[i]:
+            col[k] = z if fresh else [v if v > u else u for v, u in zip(z, col[k])]
+    # The last row is A's position 0, the only stratum of height 0.
+    return z[0]
 
 
 def iter_chains(a: SpectrumSummary, b: SpectrumSummary) -> Iterator[AnchoredChain]:

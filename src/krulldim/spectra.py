@@ -22,7 +22,9 @@ lists the strata outside M by height, then those containing M by
 D-height, the conductor M itself first among them.  Comparable pairs
 are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
 AF model's chain; or a pullback's chain outside M, its strata outside M
-below height m under those containing M, and D's chain over M.  A pair
+below height m under those containing M, and D's chain over M.  No
+block's lower positions overlap the upper positions of a block stored
+after it, which the chain oracle's row steps rely on.  A pair
 (i, j) has quotient height n -> heights[j] - heights[i] + min(n, cap)
 with its block's cap.  These arrays and blocks are the model; the
 formulas and the oracle read them.  Views built on first use:
@@ -30,12 +32,13 @@ formulas and the oracle read them.  Views built on first use:
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-and ``walk_plan``, the chain oracle's walk order and per-position block
-lists, O(S) references built from ``heights`` and ``blocks`` on the
-oracle's first call.  ``iter_pairs`` generates the ``pairs`` entries
-without keeping them.  The formulas, the chain oracle, the ``spectrum``
-command and the check suites' own loops build neither pair view; only
-the oracle's literal enumerator ``iter_chains`` builds ``ups``.
+and ``walk_plan``, the chain oracle's walk order, per-position block
+lists and row steps, O(S) references built from ``heights`` and
+``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
+``pairs`` entries without keeping them.  The formulas, the chain
+oracle, the ``spectrum`` command and the check suites' own loops build
+neither pair view; only the oracle's literal enumerator ``iter_chains``
+builds ``ups``.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, count, pairwise
+from itertools import chain, combinations, count, pairwise
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
@@ -218,29 +221,52 @@ class SpectrumSummary:
         return tuple(map(tuple, rows))
 
     @cached_property
-    def walk_plan(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...]]:
-        """``(order, starts, ends)``: what the chain oracle walks over this model.
+    def walk_plan(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...], tuple]:
+        """``(order, starts, ends, row_steps)``: what the chain oracle walks over this model.
 
+        The first three serve the model as the oracle's row side.
         ``order`` lists the positions by decreasing height.  ``starts[i]``
-        holds ``(k, cap)`` for each block k with a pair (i, i2), i < i2, and
-        ``ends[i]`` each k whose upper range holds i.  Equal entries are one
-        shared tuple, so a plan holds O(S) references.
+        holds ``(k, cap)`` for each block k with a pair (i, i2), i < i2,
+        and ``ends[i]`` holds ``(k, fresh)`` for each k whose upper range
+        holds i.  ``fresh`` is true when i is in k's lower range too (a
+        chain block, which the row steps through) or is k's top position
+        (the first of k's upper range in ``order``, as heights rise along
+        it): the oracle's row at i then dominates its maximum for k.
+
+        ``row_steps`` serves the model as the column side: the blocks with
+        a pair i < j, in reverse storage order.  A chain block is
+        ``(positions from its top down, None, 0)``, a product block
+        ``(lower slice, upper slice, cap)``.
+
+        Equal entries are one shared tuple, so a plan holds O(S) references.
         """
         heights = self.heights
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
-        ends: list[list[int]] = [[] for _ in heights]
+        ends: list[list[tuple[int, bool]]] = [[] for _ in heights]
+        row_steps = []
         for k, block in enumerate(self.blocks):
-            step = (k, block.cap)
-            for i in block.lower:
-                if block.upper and i < block.upper[-1]:
-                    starts[i].append(step)
-            for i in block.upper:
-                ends[i].append(k)
+            lower, upper = block.lower, block.upper
+            if not (lower and upper and lower.start < upper[-1]):
+                continue
+            for i in lower:
+                if i < upper[-1]:
+                    starts[i].append((k, block.cap))
+            for i in upper:
+                ends[i].append((k, i in lower or i == upper[-1]))
+            if lower == upper:
+                row_steps.append((lower[::-1], None, 0))
+            else:
+                row_steps.append((
+                    slice(lower.start, lower.stop, lower.step),
+                    slice(upper.start, upper.stop, upper.step),
+                    block.cap,
+                ))
         shared: dict[tuple, tuple] = {}
         return (
             tuple(sorted(range(len(heights)), key=heights.__getitem__, reverse=True)),
             tuple(shared.setdefault(t, t) for t in map(tuple, starts)),
             tuple(shared.setdefault(t, t) for t in map(tuple, ends)),
+            tuple(reversed(row_steps)),
         )
 
     def first_uncertified(self, upper: Optional[int] = None) -> Optional[tuple[int, int]]:
@@ -658,6 +684,15 @@ def _check_summary(summary: SpectrumSummary) -> None:
         run = block.lower if block.lower == block.upper else chain(block.lower, block.upper)
         if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
             raise ConsistencyError(f"positions and heights do not rise strictly in {block}")
+    # The chain oracle takes a row's advances block by block in reverse
+    # storage order, reading each block's upper positions and raising its
+    # lower ones; each block then reads finished values only if no block
+    # stored before it raises a position it reads.  So the span of each
+    # block's lower range must miss the upper range of every later block.
+    for block, later in combinations(summary.blocks, 2):
+        lower, upper = block.lower, later.upper
+        if lower and upper and lower[0] <= upper[-1] and upper[0] <= lower[-1]:
+            raise ConsistencyError(f"{block} raises positions that {later}, stored after it, reads")
 
     # The zero ideal lies under every prime, and A/(0) is A, so each pair
     # (0, j) is certified with stratum j's own cap; stratum 0 is then the

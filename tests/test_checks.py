@@ -1,6 +1,7 @@
 """The check suites' runner: what it counts and what it reports."""
 from krulldim import formulas
-from krulldim.checks import CheckFailure, run_suite, suite_names
+from krulldim.checks import CheckFailure, catalog, run_suite, suite_names
+from krulldim.spectra import summarize
 
 # Cases per suite at its default grid, and of ``all`` by grid_max
 # (None for each suite's default).
@@ -44,3 +45,20 @@ def test_a_planted_formula_bug_fails_every_suite_that_sees_it(monkeypatch):
     )
     # A single suite's failures carry no suite prefix.
     assert run_suite("sharp-grid").failures == (CheckFailure("field(3) ox field(2)", "2", "3"),)
+
+
+def test_a_height_above_the_composed_bound_fails_gsct_identity(monkeypatch):
+    # kM ox af22 at (out:0, h0): ht = delta for delta 0..2 and the bound is 2,
+    # so a bound one lower holds every case but delta = 2.
+    cat = catalog()
+    sa, sb = summarize(cat["kM"]), summarize(cat["af22"])
+    bound = formulas.composed_height_bound
+
+    def lowered(a, b, p, q):
+        planted = a is sa and b is sb and (p.label, q.label) == ("out:0", "h0")
+        return bound(a, b, p, q) - planted
+
+    monkeypatch.setattr(formulas, "composed_height_bound", lowered)
+    report = run_suite("gsct-identity")
+    assert report.cases == CASES["gsct-identity"]
+    assert report.failures == (CheckFailure("kM ox af22, p=out:0, q=h0, delta=2", "2, <= 1", "2"),)

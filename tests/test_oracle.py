@@ -19,12 +19,16 @@ from krulldim.oracle import (
     iter_chains,
 )
 from krulldim.spectra import (
+    KIND_CONTAINS,
+    KIND_OUTSIDE,
     AfDomain,
     Field,
+    PairBlock,
     PolyRing,
     Pullback,
     SpectrumSummary,
     Valuation,
+    _check_summary,
     summarize,
 )
 
@@ -44,6 +48,16 @@ CERTIFY_SIZE = [
     Pullback(PolyRing(Valuation(6, 4), 6), 4, PolyRing(Field(2), 5), outside=8),
     Pullback(AfDomain(18, 15), 2, Valuation(10, 8), outside=1),
     Pullback(AfDomain(15, 12), 4, AfDomain(2, 2), outside=6),
+]
+
+# Pairs of 500 to 700 strata a side, where a row's suffix maxima and
+# product-block steps run long: a 401-stratum chain outside M under a
+# 301-stratum chain over it, with a product block of height m = 200.
+WIDE_PULLBACK = Pullback(AfDomain(900, 400), 200, AfDomain(500, 300), outside=400)
+ROW_SIZE = [
+    (AfDomain(600, 600), AfDomain(600, 600)),
+    (WIDE_PULLBACK, AfDomain(700, 500)),
+    (WIDE_PULLBACK, Pullback(Valuation(900, 300), 300, AfDomain(500, 300))),
 ]
 
 
@@ -130,18 +144,47 @@ class TestChainEnumerate:
         summarize.cache_clear()
 
     def test_walk_plan_shares_equal_entries(self):
-        order, starts, ends = summarize(AfDomain(300, 300)).walk_plan
+        order, starts, ends, row_steps = summarize(AfDomain(300, 300)).walk_plan
         # Every position of an AF chain but the top steps through block 0,
-        # and every one is reached in it.
+        # and every one is reached in it, where the row dominates the maximum.
         assert order == tuple(range(300, -1, -1))
         assert len({id(t) for t in starts + ends if t}) == 2
         assert starts[300] == ()
+        assert set(ends) == {((0, True),)}
+        assert row_steps == ((range(300, -1, -1), None, 0),)
+
+    def test_walk_plan_of_a_pullback(self):
+        # Outside M at 0..4, M and D's chain over it at 5..11, cap 9 - 6 = 3.
+        _, starts, ends, row_steps = summarize(
+            Pullback(Valuation(14, 5), 5, AfDomain(6, 6))
+        ).walk_plan
+        assert starts[:5] == (((0, 0), (1, 3)),) * 4 + (((1, 3),),)
+        assert starts[5:] == (((2, 0),),) * 6 + ((),)
+        # Only the product block's top upper position, walked first among
+        # its upper range, overwrites its maximum.
+        assert ends[:5] == (((0, True),),) * 5
+        assert ends[5:] == (((1, False), (2, True)),) * 6 + (((1, True), (2, True)),)
+        assert row_steps == (
+            (range(11, 4, -1), None, 0),
+            (slice(0, 5, 1), slice(5, 12, 1), 3),
+            (range(4, -1, -1), None, 0),
+        )
 
     def test_equals_dim_tensor_at_certify_size(self):
         # iter_chains cannot reach these sizes; dim_tensor can.
         for x, y in product(CERTIFY_SIZE, CERTIFY_SIZE):
             got = chain_enumerate(summarize(x), summarize(y))
             assert got == dim_tensor(x, y).value, (x, y)
+
+    def test_is_symmetric_at_certify_size(self):
+        for x, y in product(CERTIFY_SIZE, CERTIFY_SIZE):
+            sx, sy = summarize(x), summarize(y)
+            assert chain_enumerate(sx, sy) == chain_enumerate(sy, sx), (x, y)
+
+    @pytest.mark.parametrize("x, y", ROW_SIZE, ids=["af-af", "pullback-af", "pullback-pullback"])
+    def test_equals_dim_tensor_at_row_size(self, x, y):
+        for a, b in ((x, y), (y, x)):
+            assert chain_enumerate(summarize(a), summarize(b)) == dim_tensor(a, b).value
 
 
 class TestChains:
@@ -164,6 +207,64 @@ class TestChains:
         summaries = [summarize(e) for e in catalog().values()]
         for a, b in product(summaries, summaries):
             assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
+
+    @pytest.mark.parametrize(
+        "heights, residues, caps, blocks, value",
+        [
+            # Two incomparable strata, at heights 2 and 3, over the chain
+            # 0 < 1 in one product block.  In a compiled model a product
+            # block's upper range is one chain, whose bottom, walked last,
+            # dominates it; here the row of position 2 must be merged with
+            # that of position 3 into the block's maximum, not replace it.
+            (
+                (0, 1, 2, 3),
+                (4, 3, 0, 0),
+                (0, 0, 1, 1),
+                (
+                    PairBlock(range(2), range(2), 0, True),
+                    PairBlock(range(2), range(2, 4), 1, True),
+                    PairBlock(range(2, 3), range(2, 3), 0, True),
+                    PairBlock(range(3, 4), range(3, 4), 0, True),
+                ),
+                4,
+            ),
+            # 0 < 1 < 2 with the pair (1, 2) in a block of larger cap than
+            # (0, 2).  In a compiled model a product block raises a prefix
+            # of the chain below it, so the order of the row steps does not
+            # show; here the chain 0 < 1 must read position 1 after the
+            # block of cap 2 raised it.
+            (
+                (0, 1, 2),
+                (4, 3, 2),
+                (0, 0, 1),
+                (
+                    PairBlock(range(2), range(2), 0, True),
+                    PairBlock(range(1), range(2, 3), 1, True),
+                    PairBlock(range(1, 2), range(2, 3), 2, True),
+                    PairBlock(range(2, 3), range(2, 3), 0, True),
+                ),
+                6,
+            ),
+        ],
+        ids=["two-chains-over-one-block", "staggered-caps"],
+    )
+    def test_matches_the_literal_enumerator_on_built_models(
+        self, heights, residues, caps, blocks, value
+    ):
+        model = SpectrumSummary(
+            td=residues[0],
+            dim=max(heights),
+            is_af=False,
+            kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
+            heights=heights,
+            residues=residues,
+            caps=caps,
+            blocks=blocks,
+        )
+        _check_summary(model)
+        field = summarize(Field(2))
+        for a, b in ((model, field), (field, model)):
+            assert chain_enumerate(a, b) == best_chain(a, b).total == value
 
     def test_chains_from_the_zero_anchor_reach_the_maximum(self):
         # chain_enumerate returns tail(0, 0); the move-by-move reference

@@ -163,6 +163,16 @@ class TestCheckSummary:
         with pytest.raises(ConsistencyError, match="rise strictly"):
             _check_summary(self.broken(block))
 
+    def test_blocks_out_of_order(self):
+        # The product block stored first raises out:0 and out:1, which the
+        # chain outside M, stored after it, reads; the chain oracle takes
+        # the blocks in reverse storage order and would read them unfinished.
+        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
+        outside, product, inside = s.blocks
+        reordered = dataclasses.replace(s, blocks=(product, outside, inside))
+        with pytest.raises(ConsistencyError, match="raises positions that .* stored after it"):
+            _check_summary(reordered)
+
     def test_second_height_0_stratum(self):
         # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
         # ideal does not lie under; the chain oracle, which walks (0, 0)
