@@ -11,7 +11,9 @@ spectrum: strata of primes sharing (height, residue transcendence
 degree, polynomial-height behaviour), plus certified quotient data for
 comparable pairs.  All dimension and height formulas evaluate against
 these summaries, never against ring elements; the model is spectrum
-level only.
+level only.  A pullback's strata containing M are D's chain 0..dim(D),
+read from D's constructor (t.d., dimension and catenarity), so
+compiling a pullback compiles no separate model of D.
 
 A summary stores its model by position.  Stratum ``i`` is described by
 ``kinds[i]``, ``heights[i]``, ``residues[i]`` (residue transcendence
@@ -585,14 +587,16 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     td = expr_td(expr.ambient)
     m = expr.m
     td_k = td - m
-    sub = summarize(expr.subring)
-    td_kd = td_k - sub.td
+    # D is an AF constructor, so its primes are the chain 0..dim(D) with
+    # residues t.d.(D) - h, read from the constructor without compiling D.
+    td_d, dim_d = expr_td(expr.subring), expr_dim(expr.subring)
+    td_kd = td_k - td_d
     t_cat = expr_catenarian(expr.ambient)
     data = PullbackData(
         m=m,
         td_k=td_k,
-        td_d=sub.td,
-        dim_d=sub.dim,
+        td_d=td_d,
+        dim_d=dim_d,
         td_kd=td_kd,
         outside=expr.outside,
         ambient_catenarian=t_cat,
@@ -600,8 +604,10 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     )
 
     # Strata outside M at heights 0..n_out-1, then one per stratum of D.
+    # D's own size is refused first, with D's own count.
     n_out = max(m - 1, expr.outside) + 1
-    n_in = len(sub.heights)
+    n_in = dim_d + 1
+    _check_size(n_in)
     _check_size(n_out + n_in)
     outside, inside = range(n_out), range(n_out, n_out + n_in)
     blocks = (
@@ -613,8 +619,8 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     return _finish(
         td,
         kinds=(KIND_OUTSIDE,) * n_out + (KIND_CONTAINS,) * n_in,
-        heights=tuple(outside) + tuple(m + h for h in sub.heights),
-        residues=tuple(td - h for h in outside) + sub.residues,
+        heights=tuple(outside) + tuple(range(m, m + n_in)),
+        residues=tuple(td - h for h in outside) + tuple(td_d - h for h in range(n_in)),
         caps=(0,) * n_out + (td_kd,) * n_in,
         blocks=blocks,
         pullback_data=data,

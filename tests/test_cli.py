@@ -161,6 +161,13 @@ class TestDim:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_oversize_subring_reports_its_own_count(self, capsys):
+        # D alone has 2501 strata, the whole pullback 2502; D is refused first.
+        pb = "pullback(T=af(3000,1),m=1,D=af(2999,2500),outside=0)"
+        assert run(capsys, "dim", pb, "field(1)") == (
+            2, "", "error: a spectrum model of 2501 strata is over the limit of 2048\n"
+        )
+
     def test_deep_nesting_exit_2(self, capsys):
         deep = "poly(" * 2000 + "field(1)" + ",0)" * 2000
         code, _, err = run(capsys, "dim", deep, "field(1)")

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from krulldim.checks import catalog_pullbacks
 from krulldim.errors import InexactPairError
 from krulldim.formulas import (
     dim_tensor,
@@ -19,6 +20,7 @@ from krulldim.spectra import (
     Pullback,
     Valuation,
     expr_dim,
+    expr_td,
     is_af_poly,
     summarize,
 )
@@ -159,6 +161,68 @@ class TestSummaryInvariants:
         """A pullback's polynomial ring turns AF exactly at t.d.(K:D) variables."""
         s = summarize(expr)
         assert is_af_poly(s, n) == (n >= s.pullback_data.td_kd)
+
+
+def assert_d_part_is_d_model(pb):
+    """The strata of ``summarize(pb)`` over M are ``summarize(D)`` shifted up by m.
+
+    The pullback reads D's constructor instead of compiling D; this holds
+    it to D's own model: heights, residues, the inner chain's ``exact``,
+    and the t.d. and dimension kept in ``pullback_data``.
+    """
+    s, d = summarize(pb), summarize(pb.subring)
+    pd = s.pullback_data
+    inner = s.blocks[-1]
+    assert inner.lower == inner.upper
+    assert [i for i, kind in enumerate(s.kinds) if kind == KIND_CONTAINS] == list(inner.lower)
+    assert tuple(s.heights[i] - pd.m for i in inner.lower) == d.heights
+    assert tuple(s.residues[i] for i in inner.lower) == d.residues
+    assert inner.exact == d.blocks[0].exact
+    assert (pd.td_d, pd.dim_d) == (d.td, d.dim)
+
+
+# Every AF constructor kind as D; af(0,0), af(1,1) and af(2,1) are
+# catenarian whatever their flag says, af(3,2) and af(3,3) are not.
+SUBRINGS = (
+    Field(0),
+    Field(3),
+    AfDomain(3, 2),
+    AfDomain(3, 2, False),
+    AfDomain(3, 3, False),
+    AfDomain(0, 0, False),
+    AfDomain(1, 1, False),
+    AfDomain(2, 1, False),
+    Valuation(3, 2),
+    PolyRing(Valuation(2, 1), 2),
+    PolyRing(PolyRing(AfDomain(1, 1, False), 1), 1),
+    PolyRing(PolyRing(AfDomain(2, 2, False), 1), 1),
+)
+
+
+class TestPullbackSubringModel:
+    @pytest.mark.parametrize("d", SUBRINGS, ids=to_source)
+    @pytest.mark.parametrize("ambient", ["val", "af"])
+    def test_each_constructor_kind(self, d, ambient):
+        td = expr_td(d) + 3
+        if ambient == "val":
+            pb = Pullback(Valuation(td, 2), 2, d)
+        else:
+            pb = Pullback(AfDomain(td, 3, False), 2, d, outside=3)
+        assert_d_part_is_d_model(pb)
+
+    @pytest.mark.parametrize(
+        "pb", catalog_pullbacks().values(), ids=catalog_pullbacks().keys()
+    )
+    def test_catalog(self, pb):
+        assert_d_part_is_d_model(pb)
+
+    @given(pb=pullback_exprs())
+    def test_pullback_strategy(self, pb):
+        assert_d_part_is_d_model(pb)
+
+    @given(d=af_exprs(), m=st.integers(1, 3), td_kd=st.integers(0, 2))
+    def test_any_af_subring(self, d, m, td_kd):
+        assert_d_part_is_d_model(Pullback(Valuation(m + expr_td(d) + td_kd, m), m, d))
 
 
 # ---------------------------------------------------------------------------

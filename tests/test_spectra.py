@@ -103,6 +103,18 @@ class TestSummarize:
             summarize(Field(t))
         assert summarize.cache_info().currsize <= SUMMARY_CACHE_SIZE
 
+    def test_pullback_compiles_one_model(self):
+        # The strata over M are read from D's constructor: one cache miss,
+        # one cache entry, and D's own summary stays uncached.
+        d = AfDomain(5, 3, catenarian=False)
+        pb = Pullback(Valuation(9, 2), 2, d)
+        summarize.cache_clear()
+        summarize(pb)
+        info = summarize.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        summarize(d)
+        assert summarize.cache_info().misses == 2
+
     def test_model_size_is_bounded(self):
         with pytest.raises(ConstraintError, match="strata"):
             summarize(AfDomain(MAX_STRATA, MAX_STRATA))
