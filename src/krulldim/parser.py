@@ -1,21 +1,22 @@
 """Text form of algebra expressions.
 
-Grammar (whitespace insensitive, cat defaults true; a nat is 1 to
-``MAX_DIGITS`` ASCII digits):
+The grammar is declared once, in ``GRAMMAR``: ``parse_expr`` reads it
+and ``to_source`` writes it.  Every form is a constructor call
 
-    expr := "field" "(" nat ")"
-          | "af" "(" nat "," nat ["," "cat" "=" bool] ")"
-          | "poly" "(" expr "," nat ")"
-          | "val" "(" nat "," nat ")"
-          | "pullback" "(" "T" "=" expr "," "m" "=" nat ","
-                           "D" "=" expr ["," "outside" "=" nat] ")"
+    expr := NAME "(" arg { "," arg } ")"
+    arg  := [ KEYWORD "=" ] ( nat | bool | expr )
 
-``outside`` may be omitted when T is a valuation domain, where it is
-forced to m - 1.  Expressions nest at most ``MAX_NESTING`` levels deep.
+with the arguments ``GRAMMAR[NAME]`` lists, in that order.  An argument
+with a default may be left out.  Whitespace between tokens is ignored,
+a nat is 1 to ``MAX_DIGITS`` ASCII digits and a bool is ``true`` or
+``false``.  Expressions nest at most ``MAX_NESTING`` levels deep.  A
+constraint error names the span of the innermost expression it is in.
 """
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from functools import lru_cache
+from typing import Optional
 
 from .errors import ConstraintError, ParseError
 from .spectra import (
@@ -34,6 +35,30 @@ from .spectra import (
 MAX_NESTING = 200
 
 
+def _arg(keyword: Optional[str], kind: str, default: object = MISSING) -> tuple:
+    """One argument: its keyword (None if positional), its kind ("nat",
+    "bool" or "expr") and, if it may be left out, its default."""
+    return keyword, kind, default
+
+
+# Each form's name, its class and its arguments in the class's field
+# order; only a form's last arguments may have a default.  Pullback sets
+# ``outside`` itself when T is a valuation domain, and otherwise refuses
+# None.
+GRAMMAR = {
+    "field": (Field, (_arg(None, "nat"),)),
+    "af": (AfDomain, (_arg(None, "nat"), _arg(None, "nat"), _arg("cat", "bool", True))),
+    "poly": (PolyRing, (_arg(None, "expr"), _arg(None, "nat"))),
+    "val": (Valuation, (_arg(None, "nat"), _arg(None, "nat"))),
+    "pullback": (
+        Pullback,
+        (_arg("T", "expr"), _arg("m", "nat"), _arg("D", "expr"), _arg("outside", "nat", None)),
+    ),
+}
+_NAMES = {cls: name for name, (cls, _) in GRAMMAR.items()}
+_HEADS = ", ".join(list(GRAMMAR)[:-1]) + " or " + list(GRAMMAR)[-1]
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -48,25 +73,27 @@ class _Scanner:
         return self.pos >= len(self.text)
 
     def expect(self, literal: str):
-        self.skip_ws()
+        # No literal starts with a blank, so a match needs no skip first.
         if not self.text.startswith(literal, self.pos):
-            found = self.text[self.pos : self.pos + 1] or "end of input"
-            raise ParseError(f"found {found!r}", self.pos, expected=repr(literal))
+            self.skip_ws()
+            if not self.text.startswith(literal, self.pos):
+                found = self.text[self.pos : self.pos + 1] or "end of input"
+                raise ParseError(f"found {found!r}", self.pos, expected=repr(literal))
         self.pos += len(literal)
 
-    def peek_word(self) -> str:
+    def peek(self, literal: str) -> bool:
         self.skip_ws()
-        end = self.pos
-        while end < len(self.text) and self.text[end].isalpha():
-            end += 1
-        return self.text[self.pos : end]
+        return self.text.startswith(literal, self.pos)
 
     def word(self) -> str:
-        w = self.peek_word()
-        if not w:
-            raise ParseError("expected a name", self.pos)
-        self.pos += len(w)
-        return w
+        self.skip_ws()
+        start = end = self.pos
+        while end < len(self.text) and self.text[end].isalpha():
+            end += 1
+        if end == start:
+            raise ParseError("expected a name", start)
+        self.pos = end
+        return self.text[start:end]
 
     def nat(self) -> int:
         self.skip_ws()
@@ -120,84 +147,47 @@ def _expr(sc: _Scanner, depth: int = 1) -> AlgebraExpr:
     if depth > MAX_NESTING:
         raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", start)
     head = sc.word()
+    form = GRAMMAR.get(head)
+    if form is None:
+        raise ParseError(f"found {head!r}", start, expected=_HEADS)
+    cls, args = form
+    sc.expect("(")
+    values = []
+    for keyword, kind, default in args:
+        if values:
+            if default is not MISSING and not sc.peek(","):
+                values.append(default)
+                continue
+            sc.expect(",")
+        if keyword:
+            sc.expect(keyword)
+            sc.expect("=")
+        if kind == "expr":
+            values.append(_expr(sc, depth + 1))
+        else:
+            values.append(sc.nat() if kind == "nat" else sc.boolean())
+    sc.expect(")")
+    # Only this call is wrapped: an error from a nested expression
+    # already names that expression's span.
     try:
-        if head == "field":
-            sc.expect("(")
-            t = sc.nat()
-            sc.expect(")")
-            return Field(t)
-        if head == "af":
-            sc.expect("(")
-            t = sc.nat()
-            sc.expect(",")
-            d = sc.nat()
-            cat = True
-            sc.skip_ws()
-            if sc.text.startswith(",", sc.pos):
-                sc.expect(",")
-                sc.expect("cat")
-                sc.expect("=")
-                cat = sc.boolean()
-            sc.expect(")")
-            return AfDomain(t, d, cat)
-        if head == "poly":
-            sc.expect("(")
-            base = _expr(sc, depth + 1)
-            sc.expect(",")
-            n = sc.nat()
-            sc.expect(")")
-            return PolyRing(base, n)
-        if head == "val":
-            sc.expect("(")
-            t = sc.nat()
-            sc.expect(",")
-            d = sc.nat()
-            sc.expect(")")
-            return Valuation(t, d)
-        if head == "pullback":
-            sc.expect("(")
-            sc.expect("T")
-            sc.expect("=")
-            ambient = _expr(sc, depth + 1)
-            sc.expect(",")
-            sc.expect("m")
-            sc.expect("=")
-            m = sc.nat()
-            sc.expect(",")
-            sc.expect("D")
-            sc.expect("=")
-            subring = _expr(sc, depth + 1)
-            outside = None
-            sc.skip_ws()
-            if sc.text.startswith(",", sc.pos):
-                sc.expect(",")
-                sc.expect("outside")
-                sc.expect("=")
-                outside = sc.nat()
-            sc.expect(")")
-            return Pullback(ambient, m, subring, outside)
+        return cls(*values)
     except ConstraintError as exc:
         raise ConstraintError(f"{exc} (in expression at {start}..{sc.pos})") from exc
-    raise ParseError(
-        f"found {head!r}", start, expected="field, af, poly, val or pullback"
-    )
 
 
 def to_source(expr: AlgebraExpr) -> str:
     """Canonical text for an expression; parsing it back gives an equal value."""
-    if isinstance(expr, Field):
-        return f"field({expr.td})"
-    if isinstance(expr, AfDomain):
-        if expr.catenarian:
-            return f"af({expr.td},{expr.dim})"
-        return f"af({expr.td},{expr.dim},cat=false)"
-    if isinstance(expr, PolyRing):
-        return f"poly({to_source(expr.base)},{expr.n})"
-    if isinstance(expr, Valuation):
-        return f"val({expr.td},{expr.dim})"
-    if isinstance(expr, Pullback):
-        return (
-            f"pullback(T={to_source(expr.ambient)},m={expr.m},"
-            f"D={to_source(expr.subring)},outside={expr.outside})"
-        )
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    name = _NAMES.get(type(expr))
+    if name is None:
+        raise TypeError(f"not an algebra expression: {expr!r}")
+    parts = []
+    for (keyword, kind, default), f in zip(GRAMMAR[name][1], fields(expr)):
+        value = getattr(expr, f.name)
+        if value == default:
+            continue
+        if kind == "expr":
+            value = to_source(value)
+        elif kind == "bool":
+            value = "true" if value else "false"
+        parts.append(f"{keyword}={value}" if keyword else f"{value}")
+    return f"{name}({','.join(parts)})"
