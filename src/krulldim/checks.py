@@ -9,9 +9,9 @@ imports none of the formula code this module does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, Optional
 
 from . import formulas
 from .errors import ConstraintError, KrulldimError
@@ -24,6 +24,7 @@ from .spectra import (
     Field,
     PolyRing,
     Pullback,
+    Record,
     Valuation,
     is_af_poly,
     summarize,
@@ -37,18 +38,12 @@ MAX_GRID = 16
 Case = tuple[str, object, object, bool]
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    inputs: str
-    expected: str
-    actual: str
+class CheckFailure(Record, namedtuple("CheckFailure", "inputs expected actual")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    suite: str
-    cases: int
-    failures: tuple[CheckFailure, ...]
+class CheckReport(Record, namedtuple("CheckReport", "suite cases failures")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -348,7 +343,7 @@ def suite_names() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def run_suite(name: str, grid_max: Optional[int] = None) -> CheckReport:
+def run_suite(name: str, grid_max: int | None = None) -> CheckReport:
     """Run one named check suite (or ``all``) over its deterministic grid.
 
     ``grid_max`` sizes the grid suites and must lie in 0..MAX_GRID.

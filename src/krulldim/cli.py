@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from types import SimpleNamespace
-from typing import Optional
 
 from . import checks, formulas
 from .errors import KrulldimError
@@ -104,7 +103,7 @@ def build_arg_parser():
     return ap
 
 
-def read_argv(argv) -> Optional[SimpleNamespace]:
+def read_argv(argv) -> SimpleNamespace | None:
     """The attributes ``build_arg_parser().parse_args(argv)`` returns, or None.
 
     Reads only a plain, well-formed command line: a command name, then

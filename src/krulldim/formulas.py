@@ -21,11 +21,10 @@ two-sided formula for two pullbacks whose conductors have full height
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import add
-from typing import Callable, Iterable
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
 from .spectra import (  # the gates are derived, and named, where a summary is compiled
@@ -36,6 +35,7 @@ from .spectra import (  # the gates are derived, and named, where a summary is c
     KIND_CONTAINS,
     AlgebraExpr,
     Field,
+    Record,
     SpectrumSummary,
     Stratum,
     summarize,
@@ -50,32 +50,43 @@ TERM_OUTSIDE = "outside-M"
 TERM_THROUGH = "through-M"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record, namedtuple("Witness", "term ref value")):
     """A stratum or pair reference achieving one term's maximum."""
 
-    term: str
-    ref: str
-    value: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(
+    Record,
+    namedtuple(
+        "DimReport",
+        "value theorem term_breakdown build_witnesses gates refusals",
+        defaults=((), ()),
+    ),
+):
     """A dimension answer plus the formula that produced it.
 
     ``witnesses`` are built by calling ``build_witnesses`` when they are
     first read, and that tuple is kept for later reads; a caller that
-    reads only the value builds none.  Neither takes part in ``==`` or
-    ``repr``.  ``refusals`` gives, for each conductor-formula
-    orientation that declined the pair, the side and the reason.
+    reads only the value builds none.  Neither takes part in ``==``, the
+    hash or ``repr``.  ``term_breakdown`` holds ``(term, value)`` pairs.
+    ``refusals`` gives, for each conductor-formula orientation that
+    declined the pair, the side and the reason.
     """
 
-    value: int
-    theorem: str
-    term_breakdown: tuple[tuple[str, int], ...]
-    build_witnesses: Callable[[], Iterable[Witness]] = field(repr=False, compare=False)
-    gates: tuple[str, ...] = ()
-    refusals: tuple[str, ...] = ()
+    def _shown(self) -> tuple:
+        """Every field but ``build_witnesses``."""
+        return self[:3] + self[4:]
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self._shown() == other._shown()
+
+    def __hash__(self):
+        return hash(self._shown())
+
+    def __repr__(self):
+        shown = zip(self._fields[:3] + self._fields[4:], self._shown())
+        return f"DimReport({', '.join(f'{name}={value!r}' for name, value in shown)})"
 
     @cached_property
     def witnesses(self) -> tuple[Witness, ...]:

@@ -50,24 +50,23 @@ suites that compare the two live in ``checks``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator, Optional
 
 from .errors import ConstraintError, InexactPairError
-from .spectra import SpectrumSummary, Stratum
+from .spectra import Record, SpectrumSummary, Stratum
 
 
-@dataclass(frozen=True)
-class AnchoredChain:
+class AnchoredChain(Record, namedtuple("AnchoredChain", "anchors segment_lengths")):
     """A chain of primes organized by contraction anchors.
 
     ``segment_lengths`` lists the initial jump, one entry per anchor
-    advance, and the final fiber segment, in that order.
+    advance, and the final fiber segment, in that order.  ``anchors``
+    holds ``(p, q)`` pairs of strata of A and B.
     """
 
-    anchors: tuple[tuple[Stratum, Stratum], ...]
-    segment_lengths: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -109,7 +108,7 @@ def ext_field_dim(a: SpectrumSummary, s: int) -> int:
 # Anchors are pairs (i, j) of stratum positions in A and in B.
 
 
-def _initial_jump(a, b, i, j) -> Optional[int]:
+def _initial_jump(a, b, i, j) -> int | None:
     best = None
     if a.caps[i] == 0:
         best = b.heights[j] + min(a.td, b.caps[j]) + a.heights[i]

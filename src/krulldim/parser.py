@@ -14,9 +14,7 @@ constraint error names the span of the innermost expression it is in.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, fields
 from functools import lru_cache
-from typing import Optional
 
 from .errors import ConstraintError, ParseError
 from .spectra import (
@@ -35,25 +33,31 @@ from .spectra import (
 MAX_NESTING = 200
 
 
-def _arg(keyword: Optional[str], kind: str, default: object = MISSING) -> tuple:
-    """One argument: its keyword (None if positional), its kind ("nat",
-    "bool" or "expr") and, if it may be left out, its default."""
-    return keyword, kind, default
+# The default of an argument that may not be left out.
+REQUIRED = object()
 
 
-# Each form's name, its class and its arguments in the class's field
-# order; only a form's last arguments may have a default.  Pullback sets
-# ``outside`` itself when T is a valuation domain, and otherwise refuses
-# None.
+def _form(cls, *args) -> tuple:
+    """A form's class and its arguments, given one ``(keyword, kind)`` per
+    field of the class, in order: the keyword (None if positional), the
+    kind ("nat", "bool" or "expr") and then the field's default, or
+    ``REQUIRED`` if it has none."""
+    defaults = cls._field_defaults
+    return cls, tuple(
+        (keyword, kind, defaults.get(name, REQUIRED))
+        for (keyword, kind), name in zip(args, cls._fields, strict=True)
+    )
+
+
+# Each form's name, its class and its arguments.  Only a class's last
+# fields have defaults.  Pullback sets ``outside`` itself when T is a
+# valuation domain, and otherwise refuses None.
 GRAMMAR = {
-    "field": (Field, (_arg(None, "nat"),)),
-    "af": (AfDomain, (_arg(None, "nat"), _arg(None, "nat"), _arg("cat", "bool", True))),
-    "poly": (PolyRing, (_arg(None, "expr"), _arg(None, "nat"))),
-    "val": (Valuation, (_arg(None, "nat"), _arg(None, "nat"))),
-    "pullback": (
-        Pullback,
-        (_arg("T", "expr"), _arg("m", "nat"), _arg("D", "expr"), _arg("outside", "nat", None)),
-    ),
+    "field": _form(Field, (None, "nat")),
+    "af": _form(AfDomain, (None, "nat"), (None, "nat"), ("cat", "bool")),
+    "poly": _form(PolyRing, (None, "expr"), (None, "nat")),
+    "val": _form(Valuation, (None, "nat"), (None, "nat")),
+    "pullback": _form(Pullback, ("T", "expr"), ("m", "nat"), ("D", "expr"), ("outside", "nat")),
 }
 _NAMES = {cls: name for name, (cls, _) in GRAMMAR.items()}
 _HEADS = ", ".join(list(GRAMMAR)[:-1]) + " or " + list(GRAMMAR)[-1]
@@ -155,7 +159,7 @@ def _expr(sc: _Scanner, depth: int = 1) -> AlgebraExpr:
     values = []
     for keyword, kind, default in args:
         if values:
-            if default is not MISSING and not sc.peek(","):
+            if default is not REQUIRED and not sc.peek(","):
                 values.append(default)
                 continue
             sc.expect(",")
@@ -181,8 +185,7 @@ def to_source(expr: AlgebraExpr) -> str:
     if name is None:
         raise TypeError(f"not an algebra expression: {expr!r}")
     parts = []
-    for (keyword, kind, default), f in zip(GRAMMAR[name][1], fields(expr)):
-        value = getattr(expr, f.name)
+    for (keyword, kind, default), value in zip(GRAMMAR[name][1], expr):
         if value == default:
             continue
         if kind == "expr":

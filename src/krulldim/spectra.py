@@ -48,10 +48,10 @@ of more than ``MAX_STRATA`` strata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, count, pairwise
-from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -71,8 +71,42 @@ GATE_HT_M = "Cor2.9-htM<=2"
 GATE_TD_KD = "Prop2.10-tdKD<=2"
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Record:
+    """Base of the package's records, each a ``collections.namedtuple`` class.
+
+    A record is a frozen value: it equals only a record of its own class
+    with equal fields, never a plain tuple, and hashes as its fields; no
+    attribute can be assigned, though ``cached_property`` views still
+    fill in; ``_make`` and ``_replace`` build through the class, so a
+    constructor's checks run.  A record class lists the base first,
+    ``class Name(Record, namedtuple("Name", "field ...")):``, and sets
+    ``__slots__ = ()`` unless it keeps views in a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    # False, not NotImplemented, for another class: Python would then ask
+    # the other operand, and a plain tuple compares equal by its items.
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Stratum(Record, namedtuple("Stratum", "index kind height residue_td cap label")):
     """View of position ``index`` of a summary: primes of one height and residue t.d.
 
     Their heights in polynomial extensions are ht(p[n]) = height +
@@ -83,16 +117,15 @@ class Stratum:
     only the objects of the summary they are given.
     """
 
-    index: int
-    kind: str
-    height: int
-    residue_td: int
-    cap: int
-    label: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PullbackData:
+class PullbackData(
+    Record,
+    namedtuple(
+        "PullbackData", "m td_k td_d dim_d td_kd outside ambient_catenarian conductor_is_top"
+    ),
+):
     """Numeric data of the pullback a summary was compiled from.
 
     ``m`` is the height of the conductor maximal ideal M, ``outside``
@@ -102,38 +135,34 @@ class PullbackData:
     formula; ``ambient_catenarian`` whether the T model is catenarian.
     """
 
-    m: int
-    td_k: int
-    td_d: int
-    dim_d: int
-    td_kd: int
-    outside: int
-    ambient_catenarian: bool
-    conductor_is_top: bool
+    __slots__ = ()
 
 
 Pair = tuple[int, int, int]
 
 
-class PairBlock(NamedTuple):
+class PairBlock(namedtuple("PairBlock", "lower upper cap exact")):
     """The comparable pairs (i, j) with i in ``lower``, j in ``upper`` and i <= j.
 
     A chain block has ``lower == upper`` and holds the reflexive pairs of
     its positions; in a product block every lower position lies below
     every upper one.  Every pair's quotient cap is ``cap``.  In a block
     that is not ``exact`` only the reflexive pairs and the pairs from
-    its bottom position ``lower.start`` are certified.  A named tuple,
-    not a dataclass, whose class takes a tenth as long to build at import.
+    its bottom position ``lower.start`` are certified.  A plain named
+    tuple: a block equals the tuple of its fields.
     """
 
-    lower: range
-    upper: range
-    cap: int
-    exact: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SpectrumSummary:
+class SpectrumSummary(
+    Record,
+    namedtuple(
+        "SpectrumSummary",
+        "td dim is_af kinds heights residues caps blocks pullback_data gates source",
+        defaults=(None, (), ""),
+    ),
+):
     """Finite stratified model of Spec of a constructor expression.
 
     The model is stored by position and by pair block (see the module
@@ -141,20 +170,16 @@ class SpectrumSummary:
     formulas the model passes, strongest first, derived once when it is
     compiled: AF, then for a pullback catenarian T (Thm 2.8), ht(M) <= 2
     (Cor 2.9) and t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the
-    constructor for provenance strings only.
+    constructor for provenance strings only, so ``==`` and the hash
+    leave it out.  ``pullback_data`` is None unless the model is a
+    pullback's.  A summary has a ``__dict__`` for its views.
     """
 
-    td: int
-    dim: int
-    is_af: bool
-    kinds: tuple[str, ...]
-    heights: tuple[int, ...]
-    residues: tuple[int, ...]
-    caps: tuple[int, ...]
-    blocks: tuple[PairBlock, ...]
-    pullback_data: Optional[PullbackData] = None
-    gates: tuple[str, ...] = ()
-    source: str = field(default="", compare=False)
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self[:-1] == other[:-1]
+
+    def __hash__(self):
+        return hash(self[:-1])
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -194,7 +219,7 @@ class SpectrumSummary:
             map(Stratum, count(), self.kinds, self.heights, self.residues, self.caps, self.labels)
         )
 
-    def iter_pairs(self) -> Iterator[tuple[int, int, Optional[tuple[int, int]]]]:
+    def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
         """Generate the entries of ``pairs`` from the blocks, keeping none."""
         heights = self.heights
         for block in self.blocks:
@@ -205,7 +230,7 @@ class SpectrumSummary:
                     yield i, j, (heights[j] - heights[i], block.cap) if certified else None
 
     @cached_property
-    def pairs(self) -> tuple[tuple[int, int, Optional[tuple[int, int]]], ...]:
+    def pairs(self) -> tuple[tuple[int, int, tuple[int, int] | None], ...]:
         """Every comparable pair in ``pair_key`` order.
 
         A certified pair is ``(i, j, (quot_base, quot_cap))``, an
@@ -271,7 +296,7 @@ class SpectrumSummary:
             tuple(reversed(row_steps)),
         )
 
-    def first_uncertified(self, upper: Optional[int] = None) -> Optional[tuple[int, int]]:
+    def first_uncertified(self, upper: int | None = None) -> tuple[int, int] | None:
         """The first uncertified pair in ``pairs`` order, or None.
 
         With ``upper``, the first whose upper end is that position.  An
@@ -360,19 +385,18 @@ def read_natural(text: str, what: str) -> int:
 # Constructor expressions
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record, namedtuple("Field", "td")):
     """Extension field of k with transcendence degree ``td``."""
 
-    td: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.td < 0:
+    def __new__(cls, td):
+        if td < 0:
             raise ConstraintError("field transcendence degree must be >= 0")
+        return tuple.__new__(cls, (td,))
 
 
-@dataclass(frozen=True)
-class AfDomain:
+class AfDomain(Record, namedtuple("AfDomain", "td dim catenarian", defaults=(True,))):
     """Abstract AF-domain of transcendence degree ``td`` and dimension ``dim``.
 
     The model realizes the full canonical stratification: every height
@@ -380,52 +404,48 @@ class AfDomain:
     ``catenarian`` flag gates which quotient pairs are certified.
     """
 
-    td: int
-    dim: int
-    catenarian: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.dim <= self.td:
+    def __new__(cls, td, dim, catenarian=True):
+        if not 0 <= dim <= td:
             raise ConstraintError("AF-domain requires 0 <= dim <= td")
+        return tuple.__new__(cls, (td, dim, catenarian))
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Record, namedtuple("PolyRing", "base n")):
     """Polynomial ring in ``n`` variables over an AF constructor."""
 
-    base: "AlgebraExpr"
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, base, n):
+        if n < 0:
             raise ConstraintError("polynomial ring needs n >= 0 variables")
-        if not is_af_constructor(self.base):
+        if not is_af_constructor(base):
             raise ConstraintError(
                 "polynomial ring base must be an AF constructor "
                 "(field, af, val or poly); pullbacks are not supported"
             )
+        return tuple.__new__(cls, (base, n))
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record, namedtuple("Valuation", "td dim")):
     """K+M valuation domain: an AF-domain with chain spectrum.
 
     ``td`` is the transcendence degree, ``dim`` the rank; the residue
     field has transcendence degree td - dim.
     """
 
-    td: int
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __new__(cls, td, dim):
+        if dim < 1:
             raise ConstraintError("valuation domain requires dim >= 1")
-        if self.dim > self.td:
+        if dim > td:
             raise ConstraintError("valuation domain requires dim <= td")
+        return tuple.__new__(cls, (td, dim))
 
 
-@dataclass(frozen=True)
-class Pullback:
+class Pullback(Record, namedtuple("Pullback", "ambient m subring outside", defaults=(None,))):
     """The pullback phi^-1(D) of D <= K = T/M along phi: T -> K.
 
     ``m`` is the height of the maximal ideal M of T; ``outside`` the top
@@ -436,50 +456,48 @@ class Pullback:
     an AF-domain.
     """
 
-    ambient: "AlgebraExpr"
-    m: int
-    subring: "AlgebraExpr"
-    outside: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_af_constructor(self.ambient):
+    def __new__(cls, ambient, m, subring, outside=None):
+        if not is_af_constructor(ambient):
             raise ConstraintError(
                 "pullback T must be an AF constructor (field, af, val or poly)"
             )
-        if not is_af_constructor(self.subring):
+        if not is_af_constructor(subring):
             raise ConstraintError(
                 "pullback D must be an AF constructor (field, af, val or poly)"
             )
-        td_t, dim_t = expr_td(self.ambient), expr_dim(self.ambient)
-        if self.m < 1:
+        td_t, dim_t = expr_td(ambient), expr_dim(ambient)
+        if m < 1:
             raise ConstraintError("pullback requires m >= 1")
-        if self.m > dim_t:
+        if m > dim_t:
             raise ConstraintError("m <= dim(T) violated")
-        td_k = td_t - self.m
-        if expr_td(self.subring) > td_k:
+        td_k = td_t - m
+        if expr_td(subring) > td_k:
             raise ConstraintError("t.d.(D) <= t.d.(K) violated")
-        if isinstance(self.ambient, Valuation):
-            if self.m != dim_t:
+        if isinstance(ambient, Valuation):
+            if m != dim_t:
                 raise ConstraintError(
                     "valuation T has a unique maximal ideal: m = dim(T) required"
                 )
-            forced = self.m - 1
-            if self.outside is None:
-                object.__setattr__(self, "outside", forced)
-            elif self.outside != forced:
+            forced = m - 1
+            if outside is None:
+                outside = forced
+            elif outside != forced:
                 raise ConstraintError(
                     "valuation T has chain spectrum: outside = m - 1 forced"
                 )
         else:
-            if self.outside is None:
+            if outside is None:
                 raise ConstraintError("outside required for non-valuation T")
-            if self.outside < self.m - 1:
+            if outside < m - 1:
                 raise ConstraintError("outside >= m - 1 violated")
-            if self.outside > dim_t:
+            if outside > dim_t:
                 raise ConstraintError("outside <= dim(T) violated")
+        return tuple.__new__(cls, (ambient, m, subring, outside))
 
 
-AlgebraExpr = Union[Field, AfDomain, PolyRing, Valuation, Pullback]
+AlgebraExpr = Field | AfDomain | PolyRing | Valuation | Pullback
 
 
 def is_af_constructor(expr: AlgebraExpr) -> bool:
@@ -647,7 +665,7 @@ def _finish(td, kinds, heights, residues, caps, blocks, pullback_data, source) -
     return summary
 
 
-def _gates(is_af: bool, pd: Optional[PullbackData]) -> tuple[str, ...]:
+def _gates(is_af: bool, pd: PullbackData | None) -> tuple[str, ...]:
     gates = [GATE_AF] if is_af else []
     if pd is not None:
         if pd.ambient_catenarian:

@@ -385,19 +385,33 @@ def test_text_dim_builds_no_witness(capsys, monkeypatch):
     assert run(capsys, "dim", tied, "af(2047,2047)") == (0, "2059 (Thm 2.8)\n", "")
 
 
-def test_import_builds_no_parser_and_parses_nothing():
+def _fresh_python(*args) -> str:
+    """stdout of a new interpreter run with ``args``, the package on its path."""
     path = [str(Path(krulldim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_import_builds_no_parser_and_parses_nothing():
     code = (
         "import sys; from krulldim import cli, parser; "
         "print(cli.build_arg_parser.cache_info().currsize, "
         "parser.parse_expr.cache_info().currsize, 'argparse' in sys.modules)"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    assert _fresh_python("-c", code).split() == ["0", "0", "False"]
+
+
+def test_import_loads_no_dataclasses_inspect_typing_or_argparse():
+    # -S, since site may load typing for an installed package's .pth file.
+    code = (
+        "import sys, krulldim, krulldim.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "0", "False"]
+    assert _fresh_python("-S", "-c", code) == "[]\n"
 
 
 def test_round_trip_of_printed_expression(capsys):

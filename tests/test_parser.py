@@ -1,10 +1,8 @@
 """Expression grammar: parsing, validation and round trips."""
-from dataclasses import fields
-
 import pytest
 
 from krulldim.errors import ConstraintError, ParseError
-from krulldim.parser import GRAMMAR, MAX_NESTING, parse_expr, to_source
+from krulldim.parser import GRAMMAR, MAX_NESTING, REQUIRED, parse_expr, to_source
 from krulldim.spectra import (
     MAX_DIGITS,
     SUMMARY_CACHE_SIZE,
@@ -146,10 +144,22 @@ ROUND_TRIP = [
 ]
 
 
+# Each form's defaults, by argument; REQUIRED marks one that must be given.
+DEFAULTS = {
+    "field": [REQUIRED],
+    "af": [REQUIRED, REQUIRED, True],
+    "poly": [REQUIRED, REQUIRED],
+    "val": [REQUIRED, REQUIRED],
+    "pullback": [REQUIRED, REQUIRED, REQUIRED, None],
+}
+
+
 @pytest.mark.parametrize("name", GRAMMAR)
 def test_grammar_has_one_argument_per_class_field_with_its_default(name):
     cls, args = GRAMMAR[name]
-    assert [default for _, _, default in args] == [f.default for f in fields(cls)]
+    defaults = [default for _, _, default in args]
+    assert defaults == [cls._field_defaults.get(f, REQUIRED) for f in cls._fields]
+    assert defaults == DEFAULTS[name]
 
 
 @pytest.mark.parametrize("expr", ROUND_TRIP, ids=to_source)

@@ -1,6 +1,4 @@
 """Constructor validation and spectrum compilation."""
-import dataclasses
-
 import pytest
 
 from krulldim.errors import ConsistencyError, ConstraintError
@@ -143,7 +141,7 @@ class TestCheckSummary:
         s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
         outside, product, inside = s.blocks
         assert (product.lower, product.upper) == (range(2), range(2, 3))
-        return dataclasses.replace(s, blocks=(outside, block, inside))
+        return s._replace(blocks=(outside, block, inside))
 
     def test_compiled_summary_passes(self):
         _check_summary(summarize(AfDomain(2, 2)))
@@ -158,13 +156,13 @@ class TestCheckSummary:
         s = summarize(AfDomain(2, 2))
         again = PairBlock(range(1, 2), range(1, 2), 0, True)
         with pytest.raises(ConsistencyError, match="reflexive"):
-            _check_summary(dataclasses.replace(s, blocks=s.blocks + (again,)))
+            _check_summary(s._replace(blocks=s.blocks + (again,)))
 
     def test_reflexive_pairs_need_cap_0(self):
         s = summarize(AfDomain(2, 2))
         capped = PairBlock(range(3), range(3), 1, True)
         with pytest.raises(ConsistencyError, match="reflexive"):
-            _check_summary(dataclasses.replace(s, blocks=(capped,)))
+            _check_summary(s._replace(blocks=(capped,)))
 
     @pytest.mark.parametrize(
         "block",
@@ -181,7 +179,7 @@ class TestCheckSummary:
         # the blocks in reverse storage order and would read them unfinished.
         s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
         outside, product, inside = s.blocks
-        reordered = dataclasses.replace(s, blocks=(product, outside, inside))
+        reordered = s._replace(blocks=(product, outside, inside))
         with pytest.raises(ConsistencyError, match="raises positions that .* stored after it"):
             _check_summary(reordered)
 
@@ -189,8 +187,7 @@ class TestCheckSummary:
         # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
         # ideal does not lie under; the chain oracle, which walks (0, 0)
         # last and returns its tail, would end at the wrong anchor.
-        s = dataclasses.replace(
-            summarize(AfDomain(2, 2)),
+        s = summarize(AfDomain(2, 2))._replace(
             heights=(0, 1, 0),
             residues=(2, 1, 2),
             blocks=(
@@ -209,7 +206,7 @@ class TestCheckSummary:
 
     def test_cap_only_over_m(self):
         # A stratum outside M with a cap > 0 could not be held fixed by the chain oracle.
-        s = dataclasses.replace(summarize(AfDomain(2, 2)), caps=(0, 1, 0))
+        s = summarize(AfDomain(2, 2))._replace(caps=(0, 1, 0))
         with pytest.raises(ConsistencyError, match="cap > 0 outside M at h1"):
             _check_summary(s)
 
