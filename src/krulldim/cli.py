@@ -13,11 +13,10 @@ Exit codes: 0 success, 1 check failure, 2 parse or constraint error.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from types import SimpleNamespace
 
-from . import checks, formulas
+from . import formulas
 from .errors import KrulldimError
 from .formulas import DimReport, dim_tensor
 from .parser import parse_expr, to_source
@@ -143,6 +142,13 @@ def read_argv(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
+def _dumps(payload) -> str:
+    """``payload`` as JSON; ``json`` is imported here, at the first output that needs it."""
+    import json
+
+    return json.dumps(payload)
+
+
 def _dim_json(report: DimReport) -> dict:
     return {
         "value": report.value,
@@ -214,7 +220,7 @@ def _print_spectrum_text(summary: SpectrumSummary) -> None:
 def _run_dim(args) -> int:
     report = dim_tensor(parse_expr(args.a), parse_expr(args.b))
     if args.json:
-        print(json.dumps(_dim_json(report)))
+        print(_dumps(_dim_json(report)))
     else:
         print(f"{report.value} ({_display_theorem(report.theorem)})")
     return 0
@@ -233,9 +239,7 @@ def _run_ht(args) -> int:
         rule = "special-chain"
         value = formulas.sct_height_af(sa, sb, p, q, delta)
     if args.json:
-        print(
-            json.dumps({"value": value, "p": p.label, "q": q.label, "delta": delta, "rule": rule})
-        )
+        print(_dumps({"value": value, "p": p.label, "q": q.label, "delta": delta, "rule": rule}))
     else:
         print(value)
     return 0
@@ -244,7 +248,7 @@ def _run_ht(args) -> int:
 def _run_spectrum(args) -> int:
     summary = summarize(parse_expr(args.a))
     if args.json:
-        print(json.dumps(_spectrum_json(summary)))
+        print(_dumps(_spectrum_json(summary)))
     else:
         _print_spectrum_text(summary)
     return 0
@@ -254,10 +258,12 @@ def _run_check(args) -> int:
     grid_max = args.grid_max
     if grid_max is not None:
         grid_max = read_natural(grid_max, f"--grid-max {grid_max!r}")
-    report = checks.run_suite(args.suite, grid_max)
+    from .checks import run_suite
+
+    report = run_suite(args.suite, grid_max)
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "suite": report.suite,
                     "cases": report.cases,
@@ -287,7 +293,7 @@ def _run_explain(args) -> int:
         payload = _dim_json(report)
         payload["path"] = path
         payload["refusals"] = list(report.refusals)
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return 0
     print(f"dim(A (x) B) = {report.value} via {_display_theorem(report.theorem)}")
     for line in path[:2]:

@@ -405,13 +405,66 @@ def test_import_builds_no_parser_and_parses_nothing():
     assert _fresh_python("-c", code).split() == ["0", "0", "False"]
 
 
-def test_import_loads_no_dataclasses_inspect_typing_or_argparse():
+# Loaded only by the requests that use them: json by --json output, the
+# check suites and the oracle by ``check``.
+DEFERRED = ("json", "krulldim.checks", "krulldim.oracle")
+
+
+def test_import_loads_no_json_checks_oracle_dataclasses_inspect_typing_or_argparse():
     # -S, since site may load typing for an installed package's .pth file.
-    code = (
-        "import sys, krulldim, krulldim.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse'} & set(sys.modules)))"
-    )
+    modules = {"dataclasses", "inspect", "typing", "argparse", *DEFERRED}
+    code = f"import sys, krulldim, krulldim.cli; print(sorted({modules!r} & set(sys.modules)))"
     assert _fresh_python("-S", "-c", code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["dim", KM, "af(1,1)"], []),
+        (HT_AF, []),
+        (["dim", KM, "af(1,1)", "--json"], ["json"]),
+        (["check", "sharp-grid"], ["krulldim.checks", "krulldim.oracle"]),
+    ],
+    ids=["dim", "ht", "dim-json", "check"],
+)
+def test_a_request_loads_json_checks_and_oracle_only_if_it_uses_them(capsys, argv, loads):
+    code = (
+        "import sys; from krulldim import cli; code = cli.main(sys.argv[1:]); "
+        f"print(sorted(set({DEFERRED!r}) & set(sys.modules))); sys.exit(code)"
+    )
+    *printed, loaded = _fresh_python("-S", "-c", code, *argv).splitlines(keepends=True)
+    assert loaded == f"{loads}\n"
+    # The same bytes as the same request in this process, which has them all loaded.
+    assert "".join(printed) == run(capsys, *argv)[1]
+
+
+# The package names that resolve from their submodule on first use.
+LAZY_NAMES = {
+    "CheckReport": "checks",
+    "catalog": "checks",
+    "run_suite": "checks",
+    "suite_names": "checks",
+    "AnchoredChain": "oracle",
+    "brewer_poly_dim": "oracle",
+    "chain_enumerate": "oracle",
+    "ext_field_dim": "oracle",
+    "iter_chains": "oracle",
+}
+
+
+@pytest.mark.parametrize("name, module", LAZY_NAMES.items(), ids=list(LAZY_NAMES))
+def test_a_lazy_package_name_is_its_modules_object(name, module):
+    code = (
+        f"import krulldim; print({name!r} in vars(krulldim)); "
+        f"from krulldim import {name}; from krulldim.{module} import {name} as own; "
+        f"print({name} is krulldim.{name} is own is vars(krulldim)[{name!r}])"
+    )
+    assert _fresh_python("-S", "-c", code) == "False\nTrue\n"
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'krulldim' has no attribute 'no_such_name'$"):
+        krulldim.no_such_name
 
 
 def test_round_trip_of_printed_expression(capsys):
