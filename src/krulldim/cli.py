@@ -143,10 +143,36 @@ def read_argv(argv) -> SimpleNamespace | None:
 
 
 def _dumps(payload) -> str:
-    """``payload`` as JSON; ``json`` is imported here, at the first output that needs it."""
-    import json
+    """``payload`` as ``json.dumps(payload)`` writes it."""
+    return "".join(_json_encoder()(payload, 0))
 
-    return json.dumps(payload)
+
+@functools.cache
+def _json_encoder():
+    """The C encoder ``json.dumps`` runs, with the arguments its defaults give.
+
+    The ``json`` package loads ``re`` and ``enum``, ~5 ms of import for a
+    one-shot request, so its accelerator module is imported instead, here
+    at the first output that needs it.  No payload holds a cycle, so no
+    markers are kept to detect one.
+    """
+    from _json import encode_basestring_ascii, make_encoder
+
+    return make_encoder(
+        markers=None,
+        default=_unserializable,
+        encoder=encode_basestring_ascii,
+        indent=None,
+        key_separator=": ",
+        item_separator=", ",
+        sort_keys=False,
+        skipkeys=False,
+        allow_nan=True,
+    )
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _dim_json(report: DimReport) -> dict:

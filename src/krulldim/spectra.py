@@ -678,7 +678,15 @@ def _gates(is_af: bool, pd: PullbackData | None) -> tuple[str, ...]:
 
 
 def _check_summary(summary: SpectrumSummary) -> None:
-    """Internal coherence guards; violations are bugs, not user errors."""
+    """Internal coherence guards; violations are bugs, not user errors.
+
+    The layout (``heights`` and the blocks' ranges) is checked once per
+    distinct layout, by ``_layout_fault``; the values on every call.
+    """
+    fault = _layout_fault(summary.heights, *[block[:2] for block in summary.blocks])
+    if fault:
+        raise ConsistencyError(fault.format(*summary.blocks))
+
     heights = summary.heights
     if (heights[0], summary.residues[0], summary.caps[0]) != (0, summary.td, 0):
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
@@ -693,30 +701,11 @@ def _check_summary(summary: SpectrumSummary) -> None:
         # stratum fixed.
         if c > 0 and kind != KIND_CONTAINS:
             raise ConsistencyError(f"cap > 0 outside M at {summary.labels[i]}")
-
-    chains = [block.lower for block in summary.blocks if block.lower == block.upper]
-    if list(chain.from_iterable(chains)) != list(range(len(heights))):
-        raise ConsistencyError("chain blocks must hold each reflexive pair once, by position")
     for block in summary.blocks:
         if block.cap < 0:
             raise ConsistencyError(f"negative quotient cap in {block}")
         if block.lower == block.upper and block.cap:
             raise ConsistencyError(f"reflexive pairs of {block} need quotient cap 0")
-        # Distinct comparable primes differ in height, which the chain
-        # oracle's bottom-up order relies on; the pair rule i <= j needs
-        # the positions to rise as well.
-        run = block.lower if block.lower == block.upper else chain(block.lower, block.upper)
-        if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
-            raise ConsistencyError(f"positions and heights do not rise strictly in {block}")
-    # The chain oracle takes a row's advances block by block in reverse
-    # storage order, reading each block's upper positions and raising its
-    # lower ones; each block then reads finished values only if no block
-    # stored before it raises a position it reads.  So the span of each
-    # block's lower range must miss the upper range of every later block.
-    for block, later in combinations(summary.blocks, 2):
-        lower, upper = block.lower, later.upper
-        if lower and upper and lower[0] <= upper[-1] and upper[0] <= lower[-1]:
-            raise ConsistencyError(f"{block} raises positions that {later}, stored after it, reads")
 
     # The zero ideal lies under every prime, and A/(0) is A, so each pair
     # (0, j) is certified with stratum j's own cap; stratum 0 is then the
@@ -731,6 +720,36 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError(
                 f"{summary.labels[j]} must lie over the zero ideal by a pair of cap {c}"
             )
+
+
+# Keyed by exactly what it reads, and not by caps, which differ between
+# almost all pullbacks: few layouts recur across many compiled models.
+@lru_cache(maxsize=SUMMARY_CACHE_SIZE)
+def _layout_fault(heights: tuple[int, ...], *spans: tuple) -> str | None:
+    """The first fault in a model's layout, or None.
+
+    ``spans`` holds each block's ``(lower, upper)`` ranges in storage
+    order.  A fault is a message in which ``{k}`` stands for block k.
+    """
+    chains = [lower for lower, upper in spans if lower == upper]
+    if list(chain.from_iterable(chains)) != list(range(len(heights))):
+        return "chain blocks must hold each reflexive pair once, by position"
+    for k, (lower, upper) in enumerate(spans):
+        # Distinct comparable primes differ in height, which the chain
+        # oracle's bottom-up order relies on; the pair rule i <= j needs
+        # the positions to rise as well.
+        run = lower if lower == upper else chain(lower, upper)
+        if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
+            return f"positions and heights do not rise strictly in {{{k}}}"
+    # The chain oracle takes a row's advances block by block in reverse
+    # storage order, reading each block's upper positions and raising its
+    # lower ones; each block then reads finished values only if no block
+    # stored before it raises a position it reads.  So the span of each
+    # block's lower range must miss the upper range of every later block.
+    for (k, (lower, _)), (later, (_, upper)) in combinations(enumerate(spans), 2):
+        if lower and upper and lower[0] <= upper[-1] and upper[0] <= lower[-1]:
+            return f"{{{k}}} raises positions that {{{later}}}, stored after it, reads"
+    return None
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:

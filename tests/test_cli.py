@@ -405,14 +405,18 @@ def test_import_builds_no_parser_and_parses_nothing():
     assert _fresh_python("-c", code).split() == ["0", "0", "False"]
 
 
-# Loaded only by the requests that use them: json by --json output, the
-# check suites and the oracle by ``check``.
-DEFERRED = ("json", "krulldim.checks", "krulldim.oracle")
+# Loaded only by the requests that use them: the check suites and the
+# oracle by ``check``.
+DEFERRED = ("krulldim.checks", "krulldim.oracle")
+# Loaded by no request: --json output is written without the json
+# package, which imports re, and re imports enum.
+NEVER = ("json", "re", "enum")
 
 
 def test_import_loads_no_json_checks_oracle_dataclasses_inspect_typing_or_argparse():
-    # -S, since site may load typing for an installed package's .pth file.
-    modules = {"dataclasses", "inspect", "typing", "argparse", *DEFERRED}
+    # -S, since site may load typing, re and enum for an installed
+    # package's .pth file.
+    modules = {"dataclasses", "inspect", "typing", "argparse", *DEFERRED, *NEVER}
     code = f"import sys, krulldim, krulldim.cli; print(sorted({modules!r} & set(sys.modules)))"
     assert _fresh_python("-S", "-c", code) == "[]\n"
 
@@ -422,7 +426,7 @@ def test_import_loads_no_json_checks_oracle_dataclasses_inspect_typing_or_argpar
     [
         (["dim", KM, "af(1,1)"], []),
         (HT_AF, []),
-        (["dim", KM, "af(1,1)", "--json"], ["json"]),
+        (["dim", KM, "af(1,1)", "--json"], []),
         (["check", "sharp-grid"], ["krulldim.checks", "krulldim.oracle"]),
     ],
     ids=["dim", "ht", "dim-json", "check"],
@@ -430,12 +434,36 @@ def test_import_loads_no_json_checks_oracle_dataclasses_inspect_typing_or_argpar
 def test_a_request_loads_json_checks_and_oracle_only_if_it_uses_them(capsys, argv, loads):
     code = (
         "import sys; from krulldim import cli; code = cli.main(sys.argv[1:]); "
-        f"print(sorted(set({DEFERRED!r}) & set(sys.modules))); sys.exit(code)"
+        f"print(sorted(set({DEFERRED + NEVER!r}) & set(sys.modules))); sys.exit(code)"
     )
     *printed, loaded = _fresh_python("-S", "-c", code, *argv).splitlines(keepends=True)
     assert loaded == f"{loads}\n"
     # The same bytes as the same request in this process, which has them all loaded.
     assert "".join(printed) == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"value": 3, "gates": ["A:AF"], "flag": True, "none": None, "off": False, "empty": {}},
+        [(), [], ("a", 1), -12, 10**30],
+        "quote \" backslash \\ controls \n\t\x00\x1f\x7f del é ∞ 😀",
+    ],
+    ids=["dict", "sequences", "escapes"],
+)
+def test_json_output_is_what_json_dumps_writes(payload):
+    assert cli._dumps(payload) == json.dumps(payload)
+
+
+def test_json_output_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._dumps({"value": {1, 2}})
+
+
+def test_check_json_output_reads_back_to_the_same_text(capsys):
+    code, out, _ = run(capsys, "check", "sharp-grid", "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 # The package names that resolve from their submodule on first use.

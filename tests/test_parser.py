@@ -171,6 +171,7 @@ def test_round_trip(expr):
 # reports.  A constraint error has no position: its text names the span.
 _P = "pullback(T=val(2,1),"
 _LONG = "1" * (MAX_DIGITS + 1)
+_DEEP = "poly( " * MAX_NESTING + "field(1)" + ",0)" * MAX_NESTING
 ERROR_TEXT = [
     ("", ParseError, "syntax error at 0: expected a name", 0),
     ("   ", ParseError, "syntax error at 3: expected a name", 3),
@@ -245,64 +246,47 @@ ERROR_TEXT = [
         "valuation T has chain spectrum: outside = m - 1 forced (in expression at 0..45)",
         None,
     ),
+    # Where a token ends and how far a failed read got: keyword prefixes,
+    # letter and digit runs, non-ASCII digits and letters, and the blanks
+    # ``str.isspace`` accepts.
+    ("pullback(Tx=val(2,1),m=1,D=field(0))", ParseError, "syntax error at 10: found 'x' (expected '=')", 10),
+    (_P + "mm=1,D=field(0))", ParseError, "syntax error at 21: found 'm' (expected '=')", 21),
+    (_P + "m=1,Dx=field(0))", ParseError, "syntax error at 25: found 'x' (expected '=')", 25),
+    (_P + "m=1,D=field(0),outsidex=0)", ParseError, "syntax error at 42: found 'x' (expected '=')", 42),
+    ("af(1,1,catx=true)", ParseError, "syntax error at 10: found 'x' (expected '=')", 10),
+    ("af(1,1,cat=truex)", ParseError, "syntax error at 11: found 'truex' (expected 'true' or 'false')", 11),
+    ("af(1,1,cat=true1)", ParseError, "syntax error at 15: found '1' (expected ')')", 15),
+    ("af(1,1,cat=false,)", ParseError, "syntax error at 16: found ',' (expected ')')", 16),
+    ("af12(1,1)", ParseError, "syntax error at 2: found '1' (expected '(')", 2),
+    ("field1(2)", ParseError, "syntax error at 5: found '1' (expected '(')", 5),
+    ("af(1,2x)", ParseError, "syntax error at 6: found 'x' (expected ')')", 6),
+    ("af(12x,1)", ParseError, "syntax error at 5: found 'x' (expected ',')", 5),
+    (_P + "m=1,D=field(0),outside=0x)", ParseError, "syntax error at 44: found 'x' (expected ')')", 44),
+    ("field(0x10)", ParseError, "syntax error at 7: found 'x' (expected ')')", 7),
+    ("poly(field(1),2x)", ParseError, "syntax error at 15: found 'x' (expected ')')", 15),
+    ("field(٣)", ParseError, "syntax error at 6: found '٣' (expected a number)", 6),
+    ("af(1,１)", ParseError, "syntax error at 5: found '１' (expected a number)", 5),
+    ("ｆield(1)", ParseError, "syntax error at 0: found 'ｆield' (expected field, af, poly, val or pullback)", 0),
+    ("fieldé(1)", ParseError, "syntax error at 0: found 'fieldé' (expected field, af, poly, val or pullback)", 0),
+    ("af(1,1,cat=trué)", ParseError, "syntax error at 11: found 'trué' (expected 'true' or 'false')", 11),
+    ("af(1,\x1c1\x1c", ParseError, "syntax error at 8: found 'end of input' (expected ')')", 8),
+    ("　field(1)　junk", ParseError, "syntax error at 10: trailing input 'junk'", 10),
+    ("field(1)\t)", ParseError, "syntax error at 9: trailing input ')'", 9),
+    ("af(1\t1)", ParseError, "syntax error at 5: found '1' (expected ',')", 5),
+    (" \x1c　\t", ParseError, "syntax error at 4: expected a name", 4),
+    ("\t", ParseError, "syntax error at 1: expected a name", 1),
+    ("af(1,1,cat=　maybe)", ParseError, "syntax error at 11: found 'maybe' (expected 'true' or 'false')", 11),
+    ("poly(　x,1)", ParseError, "syntax error at 5: found 'x' (expected field, af, poly, val or pullback)", 5),
+    pytest.param(_DEEP, ParseError, f"syntax error at 1199: expression nests deeper than {MAX_NESTING} levels", 1199, id="nesting-after-blanks"),
+    ("poly( poly( af(1,2) , 1 ) , 1 )", ConstraintError, "AF-domain requires 0 <= dim <= td (in expression at 11..19)", None),
+    ("pullback( T = val( 2 , 1 ) , m = 1 , D = field( 0 ) , outside = 1 )", ConstraintError, "valuation T has chain spectrum: outside = m - 1 forced (in expression at 0..67)", None),
+    ("poly(　poly(\taf(1,2)\x1c,1),1)", ConstraintError, "AF-domain requires 0 <= dim <= td (in expression at 11..19)", None),
+    (" poly(　af(1,2)\t,1)", ConstraintError, "AF-domain requires 0 <= dim <= td (in expression at 6..14)", None),
 ]
 
 
 @pytest.mark.parametrize("text, kind, message, position", ERROR_TEXT)
 def test_error_text(text, kind, message, position):
-    with pytest.raises(kind) as err:
-        parse_expr(text)
-    assert type(err.value) is kind
-    assert str(err.value) == message
-    assert getattr(err.value, "position", None) == position
-
-
-# Where a token ends and how far a failed read got, pinned with the exact
-# text and position of each error: keyword prefixes, letter and digit runs,
-# non-ASCII digits and letters, and the blanks ``str.isspace`` accepts.
-_DEEP = "poly( " * MAX_NESTING + "field(1)" + ",0)" * MAX_NESTING
-TOKEN_ERROR_TEXT = [
-    ("keyword-T-run", "pullback(Tx=val(2,1),m=1,D=field(0))", "syntax error at 10: found 'x' (expected '=')", 10),
-    ("keyword-m-run", _P + "mm=1,D=field(0))", "syntax error at 21: found 'm' (expected '=')", 21),
-    ("keyword-D-run", _P + "m=1,Dx=field(0))", "syntax error at 25: found 'x' (expected '=')", 25),
-    ("keyword-outside-run", _P + "m=1,D=field(0),outsidex=0)", "syntax error at 42: found 'x' (expected '=')", 42),
-    ("keyword-cat-run", "af(1,1,catx=true)", "syntax error at 10: found 'x' (expected '=')", 10),
-    ("bool-letter-run", "af(1,1,cat=truex)", "syntax error at 11: found 'truex' (expected 'true' or 'false')", 11),
-    ("bool-digit-run", "af(1,1,cat=true1)", "syntax error at 15: found '1' (expected ')')", 15),
-    ("bool-then-comma", "af(1,1,cat=false,)", "syntax error at 16: found ',' (expected ')')", 16),
-    ("head-digit-run", "af12(1,1)", "syntax error at 2: found '1' (expected '(')", 2),
-    ("field-digit-run", "field1(2)", "syntax error at 5: found '1' (expected '(')", 5),
-    ("nat-letter-run-last", "af(1,2x)", "syntax error at 6: found 'x' (expected ')')", 6),
-    ("nat-letter-run-required-next", "af(12x,1)", "syntax error at 5: found 'x' (expected ',')", 5),
-    ("nat-letter-run-default-next", _P + "m=1,D=field(0),outside=0x)", "syntax error at 44: found 'x' (expected ')')", 44),
-    ("nat-hex", "field(0x10)", "syntax error at 7: found 'x' (expected ')')", 7),
-    ("poly-nat-letter-run", "poly(field(1),2x)", "syntax error at 15: found 'x' (expected ')')", 15),
-    ("arabic-indic-digit", "field(٣)", "syntax error at 6: found '٣' (expected a number)", 6),
-    ("fullwidth-digit", "af(1,１)", "syntax error at 5: found '１' (expected a number)", 5),
-    ("fullwidth-letter", "ｆield(1)", "syntax error at 0: found 'ｆield' (expected field, af, poly, val or pullback)", 0),
-    ("accented-head", "fieldé(1)", "syntax error at 0: found 'fieldé' (expected field, af, poly, val or pullback)", 0),
-    ("accented-bool", "af(1,1,cat=trué)", "syntax error at 11: found 'trué' (expected 'true' or 'false')", 11),
-    ("separator-blanks-at-end", "af(1,\x1c1\x1c", "syntax error at 8: found 'end of input' (expected ')')", 8),
-    ("ideographic-blanks-trailing", "　field(1)　junk", "syntax error at 10: trailing input 'junk'", 10),
-    ("tab-before-trailing", "field(1)\t)", "syntax error at 9: trailing input ')'", 9),
-    ("tab-between-nats", "af(1\t1)", "syntax error at 5: found '1' (expected ',')", 5),
-    ("blank-only", " \x1c　\t", "syntax error at 4: expected a name", 4),
-    ("tab-only", "\t", "syntax error at 1: expected a name", 1),
-    ("blank-before-bool", "af(1,1,cat=　maybe)", "syntax error at 11: found 'maybe' (expected 'true' or 'false')", 11),
-    ("blank-before-head", "poly(　x,1)", "syntax error at 5: found 'x' (expected field, af, poly, val or pullback)", 5),
-    ("nesting-after-blanks", _DEEP, f"syntax error at 1199: expression nests deeper than {MAX_NESTING} levels", 1199),
-    ("span-with-spaces", "poly( poly( af(1,2) , 1 ) , 1 )", "AF-domain requires 0 <= dim <= td (in expression at 11..19)", None),
-    ("span-of-spaced-pullback", "pullback( T = val( 2 , 1 ) , m = 1 , D = field( 0 ) , outside = 1 )", "valuation T has chain spectrum: outside = m - 1 forced (in expression at 0..67)", None),
-    ("nested-span-with-unicode-blanks", "poly(　poly(\taf(1,2)\x1c,1),1)", "AF-domain requires 0 <= dim <= td (in expression at 11..19)", None),
-    ("span-with-unicode-blanks", " poly(　af(1,2)\t,1)", "AF-domain requires 0 <= dim <= td (in expression at 6..14)", None),
-]
-
-
-@pytest.mark.parametrize(
-    "text, message, position", [case[1:] for case in TOKEN_ERROR_TEXT], ids=[case[0] for case in TOKEN_ERROR_TEXT]
-)
-def test_token_error_text(text, message, position):
-    kind = ParseError if position is not None else ConstraintError
     with pytest.raises(kind) as err:
         parse_expr(text)
     assert type(err.value) is kind

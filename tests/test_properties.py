@@ -1,4 +1,7 @@
 """Property-based tests for model invariants and formula agreements."""
+import re
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -315,3 +318,16 @@ class TestFormulaAgreements:
 @given(expr=st.one_of(af_exprs(), pullback_exprs()))
 def test_parse_round_trip(expr):
     assert parse_expr(to_source(expr)) == expr
+
+
+# Every character str.isspace accepts.
+BLANKS = "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
+
+
+@given(expr=st.one_of(af_exprs(), pullback_exprs()), data=st.data())
+def test_blanks_between_tokens_parse_back(expr, data):
+    tokens = re.findall(r"[(),=]|[^(),=]+", to_source(expr))
+    runs = st.text(st.sampled_from(BLANKS))
+    blanks = data.draw(st.lists(runs, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = "".join(b + t for b, t in zip(blanks, [*tokens, ""]))
+    assert parse_expr(text) == expr

@@ -13,6 +13,7 @@ from krulldim.spectra import (
     Pullback,
     Valuation,
     _check_summary,
+    _layout_fault,
     expr_catenarian,
     expr_dim,
     expr_td,
@@ -182,6 +183,30 @@ class TestCheckSummary:
         reordered = s._replace(blocks=(product, outside, inside))
         with pytest.raises(ConsistencyError, match="raises positions that .* stored after it"):
             _check_summary(reordered)
+
+    @pytest.mark.parametrize(
+        "order", [(1, 0, 2), (0, 2, 1)], ids=["product-before-chain", "chain-over-m-first"]
+    )
+    def test_layout_memo_keeps_refusing_a_reordered_model(self, order):
+        # The good layout is memoised by the compile; reordering its blocks
+        # keeps the heights but is a layout of its own, checked afresh.
+        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
+        _check_summary(s)
+        reordered = s._replace(blocks=tuple(s.blocks[k] for k in order))
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="stored after it"):
+                _check_summary(reordered)
+
+    def test_layout_memo_keeps_refusing_a_block_that_does_not_rise(self):
+        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
+        _check_summary(s)
+        outside, product, inside = s.blocks
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="rise strictly"):
+                _check_summary(s._replace(blocks=(outside, product._replace(upper=range(1, 3)), inside)))
+
+    def test_layout_memo_has_the_summary_cache_bound(self):
+        assert _layout_fault.cache_parameters()["maxsize"] == SUMMARY_CACHE_SIZE
 
     def test_second_height_0_stratum(self):
         # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
