@@ -13,18 +13,18 @@ k-algebras and is named after the label it reports:
 
 ``dim_tensor`` dispatches a pair of expressions to the strongest
 applicable formula and cross-checks every other formula that also
-applies.  Its report keeps, as positions, the strata and pairs that
-attain each maximum, and labels them as witnesses only when they are
-first read, so an answer that only needs its value builds none.  The
-two-sided formula for two pullbacks whose conductors have full height
-(``pullback_pair_dim``) is only ever such a cross-check.
+applies.  The maxima are taken in one plain pass per pair block of B,
+keeping no per-stratum lists; which strata and pairs attain them is
+worked out from the same expressions, and labelled as witnesses, only
+when the report's witnesses are first read, so an answer that only
+needs its value builds none.  The two-sided formula for two pullbacks
+whose conductors have full height (``pullback_pair_dim``) is only ever
+such a cross-check.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, partial
-from itertools import accumulate
-from operator import add
+from functools import cache, cached_property, partial
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
 from .spectra import (  # the gates are derived, and named, where a summary is compiled
@@ -110,20 +110,26 @@ def d_value(s: int, d: int, b: SpectrumSummary) -> int:
 
 
 def _d_value_max(s, d, b):
-    """The maximum of ``d_value`` and the positions of B's strata attaining it."""
+    """``(best, winners)``: the maximum of ``d_value``, and a function that
+    lists the positions of B's strata attaining it when witnesses are read."""
     if d > s:
         raise ConstraintError("d_value requires d <= s")
-    best, winners = -1, []
+    best = -1
     caps, residues = b.caps, b.residues
     for q, h in enumerate(b.heights):
         # min() spelled out: this loop runs on every dim query.
         c, r = caps[q], d + residues[q]
         v = h + (c if c < s else s) + (r if r < s else s)
         if v > best:
-            best, winners = v, [q]
-        elif v == best:
-            winners.append(q)
-    return best, winners
+            best = v
+    return best, partial(_d_value_winners, s, d, b, best)
+
+
+def _d_value_winners(s, d, b, best):
+    return [
+        q for q, (h, c, r) in enumerate(zip(b.heights, b.caps, b.residues))
+        if h + min(c, s) + min(d + r, s) == best
+    ]
 
 
 def af_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
@@ -231,6 +237,7 @@ def lambda_bound(
     """
     _check_membership(a, p, "A")
     _check_membership(b, q, "B")
+    _check_delta(p, q, delta)
     return a.td - p.residue_td + q.height + min(p.residue_td, q.cap) + delta
 
 
@@ -238,6 +245,8 @@ def composed_height_bound(
     a: SpectrumSummary, b: SpectrumSummary, p: Stratum, q: Stratum
 ) -> int:
     """Two-sided bound: both lambda prefixes plus the fiber dimension."""
+    _check_membership(a, p, "A")
+    _check_membership(b, q, "B")
     return (a.td - p.residue_td) + (b.td - q.residue_td) + fiber_dim(p, q)
 
 
@@ -257,36 +266,55 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     term1, term1_winners = _d_value_max(a.td, pd.outside, b)
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
     # block of cap c the pair's through-M value is f(q1) + g(q) +
-    # min(t.d.(D), c).  min() spelled out: this runs on every dim query.
+    # min(t.d.(D), c), with f and g as in the witness builder below; f's
+    # constant ht(M) is added once at the end.  One pass per block, with
+    # min() spelled out: this runs on every dim query.
     td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
-    f = [
-        pd.m + (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
-        for r, c in zip(b.residues, b.caps)
-    ]
-    g = [h + (td_d if td_d < dim_d + r else dim_d + r) for h, r in zip(b.heights, b.residues)]
-    through = []  # the best value of each block
-    for block in b.blocks:
-        lower, upper = block.lower, block.upper
-        f_lower, g_upper = f[lower.start:lower.stop], g[upper.start:upper.stop]
+    heights, residues, caps = b.heights, b.residues, b.caps
+    term2 = -1
+    for lower, upper, cap, _ in b.blocks:
+        f_max = g_max = -1
         if lower == upper:  # a chain: the best pair into q takes a prefix maximum of f
-            best = max(map(add, accumulate(f_lower, max), g_upper))
+            for q in lower:
+                c, r = caps[q], residues[q]
+                f = (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
+                if f > f_max:
+                    f_max = f
+                r += dim_d
+                g = f_max + heights[q] + (td_d if td_d < r else r)
+                if g > g_max:
+                    g_max = g
+            best = g_max
         else:  # every lower end lies below every upper end
-            best = max(f_lower) + max(g_upper)
-        through.append(best + min(td_d, block.cap))
-    term2 = max(through)
+            for q in lower:
+                c, r = caps[q], residues[q]
+                f = (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
+                if f > f_max:
+                    f_max = f
+            for q in upper:
+                r = dim_d + residues[q]
+                g = heights[q] + (td_d if td_d < r else r)
+                if g > g_max:
+                    g_max = g
+            best = f_max + g_max
+        best += cap if cap < td_d else td_d
+        if best > term2:
+            term2 = best
+    term2 += pd.m
 
-    value = max(term1, term2)
+    value = term1 if term1 > term2 else term2
 
     def witnesses(side="B"):
         if term1 == value:
             labels = b.labels
-            for q in term1_winners:
+            for q in term1_winners():
                 yield Witness(TERM_OUTSIDE, f"{side}:{labels[q]}", term1)
         if term2 == value:
-            # The tied pairs in pair_key order: by block, lower end, upper end.
-            for block, best in zip(b.blocks, through):
-                if best != term2:
-                    continue
+            f = [pd.m + min(c, td_a) + min(r, td_kd) for r, c in zip(residues, caps)]
+            g = [h + min(td_d, dim_d + r) for h, r in zip(heights, residues)]
+            # The tied pairs in pair_key order: by block, lower end, upper
+            # end.  A block whose best falls short of term2 has none.
+            for block in b.blocks:
                 tied = term2 - min(td_d, block.cap)
                 by_g: dict[int, list[int]] = {}
                 for q in block.upper:
@@ -297,11 +325,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
                             yield Witness(TERM_THROUGH, f"{side}:{b.pair_label(q1, q)}", term2)
 
     return DimReport(
-        value=value,
-        theorem=THEOREM_THM28,
-        term_breakdown=((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)),
-        build_witnesses=witnesses,
-        gates=gates,
+        value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
     )
 
 
@@ -344,13 +368,11 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
     if isinstance(a, Field) and isinstance(b, Field):
         value = sharp_dim(sa.td, sb.td)
         return DimReport(
-            value=value,
-            theorem=THEOREM_SHARP,
-            term_breakdown=(("td(A)", sa.td), ("td(B)", sb.td)),
-            build_witnesses=lambda: (
-                Witness("min-td", f"A:{sa.labels[0]}|B:{sb.labels[0]}", value),
-            ),
-            gates=("A:AF", "B:AF"),
+            value,
+            THEOREM_SHARP,
+            (("td(A)", sa.td), ("td(B)", sb.td)),
+            lambda: (Witness("min-td", f"A:{sa.labels[0]}|B:{sb.labels[0]}", value),),
+            ("A:AF", "B:AF"),
         )
 
     if sa.is_af and sb.is_af:
@@ -363,70 +385,78 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             )
 
         def witnesses():
-            for q in wit_ab:
+            for q in wit_ab():
                 yield Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab)
-            for p in wit_ba:
+            for p in wit_ba():
                 yield Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba)
 
         return DimReport(
-            value=value,
-            theorem=THEOREM_W38,
-            term_breakdown=(
-                ("dim(A)+td(B)", sa.dim + sb.td),
-                ("td(A)+dim(B)", sa.td + sb.dim),
-            ),
-            build_witnesses=witnesses,
-            gates=("A:AF", "B:AF"),
+            value,
+            THEOREM_W38,
+            (("dim(A)+td(B)", sa.dim + sb.td), ("td(A)+dim(B)", sa.td + sb.dim)),
+            witnesses,
+            ("A:AF", "B:AF"),
         )
 
     # At least one side is now a pullback that is not AF, so at most one
     # side is AF.  thm28_dim names its other operand B in every witness
-    # unless its witness builder is given another side.
-    reports, refusals, one_sided = [], [], []
-    for tag, x, other, y in (("A", sa, "B", sb), ("B", sb, "A", sa)):
+    # unless its witness builder is given another side.  The first report
+    # answers; every other formula that applies is a cross-check, kept as
+    # (formula, orientation, value) and formatted only if it fails.
+    report, refusals, checks, one_sided = None, [], [], None
+    for tag, x, y in (("A", sa, sb), ("B", sb, sa)):
         if x.pullback_data is not None:
             try:
-                reports.append((tag, thm28_dim(x, y)))
+                r = thm28_dim(x, y)
             except (ApplicabilityError, InexactPairError) as exc:
                 refusals.append(f"{tag}: {exc}")
+            else:
+                if report is None:
+                    answer, report = tag, r
+                else:
+                    checks.append(("conductor formula orientation", tag, r.value))
         if x.is_af:
-            one_sided.append((tag, other, y, *_d_value_max(x.td, x.dim, y)))
+            d_max, winners = _d_value_max(x.td, x.dim, y)
+            one_sided = (tag, y, d_max, winners)
+            checks.append(("one-sided AF formula", tag, d_max))
 
-    if not reports:
-        if not one_sided:
+    if report is None:
+        if one_sided is None:
             raise ApplicabilityError("no formula applies to this pair: " + "; ".join(refusals))
-        tag, other, y, value, winners = one_sided[0]
+        tag, y, value, winners = one_sided
+        other = "B" if tag == "A" else "A"
         return DimReport(
-            value=value,
-            theorem=THEOREM_W37,
-            term_breakdown=(("D-max", value),),
-            build_witnesses=lambda: (
-                Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners
-            ),
-            gates=(f"{tag}:{GATE_AF}",),
-            refusals=tuple(refusals),
+            value,
+            THEOREM_W37,
+            (("D-max", value),),
+            lambda: (Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners()),
+            (f"{tag}:{GATE_AF}",),
+            tuple(refusals),
         )
 
-    # (formula, orientation, value) of every cross-check; a message is
-    # formatted only for one that fails.
-    (tag, report), *others = reports
-    checks = [("conductor formula orientation", t, r.value) for t, r in others]
-    checks += [("one-sided AF formula", t, v) for t, _, _, v, _ in one_sided]
+    value = report.value
     pa, pb = sa.pullback_data, sb.pullback_data
     if pa is not None and pb is not None and pa.conductor_is_top and pb.conductor_is_top:
         checks.append(("two-sided pullback formula", "A, B", pullback_pair_dim(sa, sb)))
     for formula, t, v in checks:
-        if v != report.value:
+        if v != value:
             raise ConsistencyError(
-                f"{formula} ({t}) gives {v}, conductor formula ({tag}) {report.value}"
+                f"{formula} ({t}) gives {v}, conductor formula ({answer}) {value}"
             )
     return DimReport(
-        value=report.value,
-        theorem=THEOREM_THM28,
-        term_breakdown=report.term_breakdown,
-        build_witnesses=(
-            report.build_witnesses if tag == "A" else partial(report.build_witnesses, "A")
-        ),
-        gates=tuple(f"{t}:{g}" for t, s in (("A", sa), ("B", sb)) for g in s.gates),
-        refusals=tuple(refusals),
+        value,
+        THEOREM_THM28,
+        report.term_breakdown,
+        report.build_witnesses if answer == "A" else partial(report.build_witnesses, "A"),
+        _tagged_gates(sa.gates, sb.gates),
+        tuple(refusals),
     )
+
+
+@cache
+def _tagged_gates(gates_a: tuple[str, ...], gates_b: tuple[str, ...]) -> tuple[str, ...]:
+    """The gates of both sides, each prefixed with its side.
+
+    Kept per pair of gate tuples, of which a side has at most 16.
+    """
+    return tuple(f"A:{g}" for g in gates_a) + tuple(f"B:{g}" for g in gates_b)

@@ -1,8 +1,10 @@
 """Formula evaluators, applicability gates and dispatch."""
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from krulldim import cli, formulas
 from krulldim.checks import catalog, catalog_pullbacks
@@ -24,6 +26,7 @@ from krulldim.formulas import (
     THEOREM_W37,
     THEOREM_W38,
     DimReport,
+    Witness,
     af_pair_dim,
     composed_height_bound,
     d_value,
@@ -215,6 +218,13 @@ class TestLambdaBound:
         a, b = summarize(AfDomain(2, 1)), summarize(AfDomain(2, 2))
         assert lambda_bound(a, b, a.select("out:1"), b.select("out:2"), 0) == 3
 
+    def test_delta_out_of_range(self):
+        p, q = S_KM.strata[1], S_KX.strata[0]
+        assert lambda_bound(S_KM, S_KX, p, q, 0) == 2
+        for delta in (-1, 1, 99):
+            with pytest.raises(ConstraintError, match=f"0..fiber_dim = 0, got {delta}$"):
+                lambda_bound(S_KM, S_KX, p, q, delta)
+
     def test_composed_bound_dominates_heights(self):
         for p in S_KM.strata:
             for q in S_KM.strata:
@@ -226,8 +236,13 @@ class TestMembership:
 
     @pytest.mark.parametrize(
         "fn, a_expr",
-        [(thm28_ht, KM), (sct_height_af, AfDomain(2, 1)), (lambda_bound, KM)],
-        ids=["thm28_ht", "sct_height_af", "lambda_bound"],
+        [
+            (thm28_ht, KM),
+            (sct_height_af, AfDomain(2, 1)),
+            (lambda_bound, KM),
+            (lambda a, b, p, q, delta: composed_height_bound(a, b, p, q), KM),
+        ],
+        ids=["thm28_ht", "sct_height_af", "lambda_bound", "composed_height_bound"],
     )
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_stratum_of_an_equal_summary_is_refused(self, fn, a_expr, side):
@@ -293,6 +308,38 @@ NON_CATENARIAN = (
 )
 
 
+@st.composite
+def af_models(draw, td):
+    """An AF constructor of t.d. ``td``, flagged non-catenarian at random."""
+    dim = draw(st.integers(0, td))
+    kind = draw(st.sampled_from(["field", "af", "val", "poly"]))
+    if kind == "field" or dim == 0:
+        return Field(td)
+    if kind == "val":
+        return Valuation(td, dim)
+    catenarian = draw(st.booleans())
+    if kind == "poly":
+        n = draw(st.integers(0, dim))
+        return PolyRing(AfDomain(td - n, dim - n, catenarian), n)
+    return AfDomain(td, dim, catenarian)
+
+
+@st.composite
+def pullbacks(draw, td_kd=None):
+    """A pullback with t.d.(K:D) = ``td_kd`` if given; it may pass no gate."""
+    m = draw(st.integers(1, 3))
+    td_d = draw(st.integers(0, 3))
+    if td_kd is None:
+        td_kd = draw(st.integers(0, 4))
+    td_t = m + td_d + td_kd
+    subring = draw(af_models(td_d))
+    if draw(st.booleans()):
+        return Pullback(Valuation(td_t, m), m, subring)
+    dim_t = draw(st.integers(m, td_t))
+    outside = draw(st.integers(m - 1, dim_t))
+    return Pullback(AfDomain(td_t, dim_t, draw(st.booleans())), m, subring, outside)
+
+
 def _thm28_dim_over_pairs(a, b):
     """thm28_dim evaluated pair by pair over the ``pairs`` view of B.
 
@@ -344,6 +391,33 @@ class TestBlockEvaluation:
             through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
             assert (report.value, report.term_breakdown, through) == want, (a.source, b.source)
         assert refused == len(NON_CATENARIAN) * len(gated)
+
+    @pytest.mark.parametrize("b_kind", ["af", "cap-below-td-d", "cap-above-td-d"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_thm28_dim_matches_the_pairs_view_on_generated_models(self, b_kind, data):
+        """B is AF, or a pullback whose product block's cap t.d.(K:D) lies
+        below or above A's t.d.(D); T and D of either side may be
+        non-catenarian, so B may be refused."""
+        a = summarize(data.draw(pullbacks()))
+        assume(a.gates)
+        td_d = a.pullback_data.td_d
+        if b_kind == "af":
+            b = summarize(data.draw(af_models(data.draw(st.integers(0, 5)))))
+        elif b_kind == "cap-below-td-d":
+            assume(td_d > 0)
+            b = summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(0, td_d - 1)))))
+        else:
+            b = summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(td_d + 1, td_d + 3)))))
+        want = _thm28_dim_over_pairs(a, b)
+        if isinstance(want, str):
+            with pytest.raises(InexactPairError) as err:
+                thm28_dim(a, b)
+            assert str(err.value) == want
+            return
+        report = thm28_dim(a, b)
+        through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
+        assert (report.value, report.term_breakdown, through) == want
 
 
 class TestPullbackPair:
@@ -447,6 +521,17 @@ def _no_witness(*args):
     raise AssertionError("a Witness was built")
 
 
+def _attaining(term, af, side, other):
+    """Witnesses of D(t.d.(af), dim(af), other): each stratum of ``other``
+    attaining the maximum, in position order."""
+    s, d = af.td, af.dim
+    values = [q.height + min(q.cap, s) + min(d + q.residue_td, s) for q in other.strata]
+    best = max(values)
+    return tuple(
+        Witness(term, f"{side}:{q.label}", best) for q, v in zip(other.strata, values) if v == best
+    )
+
+
 class TestLazyWitnesses:
     """Witnesses are labelled when first read; answering the value builds none."""
 
@@ -470,6 +555,30 @@ class TestLazyWitnesses:
         assert (report.value, report.theorem) == (want.value, theorem)
         with pytest.raises(AssertionError, match="a Witness was built"):
             report.witnesses
+
+    def test_one_sided_witnesses_are_every_stratum_at_the_maximum(self):
+        operands = [*catalog().values(), *NON_CATENARIAN, UNGATED]
+        seen = Counter()
+        for x, y in product(operands, operands):
+            try:
+                report = dim_tensor(x, y)
+            except ApplicabilityError:
+                continue
+            sx, sy = summarize(x), summarize(y)
+            if report.theorem == THEOREM_W38:
+                want = _attaining("dim(A)+td(B)", sx, "B", sy)
+                want += _attaining("td(A)+dim(B)", sy, "A", sx)
+            elif report.theorem == THEOREM_W37 and report.gates == ("A:AF",):
+                want = _attaining("D-max", sx, "B", sy)
+            elif report.theorem == THEOREM_W37:
+                want = _attaining("D-max", sy, "A", sx)
+            else:
+                continue
+            seen[report.theorem] += 1
+            first = report.witnesses
+            assert first == want, (x, y)
+            assert report.witnesses is first
+        assert seen[THEOREM_W38] and seen[THEOREM_W37]
 
     def test_witnesses_match_explain_json(self, capsys):
         cat = catalog()
