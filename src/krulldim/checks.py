@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from itertools import product
 
 from . import formulas
-from .errors import ConstraintError, KrulldimError
+from .errors import ConsistencyError, ConstraintError, KrulldimError
 from .formulas import dim_tensor, fiber_dim, lambda_bound, thm28_ht
 from .oracle import brewer_poly_dim, chain_enumerate, ext_field_dim, iter_chains
 from .spectra import (
@@ -347,7 +347,9 @@ def run_suite(name: str, grid_max: int | None = None) -> CheckReport:
     """Run one named check suite (or ``all``) over its deterministic grid.
 
     ``grid_max`` sizes the grid suites and must lie in 0..MAX_GRID.
-    Under ``all`` each failure's inputs start with ``"<suite>: "``.
+    Under ``all`` each failure's inputs start with ``"<suite>: "``.  A
+    suite that raises ``ConsistencyError`` counts it as one failed case
+    and stops, and the suites after it still run.
     """
     if grid_max is not None and not 0 <= grid_max <= MAX_GRID:
         raise ConstraintError(f"grid_max must lie in 0..{MAX_GRID}, got {grid_max}")
@@ -359,8 +361,14 @@ def run_suite(name: str, grid_max: int | None = None) -> CheckReport:
         suite, default = _SUITES[sub]
         prefix = f"{sub}: " if name == "all" else ""
         rows = suite() if default is None else suite(default if grid_max is None else grid_max)
-        for inputs, expected, actual, passed in rows:
+        try:
+            for inputs, expected, actual, passed in rows:
+                cases += 1
+                if not passed:
+                    failures.append(CheckFailure(prefix + inputs, str(expected), str(actual)))
+        except ConsistencyError as exc:  # the suite stops; the others still run
             cases += 1
-            if not passed:
-                failures.append(CheckFailure(prefix + inputs, str(expected), str(actual)))
+            failures.append(
+                CheckFailure(prefix + "suite stopped", "every case run", f"ConsistencyError: {exc}")
+            )
     return CheckReport(name, cases, tuple(failures))

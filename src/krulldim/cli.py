@@ -17,7 +17,7 @@ import sys
 from types import SimpleNamespace
 
 from . import formulas
-from .errors import KrulldimError
+from .errors import ConsistencyError, KrulldimError
 from .formulas import DimReport, dim_tensor
 from .parser import parse_expr, to_source
 from .spectra import SpectrumSummary, read_natural, summarize
@@ -351,6 +351,9 @@ def main(argv=None) -> int:
         args = build_arg_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
+    except ConsistencyError as exc:  # a failed self-check: a bug, not a refusal
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KrulldimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

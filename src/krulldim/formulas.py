@@ -13,13 +13,18 @@ k-algebras and is named after the label it reports:
 
 ``dim_tensor`` dispatches a pair of expressions to the strongest
 applicable formula and cross-checks every other formula that also
-applies.  The maxima are taken in one plain pass per pair block of B,
-keeping no per-stratum lists; which strata and pairs attain them is
-worked out from the same expressions, and labelled as witnesses, only
-when the report's witnesses are first read, so an answer that only
-needs its value builds none.  The two-sided formula for two pullbacks
-whose conductors have full height (``pullback_pair_dim``) is only ever
-such a cross-check.
+applies.  Every maximum over the strata or comparable pairs of a model
+is read at the ends of its pair blocks: along a block's ranges residues
+and caps never rise and height + residue never falls, and a chain block
+has one cap, which ``spectra._check_summary`` holds each model to.  So
+``d_value``, ``thm28_dim``, ``thm28_ht`` and ``pullback_pair_dim`` read
+a few entries per block, however many strata the models have.  Which
+strata and pairs attain a maximum is worked out from the same
+expressions, over every stratum or pair, and labelled as witnesses,
+only when the report's witnesses are first read, so an answer that
+only needs its value builds none.  The two-sided formula for two
+pullbacks whose conductors have full height (``pullback_pair_dim``) is
+only ever such a cross-check.
 """
 from __future__ import annotations
 
@@ -105,27 +110,30 @@ def fiber_dim(p: Stratum, q: Stratum) -> int:
 
 
 def d_value(s: int, d: int, b: SpectrumSummary) -> int:
-    """max over q in Spec(B) of ht(q[s]) + min(s, d + t.d.(B/q))."""
-    return _d_value_max(s, d, b)[0]
+    """max over q in Spec(B) of ht(q[s]) + min(s, d + t.d.(B/q)).
 
-
-def _d_value_max(s, d, b):
-    """``(best, winners)``: the maximum of ``d_value``, and a function that
-    lists the positions of B's strata attaining it when witnesses are read."""
+    Along a chain block the cap is one value, height rises and height +
+    residue never falls (``_check_summary``), so the term never falls
+    either: its maximum is the largest value at a block's top position.
+    """
     if d > s:
         raise ConstraintError("d_value requires d <= s")
     best = -1
-    caps, residues = b.caps, b.residues
-    for q, h in enumerate(b.heights):
-        # min() spelled out: this loop runs on every dim query.
-        c, r = caps[q], d + residues[q]
-        v = h + (c if c < s else s) + (r if r < s else s)
-        if v > best:
-            best = v
-    return best, partial(_d_value_winners, s, d, b, best)
+    heights, residues, caps = b.heights, b.residues, b.caps
+    for block in b.blocks:
+        upper = block.upper
+        if upper:
+            # min() spelled out: this runs on every dim query.
+            q = upper[-1]
+            c, r = caps[q], d + residues[q]
+            v = heights[q] + (c if c < s else s) + (r if r < s else s)
+            if v > best:
+                best = v
+    return best
 
 
 def _d_value_winners(s, d, b, best):
+    """The positions of B's strata at which ``d_value``'s term equals ``best``."""
     return [
         q for q, (h, c, r) in enumerate(zip(b.heights, b.caps, b.residues))
         if h + min(c, s) + min(d + r, s) == best
@@ -207,12 +215,13 @@ def _through_max_at(pd, td_a, b, q):
     residues, caps = b.residues, b.caps
     best = -1
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so ht(q1)
-    # cancels and ht(q) is added once at the end.
-    for block in b.blocks:
-        if q in block.upper:
-            c = min(pd.td_d, block.cap)
-            for q1 in range(block.lower.start, min(q + 1, block.lower.stop)):
-                best = max(best, min(td_a, caps[q1]) + c + min(residues[q1], pd.td_kd))
+    # cancels and ht(q) is added once at the end.  What is left never
+    # rises along a block's lower range, whose bottom lies at or below q
+    # (``_check_summary``), so the bottom gives each block's best pair.
+    for lower, upper, cap, _ in b.blocks:
+        if lower and q in upper:
+            q1 = lower.start
+            best = max(best, min(td_a, caps[q1]) + min(pd.td_d, cap) + min(residues[q1], pd.td_kd))
     return b.heights[q] + best
 
 
@@ -263,43 +272,29 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     if pair is not None:
         raise _inexact_error(b, *pair, "tensor dimension formula")
 
-    term1, term1_winners = _d_value_max(a.td, pd.outside, b)
+    term1 = d_value(a.td, pd.outside, b)
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
     # block of cap c the pair's through-M value is f(q1) + g(q) +
     # min(t.d.(D), c), with f and g as in the witness builder below; f's
-    # constant ht(M) is added once at the end.  One pass per block, with
-    # min() spelled out: this runs on every dim query.
+    # constant ht(M) is added once at the end.  Along a block's ranges
+    # residues and caps never rise and height + residue never falls
+    # (``_check_summary``), so f never rises and g never falls, and every
+    # lower position lies below every upper one or is one of them: each
+    # block's best pair is (its bottom, its top).  min() spelled out:
+    # this runs on every dim query.
     td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
     heights, residues, caps = b.heights, b.residues, b.caps
     term2 = -1
     for lower, upper, cap, _ in b.blocks:
-        f_max = g_max = -1
-        if lower == upper:  # a chain: the best pair into q takes a prefix maximum of f
-            for q in lower:
-                c, r = caps[q], residues[q]
-                f = (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
-                if f > f_max:
-                    f_max = f
-                r += dim_d
-                g = f_max + heights[q] + (td_d if td_d < r else r)
-                if g > g_max:
-                    g_max = g
-            best = g_max
-        else:  # every lower end lies below every upper end
-            for q in lower:
-                c, r = caps[q], residues[q]
-                f = (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
-                if f > f_max:
-                    f_max = f
-            for q in upper:
-                r = dim_d + residues[q]
-                g = heights[q] + (td_d if td_d < r else r)
-                if g > g_max:
-                    g_max = g
-            best = f_max + g_max
-        best += cap if cap < td_d else td_d
-        if best > term2:
-            term2 = best
+        if lower and upper:
+            q1, q = lower.start, upper[-1]
+            c, r, r_top = caps[q1], residues[q1], dim_d + residues[q]
+            best = (
+                (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
+                + heights[q] + (td_d if td_d < r_top else r_top) + (cap if cap < td_d else td_d)
+            )
+            if best > term2:
+                term2 = best
     term2 += pd.m
 
     value = term1 if term1 > term2 else term2
@@ -307,7 +302,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     def witnesses(side="B"):
         if term1 == value:
             labels = b.labels
-            for q in term1_winners():
+            for q in _d_value_winners(a.td, pd.outside, b, term1):
                 yield Witness(TERM_OUTSIDE, f"{side}:{labels[q]}", term1)
         if term2 == value:
             f = [pd.m + min(c, td_a) + min(r, td_kd) for r, c in zip(residues, caps)]
@@ -377,17 +372,17 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
     if sa.is_af and sb.is_af:
         value = af_pair_dim(sa, sb)
-        d_ab, wit_ab = _d_value_max(sa.td, sa.dim, sb)
-        d_ba, wit_ba = _d_value_max(sb.td, sb.dim, sa)
+        d_ab = d_value(sa.td, sa.dim, sb)
+        d_ba = d_value(sb.td, sb.dim, sa)
         if not value == d_ab == d_ba:
             raise ConsistencyError(
                 f"AF formulas disagree: min-form {value}, one-sided {d_ab} / {d_ba}"
             )
 
         def witnesses():
-            for q in wit_ab():
+            for q in _d_value_winners(sa.td, sa.dim, sb, d_ab):
                 yield Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab)
-            for p in wit_ba():
+            for p in _d_value_winners(sb.td, sb.dim, sa, d_ba):
                 yield Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba)
 
         return DimReport(
@@ -416,20 +411,23 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
                 else:
                     checks.append(("conductor formula orientation", tag, r.value))
         if x.is_af:
-            d_max, winners = _d_value_max(x.td, x.dim, y)
-            one_sided = (tag, y, d_max, winners)
+            d_max = d_value(x.td, x.dim, y)
+            one_sided = (tag, x, y, d_max)
             checks.append(("one-sided AF formula", tag, d_max))
 
     if report is None:
         if one_sided is None:
             raise ApplicabilityError("no formula applies to this pair: " + "; ".join(refusals))
-        tag, y, value, winners = one_sided
+        tag, x, y, value = one_sided
         other = "B" if tag == "A" else "A"
         return DimReport(
             value,
             THEOREM_W37,
             (("D-max", value),),
-            lambda: (Witness("D-max", f"{other}:{y.labels[i]}", value) for i in winners()),
+            lambda: (
+                Witness("D-max", f"{other}:{y.labels[i]}", value)
+                for i in _d_value_winners(x.td, x.dim, y, value)
+            ),
             (f"{tag}:{GATE_AF}",),
             tuple(refusals),
         )

@@ -26,7 +26,10 @@ are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
 AF model's chain; or a pullback's chain outside M, its strata outside M
 below height m under those containing M, and D's chain over M.  No
 block's lower positions overlap the upper positions of a block stored
-after it, which the chain oracle's row steps rely on.  A pair
+after it, which the chain oracle's row steps rely on.  Along each
+block's lower and upper range residues and caps never rise and height +
+residue never falls, and a chain block has one cap, so the formulas
+take each maximum at a block's ends.  A pair
 (i, j) has quotient height n -> heights[j] - heights[i] + min(n, cap)
 with its block's cap.  These arrays and blocks are the model; the
 formulas and the oracle read them.  Views built on first use:
@@ -322,10 +325,15 @@ class SpectrumSummary(
 
     @property
     def conductor_index(self) -> int:
-        """Position of the conductor ideal M itself (pullbacks only)."""
-        if self.pullback_data is None:
+        """Position of the conductor ideal M itself (pullbacks only).
+
+        The strata containing M are D's chain 0..dim(D), listed last, M
+        first; ``_check_summary`` holds a model to that.
+        """
+        pd = self.pullback_data
+        if pd is None:
             raise ConstraintError("conductor stratum requested on a non-pullback summary")
-        return self.kinds.index(KIND_CONTAINS)
+        return len(self.kinds) - 1 - pd.dim_d
 
     @property
     def conductor_stratum(self) -> Stratum:
@@ -681,26 +689,40 @@ def _check_summary(summary: SpectrumSummary) -> None:
     """Internal coherence guards; violations are bugs, not user errors.
 
     The layout (``heights`` and the blocks' ranges) is checked once per
-    distinct layout, by ``_layout_fault``; the values on every call.
+    distinct layout, by ``_read_layout``; the values on every call.
+
+    The formulas take each maximum at a block's ends, which holds when,
+    along each block's lower and upper range, residues and caps never
+    rise and height + residue never falls, and each chain block has one
+    cap.  Chain blocks are checked position by position; a product
+    range is checked pair by pair only if it leaves a chain block, since
+    the chain's own check vouches for a range inside it.
     """
-    fault = _layout_fault(summary.heights, *[block[:2] for block in summary.blocks])
+    fault, chain_starts, loose = _read_layout(
+        summary.heights, *[block[:2] for block in summary.blocks]
+    )
     if fault:
         raise ConsistencyError(fault.format(*summary.blocks))
 
-    heights = summary.heights
-    if (heights[0], summary.residues[0], summary.caps[0]) != (0, summary.td, 0):
+    heights, residues, caps, td = summary.heights, summary.residues, summary.caps, summary.td
+    if (heights[0], residues[0], caps[0]) != (0, td, 0):
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
-    strata = zip(summary.kinds, heights, summary.residues, summary.caps)
-    for i, (kind, h, r, c) in enumerate(strata):
+    # Position 0 starts a chain block, so what r0, c0 and hr0 start as never counts.
+    run_fault, r0, c0, hr0 = None, 0, 0, 0
+    for i, (kind, h, r, c) in enumerate(zip(summary.kinds, heights, residues, caps)):
         if min(h, r, c) < 0:
             raise ConsistencyError(f"negative height, residue or cap at {summary.labels[i]}")
-        if h + r > summary.td:
+        hr = h + r
+        if hr > td:
             raise ConsistencyError(f"height + residue_td > td at {summary.labels[i]}")
         # Every stratum then localizes (cap 0) or quotients (containsM: a
         # quotient of D) to an AF model, so the chain oracle may hold any
         # stratum fixed.
         if c > 0 and kind != KIND_CONTAINS:
             raise ConsistencyError(f"cap > 0 outside M at {summary.labels[i]}")
+        if (r > r0 or c != c0 or hr < hr0) and i not in chain_starts and run_fault is None:
+            run_fault = i - 1, i
+        r0, c0, hr0 = r, c, hr
     for block in summary.blocks:
         if block.cap < 0:
             raise ConsistencyError(f"negative quotient cap in {block}")
@@ -715,21 +737,72 @@ def _check_summary(summary: SpectrumSummary) -> None:
     for block in summary.blocks:
         if 0 in block.lower:
             caps_over_zero.update(dict.fromkeys(block.upper, block.cap))
-    for j, c in enumerate(summary.caps):
+    for j, c in enumerate(caps):
         if caps_over_zero.get(j) != c:
             raise ConsistencyError(
                 f"{summary.labels[j]} must lie over the zero ideal by a pair of cap {c}"
             )
 
+    if run_fault is not None:
+        raise ConsistencyError(_run_fault(summary, *run_fault, True))
+    for run in loose:
+        for i, j in pairwise(run):
+            message = _run_fault(summary, i, j, False)
+            if message:
+                raise ConsistencyError(message)
+
+    if summary.pullback_data is not None:
+        kinds = summary.kinds
+        if KIND_CONTAINS not in kinds or kinds.index(KIND_CONTAINS) != summary.conductor_index:
+            raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
+
+
+def _run_fault(summary: SpectrumSummary, i: int, j: int, in_chain: bool) -> str | None:
+    """What breaks the formulas' shortcut from position i to the next
+    position j along a block's range, or None."""
+    heights, residues, caps = summary.heights, summary.residues, summary.caps
+    if residues[j] > residues[i]:
+        what = "residue_td rises"
+    elif caps[j] != caps[i] if in_chain else caps[j] > caps[i]:
+        what = "cap changes" if in_chain else "cap rises"
+    elif heights[j] + residues[j] < heights[i] + residues[i]:
+        what = "height + residue_td falls"
+    else:
+        return None
+    where = "a chain block" if in_chain else "a product block's range"
+    return f"{what} from {summary.labels[i]} to {summary.labels[j]} along {where}"
+
 
 # Keyed by exactly what it reads, and not by caps, which differ between
 # almost all pullbacks: few layouts recur across many compiled models.
 @lru_cache(maxsize=SUMMARY_CACHE_SIZE)
-def _layout_fault(heights: tuple[int, ...], *spans: tuple) -> str | None:
-    """The first fault in a model's layout, or None.
+def _read_layout(heights: tuple[int, ...], *spans: tuple) -> tuple[str | None, frozenset, tuple]:
+    """``(fault, chain_starts, loose)``: what ``_check_summary`` needs of a model's layout.
 
     ``spans`` holds each block's ``(lower, upper)`` ranges in storage
-    order.  A fault is a message in which ``{k}`` stands for block k.
+    order.  ``fault`` is ``_layout_fault``'s answer.  ``chain_starts``
+    holds the first position of each chain block, and ``loose`` the
+    product blocks' lower and upper ranges that leave a chain block.
+    """
+    fault = _layout_fault(heights, spans)
+    if fault:
+        return fault, frozenset(), ()
+    # Chain blocks hold the positions in order, so a range lies in one of
+    # them unless a chain starts after its first position, at or before its last.
+    starts = frozenset(lower.start for lower, upper in spans if lower == upper and lower)
+    loose = tuple(
+        run
+        for lower, upper in spans if lower != upper
+        for run in (lower, upper)
+        if run and any(run[0] < start <= run[-1] for start in starts)
+    )
+    return None, starts, loose
+
+
+def _layout_fault(heights: tuple[int, ...], spans: tuple[tuple, ...]) -> str | None:
+    """The first fault in a model's layout, or None.
+
+    A fault is a message in which ``{k}`` stands for block k.
     """
     chains = [lower for lower, upper in spans if lower == upper]
     if list(chain.from_iterable(chains)) != list(range(len(heights))):

@@ -250,6 +250,39 @@ class TestCheck:
         assert code == 1 and "FAIL" in out
 
 
+class TestFailedSelfCheck:
+    """A cross-check that disagrees is a failure (exit 1), never a refusal (exit 2)."""
+
+    PB_VAL32 = "pullback(T=val(3,2),m=2,D=field(0))"
+
+    @pytest.fixture(autouse=True)
+    def planted_fault(self, monkeypatch):
+        # As in test_formulas' TestCrossChecks: the two-sided pullback
+        # formula answers one more than the conductor formula.
+        two_sided = formulas.pullback_pair_dim
+        monkeypatch.setattr(formulas, "pullback_pair_dim", lambda a, b: two_sided(a, b) + 1)
+
+    def test_dim_exits_1_with_one_error_line(self, capsys):
+        code, out, err = run(capsys, "dim", KM, self.PB_VAL32)
+        assert code == 1 and out == ""
+        assert err.startswith("error: two-sided pullback formula (A, B) gives ")
+        assert err.count("\n") == 1
+
+    def test_check_counts_the_stopped_suite_and_runs_the_rest(self, capsys):
+        report = checks.run_suite("all")
+        stopped = [f for f in report.failures if f.inputs.endswith(": suite stopped")]
+        assert stopped and len(stopped) == len(report.failures)
+        assert all(f.actual.startswith("ConsistencyError: two-sided") for f in stopped)
+        # Each stopped suite counts one case more than it finished, and
+        # every other suite, before or after it, ran all its cases.
+        stopped_names = {f.inputs.split(":")[0] for f in stopped}
+        ran = [checks.run_suite(n).cases for n in checks.suite_names() if n not in stopped_names]
+        assert report.cases >= sum(ran) + len(stopped)
+        code, out, _ = run(capsys, "check", "all")
+        assert code == 1
+        assert out.startswith(f"suite all: {report.cases} cases, {len(stopped)} failures\n")
+
+
 class TestExplain:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "explain", KM, KM)

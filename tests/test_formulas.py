@@ -40,7 +40,15 @@ from krulldim.formulas import (
     thm28_ht,
 )
 from krulldim.parser import to_source
-from krulldim.spectra import AfDomain, Field, PolyRing, Pullback, Valuation, summarize
+from krulldim.spectra import (
+    KIND_CONTAINS,
+    AfDomain,
+    Field,
+    PolyRing,
+    Pullback,
+    Valuation,
+    summarize,
+)
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
@@ -340,6 +348,23 @@ def pullbacks(draw, td_kd=None):
     return Pullback(AfDomain(td_t, dim_t, draw(st.booleans())), m, subring, outside)
 
 
+B_KINDS = ["af", "cap-below-td-d", "cap-above-td-d"]
+
+
+def _draw_models(data, b_kind):
+    """A gated pullback A, and B: AF, or a pullback whose product block's
+    cap t.d.(K:D) lies below or above A's t.d.(D)."""
+    a = summarize(data.draw(pullbacks()))
+    assume(a.gates)
+    td_d = a.pullback_data.td_d
+    if b_kind == "af":
+        return a, summarize(data.draw(af_models(data.draw(st.integers(0, 5)))))
+    if b_kind == "cap-below-td-d":
+        assume(td_d > 0)
+        return a, summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(0, td_d - 1)))))
+    return a, summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(td_d + 1, td_d + 3)))))
+
+
 def _thm28_dim_over_pairs(a, b):
     """thm28_dim evaluated pair by pair over the ``pairs`` view of B.
 
@@ -392,23 +417,14 @@ class TestBlockEvaluation:
             assert (report.value, report.term_breakdown, through) == want, (a.source, b.source)
         assert refused == len(NON_CATENARIAN) * len(gated)
 
-    @pytest.mark.parametrize("b_kind", ["af", "cap-below-td-d", "cap-above-td-d"])
+    @pytest.mark.parametrize("b_kind", B_KINDS)
     @settings(deadline=None)
     @given(data=st.data())
     def test_thm28_dim_matches_the_pairs_view_on_generated_models(self, b_kind, data):
         """B is AF, or a pullback whose product block's cap t.d.(K:D) lies
         below or above A's t.d.(D); T and D of either side may be
         non-catenarian, so B may be refused."""
-        a = summarize(data.draw(pullbacks()))
-        assume(a.gates)
-        td_d = a.pullback_data.td_d
-        if b_kind == "af":
-            b = summarize(data.draw(af_models(data.draw(st.integers(0, 5)))))
-        elif b_kind == "cap-below-td-d":
-            assume(td_d > 0)
-            b = summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(0, td_d - 1)))))
-        else:
-            b = summarize(data.draw(pullbacks(td_kd=data.draw(st.integers(td_d + 1, td_d + 3)))))
+        a, b = _draw_models(data, b_kind)
         want = _thm28_dim_over_pairs(a, b)
         if isinstance(want, str):
             with pytest.raises(InexactPairError) as err:
@@ -418,6 +434,116 @@ class TestBlockEvaluation:
         report = thm28_dim(a, b)
         through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
         assert (report.value, report.term_breakdown, through) == want
+
+    @pytest.mark.parametrize("b_kind", B_KINDS)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_d_value_is_the_maximum_over_every_position(self, b_kind, data):
+        _, b = _draw_models(data, b_kind)
+        s = data.draw(st.integers(0, 8))
+        d = data.draw(st.integers(0, s))
+        assert d_value(s, d, b) == max(
+            h + min(c, s) + min(d + r, s) for h, r, c in zip(b.heights, b.residues, b.caps)
+        )
+
+    @pytest.mark.parametrize("b_kind", B_KINDS)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_thm28_ht_is_the_maximum_over_pairs(self, b_kind, data):
+        """Every (p, q) at delta 0 against the pair-by-pair formula; over M
+        the formula refuses a q that an uncertified pair leads into."""
+        a, b = _draw_models(data, b_kind)
+        pd = a.pullback_data
+        for q in b.strata:
+            into_q = [(q1, quot) for q1, j, quot in b.pairs if j == q.index]
+            for p in a.strata:
+                if p.kind != KIND_CONTAINS:
+                    want = p.height + q.height + min(a.td, q.cap)
+                elif any(quot is None for _, quot in into_q):
+                    with pytest.raises(InexactPairError):
+                        thm28_ht(a, b, p, q)
+                    continue
+                else:
+                    want = p.height + max(
+                        b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
+                        + min(b.residues[q1], pd.td_kd)
+                        for q1, (base, cap) in into_q
+                    )
+                assert thm28_ht(a, b, p, q) == want, (p.label, q.label)
+
+
+class _Counted(tuple):
+    """A tuple that adds to ``_Counted.reads`` each entry read through it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        got = tuple.__getitem__(self, i)
+        _Counted.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        _Counted.reads += len(self)
+        return tuple.__iter__(self)
+
+    def __contains__(self, value):
+        _Counted.reads += len(self)
+        return tuple.__contains__(self, value)
+
+    def index(self, *args):
+        _Counted.reads += len(self)
+        return tuple.index(self, *args)
+
+    def count(self, value):
+        _Counted.reads += len(self)
+        return tuple.count(self, value)
+
+
+def _counted(expr):
+    """``expr``'s model, with every per-stratum array counting its reads."""
+    s = summarize(expr)
+    s = s._replace(**{f: _Counted(getattr(s, f)) for f in ("heights", "residues", "caps", "kinds")})
+    s.strata  # the display views are built before anything is counted
+    return s
+
+
+# Two full-height pullbacks and an AF model, each of about MAX_STRATA strata.
+LARGE = (
+    Pullback(Valuation(2047, 1023), 1023, AfDomain(1023, 1023)),
+    Pullback(Valuation(2047, 1024), 1024, AfDomain(1020, 1020)),
+    AfDomain(2047, 2047),
+)
+
+
+class TestCostPerBlock:
+    """The formulas read a bounded number of model entries per block,
+    however many strata the models have."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return [*map(_counted, LARGE), summarize(KM)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pb, pb2, af, km: thm28_dim(pb, af).value,
+            lambda pb, pb2, af, km: thm28_dim(km, pb).value,
+            lambda pb, pb2, af, km: d_value(af.td, 1000, pb),
+            lambda pb, pb2, af, km: d_value(pb.td, pb.dim, af),
+            lambda pb, pb2, af, km: thm28_ht(pb, pb2, pb.conductor_stratum, pb2.conductor_stratum),
+            lambda pb, pb2, af, km: thm28_ht(km, af, km.conductor_stratum, af.strata[-1]),
+            lambda pb, pb2, af, km: pullback_pair_dim(pb, pb2),
+        ],
+        ids=[
+            "thm28_dim-pb-af", "thm28_dim-km-pb", "d_value-pb", "d_value-af",
+            "thm28_ht-pb-pb", "thm28_ht-km-af", "pullback_pair_dim",
+        ],
+    )
+    def test_reads_per_block(self, models, call):
+        assert all(len(s.heights) >= 2000 for s in models[:3])
+        _Counted.reads = 0
+        call(*models)
+        assert _Counted.reads <= 8 * sum(len(s.blocks) for s in models[:3])
 
 
 class TestPullbackPair:
@@ -632,8 +758,8 @@ class TestCrossChecks:
         a, b = summarize(KM), summarize(AfDomain(1, 1))
         monkeypatch.setattr(
             formulas,
-            "_d_value_max",
-            _bumped(formulas._d_value_max, lambda s, d, y: (s, d, y) == (b.td, b.dim, a)),
+            "d_value",
+            _bumped(formulas.d_value, lambda s, d, y: (s, d, y) == (b.td, b.dim, a)),
         )
         with pytest.raises(ConsistencyError, match=r"one-sided AF formula \(B\)"):
             dim_tensor(KM, AfDomain(1, 1))

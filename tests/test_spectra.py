@@ -3,6 +3,8 @@ import pytest
 
 from krulldim.errors import ConsistencyError, ConstraintError
 from krulldim.spectra import (
+    KIND_CONTAINS,
+    KIND_OUTSIDE,
     MAX_DIGITS,
     MAX_STRATA,
     SUMMARY_CACHE_SIZE,
@@ -11,9 +13,10 @@ from krulldim.spectra import (
     PairBlock,
     PolyRing,
     Pullback,
+    SpectrumSummary,
     Valuation,
     _check_summary,
-    _layout_fault,
+    _read_layout,
     expr_catenarian,
     expr_dim,
     expr_td,
@@ -206,7 +209,7 @@ class TestCheckSummary:
                 _check_summary(s._replace(blocks=(outside, product._replace(upper=range(1, 3)), inside)))
 
     def test_layout_memo_has_the_summary_cache_bound(self):
-        assert _layout_fault.cache_parameters()["maxsize"] == SUMMARY_CACHE_SIZE
+        assert _read_layout.cache_parameters()["maxsize"] == SUMMARY_CACHE_SIZE
 
     def test_second_height_0_stratum(self):
         # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
@@ -234,6 +237,60 @@ class TestCheckSummary:
         s = summarize(AfDomain(2, 2))._replace(caps=(0, 1, 0))
         with pytest.raises(ConsistencyError, match="cap > 0 outside M at h1"):
             _check_summary(s)
+
+
+    # The formulas take each maximum at a block's ends, which the guard
+    # holds a model to; each case below breaks one clause and nothing else.
+    # pullback(T=val(4,2),m=2,D=af(1,1)): out:0 and out:1, then in:0 = M
+    # and in:1, with residues 1 and 0 and cap 1 over M.
+    PB = Pullback(Valuation(4, 2), 2, AfDomain(1, 1))
+
+    def test_residue_rising_along_a_chain(self):
+        s = summarize(self.PB)
+        assert s.residues == (4, 3, 1, 0)
+        with pytest.raises(ConsistencyError, match="residue_td rises from in:0 to in:1 along a chain"):
+            _check_summary(s._replace(residues=(4, 3, 0, 1)))
+
+    def test_cap_changing_along_a_chain(self):
+        # Two product blocks over the zero ideal give in:0 and in:1 the
+        # caps 1 and 0, so every pair (0, j) still has stratum j's cap.
+        s = summarize(self.PB)
+        outside, product, inside = s.blocks
+        split = (
+            product._replace(upper=range(2, 3)),
+            product._replace(upper=range(3, 4), cap=0),
+        )
+        broken = s._replace(caps=(0, 0, 1, 0), blocks=(outside, *split, inside))
+        with pytest.raises(ConsistencyError, match="cap changes from in:0 to in:1 along a chain"):
+            _check_summary(broken)
+
+    def test_height_plus_residue_falling_along_a_product_range(self):
+        # The upper range 2, 3 of the product block spans two chain
+        # blocks, so no chain's own check vouches for it.
+        model = SpectrumSummary(
+            td=4,
+            dim=3,
+            is_af=False,
+            kinds=(KIND_OUTSIDE, KIND_OUTSIDE, KIND_CONTAINS, KIND_CONTAINS),
+            heights=(0, 1, 2, 3),
+            residues=(4, 3, 2, 0),
+            caps=(0, 0, 1, 1),
+            blocks=(
+                PairBlock(range(2), range(2), 0, True),
+                PairBlock(range(2), range(2, 4), 1, True),
+                PairBlock(range(2, 3), range(2, 3), 0, True),
+                PairBlock(range(3, 4), range(3, 4), 0, True),
+            ),
+        )
+        match = "height \\+ residue_td falls from in:2 to in:3 along a product block's range"
+        with pytest.raises(ConsistencyError, match=match):
+            _check_summary(model)
+        _check_summary(model._replace(residues=(4, 3, 1, 0)))
+
+    def test_conductor_is_the_first_of_the_last_dim_d_plus_1_strata(self):
+        s = summarize(KM)
+        with pytest.raises(ConsistencyError, match="M must be the first of the last dim"):
+            _check_summary(s._replace(kinds=("containsM", "containsM")))
 
 
 class TestIsAfPoly:
