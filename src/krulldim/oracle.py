@@ -10,18 +10,21 @@ rather than from the formulas under test:
 * ``chain_enumerate`` finds the longest anchored chain built from a
   small set of legal moves, each justified by a primitive fact about
   contractions and fibers.  It does so in one bottom-up pass that reads
-  the pair blocks, one row of anchors (a stratum of A against every
-  stratum of B) at a time, in values Z = height of A + height of B +
-  best run.  In Z an advance gains only min(residue t.d., cap), so a
-  chain block (cap 0) of B is a suffix maximum along the row and a
-  product block one maximum over its upper positions; the best
-  A-advance through a block is a running maximum per block, kept as one
-  row.  The pass returns the best run from the zero anchor (0, 0), in
-  the last row it walks, and needs only the initial jump to (0, 0): the
-  zero ideal lies under every stratum, so a chain that climbs from
-  (0, 0) gains at least what any other jump does.  Each side's walk
-  order, block lists and row steps are its summary's ``walk_plan``,
-  built in O(S) once per summary; a call then costs O(na * nb * blocks).
+  the pair blocks, one row of anchors (a stratum of one side against
+  every stratum of the other) at a time, in values Z = height of A +
+  height of B + best run.  The moves are symmetric in A and B, so the
+  rows are taken over the side with fewer strata.  In Z an advance
+  gains only min(residue t.d., cap), so a chain block (cap 0) of the
+  column side is a suffix maximum along the row and a product block one
+  maximum over its upper positions; the best advance on the row side
+  through a block is a running maximum per block, kept as one row, and
+  a row's first merge with one also takes the fiber.  The pass returns
+  the best run from the zero anchor (0, 0), in the last row it walks,
+  and needs only the initial jump to (0, 0): the zero ideal lies under
+  every stratum, so a chain that climbs from (0, 0) gains at least
+  what any other jump does.  Each side's rows and row steps are its
+  summary's ``walk_plan``, built in O(S) once per summary; a call then
+  costs O(na * nb * blocks).
   ``iter_chains`` enumerates the same chains move by move over the
   ``ups`` view, with every legal initial jump; it is the literal
   reference the pass is tested against.  The maximum is a certified
@@ -160,6 +163,12 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     min(r_a, r_b).  Every chain block has cap 0
     (``spectra._check_summary``), so a step inside one adds nothing.
 
+    Every legal move has a mirror image with A and B swapped, so the
+    maximum does not depend on the order of the sides.  The pass takes
+    its rows over the side with fewer strata, after checking both sides
+    as the caller named them: fewer, longer rows pay a row's fixed cost
+    fewer times.  Below, A is the side walked as rows.
+
     A's strata are walked by decreasing height, one row each.
     ``col[k]`` holds, per position j of B, the maximum of Z(i2, j) over
     the positions i2 of block k of A already walked.  Inside a chain
@@ -167,23 +176,29 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     every upper position lies above every lower one, so those positions
     are exactly the strict successors of the current one.
 
-    A row starts from the fiber and takes the A-advances from ``col``,
-    one block of A at a time, then the B-advances over B's blocks in
-    reverse storage order.  In a chain block of B every higher position
-    of the block is a strict successor and a step adds min(r_a, 0) = 0,
-    so the block is a suffix maximum, taken from its top down.  In a
-    product block every upper position is a successor of every lower
-    one, so each lower position rises to the maximum over the upper ones
-    plus min(r_a, cap).  Each block reads finished values: the blocks
+    A row takes the fiber and the A-advances from ``col``, one block of
+    A at a time: the first block of cap 0 that the row's stratum steps
+    through (its chain block, unless it is the chain's top) in the same
+    comprehension as the fiber, and each block of cap > 0 with its
+    min(r_b, cap) added in the merge.  Then come the B-advances over
+    B's blocks in reverse storage order.  In a chain block of B every
+    higher position of the block is a strict successor and a step adds
+    min(r_a, 0) = 0, so the block is a suffix maximum, taken from its
+    top down.  In a product block every upper position is a successor
+    of every lower one, so each lower position rises to the maximum over
+    the upper ones plus min(r_a, cap).  Each block reads finished values: the blocks
     taken after it are those stored before it, and no block raises a
     position that a block stored after it reads (``spectra._check_summary``
     refuses any other model).  Last the row enters ``col[k]`` for each
-    block k of A whose upper range holds i.  Where the row stepped
-    through k (a chain block) it already dominates ``col[k]``, and where
-    i is k's top position, walked first, ``col[k]`` is still empty, so
-    the row itself becomes ``col[k]``; otherwise the two are merged
-    elementwise.  So a row costs O(nb) per block of either side, and the
-    pass O(na * nb * blocks).
+    block k of A whose upper range holds i.  Where i is k's top position,
+    walked first, ``col[k]`` is still empty.  Where k's upper range lies
+    inside one chain block of A, as a chain block's own range and every
+    compiled pullback's product block's does, the row stepped through
+    that chain, whose maximum holds every row of the range walked so
+    far, so the row already dominates ``col[k]``.  In both cases the row
+    itself becomes ``col[k]``; otherwise the two are merged elementwise.
+    So a row costs O(nb) per block of either side, and the pass
+    O(na * nb * blocks) with na <= nb.
 
     The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
     jump to (0, 0) has length 0, and no other jump beats a chain from
@@ -195,15 +210,22 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ht(p) when p's cap is 0, and goes on from (i, j) as the jump's chain
     would; B's jump is the mirror image, through (i, 0).
 
-    A's walk order and block lists and B's row steps depend on one side
-    only: each summary's ``walk_plan`` builds them in O(S) on its first
-    call and keeps them, so a call builds only ``col``, one list per
-    cap of A's blocks and its rows.
+    A's rows, each its stratum's height, residue and block lists in walk
+    order, and B's row steps depend on one side only: each summary's
+    ``walk_plan`` builds them in O(S) on its first call and keeps them,
+    so a call builds only ``col``, one list per cap of A's blocks and
+    its rows.
     """
     _require_exact_sides(a, b)
-    order_a, starts_a, ends_a, _ = a.walk_plan
-    steps_b = b.walk_plan[3]
-    heights_a, residues_a = a.heights, a.residues
+    if len(b.heights) < len(a.heights):
+        a, b = b, a
+    return _row_pass(a, b)
+
+
+def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
+    """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
+    rows_a = a.walk_plan[0]
+    steps_b = b.walk_plan[1]
     heights_b, residues_b = b.heights, b.residues
     # min(cap, r_b) per position of B, for the A-advances through a block
     # of cap > 0.
@@ -215,14 +237,19 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     # An A-step reads a block only from a position with a successor in
     # it, walked first, so no entry is read before it is written.
     col: list = [None] * len(a.blocks)
-    for i in order_a:
-        h_a, r_a = heights_a[i], residues_a[i]
-        z = [h_a + h + (r_a if r_a < r else r) for h, r in zip(heights_b, residues_b)]
-        for k, cap in starts_a[i]:
-            up = col[k]
+    for h_a, r_a, through, starts, ends in rows_a:
+        if through is None:
+            z = [h_a + h + (r_a if r_a < r else r) for h, r in zip(heights_b, residues_b)]
+        else:
+            z = [
+                u if u > (f := h_a + h + (r_a if r_a < r else r)) else f
+                for h, r, u in zip(heights_b, residues_b, col[through])
+            ]
+        for k, cap in starts:
             if cap:
-                up = [u + c for u, c in zip(up, capped[cap])]
-            z = [v if v > u else u for v, u in zip(z, up)]
+                z = [v if v > u + c else u + c for v, u, c in zip(z, col[k], capped[cap])]
+            else:
+                z = [v if v > u else u for v, u in zip(z, col[k])]
         for lower, upper, cap in steps_b:
             if upper is None:
                 best = 0
@@ -235,7 +262,7 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
             else:
                 p = max(z[upper]) + (cap if cap < r_a else r_a)
                 z[lower] = [v if v > p else p for v in z[lower]]
-        for k, fresh in ends_a[i]:
+        for k, fresh in ends:
             col[k] = z if fresh else [v if v > u else u for v, u in zip(z, col[k])]
     # The last row is A's position 0, the only stratum of height 0.
     return z[0]

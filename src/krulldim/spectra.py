@@ -37,9 +37,9 @@ formulas and the oracle read them.  Views built on first use:
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-and ``walk_plan``, the chain oracle's walk order, per-position block
-lists and row steps, O(S) references built from ``heights`` and
-``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
+and ``walk_plan``, the chain oracle's rows in walk order, each with
+its block lists, and row steps, O(S) references built from the arrays
+and ``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
 ``pairs`` entries without keeping them.  The formulas, the chain
 oracle, the ``spectrum`` command and the check suites' own loops build
 neither pair view; only the oracle's literal enumerator ``iter_chains``
@@ -251,17 +251,23 @@ class SpectrumSummary(
         return tuple(map(tuple, rows))
 
     @cached_property
-    def walk_plan(self) -> tuple[tuple[int, ...], tuple[tuple, ...], tuple[tuple, ...], tuple]:
-        """``(order, starts, ends, row_steps)``: what the chain oracle walks over this model.
+    def walk_plan(self) -> tuple[tuple[tuple, ...], tuple]:
+        """``(rows, row_steps)``: what the chain oracle walks over this model.
 
-        The first three serve the model as the oracle's row side.
-        ``order`` lists the positions by decreasing height.  ``starts[i]``
-        holds ``(k, cap)`` for each block k with a pair (i, i2), i < i2,
-        and ``ends[i]`` holds ``(k, fresh)`` for each k whose upper range
-        holds i.  ``fresh`` is true when i is in k's lower range too (a
-        chain block, which the row steps through) or is k's top position
-        (the first of k's upper range in ``order``, as heights rise along
-        it): the oracle's row at i then dominates its maximum for k.
+        ``rows`` serves the model as the oracle's row side: one tuple
+        ``(height, residue, through, starts, ends)`` per position i, by
+        decreasing height.  ``through`` is the first block k of cap 0
+        with a pair (i, i2), i < i2, or None: the row takes its fiber in
+        its merge with that block.  ``starts`` holds ``(k, cap)`` for
+        every other such block, and ``ends`` holds ``(k, fresh)``
+        for each k whose upper range holds i.  ``fresh`` is true when the
+        oracle's row at i dominates every row of k's upper range walked
+        before it: i is k's top position (the first of k's upper range
+        walked, as heights rise along it), or k's upper range lies inside
+        one chain block, which the row at any other position of the range
+        steps through (``_read_layout`` lists the ranges that do not as
+        loose).  So every chain block and every compiled pullback's
+        product block is fresh at each position.
 
         ``row_steps`` serves the model as the column side: the blocks with
         a pair i < j, in reverse storage order.  A chain block is
@@ -271,6 +277,7 @@ class SpectrumSummary(
         Equal entries are one shared tuple, so a plan holds O(S) references.
         """
         heights = self.heights
+        loose = _read_layout(heights, *[block[:2] for block in self.blocks])[2]
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
         ends: list[list[tuple[int, bool]]] = [[] for _ in heights]
         row_steps = []
@@ -281,8 +288,9 @@ class SpectrumSummary(
             for i in lower:
                 if i < upper[-1]:
                     starts[i].append((k, block.cap))
+            inside = upper not in loose
             for i in upper:
-                ends[i].append((k, i in lower or i == upper[-1]))
+                ends[i].append((k, inside or i == upper[-1]))
             if lower == upper:
                 row_steps.append((lower[::-1], None, 0))
             else:
@@ -292,12 +300,19 @@ class SpectrumSummary(
                     block.cap,
                 ))
         shared: dict[tuple, tuple] = {}
-        return (
-            tuple(sorted(range(len(heights)), key=heights.__getitem__, reverse=True)),
-            tuple(shared.setdefault(t, t) for t in map(tuple, starts)),
-            tuple(shared.setdefault(t, t) for t in map(tuple, ends)),
-            tuple(reversed(row_steps)),
-        )
+        rows = []
+        for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
+            through = next((k for k, cap in starts[i] if not cap), None)
+            others = tuple(start for start in starts[i] if start[0] != through)
+            reached = tuple(ends[i])
+            rows.append((
+                heights[i],
+                self.residues[i],
+                through,
+                shared.setdefault(others, others),
+                shared.setdefault(reached, reached),
+            ))
+        return tuple(rows), tuple(reversed(row_steps))
 
     def first_uncertified(self, upper: int | None = None) -> tuple[int, int] | None:
         """The first uncertified pair in ``pairs`` order, or None.
@@ -321,7 +336,16 @@ class SpectrumSummary(
 
     @property
     def top_stratum(self) -> Stratum:
-        return self.strata[self.heights.index(self.dim)]
+        """The first stratum of height ``dim``.
+
+        No stratum's height exceeds its position: the strata outside M
+        (or the plain ones) sit at their heights, and D's chain over M
+        starts at a position of at least m.  So that is position ``dim``
+        when its height is ``dim``, and otherwise the last, the top of D's
+        chain.
+        """
+        last = len(self.heights) - 1
+        return self.strata[self.dim if self.heights[self.dim] == self.dim else last]
 
     @property
     def conductor_index(self) -> int:
@@ -346,6 +370,10 @@ class SpectrumSummary(
         pullback (the top stratum otherwise).  ``out:<h>`` picks the
         height-h stratum outside M, or the plain height-h stratum of a
         non-pullback summary; ``in:<e>`` the stratum at D-height e over M.
+        Heights rise by one per position along the strata outside M (or
+        the plain ones) from the zero ideal, and along D's chain from M,
+        so those are positions h and ``conductor_index + e``; the kind
+        and height there are checked.
         """
         pd = self.pullback_data
         if selector == "0":
@@ -354,21 +382,21 @@ class SpectrumSummary(
             return self.conductor_stratum if pd is not None else self.top_stratum
         if selector.startswith("out:"):
             kind = KIND_OUTSIDE if pd is not None else KIND_PLAIN
-            height = _selector_index(selector)
+            i = height = _selector_index(selector)
         elif selector.startswith("in:"):
             if pd is None:
                 raise ConstraintError(
                     f"selector {selector!r} needs a pullback summary"
                 )
             kind = KIND_CONTAINS
-            height = pd.m + _selector_index(selector)
+            e = _selector_index(selector)
+            i, height = self.conductor_index + e, pd.m + e
         else:
             raise ConstraintError(
                 f"unknown stratum selector {selector!r} (use 0, M, out:<h> or in:<e>)"
             )
-        for i, (k, h) in enumerate(zip(self.kinds, self.heights)):
-            if k == kind and h == height:
-                return self.strata[i]
+        if i < len(self.kinds) and self.kinds[i] == kind and self.heights[i] == height:
+            return self.strata[i]
         raise ConstraintError(f"no stratum matches selector {selector!r}")
 
 

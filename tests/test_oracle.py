@@ -12,6 +12,7 @@ from krulldim.errors import ConstraintError, InexactPairError, KrulldimError
 from krulldim.checks import MAX_GRID, catalog, run_suite, suite_names
 from krulldim.formulas import dim_tensor, fiber_dim
 from krulldim.oracle import (
+    _row_pass,
     best_chain,
     brewer_poly_dim,
     chain_enumerate,
@@ -110,13 +111,23 @@ class TestChainEnumerate:
         with pytest.raises(InexactPairError):
             chain_enumerate(bad, S_KM)
 
+    def test_refusal_names_the_callers_side(self):
+        # The pass walks the side with fewer strata as rows; the refusal
+        # still names the side as the caller passed it, whether the smaller
+        # partner (kM, 2 strata) or the larger (af(5,5), 6) is the other.
+        bad = summarize(AfDomain(3, 3, catenarian=False))
+        for other in (S_KM, summarize(AfDomain(5, 5))):
+            for a, b, side in ((bad, other, "A"), (other, bad, "B")):
+                with pytest.raises(InexactPairError, match=f"side {side} has uncertified pair h1<=h2"):
+                    chain_enumerate(a, b)
+
     def test_builds_no_pair_view(self):
         # The catalog shares kM with other tests, which may have built its views.
         summarize.cache_clear()
         big = AfDomain(300, 300)
         for x, y in ((big, big), (KM, big), (KM, KM)):
             sx, sy = summarize(x), summarize(y)
-            assert chain_enumerate(sx, sy) == chain_enumerate(sy, sx)
+            assert chain_enumerate(sx, sy) == _row_pass(sx, sy) == _row_pass(sy, sx)
             for s in (sx, sy):
                 assert not {"ups", "pairs"} & set(vars(s)), s.source
 
@@ -134,36 +145,43 @@ class TestChainEnumerate:
         summarize.cache_clear()
         a = summarize(Pullback(Valuation(14, 5), 5, AfDomain(6, 6)))
         partners = [summarize(AfDomain(12, 9)), summarize(Valuation(19, 19))]
-        # summarize builds no plan; the oracle's first call does.
+        # summarize builds no plan; the oracle's first call does, the row
+        # side's first: af(12,9) has fewer strata than a (10 against 12),
+        # val(19,19) more (20).
         assert all("walk_plan" not in vars(s) for s in (a, *partners))
         chain_enumerate(a, partners[0])
         first = a.walk_plan
         chain_enumerate(a, partners[1])
         assert a.walk_plan is first
-        assert built == [a.source, partners[0].source, partners[1].source]
+        assert built == [partners[0].source, a.source, partners[1].source]
         summarize.cache_clear()
 
     def test_walk_plan_shares_equal_entries(self):
-        order, starts, ends, row_steps = summarize(AfDomain(300, 300)).walk_plan
+        rows, row_steps = summarize(AfDomain(300, 300)).walk_plan
         # Every position of an AF chain but the top steps through block 0,
         # and every one is reached in it, where the row dominates the maximum.
-        assert order == tuple(range(300, -1, -1))
-        assert len({id(t) for t in starts + ends if t}) == 2
-        assert starts[300] == ()
-        assert set(ends) == {((0, True),)}
+        assert [row[:2] for row in rows] == [(h, 300 - h) for h in range(300, -1, -1)]
+        assert rows[0][2:] == (None, (), ((0, True),))
+        assert {row[2:] for row in rows[1:]} == {(0, (), ((0, True),))}
+        assert len({id(row[4]) for row in rows}) == 1
         assert row_steps == ((range(300, -1, -1), None, 0),)
 
     def test_walk_plan_of_a_pullback(self):
-        # Outside M at 0..4, M and D's chain over it at 5..11, cap 9 - 6 = 3.
-        _, starts, ends, row_steps = summarize(
+        # Outside M at 0..4 (residue 14 - h), M and D's chain over it at
+        # 5..11 (residue 11 - h), cap 9 - 6 = 3; heights rise with positions.
+        rows, row_steps = summarize(
             Pullback(Valuation(14, 5), 5, AfDomain(6, 6))
         ).walk_plan
-        assert starts[:5] == (((0, 0), (1, 3)),) * 4 + (((1, 3),),)
-        assert starts[5:] == (((2, 0),),) * 6 + ((),)
-        # Only the product block's top upper position, walked first among
-        # its upper range, overwrites its maximum.
-        assert ends[:5] == (((0, True),),) * 5
-        assert ends[5:] == (((1, False), (2, True)),) * 6 + (((1, True), (2, True)),)
+        # The product block's upper range is D's chain, which every row
+        # reached in it below the top steps through: each such row
+        # dominates the block's maximum, as its top row does.
+        over_m = ((1, True), (2, True))
+        assert rows == (
+            (11, 0, None, (), over_m),
+            *((h, 11 - h, 2, (), over_m) for h in range(10, 4, -1)),
+            (4, 10, None, ((1, 3),), ((0, True),)),
+            *((h, 14 - h, 0, ((1, 3),), ((0, True),)) for h in range(3, -1, -1)),
+        )
         assert row_steps == (
             (range(11, 4, -1), None, 0),
             (slice(0, 5, 1), slice(5, 12, 1), 3),
@@ -179,7 +197,7 @@ class TestChainEnumerate:
     def test_is_symmetric_at_certify_size(self):
         for x, y in product(CERTIFY_SIZE, CERTIFY_SIZE):
             sx, sy = summarize(x), summarize(y)
-            assert chain_enumerate(sx, sy) == chain_enumerate(sy, sx), (x, y)
+            assert chain_enumerate(sx, sy) == _row_pass(sx, sy) == _row_pass(sy, sx), (x, y)
 
     @pytest.mark.parametrize("x, y", ROW_SIZE, ids=["af-af", "pullback-af", "pullback-pullback"])
     def test_equals_dim_tensor_at_row_size(self, x, y):
@@ -206,10 +224,14 @@ class TestChains:
     def test_fused_pass_matches_the_literal_enumerator_on_the_catalog(self):
         summaries = [summarize(e) for e in catalog().values()]
         for a, b in product(summaries, summaries):
-            assert chain_enumerate(a, b) == best_chain(a, b).total, (a.source, b.source)
+            best = best_chain(a, b).total
+            assert chain_enumerate(a, b) == _row_pass(a, b) == _row_pass(b, a) == best, (
+                a.source,
+                b.source,
+            )
 
     @pytest.mark.parametrize(
-        "heights, residues, caps, blocks, value",
+        "heights, residues, caps, blocks, value, reached_at_2",
         [
             # Two incomparable strata, at heights 2 and 3, over the chain
             # 0 < 1 in one product block.  In a compiled model a product
@@ -227,6 +249,22 @@ class TestChains:
                     PairBlock(range(3, 4), range(3, 4), 0, True),
                 ),
                 4,
+                ((1, False),),
+            ),
+            # The same strata with 2 < 3 one chain: the product block's
+            # upper range lies inside it, so the row of position 2, which
+            # steps through the chain, replaces the block's maximum.
+            (
+                (0, 1, 2, 3),
+                (4, 3, 0, 0),
+                (0, 0, 1, 1),
+                (
+                    PairBlock(range(2), range(2), 0, True),
+                    PairBlock(range(2), range(2, 4), 1, True),
+                    PairBlock(range(2, 4), range(2, 4), 0, True),
+                ),
+                4,
+                ((1, True), (2, True)),
             ),
             # 0 < 1 < 2 with the pair (1, 2) in a block of larger cap than
             # (0, 2).  In a compiled model a product block raises a prefix
@@ -244,12 +282,13 @@ class TestChains:
                     PairBlock(range(2, 3), range(2, 3), 0, True),
                 ),
                 6,
+                ((1, True), (2, True)),
             ),
         ],
-        ids=["two-chains-over-one-block", "staggered-caps"],
+        ids=["two-chains-over-one-block", "one-chain-over-one-block", "staggered-caps"],
     )
     def test_matches_the_literal_enumerator_on_built_models(
-        self, heights, residues, caps, blocks, value
+        self, heights, residues, caps, blocks, value, reached_at_2
     ):
         model = SpectrumSummary(
             td=residues[0],
@@ -262,9 +301,14 @@ class TestChains:
             blocks=blocks,
         )
         _check_summary(model)
+        # The blocks with a pair below it whose maximum position 2's row
+        # enters, each with its fresh flag.
+        assert next(row[4] for row in model.walk_plan[0] if row[0] == 2) == reached_at_2
         field = summarize(Field(2))
+        # chain_enumerate walks the field, the smaller side, as rows; the
+        # pass without that choice walks the model too.
         for a, b in ((model, field), (field, model)):
-            assert chain_enumerate(a, b) == best_chain(a, b).total == value
+            assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
 
     def test_chains_from_the_zero_anchor_reach_the_maximum(self):
         # chain_enumerate returns tail(0, 0); the move-by-move reference
@@ -404,4 +448,4 @@ class TestIndependence:
         for (a_name, b_name), value in PINNED.items():
             a, b = summarize(cat[a_name]), summarize(cat[b_name])
             assert chain_enumerate(a, b) == value
-            assert chain_enumerate(b, a) == value
+            assert _row_pass(a, b) == _row_pass(b, a) == value

@@ -13,7 +13,7 @@ from krulldim.formulas import (
     sct_height_af,
     thm28_ht,
 )
-from krulldim.oracle import best_chain, chain_enumerate, iter_chains
+from krulldim.oracle import _row_pass, best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
@@ -253,14 +253,19 @@ class TestFormulaAgreements:
     )
     @example(a=Pullback(Valuation(2, 1), 1, Field(0)), b=AfDomain(3, 3, False))
     def test_fused_pass_matches_the_literal_enumerator(self, a, b):
-        """chain_enumerate's one pass and the move-by-move maximum agree, or both refuse."""
+        """chain_enumerate's one pass and the move-by-move maximum agree, or both refuse.
+
+        The pass agrees with either side walked as rows, whichever
+        ``chain_enumerate`` chooses.
+        """
         sa, sb = summarize(a), summarize(b)
         if not (certified(sa) and certified(sb)):
             for enumerate_chains in (chain_enumerate, best_chain):
                 with pytest.raises(InexactPairError):
                     enumerate_chains(sa, sb)
         else:
-            assert chain_enumerate(sa, sb) == best_chain(sa, sb).total
+            best = best_chain(sa, sb).total
+            assert chain_enumerate(sa, sb) == _row_pass(sa, sb) == _row_pass(sb, sa) == best
 
     @settings(deadline=None)
     @given(a=small_exprs(), b=small_exprs())

@@ -1,10 +1,12 @@
 """Constructor validation and spectrum compilation."""
 import pytest
 
+from krulldim.checks import catalog
 from krulldim.errors import ConsistencyError, ConstraintError
 from krulldim.spectra import (
     KIND_CONTAINS,
     KIND_OUTSIDE,
+    KIND_PLAIN,
     MAX_DIGITS,
     MAX_STRATA,
     SUMMARY_CACHE_SIZE,
@@ -370,3 +372,40 @@ class TestSelectors:
     def test_bad_selectors(self, sel):
         with pytest.raises(ConstraintError):
             summarize(AfDomain(3, 2)).select(sel)
+
+    def test_selectors_resolve_as_a_scan_does(self):
+        # Every catalog model, AF models, and pullbacks whose strata outside
+        # M end below, at, inside and above the top of D's chain over M.
+        exprs = [
+            *catalog().values(),
+            *(AfDomain(4, d) for d in range(5)),
+            Valuation(5, 3),
+            PolyRing(AfDomain(2, 1), 2),
+            *(
+                Pullback(AfDomain(dim_t + 3, dim_t), m, AfDomain(2, dim_d), outside=outside)
+                for dim_t in range(1, 5)
+                for m in range(1, dim_t + 1)
+                for outside in range(m - 1, dim_t + 1)
+                for dim_d in range(3)
+            ),
+            *(Pullback(Valuation(6, m), m, AfDomain(3, dim_d)) for m in (1, 3) for dim_d in (0, 3)),
+        ]
+        for expr in exprs:
+            s = summarize(expr)
+            pd = s.pullback_data
+            assert s.top_stratum is s.strata[s.heights.index(s.dim)], expr
+            n = len(s.heights)
+            wanted = [(f"out:{h}", KIND_OUTSIDE if pd else KIND_PLAIN, h) for h in range(n + 2)]
+            if pd is not None:
+                wanted += [(f"in:{e}", KIND_CONTAINS, pd.m + e) for e in range(n + 2)]
+            for selector, kind, height in wanted:
+                # The reference: the first position of that kind and height.
+                found = [
+                    st for st, k, h in zip(s.strata, s.kinds, s.heights)
+                    if k == kind and h == height
+                ]
+                if found:
+                    assert s.select(selector) is found[0], (expr, selector)
+                else:
+                    with pytest.raises(ConstraintError, match="no stratum matches selector"):
+                        s.select(selector)
