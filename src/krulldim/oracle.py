@@ -14,11 +14,13 @@ rather than from the formulas under test:
   every stratum of the other) at a time, in values Z = height of A +
   height of B + best run.  The moves are symmetric in A and B, so the
   rows are taken over the side with fewer strata.  In Z an advance
-  gains only min(residue t.d., cap), so a chain block (cap 0) of the
-  column side is a suffix maximum along the row and a product block one
-  maximum over its upper positions; the best advance on the row side
-  through a block is a running maximum per block, kept as one row, and
-  a row's first merge with one also takes the fiber.  The pass returns
+  gains only min(residue t.d., cap), and along a chain block (cap 0) of
+  the column side the fiber never falls and a finished row never rises,
+  so that block takes the maximum of the row and the fiber at the
+  block's top, one cut and one fill; a product block takes one maximum
+  over its upper positions.  The best advance on the row side through
+  a block is a running maximum per block, kept as one row, and a row
+  starts as a copy of the first one it steps through.  The pass returns
   the best run from the zero anchor (0, 0), in the last row it walks,
   and needs only the initial jump to (0, 0): the zero ideal lies under
   every stratum, so a chain that climbs from (0, 0) gains at least
@@ -53,12 +55,14 @@ suites that compare the two live in ``checks``.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
+from operator import neg
 
 from .errors import ConstraintError, InexactPairError
-from .spectra import Record, SpectrumSummary, Stratum
+from .spectra import Record, SpectrumSummary
 
 
 class AnchoredChain(Record, namedtuple("AnchoredChain", "anchors segment_lengths")):
@@ -176,29 +180,50 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     every upper position lies above every lower one, so those positions
     are exactly the strict successors of the current one.
 
-    A row takes the fiber and the A-advances from ``col``, one block of
-    A at a time: the first block of cap 0 that the row's stratum steps
-    through (its chain block, unless it is the chain's top) in the same
-    comprehension as the fiber, and each block of cap > 0 with its
-    min(r_b, cap) added in the merge.  Then come the B-advances over
-    B's blocks in reverse storage order.  In a chain block of B every
-    higher position of the block is a strict successor and a step adds
-    min(r_a, 0) = 0, so the block is a suffix maximum, taken from its
-    top down.  In a product block every upper position is a successor
-    of every lower one, so each lower position rises to the maximum over
-    the upper ones plus min(r_a, cap).  Each block reads finished values: the blocks
-    taken after it are those stored before it, and no block raises a
-    position that a block stored after it reads (``spectra._check_summary``
-    refuses any other model).  Last the row enters ``col[k]`` for each
-    block k of A whose upper range holds i.  Where i is k's top position,
-    walked first, ``col[k]`` is still empty.  Where k's upper range lies
-    inside one chain block of A, as a chain block's own range and every
-    compiled pullback's product block's does, the row stepped through
-    that chain, whose maximum holds every row of the range walked so
-    far, so the row already dominates ``col[k]``.  In both cases the row
-    itself becomes ``col[k]``; otherwise the two are merged elementwise.
-    So a row costs O(nb) per block of either side, and the pass
-    O(na * nb * blocks) with na <= nb.
+    A row starts as a copy of ``col`` of the first block of cap 0 that
+    the row's stratum steps through (its chain block, unless it is the
+    chain's top), or as zeros, and takes the other A-advances from
+    ``col`` one block of A at a time, each block of cap > 0 with its
+    min(r_b, cap) added in the merge.  Then come the fiber and the
+    B-advances over B's blocks in reverse storage order.  Each block
+    reads finished values: the blocks taken after it are those stored
+    before it, and no block raises a position that a block stored after
+    it reads (``spectra._check_summary`` refuses any other model).
+
+    Along a chain block of B heights rise, residues never rise and
+    height + residue never falls (``spectra._check_summary``), so the
+    fiber h_a + h + min(r_a, r) never falls along it and min(r_b, cap)
+    never rises.  Every finished row never rises along it, as the step
+    below leaves it so and no later step of the row touches it; then
+    neither does a row entering the block's step, a maximum of such rows
+    and zeros, with min(r_b, cap) added and raised on prefixes of the
+    block.  In the block every higher position is a strict successor
+    and a step adds min(r_a, 0) = 0, so the block's suffix maximum, with
+    the fiber, is the maximum of each entry and t, the fiber at the
+    block's top.  The entries below t are a tail of the block: one
+    bisection finds where it starts and one slice assignment fills it
+    with t.  In a product block every upper position is a successor of
+    every lower one, so each lower position rises to p, the maximum over
+    the upper ones plus min(r_a, cap), and the suffix maximum of the
+    chain block holding it spreads p down to that block's start.  So the
+    step raises, in each chain block its lower range meets, the
+    positions from that block's start to the range's last position
+    there, by the same cut and fill, and the block still never rises.
+    Every chain block is a step, one of one position too, as it carries
+    the fiber.  A row then costs O(1) Python steps per block of B, each
+    a bisection and a fill of at most nb entries, and one comprehension
+    per other block of A it merges.
+
+    Last the row enters ``col[k]`` for each block k of A whose upper
+    range holds i.  Where i is k's top position, walked first, ``col[k]``
+    is still empty.  Where k's upper range lies inside one chain block of
+    A, as a chain block's own range and every compiled pullback's product
+    block's does, the row stepped through that chain, whose maximum holds
+    every row of the range walked so far, so the row already dominates
+    ``col[k]``.  In both cases the row itself becomes ``col[k]``;
+    otherwise the two are merged elementwise.
+    The pass costs O(na * nb * blocks) with na <= nb, with
+    O(na * blocks) Python steps for B's blocks.
 
     The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
     jump to (0, 0) has length 0, and no other jump beats a chain from
@@ -226,7 +251,7 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
     rows_a = a.walk_plan[0]
     steps_b = b.walk_plan[1]
-    heights_b, residues_b = b.heights, b.residues
+    residues_b = b.residues
     # min(cap, r_b) per position of B, for the A-advances through a block
     # of cap > 0.
     capped = {
@@ -238,30 +263,17 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     # it, walked first, so no entry is read before it is written.
     col: list = [None] * len(a.blocks)
     for h_a, r_a, through, starts, ends in rows_a:
-        if through is None:
-            z = [h_a + h + (r_a if r_a < r else r) for h, r in zip(heights_b, residues_b)]
-        else:
-            z = [
-                u if u > (f := h_a + h + (r_a if r_a < r else r)) else f
-                for h, r, u in zip(heights_b, residues_b, col[through])
-            ]
+        z = [0] * len(residues_b) if through is None else col[through].copy()
         for k, cap in starts:
             if cap:
                 z = [v if v > u + c else u + c for v, u, c in zip(z, col[k], capped[cap])]
             else:
                 z = [v if v > u else u for v, u in zip(z, col[k])]
-        for lower, upper, cap in steps_b:
-            if upper is None:
-                best = 0
-                for j in lower:
-                    v = z[j]
-                    if v < best:
-                        z[j] = best
-                    else:
-                        best = v
-            else:
-                p = max(z[upper]) + (cap if cap < r_a else r_a)
-                z[lower] = [v if v > p else p for v in z[lower]]
+        # z never rises along a fill, so the entries below t are its tail.
+        for upper, h, c, start, stop in steps_b:
+            t = (h_a + h if upper is None else max(z[upper])) + (c if c < r_a else r_a)
+            cut = bisect_right(z, -t, start, stop, key=neg)
+            z[cut:stop] = [t] * (stop - cut)
         for k, fresh in ends:
             col[k] = z if fresh else [v if v > u else u for v, u in zip(z, col[k])]
     # The last row is A's position 0, the only stratum of height 0.

@@ -38,8 +38,9 @@ formulas and the oracle read them.  Views built on first use:
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
 and ``walk_plan``, the chain oracle's rows in walk order, each with
-its block lists, and row steps, O(S) references built from the arrays
-and ``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
+its block lists, and row steps, one per chain block and one per
+product block and chain block its lower range meets, O(S) references
+built from the arrays and ``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
 ``pairs`` entries without keeping them.  The formulas, the chain
 oracle, the ``spectrum`` command and the check suites' own loops build
 neither pair view; only the oracle's literal enumerator ``iter_chains``
@@ -257,32 +258,48 @@ class SpectrumSummary(
         ``rows`` serves the model as the oracle's row side: one tuple
         ``(height, residue, through, starts, ends)`` per position i, by
         decreasing height.  ``through`` is the first block k of cap 0
-        with a pair (i, i2), i < i2, or None: the row takes its fiber in
-        its merge with that block.  ``starts`` holds ``(k, cap)`` for
-        every other such block, and ``ends`` holds ``(k, fresh)``
-        for each k whose upper range holds i.  ``fresh`` is true when the
-        oracle's row at i dominates every row of k's upper range walked
-        before it: i is k's top position (the first of k's upper range
-        walked, as heights rise along it), or k's upper range lies inside
-        one chain block, which the row at any other position of the range
-        steps through (``_read_layout`` lists the ranges that do not as
-        loose).  So every chain block and every compiled pullback's
-        product block is fresh at each position.
+        with a pair (i, i2), i < i2, or None: the row starts as a copy of
+        that block's running maximum, or as zeros.  ``starts`` holds
+        ``(k, cap)`` for every other such block, and ``ends`` holds
+        ``(k, fresh)`` for each k whose upper range holds i.  ``fresh`` is
+        true when the oracle's row at i dominates every row of k's upper
+        range walked before it: i is k's top position (the first of k's
+        upper range walked, as heights rise along it), or k's upper range
+        lies inside one chain block, which the row at any other position
+        of the range steps through (``_read_layout`` lists the ranges that
+        do not as loose).  So every chain block and every compiled
+        pullback's product block is fresh at each position.
 
-        ``row_steps`` serves the model as the column side: the blocks with
-        a pair i < j, in reverse storage order.  A chain block is
-        ``(positions from its top down, None, 0)``, a product block
-        ``(lower slice, upper slice, cap)``.
+        ``row_steps`` serves the model as the column side, in reverse
+        storage order of the blocks: steps ``(upper, height, cap, start,
+        stop)``, each raising the row's entries below a value t on
+        positions ``start`` to ``stop - 1`` to t.  A chain block, of one
+        position too, is one step ``(None, height, residue, start, stop)``
+        over all its positions, with its top's height and residue, from
+        which the oracle takes t as the fiber at the top.  A product block
+        with a pair i < j is ``(upper slice, None, cap, start, stop)``, once
+        per chain block its lower range meets, from that chain block's
+        start to the range's last position in it; t is the maximum over
+        the upper slice plus min(residue, cap).
 
         Equal entries are one shared tuple, so a plan holds O(S) references.
         """
-        heights = self.heights
+        heights, residues = self.heights, self.residues
         loose = _read_layout(heights, *[block[:2] for block in self.blocks])[2]
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
         ends: list[list[tuple[int, bool]]] = [[] for _ in heights]
+        # The first position of each position's chain block.
+        chain_start = [0] * len(heights)
+        for block in self.blocks:
+            if block.lower == block.upper:
+                for i in block.lower:
+                    chain_start[i] = block.lower.start
         row_steps = []
         for k, block in enumerate(self.blocks):
             lower, upper = block.lower, block.upper
+            if lower == upper and lower:
+                top = upper[-1]
+                row_steps.append((None, heights[top], residues[top], lower.start, top + 1))
             if not (lower and upper and lower.start < upper[-1]):
                 continue
             for i in lower:
@@ -291,14 +308,12 @@ class SpectrumSummary(
             inside = upper not in loose
             for i in upper:
                 ends[i].append((k, inside or i == upper[-1]))
-            if lower == upper:
-                row_steps.append((lower[::-1], None, 0))
-            else:
-                row_steps.append((
-                    slice(lower.start, lower.stop, lower.step),
-                    slice(upper.start, upper.stop, upper.step),
-                    block.cap,
-                ))
+            if lower != upper:
+                reads = slice(upper.start, upper.stop, upper.step)
+                last = {chain_start[i]: i for i in lower}
+                row_steps.extend(
+                    (reads, None, block.cap, start, i + 1) for start, i in last.items()
+                )
         shared: dict[tuple, tuple] = {}
         rows = []
         for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
@@ -307,7 +322,7 @@ class SpectrumSummary(
             reached = tuple(ends[i])
             rows.append((
                 heights[i],
-                self.residues[i],
+                residues[i],
                 through,
                 shared.setdefault(others, others),
                 shared.setdefault(reached, reached),

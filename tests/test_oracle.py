@@ -164,7 +164,9 @@ class TestChainEnumerate:
         assert rows[0][2:] == (None, (), ((0, True),))
         assert {row[2:] for row in rows[1:]} == {(0, (), ((0, True),))}
         assert len({id(row[4]) for row in rows}) == 1
-        assert row_steps == ((range(300, -1, -1), None, 0),)
+        # The chain is one step, filled from its bottom up to its top,
+        # whose fiber it carries: height 300, residue 0.
+        assert row_steps == ((None, 300, 0, 0, 301),)
 
     def test_walk_plan_of_a_pullback(self):
         # Outside M at 0..4 (residue 14 - h), M and D's chain over it at
@@ -182,10 +184,19 @@ class TestChainEnumerate:
             (4, 10, None, ((1, 3),), ((0, True),)),
             *((h, 14 - h, 0, ((1, 3),), ((0, True),)) for h in range(3, -1, -1)),
         )
+        # Each chain block carries its top's height and residue; the
+        # product block fills its lower range, from the chain block's start.
         assert row_steps == (
-            (range(11, 4, -1), None, 0),
-            (slice(0, 5, 1), slice(5, 12, 1), 3),
-            (range(4, -1, -1), None, 0),
+            (None, 11, 0, 5, 12),
+            (slice(5, 12, 1), None, 3, 0, 5),
+            (None, 4, 10, 0, 5),
+        )
+        # kM: M over the zero ideal, each a chain block of one position,
+        # which is a step of its own.
+        assert S_KM.walk_plan[1] == (
+            (None, 1, 0, 1, 2),
+            (slice(1, 2, 1), None, 1, 0, 1),
+            (None, 0, 2, 0, 1),
         )
 
     def test_equals_dim_tensor_at_certify_size(self):

@@ -1,12 +1,13 @@
 """Property-based tests for model invariants and formula agreements."""
 import re
 import sys
+from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from krulldim.checks import catalog_pullbacks
-from krulldim.errors import InexactPairError
+from krulldim.errors import ConsistencyError, InexactPairError
 from krulldim.formulas import (
     dim_tensor,
     fiber_dim,
@@ -17,11 +18,15 @@ from krulldim.oracle import _row_pass, best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
+    KIND_OUTSIDE,
     AfDomain,
     Field,
+    PairBlock,
     PolyRing,
     Pullback,
+    SpectrumSummary,
     Valuation,
+    _check_summary,
     expr_dim,
     expr_td,
     is_af_poly,
@@ -95,6 +100,79 @@ def small_exprs():
         af_exprs(max_td=3).filter(lambda e: expr_dim(e) <= 3),
         pullback_exprs(max_m=2, max_td_kd=1),
     )
+
+
+def built_model(heights, residues, caps, blocks):
+    return SpectrumSummary(
+        td=residues[0],
+        dim=max(heights),
+        is_af=False,
+        kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
+        heights=tuple(heights),
+        residues=tuple(residues),
+        caps=tuple(caps),
+        blocks=tuple(blocks),
+    )
+
+
+@st.composite
+def built_models(draw):
+    """A model of 2 to 6 strata that passes ``_check_summary``, built by hand.
+
+    Heights rise with positions, which are cut into chain blocks at
+    random; each chain block but the first lies over a prefix of the
+    first by a product block of the chain block's cap.  Up to three
+    more product blocks, of caps 0 to 3, take a lower range off the zero
+    ideal and an upper range from a later chain block on, so either may
+    start inside a chain block or span two; each is kept only where the
+    model still passes the guard.
+    """
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
+    heights = list(accumulate([0, *steps]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+    chains = [range(i, j) for i, j in pairwise([0, *cuts, n])]
+    td = heights[-1] + draw(st.integers(0, 2))
+    residues, caps = [td], [0]
+    for c, run in enumerate(chains):
+        # A cap that never rises lets a range span the cut.
+        cap = draw(st.integers(0, 3 if draw(st.booleans()) else caps[-1])) if c else 0
+        for i in run[not c:]:
+            h, r0, dh = heights[i], residues[-1], heights[i] - heights[i - 1]
+            # Inside a chain block residues never rise and height + residue
+            # never falls; a chain block may start anywhere, or go on so.
+            if i == run.start and draw(st.booleans()):
+                r = draw(st.integers(0, td - h))
+            else:
+                r = draw(st.integers(max(0, r0 - dh), min(r0, td - h)))
+            residues.append(r)
+            caps.append(cap)
+
+    def storage_key(block):
+        # A product block stores after the chain blocks its lower range
+        # meets and before those its upper range meets.
+        last = next(c for c, run in enumerate(chains) if block.lower[-1] in run)
+        return last, block.lower != block.upper
+
+    blocks = [PairBlock(run, run, 0, True) for run in chains]
+    for run in chains[1:]:
+        top = draw(st.integers(1, len(chains[0])))
+        blocks.append(PairBlock(range(top), run, caps[run.start], True))
+    blocks.sort(key=storage_key)
+    # Lower ranges from 0 would change the pairs over the zero ideal.
+    for _ in range(draw(st.integers(0, 3)) if len(chains) > 1 and chains[-2][-1] else 0):
+        i = draw(st.integers(1, chains[-2][-1]))
+        j = draw(st.integers(i, chains[-2][-1]))
+        k = draw(st.integers(next(run.start for run in chains if run.start > j), n - 1))
+        upper = range(k, draw(st.integers(k + 1, n)))
+        extra = PairBlock(range(i, j + 1), upper, draw(st.integers(0, 3)), True)
+        trial = sorted([*blocks, extra], key=storage_key)
+        try:
+            _check_summary(built_model(heights, residues, caps, trial))
+        except ConsistencyError:
+            continue
+        blocks = trial
+    return built_model(heights, residues, caps, blocks)
 
 
 # Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
@@ -266,6 +344,33 @@ class TestFormulaAgreements:
         else:
             best = best_chain(sa, sb).total
             assert chain_enumerate(sa, sb) == _row_pass(sa, sb) == _row_pass(sb, sa) == best
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=built_models(), b=small_exprs().map(summarize).filter(certified))
+    # Against field(0), the product block raises the lower chain's first
+    # position only, so the row falls along that chain: a fill that cut
+    # it as if it rose would overwrite the raise.
+    @example(
+        model=built_model(
+            (0, 1, 2, 3, 4),
+            (4, 3, 2, 1, 0),
+            (0,) * 5,
+            (
+                PairBlock(range(2), range(2), 0, True),
+                PairBlock(range(1), range(2, 5), 0, True),
+                PairBlock(range(2, 5), range(2, 5), 0, True),
+            ),
+        ),
+        b=summarize(Field(0)),
+    )
+    def test_fused_pass_matches_the_literal_enumerator_on_built_models(self, model, b):
+        """The pass rests only on what ``_check_summary`` guards, not on the constructors' layouts.
+
+        Product blocks here raise ranges that start inside a chain block
+        or span two, which no compiled model has.
+        """
+        best = best_chain(model, b).total
+        assert chain_enumerate(model, b) == _row_pass(model, b) == _row_pass(b, model) == best
 
     @settings(deadline=None)
     @given(a=small_exprs(), b=small_exprs())
