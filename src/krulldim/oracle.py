@@ -12,21 +12,31 @@ rather than from the formulas under test:
   contractions and fibers.  It does so in one bottom-up pass that reads
   the pair blocks, one row of anchors (a stratum of one side against
   every stratum of the other) at a time, in values Z = height of A +
-  height of B + best run.  The moves are symmetric in A and B, so the
-  rows are taken over the side with fewer strata.  In Z an advance
-  gains only min(residue t.d., cap), and along a chain block (cap 0) of
-  the column side the fiber never falls and a finished row never rises,
-  so that block takes the maximum of the row and the fiber at the
-  block's top, one cut and one fill; a product block takes one maximum
-  over its upper positions.  The best advance on the row side through
-  a block is a running maximum per block, kept as one row, and a row
-  starts as a copy of the first one it steps through.  The pass returns
-  the best run from the zero anchor (0, 0), in the last row it walks,
-  and needs only the initial jump to (0, 0): the zero ideal lies under
-  every stratum, so a chain that climbs from (0, 0) gains at least
-  what any other jump does.  Each side's rows and row steps are its
-  summary's ``walk_plan``, built in O(S) once per summary; a call then
-  costs O(na * nb * blocks).
+  height of B + best run.  In Z an advance gains only min(residue t.d.,
+  cap), and along a chain block (cap 0) of the column side the fiber
+  never falls and a finished row never rises, so that block takes the
+  maximum of the row and the fiber at the block's top, one cut and one
+  fill; a product block takes one maximum over its upper positions.
+  The best advance on the row side through a block is a running
+  maximum per block, kept as one row, and a row starts as a copy of the
+  first one it steps through.  Most rows need nothing more: a row that
+  steps through its own chain block and merges no other block starts as
+  its chain successor's finished row, and the column side's steps leave
+  that row as it is unless the successor's residue lies below both the
+  largest cap of the column side's product steps and the row's own
+  residue.  Along a chain block heights rise, residues never rise and
+  height + residue never falls, so each chain step's fiber is at most
+  the successor's, and a product step then adds what the successor's
+  did.  Such a row is skipped.  The moves are symmetric in A and B, so
+  the rows are taken over the side with fewer rows left to compute,
+  which one bisection a side counts.  The pass returns the best run
+  from the zero anchor (0, 0), in the last row it walks, and needs only
+  the initial jump to (0, 0): the zero ideal lies under every stratum,
+  so a chain that climbs from (0, 0) gains at least what any other
+  jump does.  Each side's rows, row steps and counts are its summary's
+  ``walk_plan``, built in O(S) once per summary; a call then costs
+  O(nb * blocks) per computed row, and a skipped one only enters its
+  running maxima.
   ``iter_chains`` enumerates the same chains move by move over the
   ``ups`` view, with every legal initial jump; it is the literal
   reference the pass is tested against.  The maximum is a certified
@@ -55,7 +65,7 @@ suites that compare the two live in ``checks``.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
@@ -143,7 +153,7 @@ def _fiber(a, b, i, j) -> int:
 
 def _require_exact_sides(a, b):
     for side, summary in (("A", a), ("B", b)):
-        pair = summary.first_uncertified()
+        pair = summary.uncertified
         if pair is not None:
             raise InexactPairError(
                 f"chain enumeration needs exact pair data; side {side} has "
@@ -168,10 +178,12 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     (``spectra._check_summary``), so a step inside one adds nothing.
 
     Every legal move has a mirror image with A and B swapped, so the
-    maximum does not depend on the order of the sides.  The pass takes
-    its rows over the side with fewer strata, after checking both sides
-    as the caller named them: fewer, longer rows pay a row's fixed cost
-    fewer times.  Below, A is the side walked as rows.
+    maximum does not depend on the order of the sides.  After checking
+    both sides as the caller named them, the pass takes its rows over
+    the side with fewer rows left to compute (see the skip rule below),
+    then over the side with fewer strata, then over A as named: fewer,
+    longer rows pay a row's fixed cost fewer times.  Below, A is the
+    side walked as rows.
 
     A's strata are walked by decreasing height, one row each.
     ``col[k]`` holds, per position j of B, the maximum of Z(i2, j) over
@@ -222,8 +234,29 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     every row of the range walked so far, so the row already dominates
     ``col[k]``.  In both cases the row itself becomes ``col[k]``;
     otherwise the two are merged elementwise.
-    The pass costs O(na * nb * blocks) with na <= nb, with
-    O(na * blocks) Python steps for B's blocks.
+    A computed row costs O(nb * blocks), with O(blocks) Python steps
+    for B's blocks.
+
+    A row at i that steps through its own chain block and merges no
+    other block starts as ``col`` of that block: the finished row of
+    i + 1, its chain successor, the last of the chain walked.  It is
+    skipped, doing only its ``ends``, when r_a(i+1) is at least cmax,
+    the largest cap among B's product steps, or equals r_a(i); then its
+    steps leave that row as it is.  Take them in order on row(i+1), the
+    row that i + 1's own steps leave, whether computed or itself
+    skipped.  Along a chain block of A heights rise, residues never rise
+    and height + residue never falls (``spectra._check_summary``).  So a
+    chain step's t = h_a + h + min(r, r_a) is at most the t row i + 1
+    took there: if r_a(i+1) <= r, h_a(i) + r_a(i) <= h_a(i+1) + r_a(i+1);
+    otherwise both residues exceed r and h_a(i) < h_a(i+1).  Row i + 1's
+    step left every entry of the block at or above its t, and no step
+    lowers an entry, so the bisection cuts nothing.  A product step reads
+    upper positions that no later step raises, so it finds the maximum
+    row i + 1 found and adds min(cap, r_a(i)), which is min(cap,
+    r_a(i+1)) when r_a(i+1) >= cap or r_a(i+1) = r_a(i); so it fills
+    nothing either.  Each side's plan counts its rows that are never
+    skipped and lists the others' successor residues by value, so one
+    bisection at the other side's cmax counts the rows a side computes.
 
     The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
     jump to (0, 0) has length 0, and no other jump beats a chain from
@@ -235,14 +268,20 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ht(p) when p's cap is 0, and goes on from (i, j) as the jump's chain
     would; B's jump is the mirror image, through (i, 0).
 
-    A's rows, each its stratum's height, residue and block lists in walk
-    order, and B's row steps depend on one side only: each summary's
-    ``walk_plan`` builds them in O(S) on its first call and keeps them,
-    so a call builds only ``col``, one list per cap of A's blocks and
-    its rows.
+    A's rows, each its stratum's height, residue, block lists and
+    successor residue in walk order, A's counts, and B's row steps and
+    cmax depend on one side only: each summary's ``walk_plan`` builds
+    them in O(S) on its first call and keeps them, and the check that
+    every pair is certified reads each summary's kept ``uncertified``.
+    So a call builds only ``col``, its computed rows, and one list of
+    min(r_b, cap) per cap of a block of A that a computed row merges.
     """
     _require_exact_sides(a, b)
-    if len(b.heights) < len(a.heights):
+    rows_a, _, cap_a, fixed_a, successors_a = a.walk_plan
+    rows_b, _, cap_b, fixed_b, successors_b = b.walk_plan
+    computed_a = fixed_a + bisect_left(successors_a, cap_b)
+    computed_b = fixed_b + bisect_left(successors_b, cap_a)
+    if (computed_b, len(rows_b)) < (computed_a, len(rows_a)):
         a, b = b, a
     return _row_pass(a, b)
 
@@ -250,30 +289,35 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
 def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
     rows_a = a.walk_plan[0]
-    steps_b = b.walk_plan[1]
+    _, steps_b, cap_b, _, _ = b.walk_plan
     residues_b = b.residues
     # min(cap, r_b) per position of B, for the A-advances through a block
-    # of cap > 0.
-    capped = {
-        cap: [cap if cap < r else r for r in residues_b]
-        for cap in {block.cap for block in a.blocks}
-        if cap
-    }
+    # of cap > 0, built when a computed row first merges such a block.
+    capped: dict = {}
     # An A-step reads a block only from a position with a successor in
     # it, walked first, so no entry is read before it is written.
     col: list = [None] * len(a.blocks)
-    for h_a, r_a, through, starts, ends in rows_a:
-        z = [0] * len(residues_b) if through is None else col[through].copy()
-        for k, cap in starts:
-            if cap:
-                z = [v if v > u + c else u + c for v, u, c in zip(z, col[k], capped[cap])]
-            else:
-                z = [v if v > u else u for v, u in zip(z, col[k])]
-        # z never rises along a fill, so the entries below t are its tail.
-        for upper, h, c, start, stop in steps_b:
-            t = (h_a + h if upper is None else max(z[upper])) + (c if c < r_a else r_a)
-            cut = bisect_right(z, -t, start, stop, key=neg)
-            z[cut:stop] = [t] * (stop - cut)
+    for h_a, r_a, through, starts, ends, successor in rows_a:
+        if successor is not None and (successor >= cap_b or successor == r_a):
+            # The finished row of the chain successor, which this row's
+            # steps would leave as it is; no list in col changes once
+            # there, so the two rows may share it.
+            z = col[through]
+        else:
+            z = [0] * len(residues_b) if through is None else col[through].copy()
+            for k, cap in starts:
+                if cap:
+                    add = capped.get(cap)
+                    if add is None:
+                        add = capped[cap] = [cap if cap < r else r for r in residues_b]
+                    z = [v if v > u + c else u + c for v, u, c in zip(z, col[k], add)]
+                else:
+                    z = [v if v > u else u for v, u in zip(z, col[k])]
+            # z never rises along a fill, so the entries below t are its tail.
+            for upper, h, c, start, stop in steps_b:
+                t = (h_a + h if upper is None else max(z[upper])) + (c if c < r_a else r_a)
+                cut = bisect_right(z, -t, start, stop, key=neg)
+                z[cut:stop] = [t] * (stop - cut)
         for k, fresh in ends:
             col[k] = z if fresh else [v if v > u else u for v, u in zip(z, col[k])]
     # The last row is A's position 0, the only stratum of height 0.

@@ -37,11 +37,14 @@ formulas and the oracle read them.  Views built on first use:
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-and ``walk_plan``, the chain oracle's rows in walk order, each with
-its block lists, and row steps, one per chain block and one per
-product block and chain block its lower range meets, O(S) references
-built from the arrays and ``blocks`` on the oracle's first call.  ``iter_pairs`` generates the
-``pairs`` entries without keeping them.  The formulas, the chain
+``walk_plan``, the chain oracle's rows in walk order, each with its
+block lists and its chain successor's residue, row steps, one per chain
+block and one per product block and chain block its lower range meets,
+and the counts by which the oracle picks its row side, O(S) references
+built from the arrays and ``blocks`` on the oracle's first call; and
+``uncertified``, the first uncertified pair or None, which the oracle
+reads on every call.  ``iter_pairs`` generates the ``pairs`` entries
+without keeping them.  The formulas, the chain
 oracle, the ``spectrum`` command and the check suites' own loops build
 neither pair view; only the oracle's literal enumerator ``iter_chains``
 builds ``ups``.
@@ -252,15 +255,15 @@ class SpectrumSummary(
         return tuple(map(tuple, rows))
 
     @cached_property
-    def walk_plan(self) -> tuple[tuple[tuple, ...], tuple]:
-        """``(rows, row_steps)``: what the chain oracle walks over this model.
+    def walk_plan(self) -> tuple[tuple[tuple, ...], tuple, int, int, tuple[int, ...]]:
+        """``(rows, row_steps, cap, fixed, successors)``: the chain oracle's walk over this model.
 
         ``rows`` serves the model as the oracle's row side: one tuple
-        ``(height, residue, through, starts, ends)`` per position i, by
-        decreasing height.  ``through`` is the first block k of cap 0
-        with a pair (i, i2), i < i2, or None: the row starts as a copy of
-        that block's running maximum, or as zeros.  ``starts`` holds
-        ``(k, cap)`` for every other such block, and ``ends`` holds
+        ``(height, residue, through, starts, ends, successor)`` per
+        position i, by decreasing height.  ``through`` is the first block
+        k of cap 0 with a pair (i, i2), i < i2, or None: the row starts as
+        a copy of that block's running maximum, or as zeros.  ``starts``
+        holds ``(k, cap)`` for every other such block, and ``ends`` holds
         ``(k, fresh)`` for each k whose upper range holds i.  ``fresh`` is
         true when the oracle's row at i dominates every row of k's upper
         range walked before it: i is k's top position (the first of k's
@@ -269,6 +272,16 @@ class SpectrumSummary(
         of the range steps through (``_read_layout`` lists the ranges that
         do not as loose).  So every chain block and every compiled
         pullback's product block is fresh at each position.
+        ``successor`` is the residue of position i + 1 when ``through`` is
+        i's own chain block and ``starts`` is empty, and None otherwise.
+        Such a row starts as the finished row of i + 1, its chain
+        successor, and the oracle skips it when ``successor`` is at least
+        the column side's ``cap`` or equals i's own residue (see
+        ``oracle``).  ``fixed`` counts the rows whose ``successor`` is
+        None, and ``successors`` lists the others' ``successor`` by
+        increasing value, leaving out those equal to the row's own
+        residue: against a column side of ``cap`` c the oracle computes
+        ``fixed + bisect_left(successors, c)`` rows.
 
         ``row_steps`` serves the model as the column side, in reverse
         storage order of the blocks: steps ``(upper, height, cap, start,
@@ -280,22 +293,24 @@ class SpectrumSummary(
         with a pair i < j is ``(upper slice, None, cap, start, stop)``, once
         per chain block its lower range meets, from that chain block's
         start to the range's last position in it; t is the maximum over
-        the upper slice plus min(residue, cap).
+        the upper slice plus min(residue, cap).  ``cap`` is the largest
+        cap of the product steps, 0 if there are none.
 
         Equal entries are one shared tuple, so a plan holds O(S) references.
         """
-        heights, residues = self.heights, self.residues
-        loose = _read_layout(heights, *[block[:2] for block in self.blocks])[2]
+        heights, residues, blocks = self.heights, self.residues, self.blocks
+        loose = _read_layout(heights, *[block[:2] for block in blocks])[2]
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
         ends: list[list[tuple[int, bool]]] = [[] for _ in heights]
         # The first position of each position's chain block.
         chain_start = [0] * len(heights)
-        for block in self.blocks:
+        for block in blocks:
             if block.lower == block.upper:
                 for i in block.lower:
                     chain_start[i] = block.lower.start
         row_steps = []
-        for k, block in enumerate(self.blocks):
+        step_cap = 0
+        for k, block in enumerate(blocks):
             lower, upper = block.lower, block.upper
             if lower == upper and lower:
                 top = upper[-1]
@@ -309,6 +324,7 @@ class SpectrumSummary(
             for i in upper:
                 ends[i].append((k, inside or i == upper[-1]))
             if lower != upper:
+                step_cap = max(step_cap, block.cap)
                 reads = slice(upper.start, upper.stop, upper.step)
                 last = {chain_start[i]: i for i in lower}
                 row_steps.extend(
@@ -316,18 +332,31 @@ class SpectrumSummary(
                 )
         shared: dict[tuple, tuple] = {}
         rows = []
+        successors = []
         for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
             through = next((k for k, cap in starts[i] if not cap), None)
             others = tuple(start for start in starts[i] if start[0] != through)
             reached = tuple(ends[i])
+            # A chain block with a pair (i, i2) is i's own, and holds i + 1.
+            own_chain = through is not None and blocks[through].lower == blocks[through].upper
+            successor = residues[i + 1] if own_chain and not others else None
+            if successor is not None and successor != residues[i]:
+                successors.append(successor)
             rows.append((
                 heights[i],
                 residues[i],
                 through,
                 shared.setdefault(others, others),
                 shared.setdefault(reached, reached),
+                successor,
             ))
-        return tuple(rows), tuple(reversed(row_steps))
+        fixed = sum(row[5] is None for row in rows)
+        return tuple(rows), tuple(reversed(row_steps)), step_cap, fixed, tuple(sorted(successors))
+
+    @cached_property
+    def uncertified(self) -> tuple[int, int] | None:
+        """``first_uncertified()``, kept: None when every pair is certified."""
+        return self.first_uncertified()
 
     def first_uncertified(self, upper: int | None = None) -> tuple[int, int] | None:
         """The first uncertified pair in ``pairs`` order, or None.

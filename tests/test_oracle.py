@@ -1,5 +1,6 @@
 """Independent evaluators, the chain enumerator and the check suites."""
 import ast
+from bisect import bisect_left
 import inspect
 from functools import cached_property
 from itertools import product
@@ -112,8 +113,8 @@ class TestChainEnumerate:
             chain_enumerate(bad, S_KM)
 
     def test_refusal_names_the_callers_side(self):
-        # The pass walks the side with fewer strata as rows; the refusal
-        # still names the side as the caller passed it, whether the smaller
+        # The pass may walk either side as rows; the refusal still names
+        # the side as the caller passed it, whether the smaller
         # partner (kM, 2 strata) or the larger (af(5,5), 6) is the other.
         bad = summarize(AfDomain(3, 3, catenarian=False))
         for other in (S_KM, summarize(AfDomain(5, 5))):
@@ -145,45 +146,78 @@ class TestChainEnumerate:
         summarize.cache_clear()
         a = summarize(Pullback(Valuation(14, 5), 5, AfDomain(6, 6)))
         partners = [summarize(AfDomain(12, 9)), summarize(Valuation(19, 19))]
-        # summarize builds no plan; the oracle's first call does, the row
-        # side's first: af(12,9) has fewer strata than a (10 against 12),
-        # val(19,19) more (20).
+        # summarize builds no plan; the oracle's first call with a summary
+        # does, side A's first, as it reads both plans to count the rows
+        # each side would compute before it picks the row side.
         assert all("walk_plan" not in vars(s) for s in (a, *partners))
         chain_enumerate(a, partners[0])
         first = a.walk_plan
         chain_enumerate(a, partners[1])
         assert a.walk_plan is first
-        assert built == [partners[0].source, a.source, partners[1].source]
+        assert built == [a.source, partners[0].source, partners[1].source]
         summarize.cache_clear()
 
+    def test_walks_the_side_with_fewer_computed_rows(self, monkeypatch):
+        walked = []
+
+        def counted(a, b):
+            walked.append(a.source)
+            return _row_pass(a, b)
+
+        monkeypatch.setattr(oracle, "_row_pass", counted)
+        af = summarize(AfDomain(2047, 2047))
+        pullback = summarize(Pullback(Valuation(2047, 1023), 1023, AfDomain(1023, 1023)))
+        # Against the pullback's cap 1, af(2047,2047) computes its top row
+        # and the row whose successor has residue 0: 2 of its 2,048.  The
+        # pullback, against cap 0, computes D's top, its 1,023 rows outside
+        # M, each merging the product block, and none of the rest.
+        for x, y, computed in ((af, pullback, 2), (pullback, af, 1024)):
+            fixed, successors = x.walk_plan[3:]
+            assert fixed + bisect_left(successors, y.walk_plan[2]) == computed
+        assert chain_enumerate(af, pullback) == chain_enumerate(pullback, af) == 4094
+        # Equal counts go to the side with fewer strata, then to side A.
+        small, large = summarize(AfDomain(5, 5)), summarize(AfDomain(9, 9))
+        assert chain_enumerate(small, large) == chain_enumerate(large, small) == 14
+        assert chain_enumerate(small, small) == 10
+        assert walked == [af.source] * 2 + [small.source] * 3
+
     def test_walk_plan_shares_equal_entries(self):
-        rows, row_steps = summarize(AfDomain(300, 300)).walk_plan
+        rows, row_steps, cap, fixed, successors = summarize(AfDomain(300, 300)).walk_plan
         # Every position of an AF chain but the top steps through block 0,
         # and every one is reached in it, where the row dominates the maximum.
         assert [row[:2] for row in rows] == [(h, 300 - h) for h in range(300, -1, -1)]
-        assert rows[0][2:] == (None, (), ((0, True),))
-        assert {row[2:] for row in rows[1:]} == {(0, (), ((0, True),))}
+        assert rows[0][2:] == (None, (), ((0, True),), None)
+        assert {row[2:5] for row in rows[1:]} == {(0, (), ((0, True),))}
         assert len({id(row[4]) for row in rows}) == 1
+        # Each row below the top merges no other block, so it carries its
+        # chain successor's residue, 300 - (h + 1); only the top is fixed.
+        assert [row[5] for row in rows[1:]] == list(range(300))
+        assert (fixed, successors) == (1, tuple(range(300)))
         # The chain is one step, filled from its bottom up to its top,
-        # whose fiber it carries: height 300, residue 0.
+        # whose fiber it carries: height 300, residue 0.  No product step
+        # gives a cap.
         assert row_steps == ((None, 300, 0, 0, 301),)
+        assert cap == 0
 
     def test_walk_plan_of_a_pullback(self):
         # Outside M at 0..4 (residue 14 - h), M and D's chain over it at
         # 5..11 (residue 11 - h), cap 9 - 6 = 3; heights rise with positions.
-        rows, row_steps = summarize(
+        rows, row_steps, cap, fixed, successors = summarize(
             Pullback(Valuation(14, 5), 5, AfDomain(6, 6))
         ).walk_plan
         # The product block's upper range is D's chain, which every row
         # reached in it below the top steps through: each such row
-        # dominates the block's maximum, as its top row does.
+        # dominates the block's maximum, as its top row does.  Those rows
+        # carry their chain successor's residue, 11 - (h + 1); the rows
+        # outside M merge the product block, so none of them does.
         over_m = ((1, True), (2, True))
         assert rows == (
-            (11, 0, None, (), over_m),
-            *((h, 11 - h, 2, (), over_m) for h in range(10, 4, -1)),
-            (4, 10, None, ((1, 3),), ((0, True),)),
-            *((h, 14 - h, 0, ((1, 3),), ((0, True),)) for h in range(3, -1, -1)),
+            (11, 0, None, (), over_m, None),
+            *((h, 11 - h, 2, (), over_m, 10 - h) for h in range(10, 4, -1)),
+            (4, 10, None, ((1, 3),), ((0, True),), None),
+            *((h, 14 - h, 0, ((1, 3),), ((0, True),), None) for h in range(3, -1, -1)),
         )
+        assert (cap, fixed, successors) == (3, 6, (0, 1, 2, 3, 4, 5))
         # Each chain block carries its top's height and residue; the
         # product block fills its lower range, from the chain block's start.
         assert row_steps == (
@@ -314,11 +348,88 @@ class TestChains:
         _check_summary(model)
         # The blocks with a pair below it whose maximum position 2's row
         # enters, each with its fresh flag.
-        assert next(row[4] for row in model.walk_plan[0] if row[0] == 2) == reached_at_2
+        ends = next(ends for h, _, _, _, ends, _ in model.walk_plan[0] if h == 2)
+        assert ends == reached_at_2
         field = summarize(Field(2))
-        # chain_enumerate walks the field, the smaller side, as rows; the
-        # pass without that choice walks the model too.
+        # chain_enumerate walks the field as rows, one row to compute and
+        # the fewer strata; the pass without that choice walks the model too.
         for a, b in ((model, field), (field, model)):
+            assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
+
+    @pytest.mark.parametrize(
+        "heights, residues, caps, blocks, partner, value, successors",
+        [
+            # Position 0 is a chain block of its own under position 1 by a
+            # product block of cap 0, which its row steps through: that
+            # block's maximum is position 1's row, not the finished row of
+            # a chain successor, and position 0's fiber, min(3, 2), beats it.
+            (
+                (0, 1),
+                (3, 0),
+                (0, 0),
+                (
+                    PairBlock(range(1), range(1), 0, True),
+                    PairBlock(range(1), range(1, 2), 0, True),
+                    PairBlock(range(1, 2), range(1, 2), 0, True),
+                ),
+                Field(2),
+                2,
+                (None, None),
+            ),
+            # One chain of residues 3, 2, 1 against a product step of cap 2:
+            # position 1's own residue reaches the cap but its successor's
+            # does not, so its row gains min(2, 2) where position 2's gained
+            # min(2, 1); position 0's successor residue, 2, reaches the cap.
+            (
+                (0, 1, 2),
+                (3, 2, 1),
+                (0, 0, 0),
+                (PairBlock(range(3), range(3), 0, True),),
+                Pullback(Valuation(3, 1), 1, Field(0)),
+                5,
+                (None, 1, 2),
+            ),
+            # Position 1, inside the chain 0 < 1 < 2, also lies under
+            # position 3 by a block of cap 2, larger than the cap 1 of the
+            # pair over the zero ideal: its row must merge that block, which
+            # its chain successor's row does not.
+            (
+                (0, 1, 2, 3),
+                (4, 3, 2, 0),
+                (0, 0, 0, 1),
+                (
+                    PairBlock(range(3), range(3), 0, True),
+                    PairBlock(range(1), range(3, 4), 1, True),
+                    PairBlock(range(1, 2), range(3, 4), 2, True),
+                    PairBlock(range(3, 4), range(3, 4), 0, True),
+                ),
+                Field(0),
+                3,
+                (None, None, None, None),
+            ),
+        ],
+        ids=["through-a-product-block", "successor-residue-below-the-cap", "merges-another-block"],
+    )
+    def test_skips_only_rows_their_successor_finished(
+        self, heights, residues, caps, blocks, partner, value, successors
+    ):
+        # A row is skipped only if it steps through its own chain block,
+        # merges no other block, and its chain successor's residue reaches
+        # the column side's largest product cap or equals its own.
+        model = SpectrumSummary(
+            td=residues[0],
+            dim=max(heights),
+            is_af=False,
+            kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
+            heights=heights,
+            residues=residues,
+            caps=caps,
+            blocks=blocks,
+        )
+        _check_summary(model)
+        assert tuple(row[5] for row in model.walk_plan[0]) == successors
+        other = summarize(partner)
+        for a, b in ((model, other), (other, model)):
             assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
 
     def test_chains_from_the_zero_anchor_reach_the_maximum(self):
