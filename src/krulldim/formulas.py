@@ -268,7 +268,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     + min(t.d.(D), dim(D) + t.d.(B/q)).
     """
     pd, gates = _require_gated(a)
-    pair = b.first_uncertified()
+    pair = b.uncertified
     if pair is not None:
         raise _inexact_error(b, *pair, "tensor dimension formula")
 

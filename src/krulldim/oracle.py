@@ -217,25 +217,23 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     with t.  In a product block every upper position is a successor of
     every lower one, so each lower position rises to p, the maximum over
     the upper ones plus min(r_a, cap), and the suffix maximum of the
-    chain block holding it spreads p down to that block's start.  So the
-    step raises, in each chain block its lower range meets, the
-    positions from that block's start to the range's last position
-    there, by the same cut and fill, and the block still never rises.
+    chain block holding it spreads p down to that block's start.  A
+    product block's lower range lies inside one chain block
+    (``spectra._check_summary``), so the step raises the positions from
+    that chain block's start to the range's last position, by the same
+    cut and fill, and the block still never rises.
     Every chain block is a step, one of one position too, as it carries
     the fiber.  A row then costs O(1) Python steps per block of B, each
     a bisection and a fill of at most nb entries, and one comprehension
     per other block of A it merges.
 
-    Last the row enters ``col[k]`` for each block k of A whose upper
+    Last the row becomes ``col[k]`` for each block k of A whose upper
     range holds i.  Where i is k's top position, walked first, ``col[k]``
-    is still empty.  Where k's upper range lies inside one chain block of
-    A, as a chain block's own range and every compiled pullback's product
-    block's does, the row stepped through that chain, whose maximum holds
-    every row of the range walked so far, so the row already dominates
-    ``col[k]``.  In both cases the row itself becomes ``col[k]``;
-    otherwise the two are merged elementwise.
-    A computed row costs O(nb * blocks), with O(blocks) Python steps
-    for B's blocks.
+    is still empty.  Otherwise the row stepped through the chain block of
+    A that holds k's upper range (``spectra._check_summary``), whose
+    maximum holds every row of the range walked so far, so the row
+    already dominates ``col[k]``.  A computed row costs O(nb * blocks),
+    with O(blocks) Python steps for B's blocks.
 
     A row at i that steps through its own chain block and merges no
     other block starts as ``col`` of that block: the finished row of
@@ -318,8 +316,8 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
                 t = (h_a + h if upper is None else max(z[upper])) + (c if c < r_a else r_a)
                 cut = bisect_right(z, -t, start, stop, key=neg)
                 z[cut:stop] = [t] * (stop - cut)
-        for k, fresh in ends:
-            col[k] = z if fresh else [v if v > u else u for v, u in zip(z, col[k])]
+        for k in ends:
+            col[k] = z
     # The last row is A's position 0, the only stratum of height 0.
     return z[0]
 

@@ -26,7 +26,8 @@ are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
 AF model's chain; or a pullback's chain outside M, its strata outside M
 below height m under those containing M, and D's chain over M.  No
 block's lower positions overlap the upper positions of a block stored
-after it, which the chain oracle's row steps rely on.  Along each
+after it, and each product block's lower and upper range lies inside
+one chain block, which the chain oracle's row steps rely on.  Along each
 block's lower and upper range residues and caps never rise and height +
 residue never falls, and a chain block has one cap, so the formulas
 take each maximum at a block's ends.  A pair
@@ -38,10 +39,10 @@ formulas and the oracle read them.  Views built on first use:
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
 ``walk_plan``, the chain oracle's rows in walk order, each with its
-block lists and its chain successor's residue, row steps, one per chain
-block and one per product block and chain block its lower range meets,
-and the counts by which the oracle picks its row side, O(S) references
-built from the arrays and ``blocks`` on the oracle's first call; and
+block lists and its chain successor's residue, one row step per
+block, and the counts by which the oracle picks its row side, O(S)
+references built from the arrays and ``blocks`` on the oracle's first
+call; and
 ``uncertified``, the first uncertified pair or None, which the oracle
 reads on every call.  ``iter_pairs`` generates the ``pairs`` entries
 without keeping them.  The formulas, the chain
@@ -264,14 +265,11 @@ class SpectrumSummary(
         k of cap 0 with a pair (i, i2), i < i2, or None: the row starts as
         a copy of that block's running maximum, or as zeros.  ``starts``
         holds ``(k, cap)`` for every other such block, and ``ends`` holds
-        ``(k, fresh)`` for each k whose upper range holds i.  ``fresh`` is
-        true when the oracle's row at i dominates every row of k's upper
-        range walked before it: i is k's top position (the first of k's
-        upper range walked, as heights rise along it), or k's upper range
-        lies inside one chain block, which the row at any other position
-        of the range steps through (``_read_layout`` lists the ranges that
-        do not as loose).  So every chain block and every compiled
-        pullback's product block is fresh at each position.
+        each k whose upper range holds i.  The oracle's row at i then
+        becomes k's running maximum: it dominates every row of k's upper
+        range walked before it, as that range lies inside one chain block
+        (``_read_layout`` refuses any other), which the row at any
+        position of the range but the chain's top steps through.
         ``successor`` is the residue of position i + 1 when ``through`` is
         i's own chain block and ``starts`` is empty, and None otherwise.
         Such a row starts as the finished row of i + 1, its chain
@@ -290,24 +288,22 @@ class SpectrumSummary(
         position too, is one step ``(None, height, residue, start, stop)``
         over all its positions, with its top's height and residue, from
         which the oracle takes t as the fiber at the top.  A product block
-        with a pair i < j is ``(upper slice, None, cap, start, stop)``, once
-        per chain block its lower range meets, from that chain block's
-        start to the range's last position in it; t is the maximum over
-        the upper slice plus min(residue, cap).  ``cap`` is the largest
-        cap of the product steps, 0 if there are none.
+        is one step ``(upper slice, None, cap, start, stop)``, from the
+        start of the chain block holding its lower range to the range's
+        last position; t is the maximum over the upper slice plus
+        min(residue, cap).  ``cap`` is the largest cap of the product
+        steps, 0 if there are none.
 
         Equal entries are one shared tuple, so a plan holds O(S) references.
+        A model whose layout ``_read_layout`` refuses raises
+        ``ConsistencyError``.
         """
         heights, residues, blocks = self.heights, self.residues, self.blocks
-        loose = _read_layout(heights, *[block[:2] for block in blocks])[2]
+        fault, chain_starts = _read_layout(heights, *[block[:2] for block in blocks])
+        if fault:
+            raise ConsistencyError(fault.format(*blocks))
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
-        ends: list[list[tuple[int, bool]]] = [[] for _ in heights]
-        # The first position of each position's chain block.
-        chain_start = [0] * len(heights)
-        for block in blocks:
-            if block.lower == block.upper:
-                for i in block.lower:
-                    chain_start[i] = block.lower.start
+        ends: list[list[int]] = [[] for _ in heights]
         row_steps = []
         step_cap = 0
         for k, block in enumerate(blocks):
@@ -320,16 +316,13 @@ class SpectrumSummary(
             for i in lower:
                 if i < upper[-1]:
                     starts[i].append((k, block.cap))
-            inside = upper not in loose
             for i in upper:
-                ends[i].append((k, inside or i == upper[-1]))
+                ends[i].append(k)
             if lower != upper:
                 step_cap = max(step_cap, block.cap)
                 reads = slice(upper.start, upper.stop, upper.step)
-                last = {chain_start[i]: i for i in lower}
-                row_steps.extend(
-                    (reads, None, block.cap, start, i + 1) for start, i in last.items()
-                )
+                start = max(s for s in chain_starts if s <= lower.start)
+                row_steps.append((reads, None, block.cap, start, lower[-1] + 1))
         shared: dict[tuple, tuple] = {}
         rows = []
         successors = []
@@ -355,23 +348,27 @@ class SpectrumSummary(
 
     @cached_property
     def uncertified(self) -> tuple[int, int] | None:
-        """``first_uncertified()``, kept: None when every pair is certified."""
-        return self.first_uncertified()
+        """The first uncertified pair in ``pairs`` order, or None when every pair is certified.
 
-    def first_uncertified(self, upper: int | None = None) -> tuple[int, int] | None:
-        """The first uncertified pair in ``pairs`` order, or None.
-
-        With ``upper``, the first whose upper end is that position.  An
-        uncertified pair is a non-reflexive pair of an inexact block whose
-        lower end is not the block's bottom, so the first starts just above it.
+        An uncertified pair is a non-reflexive pair of an inexact block
+        whose lower end is not the block's bottom, so the first starts
+        just above it.
         """
         for block in self.blocks:
             i = block.lower.start + 1
             if block.exact or i not in block.lower:
                 continue
-            j = max(i + 1, block.upper.start) if upper is None else upper
-            if i < j and j in block.upper:
+            j = max(i + 1, block.upper.start)
+            if j in block.upper:
                 return i, j
+        return None
+
+    def first_uncertified(self, upper: int) -> tuple[int, int] | None:
+        """The first uncertified pair in ``pairs`` order whose upper end is ``upper``, or None."""
+        for block in self.blocks:
+            i = block.lower.start + 1
+            if not block.exact and i in block.lower and i < upper and upper in block.upper:
+                return i, upper
         return None
 
     @property
@@ -766,13 +763,11 @@ def _check_summary(summary: SpectrumSummary) -> None:
     The formulas take each maximum at a block's ends, which holds when,
     along each block's lower and upper range, residues and caps never
     rise and height + residue never falls, and each chain block has one
-    cap.  Chain blocks are checked position by position; a product
-    range is checked pair by pair only if it leaves a chain block, since
-    the chain's own check vouches for a range inside it.
+    cap.  Chain blocks are checked position by position.  The layout
+    check refuses a product range that leaves a chain block, so the
+    chain's own check vouches for every product range.
     """
-    fault, chain_starts, loose = _read_layout(
-        summary.heights, *[block[:2] for block in summary.blocks]
-    )
+    fault, chain_starts = _read_layout(summary.heights, *[block[:2] for block in summary.blocks])
     if fault:
         raise ConsistencyError(fault.format(*summary.blocks))
 
@@ -792,8 +787,13 @@ def _check_summary(summary: SpectrumSummary) -> None:
         # stratum fixed.
         if c > 0 and kind != KIND_CONTAINS:
             raise ConsistencyError(f"cap > 0 outside M at {summary.labels[i]}")
-        if (r > r0 or c != c0 or hr < hr0) and i not in chain_starts and run_fault is None:
-            run_fault = i - 1, i
+        if run_fault is None and i not in chain_starts and (r > r0 or c != c0 or hr < hr0):
+            what = (
+                "residue_td rises" if r > r0 else "cap changes" if c != c0
+                else "height + residue_td falls"
+            )
+            labels = summary.labels
+            run_fault = f"{what} from {labels[i - 1]} to {labels[i]} along a chain block"
         r0, c0, hr0 = r, c, hr
     for block in summary.blocks:
         if block.cap < 0:
@@ -816,12 +816,7 @@ def _check_summary(summary: SpectrumSummary) -> None:
             )
 
     if run_fault is not None:
-        raise ConsistencyError(_run_fault(summary, *run_fault, True))
-    for run in loose:
-        for i, j in pairwise(run):
-            message = _run_fault(summary, i, j, False)
-            if message:
-                raise ConsistencyError(message)
+        raise ConsistencyError(run_fault)
 
     if summary.pullback_data is not None:
         kinds = summary.kinds
@@ -829,63 +824,37 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
 
 
-def _run_fault(summary: SpectrumSummary, i: int, j: int, in_chain: bool) -> str | None:
-    """What breaks the formulas' shortcut from position i to the next
-    position j along a block's range, or None."""
-    heights, residues, caps = summary.heights, summary.residues, summary.caps
-    if residues[j] > residues[i]:
-        what = "residue_td rises"
-    elif caps[j] != caps[i] if in_chain else caps[j] > caps[i]:
-        what = "cap changes" if in_chain else "cap rises"
-    elif heights[j] + residues[j] < heights[i] + residues[i]:
-        what = "height + residue_td falls"
-    else:
-        return None
-    where = "a chain block" if in_chain else "a product block's range"
-    return f"{what} from {summary.labels[i]} to {summary.labels[j]} along {where}"
-
-
 # Keyed by exactly what it reads, and not by caps, which differ between
 # almost all pullbacks: few layouts recur across many compiled models.
 @lru_cache(maxsize=SUMMARY_CACHE_SIZE)
-def _read_layout(heights: tuple[int, ...], *spans: tuple) -> tuple[str | None, frozenset, tuple]:
-    """``(fault, chain_starts, loose)``: what ``_check_summary`` needs of a model's layout.
+def _read_layout(heights: tuple[int, ...], *spans: tuple) -> tuple[str | None, frozenset]:
+    """``(fault, chain_starts)``: what ``_check_summary`` and ``walk_plan`` need of a layout.
 
     ``spans`` holds each block's ``(lower, upper)`` ranges in storage
-    order.  ``fault`` is ``_layout_fault``'s answer.  ``chain_starts``
-    holds the first position of each chain block, and ``loose`` the
-    product blocks' lower and upper ranges that leave a chain block.
-    """
-    fault = _layout_fault(heights, spans)
-    if fault:
-        return fault, frozenset(), ()
-    # Chain blocks hold the positions in order, so a range lies in one of
-    # them unless a chain starts after its first position, at or before its last.
-    starts = frozenset(lower.start for lower, upper in spans if lower == upper and lower)
-    loose = tuple(
-        run
-        for lower, upper in spans if lower != upper
-        for run in (lower, upper)
-        if run and any(run[0] < start <= run[-1] for start in starts)
-    )
-    return None, starts, loose
-
-
-def _layout_fault(heights: tuple[int, ...], spans: tuple[tuple, ...]) -> str | None:
-    """The first fault in a model's layout, or None.
-
-    A fault is a message in which ``{k}`` stands for block k.
+    order.  ``fault`` is the first fault in the layout, or None: a
+    message in which ``{k}`` stands for block k.  ``chain_starts`` holds
+    the first position of each chain block.
     """
     chains = [lower for lower, upper in spans if lower == upper]
+    starts = frozenset(run.start for run in chains if run)
     if list(chain.from_iterable(chains)) != list(range(len(heights))):
-        return "chain blocks must hold each reflexive pair once, by position"
+        return "chain blocks must hold each reflexive pair once, by position", starts
     for k, (lower, upper) in enumerate(spans):
         # Distinct comparable primes differ in height, which the chain
         # oracle's bottom-up order relies on; the pair rule i <= j needs
         # the positions to rise as well.
         run = lower if lower == upper else chain(lower, upper)
         if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
-            return f"positions and heights do not rise strictly in {{{k}}}"
+            return f"positions and heights do not rise strictly in {{{k}}}", starts
+        # The formulas' block-end maxima and the chain oracle's row steps
+        # take a product block's range as part of one chain block.  Chain
+        # blocks hold the positions in order, so a range lies in one of
+        # them unless a chain starts after its first position, at or
+        # before its last.
+        if lower != upper:
+            for name, part in ("lower", lower), ("upper", upper):
+                if part and any(part[0] < start <= part[-1] for start in starts):
+                    return f"the {name} range of {{{k}}} leaves a chain block", starts
     # The chain oracle takes a row's advances block by block in reverse
     # storage order, reading each block's upper positions and raising its
     # lower ones; each block then reads finished values only if no block
@@ -893,8 +862,8 @@ def _layout_fault(heights: tuple[int, ...], spans: tuple[tuple, ...]) -> str | N
     # block's lower range must miss the upper range of every later block.
     for (k, (lower, _)), (later, (_, upper)) in combinations(enumerate(spans), 2):
         if lower and upper and lower[0] <= upper[-1] and upper[0] <= lower[-1]:
-            return f"{{{k}}} raises positions that {{{later}}}, stored after it, reads"
-    return None
+            return f"{{{k}}} raises positions that {{{later}}}, stored after it, reads", starts
+    return None, starts
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:

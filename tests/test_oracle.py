@@ -186,8 +186,8 @@ class TestChainEnumerate:
         # Every position of an AF chain but the top steps through block 0,
         # and every one is reached in it, where the row dominates the maximum.
         assert [row[:2] for row in rows] == [(h, 300 - h) for h in range(300, -1, -1)]
-        assert rows[0][2:] == (None, (), ((0, True),), None)
-        assert {row[2:5] for row in rows[1:]} == {(0, (), ((0, True),))}
+        assert rows[0][2:] == (None, (), (0,), None)
+        assert {row[2:5] for row in rows[1:]} == {(0, (), (0,))}
         assert len({id(row[4]) for row in rows}) == 1
         # Each row below the top merges no other block, so it carries its
         # chain successor's residue, 300 - (h + 1); only the top is fixed.
@@ -210,12 +210,12 @@ class TestChainEnumerate:
         # dominates the block's maximum, as its top row does.  Those rows
         # carry their chain successor's residue, 11 - (h + 1); the rows
         # outside M merge the product block, so none of them does.
-        over_m = ((1, True), (2, True))
+        over_m = (1, 2)
         assert rows == (
             (11, 0, None, (), over_m, None),
             *((h, 11 - h, 2, (), over_m, 10 - h) for h in range(10, 4, -1)),
-            (4, 10, None, ((1, 3),), ((0, True),), None),
-            *((h, 14 - h, 0, ((1, 3),), ((0, True),), None) for h in range(3, -1, -1)),
+            (4, 10, None, ((1, 3),), (0,), None),
+            *((h, 14 - h, 0, ((1, 3),), (0,), None) for h in range(3, -1, -1)),
         )
         assert (cap, fixed, successors) == (3, 6, (0, 1, 2, 3, 4, 5))
         # Each chain block carries its top's height and residue; the
@@ -278,27 +278,9 @@ class TestChains:
     @pytest.mark.parametrize(
         "heights, residues, caps, blocks, value, reached_at_2",
         [
-            # Two incomparable strata, at heights 2 and 3, over the chain
-            # 0 < 1 in one product block.  In a compiled model a product
-            # block's upper range is one chain, whose bottom, walked last,
-            # dominates it; here the row of position 2 must be merged with
-            # that of position 3 into the block's maximum, not replace it.
-            (
-                (0, 1, 2, 3),
-                (4, 3, 0, 0),
-                (0, 0, 1, 1),
-                (
-                    PairBlock(range(2), range(2), 0, True),
-                    PairBlock(range(2), range(2, 4), 1, True),
-                    PairBlock(range(2, 3), range(2, 3), 0, True),
-                    PairBlock(range(3, 4), range(3, 4), 0, True),
-                ),
-                4,
-                ((1, False),),
-            ),
-            # The same strata with 2 < 3 one chain: the product block's
-            # upper range lies inside it, so the row of position 2, which
-            # steps through the chain, replaces the block's maximum.
+            # Two strata 2 < 3, one chain over the chain 0 < 1 in one
+            # product block: the row of position 2, which steps through the
+            # chain, replaces the block's maximum.
             (
                 (0, 1, 2, 3),
                 (4, 3, 0, 0),
@@ -309,7 +291,7 @@ class TestChains:
                     PairBlock(range(2, 4), range(2, 4), 0, True),
                 ),
                 4,
-                ((1, True), (2, True)),
+                (1, 2),
             ),
             # 0 < 1 < 2 with the pair (1, 2) in a block of larger cap than
             # (0, 2).  In a compiled model a product block raises a prefix
@@ -327,10 +309,10 @@ class TestChains:
                     PairBlock(range(2, 3), range(2, 3), 0, True),
                 ),
                 6,
-                ((1, True), (2, True)),
+                (1, 2),
             ),
         ],
-        ids=["two-chains-over-one-block", "one-chain-over-one-block", "staggered-caps"],
+        ids=["one-chain-over-one-block", "staggered-caps"],
     )
     def test_matches_the_literal_enumerator_on_built_models(
         self, heights, residues, caps, blocks, value, reached_at_2
@@ -346,8 +328,7 @@ class TestChains:
             blocks=blocks,
         )
         _check_summary(model)
-        # The blocks with a pair below it whose maximum position 2's row
-        # enters, each with its fresh flag.
+        # The blocks with a pair below it whose maximum position 2's row becomes.
         ends = next(ends for h, _, _, _, ends, _ in model.walk_plan[0] if h == 2)
         assert ends == reached_at_2
         field = summarize(Field(2))

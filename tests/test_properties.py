@@ -124,8 +124,9 @@ def built_models(draw):
     first by a product block of the chain block's cap.  Up to three
     more product blocks, of caps 0 to 3, take a lower range off the zero
     ideal and an upper range from a later chain block on, so either may
-    start inside a chain block or span two; each is kept only where the
-    model still passes the guard.
+    start inside a chain block.  A drawn range may also leave a chain
+    block, which the guard refuses; each extra block is kept only where
+    the model still passes the guard, and dropped otherwise.
     """
     n = draw(st.integers(2, 6))
     steps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
@@ -135,13 +136,12 @@ def built_models(draw):
     td = heights[-1] + draw(st.integers(0, 2))
     residues, caps = [td], [0]
     for c, run in enumerate(chains):
-        # A cap that never rises lets a range span the cut.
-        cap = draw(st.integers(0, 3 if draw(st.booleans()) else caps[-1])) if c else 0
+        cap = draw(st.integers(0, 3)) if c else 0
         for i in run[not c:]:
             h, r0, dh = heights[i], residues[-1], heights[i] - heights[i - 1]
             # Inside a chain block residues never rise and height + residue
-            # never falls; a chain block may start anywhere, or go on so.
-            if i == run.start and draw(st.booleans()):
+            # never falls; a chain block may start anywhere.
+            if i == run.start:
                 r = draw(st.integers(0, td - h))
             else:
                 r = draw(st.integers(max(0, r0 - dh), min(r0, td - h)))
@@ -366,8 +366,9 @@ class TestFormulaAgreements:
     def test_fused_pass_matches_the_literal_enumerator_on_built_models(self, model, b):
         """The pass rests only on what ``_check_summary`` guards, not on the constructors' layouts.
 
-        Product blocks here raise ranges that start inside a chain block
-        or span two, which no compiled model has.
+        Product blocks here have ranges that start inside a chain block,
+        and a chain block may lie under or over several of them, which no
+        compiled model has.
         """
         best = best_chain(model, b).total
         assert chain_enumerate(model, b) == _row_pass(model, b) == _row_pass(b, model) == best

@@ -3,6 +3,7 @@ import pytest
 
 from krulldim.checks import catalog
 from krulldim.errors import ConsistencyError, ConstraintError
+from krulldim.oracle import chain_enumerate
 from krulldim.spectra import (
     KIND_CONTAINS,
     KIND_OUTSIDE,
@@ -15,7 +16,6 @@ from krulldim.spectra import (
     PairBlock,
     PolyRing,
     Pullback,
-    SpectrumSummary,
     Valuation,
     _check_summary,
     _read_layout,
@@ -266,28 +266,56 @@ class TestCheckSummary:
         with pytest.raises(ConsistencyError, match="cap changes from in:0 to in:1 along a chain"):
             _check_summary(broken)
 
-    def test_height_plus_residue_falling_along_a_product_range(self):
-        # The upper range 2, 3 of the product block spans two chain
-        # blocks, so no chain's own check vouches for it.
-        model = SpectrumSummary(
-            td=4,
-            dim=3,
-            is_af=False,
-            kinds=(KIND_OUTSIDE, KIND_OUTSIDE, KIND_CONTAINS, KIND_CONTAINS),
-            heights=(0, 1, 2, 3),
-            residues=(4, 3, 2, 0),
-            caps=(0, 0, 1, 1),
-            blocks=(
-                PairBlock(range(2), range(2), 0, True),
-                PairBlock(range(2), range(2, 4), 1, True),
+    def test_height_plus_residue_falling_along_a_chain(self):
+        s = summarize(self.PB)
+        with pytest.raises(ConsistencyError, match="residue_td falls from out:0 to out:1 along a chain"):
+            _check_summary(s._replace(residues=(4, 2, 1, 0)))
+
+    def loose(self, side):
+        """``PB`` with the chain under M or the chain over it cut in two.
+
+        The product block's lower range (out:0, out:1) or upper range
+        (in:0, in:1) then leaves a chain block; out:1 lies over the zero
+        ideal by a block of its own.
+        """
+        s = summarize(self.PB)
+        outside, product, inside = s.blocks
+        if side == "lower":
+            blocks = (
+                PairBlock(range(1), range(1), 0, True),
+                PairBlock(range(1), range(1, 2), 0, True),
+                PairBlock(range(1, 2), range(1, 2), 0, True),
+                product,
+                inside,
+            )
+        else:
+            blocks = (
+                outside,
+                product,
                 PairBlock(range(2, 3), range(2, 3), 0, True),
                 PairBlock(range(3, 4), range(3, 4), 0, True),
-            ),
-        )
-        match = "height \\+ residue_td falls from in:2 to in:3 along a product block's range"
-        with pytest.raises(ConsistencyError, match=match):
-            _check_summary(model)
-        _check_summary(model._replace(residues=(4, 3, 1, 0)))
+            )
+        return s._replace(blocks=blocks)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_product_range_leaving_a_chain_block(self, side):
+        # Every compiled product range lies inside one chain block, which
+        # the formulas' block-end maxima and the chain oracle rely on; the
+        # refusal is memoised with the layout and holds on a second call.
+        model = self.loose(side)
+        product = model.blocks[3 if side == "lower" else 1]
+        message = f"the {side} range of {product} leaves a chain block"
+        for _ in range(2):
+            with pytest.raises(ConsistencyError) as err:
+                _check_summary(model)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_chain_oracle_refuses_an_unchecked_loose_model(self, side):
+        model, field = self.loose(side), summarize(Field(2))
+        for a, b in ((model, field), (field, model)):
+            with pytest.raises(ConsistencyError, match=f"the {side} range of .* leaves a chain"):
+                chain_enumerate(a, b)
 
     def test_conductor_is_the_first_of_the_last_dim_d_plus_1_strata(self):
         s = summarize(KM)
