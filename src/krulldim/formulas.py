@@ -16,7 +16,7 @@ applicable formula and cross-checks every other formula that also
 applies.  Every maximum over the strata or comparable pairs of a model
 is read at the ends of its pair blocks: along a block's ranges residues
 and caps never rise and height + residue never falls, and a chain block
-has one cap, which ``spectra._check_summary`` holds each model to.  So
+has one cap, as each chain block is one run (see ``spectra``).  So
 ``d_value``, ``thm28_dim``, ``thm28_ht`` and ``pullback_pair_dim`` read
 a few entries per block, however many strata the models have.  Which
 strata and pairs attain a maximum is worked out from the same
@@ -112,8 +112,8 @@ def fiber_dim(p: Stratum, q: Stratum) -> int:
 def d_value(s: int, d: int, b: SpectrumSummary) -> int:
     """max over q in Spec(B) of ht(q[s]) + min(s, d + t.d.(B/q)).
 
-    Along a chain block the cap is one value, height rises and height +
-    residue never falls (``_check_summary``), so the term never falls
+    Along a chain block, one run, the cap is one value, height rises and
+    height + residue is fixed, so the term never falls
     either: its maximum is the largest value at a block's top position.
     """
     if d > s:
@@ -216,8 +216,8 @@ def _through_max_at(pd, td_a, b, q):
     best = -1
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so ht(q1)
     # cancels and ht(q) is added once at the end.  What is left never
-    # rises along a block's lower range, whose bottom lies at or below q
-    # (``_check_summary``), so the bottom gives each block's best pair.
+    # rises along a block's lower range, a run or a prefix of one, whose
+    # bottom lies at or below q, so the bottom gives each block's best pair.
     for lower, upper, cap, _ in b.blocks:
         if lower and q in upper:
             q1 = lower.start
@@ -276,12 +276,12 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
     # block of cap c the pair's through-M value is f(q1) + g(q) +
     # min(t.d.(D), c), with f and g as in the witness builder below; f's
-    # constant ht(M) is added once at the end.  Along a block's ranges
-    # residues and caps never rise and height + residue never falls
-    # (``_check_summary``), so f never rises and g never falls, and every
-    # lower position lies below every upper one or is one of them: each
-    # block's best pair is (its bottom, its top).  min() spelled out:
-    # this runs on every dim query.
+    # constant ht(M) is added once at the end.  Along a block's ranges,
+    # each a run or a prefix of one, residues and caps never rise and
+    # height + residue never falls, so f never rises and g never falls,
+    # and every lower position lies below every upper one or is one of
+    # them: each block's best pair is (its bottom, its top).  min()
+    # spelled out: this runs on every dim query.
     td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
     heights, residues, caps = b.heights, b.residues, b.caps
     term2 = -1

@@ -174,8 +174,8 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     strict successor j2 gives Z(i, j2) + min(t.d.(A/p), cap_k), and an
     A-advance through block k of A gives Z(i2, j) + min(t.d.(B/q),
     cap_k); the fiber gives heights_a[i] + heights_b[j] +
-    min(r_a, r_b).  Every chain block has cap 0
-    (``spectra._check_summary``), so a step inside one adds nothing.
+    min(r_a, r_b).  Every chain block has cap 0, so a step inside one
+    adds nothing.
 
     Every legal move has a mirror image with A and B swapped, so the
     maximum does not depend on the order of the sides.  After checking
@@ -200,11 +200,11 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     B-advances over B's blocks in reverse storage order.  Each block
     reads finished values: the blocks taken after it are those stored
     before it, and no block raises a position that a block stored after
-    it reads (``spectra._check_summary`` refuses any other model).
+    it reads (the runs of a summary can state no other order).
 
-    Along a chain block of B heights rise, residues never rise and
-    height + residue never falls (``spectra._check_summary``), so the
-    fiber h_a + h + min(r_a, r) never falls along it and min(r_b, cap)
+    Along a chain block of B, one run, heights rise, residues never
+    rise and height + residue never falls, so the fiber
+    h_a + h + min(r_a, r) never falls along it and min(r_b, cap)
     never rises.  Every finished row never rises along it, as the step
     below leaves it so and no later step of the row touches it; then
     neither does a row entering the block's step, a maximum of such rows
@@ -218,10 +218,9 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     every lower one, so each lower position rises to p, the maximum over
     the upper ones plus min(r_a, cap), and the suffix maximum of the
     chain block holding it spreads p down to that block's start.  A
-    product block's lower range lies inside one chain block
-    (``spectra._check_summary``), so the step raises the positions from
-    that chain block's start to the range's last position, by the same
-    cut and fill, and the block still never rises.
+    product block's lower range is a prefix of the first run, so the
+    step raises the positions from 0 to the range's last position, by
+    the same cut and fill, and the block still never rises.
     Every chain block is a step, one of one position too, as it carries
     the fiber.  A row then costs O(1) Python steps per block of B, each
     a bisection and a fill of at most nb entries, and one comprehension
@@ -230,10 +229,10 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     Last the row becomes ``col[k]`` for each block k of A whose upper
     range holds i.  Where i is k's top position, walked first, ``col[k]``
     is still empty.  Otherwise the row stepped through the chain block of
-    A that holds k's upper range (``spectra._check_summary``), whose
-    maximum holds every row of the range walked so far, so the row
-    already dominates ``col[k]``.  A computed row costs O(nb * blocks),
-    with O(blocks) Python steps for B's blocks.
+    A that is k's upper range, a whole run, whose maximum holds every
+    row of the range walked so far, so the row already dominates
+    ``col[k]``.  A computed row costs O(nb * blocks), with O(blocks)
+    Python steps for B's blocks.
 
     A row at i that steps through its own chain block and merges no
     other block starts as ``col`` of that block: the finished row of
@@ -242,11 +241,11 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     the largest cap among B's product steps, or equals r_a(i); then its
     steps leave that row as it is.  Take them in order on row(i+1), the
     row that i + 1's own steps leave, whether computed or itself
-    skipped.  Along a chain block of A heights rise, residues never rise
-    and height + residue never falls (``spectra._check_summary``).  So a
-    chain step's t = h_a + h + min(r, r_a) is at most the t row i + 1
-    took there: if r_a(i+1) <= r, h_a(i) + r_a(i) <= h_a(i+1) + r_a(i+1);
-    otherwise both residues exceed r and h_a(i) < h_a(i+1).  Row i + 1's
+    skipped.  Along a chain block of A, one run, heights rise, residues
+    never rise and height + residue never falls.  So a chain step's
+    t = h_a + h + min(r, r_a) is at most the t row i + 1 took there: if
+    r_a(i+1) <= r, h_a(i) + r_a(i) <= h_a(i+1) + r_a(i+1); otherwise
+    both residues exceed r and h_a(i) < h_a(i+1).  Row i + 1's
     step left every entry of the block at or above its t, and no step
     lowers an entry, so the bisection cuts nothing.  A product step reads
     upper positions that no later step raises, so it finds the maximum

@@ -15,25 +15,33 @@ level only.  A pullback's strata containing M are D's chain 0..dim(D),
 read from D's constructor (t.d., dimension and catenarity), so
 compiling a pullback compiles no separate model of D.
 
-A summary stores its model by position.  Stratum ``i`` is described by
-``kinds[i]``, ``heights[i]``, ``residues[i]`` (residue transcendence
-degree) and ``caps[i]`` (ht(p[n]) = height + min(n, cap)).  Position 0
-is the zero ideal, the only stratum of height 0, and lies under every
-other stratum.  An AF model lists its strata by height; a pullback
-lists the strata outside M by height, then those containing M by
-D-height, the conductor M itself first among them.  Comparable pairs
-are stored as at most three ``PairBlock``s, in ``pair_key`` order: an
-AF model's chain; or a pullback's chain outside M, its strata outside M
-below height m under those containing M, and D's chain over M.  No
-block's lower positions overlap the upper positions of a block stored
-after it, and each product block's lower and upper range lies inside
-one chain block, which the chain oracle's row steps rely on.  Along each
-block's lower and upper range residues and caps never rise and height +
-residue never falls, and a chain block has one cap, so the formulas
-take each maximum at a block's ends.  A pair
-(i, j) has quotient height n -> heights[j] - heights[i] + min(n, cap)
-with its block's cap.  These arrays and blocks are the model; the
-formulas and the oracle read them.  Views built on first use:
+A summary stores its model as what a compile builds: chain runs.  Every
+prime of an AF-domain satisfies the altitude formula, so along a chain
+of its strata the height rises by 1 a position while height + residue
+transcendence degree and the cap (ht(p[n]) = height + min(n, cap)) stay
+fixed.  A run is the tuple ``(stop, height, hr, cap, exact)``: it holds
+the positions from the previous run's stop (0 for the first) up to
+``stop``, the first of them at ``height``, each with residue ``hr``
+minus its height and with ``cap``, and its pairs are all certified when
+``exact``.  An AF model is one run from the zero ideal, position 0.  A
+pullback is two: T's strata outside M by height, from the zero ideal,
+then D's chain over M by D-height, the conductor M itself first, joined
+by one product block ``product = (m, cap, exact)`` that puts the first
+run's positions below height m under every position of the second.  So
+a step, gap or overlap in a range, a second product block, a chain
+block that is not one run or blocks out of order cannot be stated, and
+``_check_summary`` checks only values, once per run.
+
+Views built on first use, each derived from the runs: ``kinds``,
+``heights``, ``residues``, ``caps`` and ``labels``, one entry per
+position; ``blocks``, the comparable pairs as at most three
+``PairBlock``s in ``pair_key`` order: each run's chain, and for a
+pullback the product block between them, stored after the chain outside
+M.  A pair (i, j) has quotient height n -> heights[j] - heights[i] +
+min(n, cap) with its block's cap.  Along each block's ranges residues
+and caps never rise and height + residue never falls, and a chain block
+has one cap, so the formulas read the positional views and the blocks
+and take each maximum at a block's ends.  Then
 ``strata``, one ``Stratum`` per position (the only object view);
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
@@ -41,8 +49,7 @@ or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``walk_plan``, the chain oracle's rows in walk order, each with its
 block lists and its chain successor's residue, one row step per
 block, and the counts by which the oracle picks its row side, O(S)
-references built from the arrays and ``blocks`` on the oracle's first
-call; and
+references built from the views on the oracle's first call; and
 ``uncertified``, the first uncertified pair or None, which the oracle
 reads on every call.  ``iter_pairs`` generates the ``pairs`` entries
 without keeping them.  The formulas, the chain
@@ -59,7 +66,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, count, pairwise
+from itertools import count
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -167,20 +174,21 @@ class SpectrumSummary(
     Record,
     namedtuple(
         "SpectrumSummary",
-        "td dim is_af kinds heights residues caps blocks pullback_data gates source",
-        defaults=(None, (), ""),
+        "td dim is_af runs product pullback_data gates source",
+        defaults=(None, None, (), ""),
     ),
 ):
     """Finite stratified model of Spec of a constructor expression.
 
-    The model is stored by position and by pair block (see the module
-    docstring).  ``gates`` lists the hypothesis gates of the dimension
-    formulas the model passes, strongest first, derived once when it is
-    compiled: AF, then for a pullback catenarian T (Thm 2.8), ht(M) <= 2
-    (Cor 2.9) and t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the
-    constructor for provenance strings only, so ``==`` and the hash
-    leave it out.  ``pullback_data`` is None unless the model is a
-    pullback's.  A summary has a ``__dict__`` for its views.
+    The model is stored as one or two chain ``runs`` and, joining two,
+    one ``product`` block (see the module docstring).  ``gates`` lists
+    the hypothesis gates of the dimension formulas the model passes,
+    strongest first, derived once when it is compiled: AF, then for a
+    pullback catenarian T (Thm 2.8), ht(M) <= 2 (Cor 2.9) and
+    t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the constructor for
+    provenance strings only, so ``==`` and the hash leave it out.
+    ``pullback_data`` is None unless the model is a pullback's.  A
+    summary has a ``__dict__`` for its views.
     """
 
     def __eq__(self, other):
@@ -190,14 +198,58 @@ class SpectrumSummary(
         return hash(self[:-1])
 
     @cached_property
+    def kinds(self) -> tuple[str, ...]:
+        n, stop = self.runs[0][0], self.runs[-1][0]
+        if len(self.runs) == 1:
+            return (KIND_PLAIN,) * n
+        return (KIND_OUTSIDE,) * n + (KIND_CONTAINS,) * (stop - n)
+
+    # Tuples grow by concatenation here: a model has at most two runs.
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        heights, start = (), 0
+        for stop, h, *_ in self.runs:
+            heights += (*range(h, h + stop - start),)
+            start = stop
+        return heights
+
+    @cached_property
+    def residues(self) -> tuple[int, ...]:
+        residues, start = (), 0
+        for stop, h, hr, *_ in self.runs:
+            residues += (*range(hr - h, hr - h - stop + start, -1),)
+            start = stop
+        return residues
+
+    @cached_property
+    def caps(self) -> tuple[int, ...]:
+        caps, start = (), 0
+        for stop, _, _, cap, _ in self.runs:
+            caps += (cap,) * (stop - start)
+            start = stop
+        return caps
+
+    @cached_property
+    def blocks(self) -> tuple[PairBlock, ...]:
+        """The pair blocks in storage order: each run's chain, the product block after the first."""
+        first, *over = self.runs
+        outside = range(first[0])
+        chain = PairBlock(outside, outside, 0, first[4])
+        if self.product is None:
+            return (chain,)
+        ((stop, *_, inner_exact),) = over
+        inside = range(first[0], stop)
+        m, cap, exact = self.product
+        product = PairBlock(range(m), inside, cap, exact)
+        return chain, product, PairBlock(inside, inside, 0, inner_exact)
+
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         """Display label per position: ``h<height>``, ``out:<height>`` or ``in:<D-height>``."""
-        m = self.pullback_data.m if self.pullback_data is not None else 0
-        return tuple(
-            f"h{h}" if kind == KIND_PLAIN else f"out:{h}" if kind == KIND_OUTSIDE
-            else f"in:{h - m}"
-            for kind, h in zip(self.kinds, self.heights)
-        )
+        n, stop = self.runs[0][0], self.runs[-1][0]
+        if len(self.runs) == 1:
+            return tuple(f"h{h}" for h in range(n))
+        return tuple(f"out:{h}" for h in range(n)) + tuple(f"in:{e}" for e in range(stop - n))
 
     def pair_label(self, i: int, j: int) -> str:
         return f"{self.labels[i]}<={self.labels[j]}"
@@ -267,9 +319,9 @@ class SpectrumSummary(
         holds ``(k, cap)`` for every other such block, and ``ends`` holds
         each k whose upper range holds i.  The oracle's row at i then
         becomes k's running maximum: it dominates every row of k's upper
-        range walked before it, as that range lies inside one chain block
-        (``_read_layout`` refuses any other), which the row at any
-        position of the range but the chain's top steps through.
+        range walked before it, as that range is a whole run, whose chain
+        block the row at any position of the range but the top steps
+        through.
         ``successor`` is the residue of position i + 1 when ``through`` is
         i's own chain block and ``starts`` is empty, and None otherwise.
         Such a row starts as the finished row of i + 1, its chain
@@ -288,30 +340,25 @@ class SpectrumSummary(
         position too, is one step ``(None, height, residue, start, stop)``
         over all its positions, with its top's height and residue, from
         which the oracle takes t as the fiber at the top.  A product block
-        is one step ``(upper slice, None, cap, start, stop)``, from the
-        start of the chain block holding its lower range to the range's
-        last position; t is the maximum over the upper slice plus
+        is one step ``(upper slice, None, cap, start, stop)`` over its
+        lower range, a prefix of the first run, so from position 0 to the
+        range's last position; t is the maximum over the upper slice plus
         min(residue, cap).  ``cap`` is the largest cap of the product
         steps, 0 if there are none.
 
         Equal entries are one shared tuple, so a plan holds O(S) references.
-        A model whose layout ``_read_layout`` refuses raises
-        ``ConsistencyError``.
         """
         heights, residues, blocks = self.heights, self.residues, self.blocks
-        fault, chain_starts = _read_layout(heights, *[block[:2] for block in blocks])
-        if fault:
-            raise ConsistencyError(fault.format(*blocks))
         starts: list[list[tuple[int, int]]] = [[] for _ in heights]
         ends: list[list[int]] = [[] for _ in heights]
         row_steps = []
         step_cap = 0
         for k, block in enumerate(blocks):
             lower, upper = block.lower, block.upper
-            if lower == upper and lower:
+            if lower == upper:
                 top = upper[-1]
                 row_steps.append((None, heights[top], residues[top], lower.start, top + 1))
-            if not (lower and upper and lower.start < upper[-1]):
+            if lower.start == upper[-1]:
                 continue
             for i in lower:
                 if i < upper[-1]:
@@ -320,9 +367,7 @@ class SpectrumSummary(
                 ends[i].append(k)
             if lower != upper:
                 step_cap = max(step_cap, block.cap)
-                reads = slice(upper.start, upper.stop, upper.step)
-                start = max(s for s in chain_starts if s <= lower.start)
-                row_steps.append((reads, None, block.cap, start, lower[-1] + 1))
+                row_steps.append((slice(upper.start, upper.stop), None, block.cap, 0, lower.stop))
         shared: dict[tuple, tuple] = {}
         rows = []
         successors = []
@@ -379,26 +424,18 @@ class SpectrumSummary(
     def top_stratum(self) -> Stratum:
         """The first stratum of height ``dim``.
 
-        No stratum's height exceeds its position: the strata outside M
-        (or the plain ones) sit at their heights, and D's chain over M
-        starts at a position of at least m.  So that is position ``dim``
-        when its height is ``dim``, and otherwise the last, the top of D's
-        chain.
+        The first run sits at heights equal to its positions, so that is
+        position ``dim`` when the first run reaches it, and otherwise the
+        last, the top of D's chain.
         """
-        last = len(self.heights) - 1
-        return self.strata[self.dim if self.heights[self.dim] == self.dim else last]
+        return self.strata[self.dim if self.dim < self.runs[0][0] else -1]
 
     @property
     def conductor_index(self) -> int:
-        """Position of the conductor ideal M itself (pullbacks only).
-
-        The strata containing M are D's chain 0..dim(D), listed last, M
-        first; ``_check_summary`` holds a model to that.
-        """
-        pd = self.pullback_data
-        if pd is None:
+        """Position of the conductor ideal M itself (pullbacks only): the second run's start."""
+        if self.pullback_data is None:
             raise ConstraintError("conductor stratum requested on a non-pullback summary")
-        return len(self.kinds) - 1 - pd.dim_d
+        return self.runs[0][0]
 
     @property
     def conductor_stratum(self) -> Stratum:
@@ -411,10 +448,9 @@ class SpectrumSummary(
         pullback (the top stratum otherwise).  ``out:<h>`` picks the
         height-h stratum outside M, or the plain height-h stratum of a
         non-pullback summary; ``in:<e>`` the stratum at D-height e over M.
-        Heights rise by one per position along the strata outside M (or
-        the plain ones) from the zero ideal, and along D's chain from M,
-        so those are positions h and ``conductor_index + e``; the kind
-        and height there are checked.
+        Heights rise by one per position along each run, the first from
+        the zero ideal and the second from M, so those are position h of
+        the first run and position e of the second.
         """
         pd = self.pullback_data
         if selector == "0":
@@ -422,21 +458,19 @@ class SpectrumSummary(
         if selector == "M":
             return self.conductor_stratum if pd is not None else self.top_stratum
         if selector.startswith("out:"):
-            kind = KIND_OUTSIDE if pd is not None else KIND_PLAIN
-            i = height = _selector_index(selector)
+            start, stop = 0, self.runs[0][0]
         elif selector.startswith("in:"):
             if pd is None:
                 raise ConstraintError(
                     f"selector {selector!r} needs a pullback summary"
                 )
-            kind = KIND_CONTAINS
-            e = _selector_index(selector)
-            i, height = self.conductor_index + e, pd.m + e
+            start, stop = self.runs[0][0], self.runs[1][0]
         else:
             raise ConstraintError(
                 f"unknown stratum selector {selector!r} (use 0, M, out:<h> or in:<e>)"
             )
-        if i < len(self.kinds) and self.kinds[i] == kind and self.heights[i] == height:
+        i = start + _selector_index(selector)
+        if i < stop:
             return self.strata[i]
         raise ConstraintError(f"no stratum matches selector {selector!r}")
 
@@ -629,9 +663,9 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 # parser's memo of texts has the same bound.
 SUMMARY_CACHE_SIZE = 4096
 
-# Largest model summarize builds.  A model stores O(S) data, but at 2048
-# strata an AF model has about 2.1M pairs, which ``spectrum`` and a fully
-# tied witness list each walk one by one.  The chain oracle's work grows
+# Largest model summarize builds.  A model stores O(1) data and its views
+# O(S), but at 2048 strata an AF model has about 2.1M pairs, which
+# ``spectrum`` and a fully tied witness list each walk one by one.  The chain oracle's work grows
 # with the product of its two sides' strata, not with their pairs.
 MAX_STRATA = 2048
 
@@ -666,16 +700,7 @@ def _check_size(n: int) -> None:
 def _summarize_af(td, dim, catenarian, source) -> SpectrumSummary:
     n = dim + 1
     _check_size(n)
-    return _finish(
-        td,
-        kinds=(KIND_PLAIN,) * n,
-        heights=tuple(range(n)),
-        residues=tuple(td - h for h in range(n)),
-        caps=(0,) * n,
-        blocks=(PairBlock(range(n), range(n), 0, catenarian),),
-        pullback_data=None,
-        source=source,
-    )
+    return _finish(td, ((n, 0, td, 0, catenarian),), None, None, source)
 
 
 def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
@@ -704,36 +729,30 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     n_in = dim_d + 1
     _check_size(n_in)
     _check_size(n_out + n_in)
-    outside, inside = range(n_out), range(n_out, n_out + n_in)
-    blocks = (
-        PairBlock(outside, outside, 0, t_cat),
-        # Primes at height >= m outside M are incomparable with M.
-        PairBlock(range(m), inside, td_kd, t_cat),
-        PairBlock(inside, inside, 0, expr_catenarian(expr.subring)),
+    runs = (
+        (n_out, 0, td, 0, t_cat),
+        (n_out + n_in, m, m + td_d, td_kd, expr_catenarian(expr.subring)),
     )
-    return _finish(
-        td,
-        kinds=(KIND_OUTSIDE,) * n_out + (KIND_CONTAINS,) * n_in,
-        heights=tuple(outside) + tuple(range(m, m + n_in)),
-        residues=tuple(td - h for h in outside) + tuple(td_d - h for h in range(n_in)),
-        caps=(0,) * n_out + (td_kd,) * n_in,
-        blocks=blocks,
-        pullback_data=data,
-        source="pullback",
-    )
+    # Primes at height >= m outside M are incomparable with M.
+    return _finish(td, runs, (m, td_kd, t_cat), data, "pullback")
 
 
-def _finish(td, kinds, heights, residues, caps, blocks, pullback_data, source) -> SpectrumSummary:
-    is_af = all(h + r == td and c == 0 for h, r, c in zip(heights, residues, caps))
+def _spans(runs) -> Iterator[tuple]:
+    """``(start, stop, height, hr, cap, exact)`` per run: each starts where the one before stops."""
+    start = 0
+    for run in runs:
+        yield start, *run
+        start = run[0]
+
+
+def _finish(td, runs, product, pullback_data, source) -> SpectrumSummary:
+    is_af = all(hr == td and not cap for _, _, hr, cap, _ in runs)
     summary = SpectrumSummary(
         td=td,
-        dim=max(heights),
+        dim=max(h + stop - start - 1 for start, stop, h, *_ in _spans(runs)),
         is_af=is_af,
-        kinds=kinds,
-        heights=heights,
-        residues=residues,
-        caps=caps,
-        blocks=blocks,
+        runs=runs,
+        product=product,
         pullback_data=pullback_data,
         gates=_gates(is_af, pullback_data),
         source=source,
@@ -755,125 +774,67 @@ def _gates(is_af: bool, pd: PullbackData | None) -> tuple[str, ...]:
 
 
 def _check_summary(summary: SpectrumSummary) -> None:
-    """Internal coherence guards; violations are bugs, not user errors.
+    """Internal coherence guards on a model's values, once per run; violations are bugs.
 
-    The layout (``heights`` and the blocks' ranges) is checked once per
-    distinct layout, by ``_read_layout``; the values on every call.
+    The layout holds by construction.  The runs cover the positions in
+    order, each chain block is one run, in which heights rise by 1 a
+    position and height + residue and the cap stay fixed, a product
+    range lies inside one run with step 1, and the blocks come in
+    storage order.  What is left are values: position 0 is the zero
+    ideal; no height, residue or cap is negative; height + residue is
+    at most td; only the run over M has a cap > 0, so every stratum
+    localizes (cap 0) or quotients (a quotient of D) to an AF model and
+    the chain oracle may hold any stratum fixed; and the product range
+    lies in the first run, below the second run's base height.
 
-    The formulas take each maximum at a block's ends, which holds when,
-    along each block's lower and upper range, residues and caps never
-    rise and height + residue never falls, and each chain block has one
-    cap.  Chain blocks are checked position by position.  The layout
-    check refuses a product range that leaves a chain block, so the
-    chain's own check vouches for every product range.
+    The zero ideal lies under every prime, and A/(0) is A, so each pair
+    (0, j) is certified with stratum j's own cap: the product block
+    starts at position 0 and has the second run's cap.  Stratum 0 is
+    then the only one of height 0, and the chain oracle walks (0, 0)
+    last and returns its tail on the strength of this.
     """
-    fault, chain_starts = _read_layout(summary.heights, *[block[:2] for block in summary.blocks])
-    if fault:
-        raise ConsistencyError(fault.format(*summary.blocks))
-
-    heights, residues, caps, td = summary.heights, summary.residues, summary.caps, summary.td
-    if (heights[0], residues[0], caps[0]) != (0, td, 0):
+    td, runs, product = summary.td, summary.runs, summary.product
+    if len(runs) != (1 if product is None else 2):
+        raise ConsistencyError("a model is one run, or two joined by one product block")
+    if runs[0][1:3] != (0, td):
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
-    # Position 0 starts a chain block, so what r0, c0 and hr0 start as never counts.
-    run_fault, r0, c0, hr0 = None, 0, 0, 0
-    for i, (kind, h, r, c) in enumerate(zip(summary.kinds, heights, residues, caps)):
-        if min(h, r, c) < 0:
-            raise ConsistencyError(f"negative height, residue or cap at {summary.labels[i]}")
-        hr = h + r
+    for k, (start, stop, h, hr, cap, _) in enumerate(_spans(runs)):
+        if stop <= start:
+            raise ConsistencyError(f"run {k} holds no position")
+        # The residue is least at the run's top.
+        if min(h, hr - h - stop + start + 1, cap) < 0:
+            raise ConsistencyError(f"negative height, residue or cap at {summary.labels[stop - 1]}")
         if hr > td:
-            raise ConsistencyError(f"height + residue_td > td at {summary.labels[i]}")
-        # Every stratum then localizes (cap 0) or quotients (containsM: a
-        # quotient of D) to an AF model, so the chain oracle may hold any
-        # stratum fixed.
-        if c > 0 and kind != KIND_CONTAINS:
-            raise ConsistencyError(f"cap > 0 outside M at {summary.labels[i]}")
-        if run_fault is None and i not in chain_starts and (r > r0 or c != c0 or hr < hr0):
-            what = (
-                "residue_td rises" if r > r0 else "cap changes" if c != c0
-                else "height + residue_td falls"
-            )
-            labels = summary.labels
-            run_fault = f"{what} from {labels[i - 1]} to {labels[i]} along a chain block"
-        r0, c0, hr0 = r, c, hr
-    for block in summary.blocks:
-        if block.cap < 0:
-            raise ConsistencyError(f"negative quotient cap in {block}")
-        if block.lower == block.upper and block.cap:
-            raise ConsistencyError(f"reflexive pairs of {block} need quotient cap 0")
-
-    # The zero ideal lies under every prime, and A/(0) is A, so each pair
-    # (0, j) is certified with stratum j's own cap; stratum 0 is then the
-    # only one of height 0.  The chain oracle walks (0, 0) last and
-    # returns its tail on the strength of this.
-    caps_over_zero = {}
-    for block in summary.blocks:
-        if 0 in block.lower:
-            caps_over_zero.update(dict.fromkeys(block.upper, block.cap))
-    for j, c in enumerate(caps):
-        if caps_over_zero.get(j) != c:
+            raise ConsistencyError(f"height + residue_td > td at {summary.labels[start]}")
+        if cap > 0 and not k:
+            raise ConsistencyError(f"cap > 0 outside M at {summary.labels[start]}")
+    if product is not None:
+        m, cap, _ = product
+        (n, *_), (_, base, _, c, _) = runs
+        if cap < 0:
+            raise ConsistencyError(f"negative quotient cap in {summary.blocks[1]}")
+        if m < 1 or cap != c:
             raise ConsistencyError(
-                f"{summary.labels[j]} must lie over the zero ideal by a pair of cap {c}"
+                f"{summary.labels[n]} must lie over the zero ideal by a pair of cap {c}"
             )
-
-    if run_fault is not None:
-        raise ConsistencyError(run_fault)
-
-    if summary.pullback_data is not None:
-        kinds = summary.kinds
-        if KIND_CONTAINS not in kinds or kinds.index(KIND_CONTAINS) != summary.conductor_index:
-            raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
-
-
-# Keyed by exactly what it reads, and not by caps, which differ between
-# almost all pullbacks: few layouts recur across many compiled models.
-@lru_cache(maxsize=SUMMARY_CACHE_SIZE)
-def _read_layout(heights: tuple[int, ...], *spans: tuple) -> tuple[str | None, frozenset]:
-    """``(fault, chain_starts)``: what ``_check_summary`` and ``walk_plan`` need of a layout.
-
-    ``spans`` holds each block's ``(lower, upper)`` ranges in storage
-    order.  ``fault`` is the first fault in the layout, or None: a
-    message in which ``{k}`` stands for block k.  ``chain_starts`` holds
-    the first position of each chain block.
-    """
-    chains = [lower for lower, upper in spans if lower == upper]
-    starts = frozenset(run.start for run in chains if run)
-    if list(chain.from_iterable(chains)) != list(range(len(heights))):
-        return "chain blocks must hold each reflexive pair once, by position", starts
-    for k, (lower, upper) in enumerate(spans):
+        if m > n:
+            raise ConsistencyError(f"the lower range of {summary.blocks[1]} leaves the first run")
         # Distinct comparable primes differ in height, which the chain
-        # oracle's bottom-up order relies on; the pair rule i <= j needs
-        # the positions to rise as well.
-        run = lower if lower == upper else chain(lower, upper)
-        if any(j <= i or heights[j] <= heights[i] for i, j in pairwise(run)):
-            return f"positions and heights do not rise strictly in {{{k}}}", starts
-        # The formulas' block-end maxima and the chain oracle's row steps
-        # take a product block's range as part of one chain block.  Chain
-        # blocks hold the positions in order, so a range lies in one of
-        # them unless a chain starts after its first position, at or
-        # before its last.
-        if lower != upper:
-            for name, part in ("lower", lower), ("upper", upper):
-                if part and any(part[0] < start <= part[-1] for start in starts):
-                    return f"the {name} range of {{{k}}} leaves a chain block", starts
-    # The chain oracle takes a row's advances block by block in reverse
-    # storage order, reading each block's upper positions and raising its
-    # lower ones; each block then reads finished values only if no block
-    # stored before it raises a position it reads.  So the span of each
-    # block's lower range must miss the upper range of every later block.
-    for (k, (lower, _)), (later, (_, upper)) in combinations(enumerate(spans), 2):
-        if lower and upper and lower[0] <= upper[-1] and upper[0] <= lower[-1]:
-            return f"{{{k}}} raises positions that {{{later}}}, stored after it, reads", starts
-    return None, starts
+        # oracle's bottom-up order relies on.
+        if m > base:
+            raise ConsistencyError(f"heights do not rise strictly in {summary.blocks[1]}")
+
+    pd = summary.pullback_data
+    if pd is not None and runs[-1][0] - runs[0][0] != pd.dim_d + 1:
+        raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:
     """Whether the polynomial ring in n variables satisfies the altitude formula.
 
-    True iff ht(p[n]) + t.d.(A/p) = t.d.(A) on every stratum.
+    True iff ht(p[n]) + t.d.(A/p) = t.d.(A) on every stratum, so on
+    every run, whose height + residue and cap are fixed.
     """
     if n < 0:
         raise ConstraintError("polynomial variable count must be >= 0")
-    return all(
-        h + min(n, c) + r == summary.td
-        for h, r, c in zip(summary.heights, summary.residues, summary.caps)
-    )
+    return all(hr + min(n, cap) == summary.td for _, _, hr, cap, _ in summary.runs)

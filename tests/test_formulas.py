@@ -500,10 +500,11 @@ class _Counted(tuple):
 
 
 def _counted(expr):
-    """``expr``'s model, with every per-stratum array counting its reads."""
-    s = summarize(expr)
-    s = s._replace(**{f: _Counted(getattr(s, f)) for f in ("heights", "residues", "caps", "kinds")})
+    """A copy of ``expr``'s model, with every per-stratum view counting its reads."""
+    s = summarize(expr)._replace()
     s.strata  # the display views are built before anything is counted
+    for name in ("heights", "residues", "caps", "kinds"):
+        vars(s)[name] = _Counted(getattr(s, name))
     return s
 
 

@@ -21,8 +21,6 @@ from krulldim.oracle import (
     iter_chains,
 )
 from krulldim.spectra import (
-    KIND_CONTAINS,
-    KIND_OUTSIDE,
     AfDomain,
     Field,
     PairBlock,
@@ -30,12 +28,18 @@ from krulldim.spectra import (
     Pullback,
     SpectrumSummary,
     Valuation,
-    _check_summary,
+    _finish,
     summarize,
 )
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
+
+
+def built(runs, product=None):
+    """The model of ``runs`` and ``product``, built by hand and checked as a compile is."""
+    return _finish(runs[0][2], runs, product, None, "built")
+
 
 # Operands of 10 to 20 strata, the size certify runs at: three AF models
 # and five pullbacks, with product blocks under M of height m = 2 to 5
@@ -121,6 +125,20 @@ class TestChainEnumerate:
             for a, b, side in ((bad, other, "A"), (other, bad, "B")):
                 with pytest.raises(InexactPairError, match=f"side {side} has uncertified pair h1<=h2"):
                     chain_enumerate(a, b)
+
+    def test_refuses_an_inexact_product_block(self):
+        # The run 0 < 1 < 2 under position 3 by an inexact product block:
+        # only the pair (0, 3) from its bottom is certified.  A product
+        # range is a prefix of a run, so a stepped one such as
+        # range(0, 3, 2), which the refusal once missed, cannot be stated.
+        model = built(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, 0, False))
+        assert model.blocks[1] == PairBlock(range(3), range(3, 4), 0, False)
+        assert [(i, j) for i, j, quot in model.iter_pairs() if quot is None] == [(1, 3), (2, 3)]
+        assert model.uncertified == (1, 3)
+        field = summarize(Field(0))
+        for a, b in ((model, field), (field, model)):
+            with pytest.raises(InexactPairError, match="uncertified pair out:1<=in:0"):
+                chain_enumerate(a, b)
 
     def test_builds_no_pair_view(self):
         # The catalog shares kM with other tests, which may have built its views.
@@ -222,14 +240,14 @@ class TestChainEnumerate:
         # product block fills its lower range, from the chain block's start.
         assert row_steps == (
             (None, 11, 0, 5, 12),
-            (slice(5, 12, 1), None, 3, 0, 5),
+            (slice(5, 12), None, 3, 0, 5),
             (None, 4, 10, 0, 5),
         )
         # kM: M over the zero ideal, each a chain block of one position,
         # which is a step of its own.
         assert S_KM.walk_plan[1] == (
             (None, 1, 0, 1, 2),
-            (slice(1, 2, 1), None, 1, 0, 1),
+            (slice(1, 2), None, 1, 0, 1),
             (None, 0, 2, 0, 1),
         )
 
@@ -276,58 +294,19 @@ class TestChains:
             )
 
     @pytest.mark.parametrize(
-        "heights, residues, caps, blocks, value, reached_at_2",
+        "runs, product, value, reached_at_2",
         [
-            # Two strata 2 < 3, one chain over the chain 0 < 1 in one
-            # product block: the row of position 2, which steps through the
-            # chain, replaces the block's maximum.
-            (
-                (0, 1, 2, 3),
-                (4, 3, 0, 0),
-                (0, 0, 1, 1),
-                (
-                    PairBlock(range(2), range(2), 0, True),
-                    PairBlock(range(2), range(2, 4), 1, True),
-                    PairBlock(range(2, 4), range(2, 4), 0, True),
-                ),
-                4,
-                (1, 2),
-            ),
-            # 0 < 1 < 2 with the pair (1, 2) in a block of larger cap than
-            # (0, 2).  In a compiled model a product block raises a prefix
-            # of the chain below it, so the order of the row steps does not
-            # show; here the chain 0 < 1 must read position 1 after the
-            # block of cap 2 raised it.
-            (
-                (0, 1, 2),
-                (4, 3, 2),
-                (0, 0, 1),
-                (
-                    PairBlock(range(2), range(2), 0, True),
-                    PairBlock(range(1), range(2, 3), 1, True),
-                    PairBlock(range(1, 2), range(2, 3), 2, True),
-                    PairBlock(range(2, 3), range(2, 3), 0, True),
-                ),
-                6,
-                (1, 2),
-            ),
+            # Two strata 2 < 3, one run of residues 1 and 0 over the run
+            # 0 < 1 in one product block: the row of position 2, which
+            # steps through its run's chain, replaces the block's maximum.
+            (((2, 0, 4, 0, True), (4, 2, 3, 1, True)), (2, 1, True), 4, (1, 2)),
         ],
-        ids=["one-chain-over-one-block", "staggered-caps"],
+        ids=["one-chain-over-one-block"],
     )
     def test_matches_the_literal_enumerator_on_built_models(
-        self, heights, residues, caps, blocks, value, reached_at_2
+        self, runs, product, value, reached_at_2
     ):
-        model = SpectrumSummary(
-            td=residues[0],
-            dim=max(heights),
-            is_af=False,
-            kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
-            heights=heights,
-            residues=residues,
-            caps=caps,
-            blocks=blocks,
-        )
-        _check_summary(model)
+        model = built(runs, product)
         # The blocks with a pair below it whose maximum position 2's row becomes.
         ends = next(ends for h, _, _, _, ends, _ in model.walk_plan[0] if h == 2)
         assert ends == reached_at_2
@@ -338,76 +317,46 @@ class TestChains:
             assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
 
     @pytest.mark.parametrize(
-        "heights, residues, caps, blocks, partner, value, successors",
+        "model, partner, value, successors",
         [
-            # Position 0 is a chain block of its own under position 1 by a
-            # product block of cap 0, which its row steps through: that
-            # block's maximum is position 1's row, not the finished row of
-            # a chain successor, and position 0's fiber, min(3, 2), beats it.
+            # Position 0 is a run of its own under position 1 by a product
+            # block of cap 0, which its row steps through: that block's
+            # maximum is position 1's row, not the finished row of a chain
+            # successor, and position 0's fiber, min(3, 2), beats it.
             (
-                (0, 1),
-                (3, 0),
-                (0, 0),
-                (
-                    PairBlock(range(1), range(1), 0, True),
-                    PairBlock(range(1), range(1, 2), 0, True),
-                    PairBlock(range(1, 2), range(1, 2), 0, True),
-                ),
+                built(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, 0, True)),
                 Field(2),
                 2,
                 (None, None),
             ),
-            # One chain of residues 3, 2, 1 against a product step of cap 2:
+            # One run of residues 3, 2, 1 against a product step of cap 2:
             # position 1's own residue reaches the cap but its successor's
             # does not, so its row gains min(2, 2) where position 2's gained
             # min(2, 1); position 0's successor residue, 2, reaches the cap.
             (
-                (0, 1, 2),
-                (3, 2, 1),
-                (0, 0, 0),
-                (PairBlock(range(3), range(3), 0, True),),
+                built(((3, 0, 3, 0, True),)),
                 Pullback(Valuation(3, 1), 1, Field(0)),
                 5,
                 (None, 1, 2),
             ),
-            # Position 1, inside the chain 0 < 1 < 2, also lies under
-            # position 3 by a block of cap 2, larger than the cap 1 of the
-            # pair over the zero ideal: its row must merge that block, which
-            # its chain successor's row does not.
+            # A compiled pullback: out:0 to out:3, then M at height 2, under
+            # out:0 and out:1 by a product block of cap 1.  The rows of
+            # out:0 and out:1 merge that block, which the row of out:2, the
+            # chain successor of out:1, does not: neither is ever skipped.
+            # Rows go by decreasing height: out:3, out:2, M, out:1, out:0.
             (
-                (0, 1, 2, 3),
-                (4, 3, 2, 0),
-                (0, 0, 0, 1),
-                (
-                    PairBlock(range(3), range(3), 0, True),
-                    PairBlock(range(1), range(3, 4), 1, True),
-                    PairBlock(range(1, 2), range(3, 4), 2, True),
-                    PairBlock(range(3, 4), range(3, 4), 0, True),
-                ),
+                summarize(Pullback(AfDomain(4, 3), 2, Field(1), outside=3)),
                 Field(0),
                 3,
-                (None, None, None, None),
+                (None, 1, None, None, None),
             ),
         ],
         ids=["through-a-product-block", "successor-residue-below-the-cap", "merges-another-block"],
     )
-    def test_skips_only_rows_their_successor_finished(
-        self, heights, residues, caps, blocks, partner, value, successors
-    ):
+    def test_skips_only_rows_their_successor_finished(self, model, partner, value, successors):
         # A row is skipped only if it steps through its own chain block,
         # merges no other block, and its chain successor's residue reaches
         # the column side's largest product cap or equals its own.
-        model = SpectrumSummary(
-            td=residues[0],
-            dim=max(heights),
-            is_af=False,
-            kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
-            heights=heights,
-            residues=residues,
-            caps=caps,
-            blocks=blocks,
-        )
-        _check_summary(model)
         assert tuple(row[5] for row in model.walk_plan[0]) == successors
         other = summarize(partner)
         for a, b in ((model, other), (other, model)):

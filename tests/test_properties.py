@@ -1,13 +1,12 @@
 """Property-based tests for model invariants and formula agreements."""
 import re
 import sys
-from itertools import accumulate, pairwise
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from krulldim.checks import catalog_pullbacks
-from krulldim.errors import ConsistencyError, InexactPairError
+from krulldim.errors import InexactPairError
 from krulldim.formulas import (
     dim_tensor,
     fiber_dim,
@@ -18,15 +17,12 @@ from krulldim.oracle import _row_pass, best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
-    KIND_OUTSIDE,
     AfDomain,
     Field,
-    PairBlock,
     PolyRing,
     Pullback,
-    SpectrumSummary,
     Valuation,
-    _check_summary,
+    _finish,
     expr_dim,
     expr_td,
     is_af_poly,
@@ -102,77 +98,35 @@ def small_exprs():
     )
 
 
-def built_model(heights, residues, caps, blocks):
-    return SpectrumSummary(
-        td=residues[0],
-        dim=max(heights),
-        is_af=False,
-        kinds=tuple(KIND_CONTAINS if c else KIND_OUTSIDE for c in caps),
-        heights=tuple(heights),
-        residues=tuple(residues),
-        caps=tuple(caps),
-        blocks=tuple(blocks),
-    )
+def built_model(runs, product=None):
+    """The model of ``runs`` and ``product``, built by hand and checked as a compile is."""
+    return _finish(runs[0][2], tuple(runs), product, None, "built")
 
 
 @st.composite
 def built_models(draw):
-    """A model of 2 to 6 strata that passes ``_check_summary``, built by hand.
+    """A model of one or two runs and 1 to 6 strata, with free parameters.
 
-    Heights rise with positions, which are cut into chain blocks at
-    random; each chain block but the first lies over a prefix of the
-    first by a product block of the chain block's cap.  Up to three
-    more product blocks, of caps 0 to 3, take a lower range off the zero
-    ideal and an upper range from a later chain block on, so either may
-    start inside a chain block.  A drawn range may also leave a chain
-    block, which the guard refuses; each extra block is kept only where
-    the model still passes the guard, and dropped otherwise.
+    The first run starts at the zero ideal, so its length, its t.d. and
+    its exactness are free.  A second run has a free length, base
+    height, height + residue, cap and exactness, and the product block
+    joining them a free m and exactness.  No compile builds most of
+    these: the base height may leave a gap above m - 1, height + residue
+    need not be the t.d., and a product block may be inexact where its
+    runs are not.
     """
-    n = draw(st.integers(2, 6))
-    steps = draw(st.lists(st.integers(1, 2), min_size=n - 1, max_size=n - 1))
-    heights = list(accumulate([0, *steps]))
-    cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
-    chains = [range(i, j) for i, j in pairwise([0, *cuts, n])]
-    td = heights[-1] + draw(st.integers(0, 2))
-    residues, caps = [td], [0]
-    for c, run in enumerate(chains):
-        cap = draw(st.integers(0, 3)) if c else 0
-        for i in run[not c:]:
-            h, r0, dh = heights[i], residues[-1], heights[i] - heights[i - 1]
-            # Inside a chain block residues never rise and height + residue
-            # never falls; a chain block may start anywhere.
-            if i == run.start:
-                r = draw(st.integers(0, td - h))
-            else:
-                r = draw(st.integers(max(0, r0 - dh), min(r0, td - h)))
-            residues.append(r)
-            caps.append(cap)
-
-    def storage_key(block):
-        # A product block stores after the chain blocks its lower range
-        # meets and before those its upper range meets.
-        last = next(c for c, run in enumerate(chains) if block.lower[-1] in run)
-        return last, block.lower != block.upper
-
-    blocks = [PairBlock(run, run, 0, True) for run in chains]
-    for run in chains[1:]:
-        top = draw(st.integers(1, len(chains[0])))
-        blocks.append(PairBlock(range(top), run, caps[run.start], True))
-    blocks.sort(key=storage_key)
-    # Lower ranges from 0 would change the pairs over the zero ideal.
-    for _ in range(draw(st.integers(0, 3)) if len(chains) > 1 and chains[-2][-1] else 0):
-        i = draw(st.integers(1, chains[-2][-1]))
-        j = draw(st.integers(i, chains[-2][-1]))
-        k = draw(st.integers(next(run.start for run in chains if run.start > j), n - 1))
-        upper = range(k, draw(st.integers(k + 1, n)))
-        extra = PairBlock(range(i, j + 1), upper, draw(st.integers(0, 3)), True)
-        trial = sorted([*blocks, extra], key=storage_key)
-        try:
-            _check_summary(built_model(heights, residues, caps, trial))
-        except ConsistencyError:
-            continue
-        blocks = trial
-    return built_model(heights, residues, caps, blocks)
+    td = draw(st.integers(0, 5))
+    n = draw(st.integers(1, min(td + 1, 4)))
+    runs = [(n, 0, td, 0, draw(st.booleans()))]
+    if td == 0 or draw(st.booleans()):
+        return built_model(runs)
+    m = draw(st.integers(1, min(n, td)))
+    base = draw(st.integers(m, td))
+    stop = n + draw(st.integers(1, min(td - base + 1, 6 - n)))
+    hr = draw(st.integers(base + stop - n - 1, td))
+    cap = draw(st.integers(0, 3))
+    runs.append((stop, base, hr, cap, draw(st.booleans())))
+    return built_model(runs, (m, cap, draw(st.booleans())))
 
 
 # Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
@@ -347,29 +301,23 @@ class TestFormulaAgreements:
 
     @settings(max_examples=300, deadline=None)
     @given(model=built_models(), b=small_exprs().map(summarize).filter(certified))
-    # Against field(0), the product block raises the lower chain's first
-    # position only, so the row falls along that chain: a fill that cut
-    # it as if it rose would overwrite the raise.
+    # Against field(0), the product block raises the lower run's first
+    # position only, so the row falls along that run: a fill that cut it
+    # as if it rose would overwrite the raise.
     @example(
-        model=built_model(
-            (0, 1, 2, 3, 4),
-            (4, 3, 2, 1, 0),
-            (0,) * 5,
-            (
-                PairBlock(range(2), range(2), 0, True),
-                PairBlock(range(1), range(2, 5), 0, True),
-                PairBlock(range(2, 5), range(2, 5), 0, True),
-            ),
-        ),
+        model=built_model([(2, 0, 4, 0, True), (5, 2, 4, 0, True)], (1, 0, True)),
         b=summarize(Field(0)),
     )
     def test_fused_pass_matches_the_literal_enumerator_on_built_models(self, model, b):
-        """The pass rests only on what ``_check_summary`` guards, not on the constructors' layouts.
+        """The pass rests only on what ``_check_summary`` guards, not on the constructors' values.
 
-        Product blocks here have ranges that start inside a chain block,
-        and a chain block may lie under or over several of them, which no
-        compiled model has.
+        Both refuse a model with an uncertified pair.
         """
+        if not certified(model):
+            for enumerate_chains in (chain_enumerate, best_chain):
+                with pytest.raises(InexactPairError):
+                    enumerate_chains(model, b)
+            return
         best = best_chain(model, b).total
         assert chain_enumerate(model, b) == _row_pass(model, b) == _row_pass(b, model) == best
 

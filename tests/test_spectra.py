@@ -1,9 +1,12 @@
 """Constructor validation and spectrum compilation."""
+from itertools import chain, pairwise
+from pathlib import Path
+
 import pytest
 
 from krulldim.checks import catalog
 from krulldim.errors import ConsistencyError, ConstraintError
-from krulldim.oracle import chain_enumerate
+from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
     KIND_OUTSIDE,
@@ -18,7 +21,6 @@ from krulldim.spectra import (
     Pullback,
     Valuation,
     _check_summary,
-    _read_layout,
     expr_catenarian,
     expr_dim,
     expr_td,
@@ -140,187 +142,211 @@ class TestSummarize:
 
 
 class TestCheckSummary:
-    """Coherence guards on a compiled summary; each breaks one piece of model data."""
+    """Coherence guards on a model's values, each case breaking one value,
+    and the layout rules that the runs hold by construction."""
 
-    def broken(self, block):
-        """``pb-val32`` (out:0, out:1 and M at height 2) with its product block replaced."""
-        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
-        outside, product, inside = s.blocks
-        assert (product.lower, product.upper) == (range(2), range(2, 3))
-        return s._replace(blocks=(outside, block, inside))
+    # pullback(T=val(3,2),m=2,D=field(0)): out:0 and out:1 under M = in:0, of cap 1.
+    PB = Pullback(Valuation(3, 2), 2, Field(0))
+
+    def broken(self, **fields):
+        """``PB``'s model with some of its fields replaced."""
+        s = summarize(self.PB)
+        assert s.runs == ((2, 0, 3, 0, True), (3, 2, 2, 1, True)) and s.product == (2, 1, True)
+        return s._replace(**fields)
 
     def test_compiled_summary_passes(self):
         _check_summary(summarize(AfDomain(2, 2)))
-        _check_summary(self.broken(PairBlock(range(2), range(2, 3), 1, True)))
+        _check_summary(self.broken())
 
     def test_negative_quotient_cap(self):
-        s = self.broken(PairBlock(range(2), range(2, 3), -1, True))
         with pytest.raises(ConsistencyError, match="negative quotient"):
-            _check_summary(s)
-
-    def test_second_reflexive_entry(self):
-        s = summarize(AfDomain(2, 2))
-        again = PairBlock(range(1, 2), range(1, 2), 0, True)
-        with pytest.raises(ConsistencyError, match="reflexive"):
-            _check_summary(s._replace(blocks=s.blocks + (again,)))
-
-    def test_reflexive_pairs_need_cap_0(self):
-        s = summarize(AfDomain(2, 2))
-        capped = PairBlock(range(3), range(3), 1, True)
-        with pytest.raises(ConsistencyError, match="reflexive"):
-            _check_summary(s._replace(blocks=(capped,)))
+            _check_summary(self.broken(product=(2, -1, True)))
 
     @pytest.mark.parametrize(
-        "block",
-        [PairBlock(range(2, 3), range(2), 1, True), PairBlock(range(2), range(1, 3), 1, True)],
-        ids=["descending", "repeated"],
+        "runs, message",
+        [
+            (((2, 1, 3, 0, True), (3, 2, 2, 1, True)), "stratum 0 must be the zero ideal"),
+            (((2, 0, 3, 0, True), (2, 2, 2, 1, True)), "run 1 holds no position"),
+            (((2, 0, 3, 0, True), (3, 2, 1, 1, True)), "negative height, residue or cap at in:0"),
+            (((2, 0, 3, 0, True), (3, 2, 4, 1, True)), "height \\+ residue_td > td at in:0"),
+        ],
+        ids=["zero-ideal", "empty-run", "negative-residue", "above-td"],
     )
-    def test_upper_ends_must_rise_strictly(self, block):
+    def test_run_values(self, runs, message):
+        with pytest.raises(ConsistencyError, match=message):
+            _check_summary(self.broken(runs=runs))
+
+    def test_one_product_block_joins_two_runs(self):
+        s = summarize(AfDomain(2, 2))
+        with pytest.raises(ConsistencyError, match="one run, or two joined by one product block"):
+            _check_summary(s._replace(product=(1, 0, True)))
+        with pytest.raises(ConsistencyError, match="one run, or two joined by one product block"):
+            _check_summary(self.broken(product=None))
+
+    # pullback(T=af(5,4),m=2,D=field(0),outside=4): out:0 to out:4, then M
+    # at height 2.  The product block's lower range, range(m), must lie
+    # below M: m = 4 puts out:3 above it, m = 3 out:2 level with it.
+    @pytest.mark.parametrize("m", [4, 3], ids=["descending", "repeated"])
+    def test_upper_ends_must_rise_strictly(self, m):
+        s = summarize(Pullback(AfDomain(5, 4), 2, Field(0), outside=4))
+        assert s.runs[1][1] == 2
         with pytest.raises(ConsistencyError, match="rise strictly"):
-            _check_summary(self.broken(block))
-
-    def test_blocks_out_of_order(self):
-        # The product block stored first raises out:0 and out:1, which the
-        # chain outside M, stored after it, reads; the chain oracle takes
-        # the blocks in reverse storage order and would read them unfinished.
-        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
-        outside, product, inside = s.blocks
-        reordered = s._replace(blocks=(product, outside, inside))
-        with pytest.raises(ConsistencyError, match="raises positions that .* stored after it"):
-            _check_summary(reordered)
-
-    @pytest.mark.parametrize(
-        "order", [(1, 0, 2), (0, 2, 1)], ids=["product-before-chain", "chain-over-m-first"]
-    )
-    def test_layout_memo_keeps_refusing_a_reordered_model(self, order):
-        # The good layout is memoised by the compile; reordering its blocks
-        # keeps the heights but is a layout of its own, checked afresh.
-        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
-        _check_summary(s)
-        reordered = s._replace(blocks=tuple(s.blocks[k] for k in order))
-        for _ in range(2):
-            with pytest.raises(ConsistencyError, match="stored after it"):
-                _check_summary(reordered)
-
-    def test_layout_memo_keeps_refusing_a_block_that_does_not_rise(self):
-        s = summarize(Pullback(Valuation(3, 2), 2, Field(0)))
-        _check_summary(s)
-        outside, product, inside = s.blocks
-        for _ in range(2):
-            with pytest.raises(ConsistencyError, match="rise strictly"):
-                _check_summary(s._replace(blocks=(outside, product._replace(upper=range(1, 3)), inside)))
-
-    def test_layout_memo_has_the_summary_cache_bound(self):
-        assert _read_layout.cache_parameters()["maxsize"] == SUMMARY_CACHE_SIZE
+            _check_summary(s._replace(product=(m, *s.product[1:])))
 
     def test_second_height_0_stratum(self):
-        # Two chains, 0 < 1 and a lone stratum 2 of height 0 that the zero
-        # ideal does not lie under; the chain oracle, which walks (0, 0)
+        # A second run at height 0 that the zero ideal does not lie under,
+        # by an empty product range; the chain oracle, which walks (0, 0)
         # last and returns its tail, would end at the wrong anchor.
-        s = summarize(AfDomain(2, 2))._replace(
-            heights=(0, 1, 0),
-            residues=(2, 1, 2),
-            blocks=(
-                PairBlock(range(2), range(2), 0, True),
-                PairBlock(range(2, 3), range(2, 3), 0, True),
-            ),
+        s = summarize(AfDomain(2, 1))._replace(
+            runs=((2, 0, 2, 0, True), (3, 0, 2, 0, True)), product=(0, 0, True)
         )
-        with pytest.raises(ConsistencyError, match="h0 must lie over the zero ideal"):
+        with pytest.raises(ConsistencyError, match="in:0 must lie over the zero ideal"):
             _check_summary(s)
 
     def test_pair_from_zero_needs_the_stratum_cap(self):
         # M has cap 1 (t.d.(K:D) = 1), so the pair (0, M) must have cap 1 too.
         match = "in:0 must lie over the zero ideal by a pair of cap 1"
         with pytest.raises(ConsistencyError, match=match):
-            _check_summary(self.broken(PairBlock(range(2), range(2, 3), 0, True)))
+            _check_summary(self.broken(product=(2, 0, True)))
 
     def test_cap_only_over_m(self):
         # A stratum outside M with a cap > 0 could not be held fixed by the chain oracle.
-        s = summarize(AfDomain(2, 2))._replace(caps=(0, 1, 0))
-        with pytest.raises(ConsistencyError, match="cap > 0 outside M at h1"):
+        s = summarize(AfDomain(2, 2))._replace(runs=((3, 0, 2, 1, True),))
+        with pytest.raises(ConsistencyError, match="cap > 0 outside M at h0"):
             _check_summary(s)
-
-
-    # The formulas take each maximum at a block's ends, which the guard
-    # holds a model to; each case below breaks one clause and nothing else.
-    # pullback(T=val(4,2),m=2,D=af(1,1)): out:0 and out:1, then in:0 = M
-    # and in:1, with residues 1 and 0 and cap 1 over M.
-    PB = Pullback(Valuation(4, 2), 2, AfDomain(1, 1))
-
-    def test_residue_rising_along_a_chain(self):
-        s = summarize(self.PB)
-        assert s.residues == (4, 3, 1, 0)
-        with pytest.raises(ConsistencyError, match="residue_td rises from in:0 to in:1 along a chain"):
-            _check_summary(s._replace(residues=(4, 3, 0, 1)))
-
-    def test_cap_changing_along_a_chain(self):
-        # Two product blocks over the zero ideal give in:0 and in:1 the
-        # caps 1 and 0, so every pair (0, j) still has stratum j's cap.
-        s = summarize(self.PB)
-        outside, product, inside = s.blocks
-        split = (
-            product._replace(upper=range(2, 3)),
-            product._replace(upper=range(3, 4), cap=0),
-        )
-        broken = s._replace(caps=(0, 0, 1, 0), blocks=(outside, *split, inside))
-        with pytest.raises(ConsistencyError, match="cap changes from in:0 to in:1 along a chain"):
-            _check_summary(broken)
-
-    def test_height_plus_residue_falling_along_a_chain(self):
-        s = summarize(self.PB)
-        with pytest.raises(ConsistencyError, match="residue_td falls from out:0 to out:1 along a chain"):
-            _check_summary(s._replace(residues=(4, 2, 1, 0)))
-
-    def loose(self, side):
-        """``PB`` with the chain under M or the chain over it cut in two.
-
-        The product block's lower range (out:0, out:1) or upper range
-        (in:0, in:1) then leaves a chain block; out:1 lies over the zero
-        ideal by a block of its own.
-        """
-        s = summarize(self.PB)
-        outside, product, inside = s.blocks
-        if side == "lower":
-            blocks = (
-                PairBlock(range(1), range(1), 0, True),
-                PairBlock(range(1), range(1, 2), 0, True),
-                PairBlock(range(1, 2), range(1, 2), 0, True),
-                product,
-                inside,
-            )
-        else:
-            blocks = (
-                outside,
-                product,
-                PairBlock(range(2, 3), range(2, 3), 0, True),
-                PairBlock(range(3, 4), range(3, 4), 0, True),
-            )
-        return s._replace(blocks=blocks)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_product_range_leaving_a_chain_block(self, side):
-        # Every compiled product range lies inside one chain block, which
-        # the formulas' block-end maxima and the chain oracle rely on; the
-        # refusal is memoised with the layout and holds on a second call.
-        model = self.loose(side)
-        product = model.blocks[3 if side == "lower" else 1]
-        message = f"the {side} range of {product} leaves a chain block"
-        for _ in range(2):
-            with pytest.raises(ConsistencyError) as err:
-                _check_summary(model)
-            assert str(err.value) == message
-
-    @pytest.mark.parametrize("side", ["lower", "upper"])
-    def test_chain_oracle_refuses_an_unchecked_loose_model(self, side):
-        model, field = self.loose(side), summarize(Field(2))
-        for a, b in ((model, field), (field, model)):
-            with pytest.raises(ConsistencyError, match=f"the {side} range of .* leaves a chain"):
-                chain_enumerate(a, b)
+        # A product range is a prefix of the first run and the whole second
+        # one, unless m passes the first run's end, or a third run cuts the
+        # chain over M in two.
+        if side == "lower":
+            s, message = self.broken(product=(3, 1, True)), "lower range of .* leaves the first run"
+        else:
+            s = summarize(Pullback(Valuation(4, 2), 2, AfDomain(1, 1)))
+            assert s.runs == ((2, 0, 4, 0, True), (4, 2, 3, 1, True))
+            s = s._replace(runs=((2, 0, 4, 0, True), (3, 2, 3, 1, True), (4, 3, 3, 1, True)))
+            message = "one run, or two joined by one product block"
+        with pytest.raises(ConsistencyError, match=message):
+            _check_summary(s)
 
     def test_conductor_is_the_first_of_the_last_dim_d_plus_1_strata(self):
         s = summarize(KM)
         with pytest.raises(ConsistencyError, match="M must be the first of the last dim"):
-            _check_summary(s._replace(kinds=("containsM", "containsM")))
+            _check_summary(s._replace(runs=((1, 0, 2, 0, True), (3, 1, 2, 1, True))))
+
+    # The layout rules the chain oracle and the formulas rest on, which the
+    # runs hold by construction: checked on the views of every catalog
+    # model and of CI's large operands.
+    @staticmethod
+    def models():
+        return [summarize(e) for e in (*catalog().values(), *map(parse_expr, LARGE))]
+
+    @staticmethod
+    def along_chains(s):
+        """Each pair of neighbouring positions in a chain block."""
+        for block in s.blocks:
+            if block.lower == block.upper:
+                yield from pairwise(block.lower)
+
+    def test_second_reflexive_entry(self):
+        for s in self.models():
+            chains = [block.lower for block in s.blocks if block.lower == block.upper]
+            assert list(chain.from_iterable(chains)) == list(range(len(s.heights))), s.source
+
+    def test_reflexive_pairs_need_cap_0(self):
+        # Strata over M may have a cap > 0; their chain's pairs do not.
+        models = self.models()
+        assert any(any(s.caps) for s in models)
+        for s in models:
+            assert all(block.cap == 0 for block in s.blocks if block.lower == block.upper)
+
+    def test_blocks_out_of_order(self):
+        # The chain oracle takes the blocks in reverse storage order, so no
+        # block raises positions that a block stored after it reads.
+        for s in self.models():
+            for k, block in enumerate(s.blocks):
+                for later in s.blocks[k + 1:]:
+                    assert block.lower[-1] < later.upper[0] or later.upper[-1] < block.lower[0]
+
+    def test_residue_rising_along_a_chain(self):
+        for s in self.models():
+            assert all(s.residues[j] < s.residues[i] for i, j in self.along_chains(s))
+
+    def test_cap_changing_along_a_chain(self):
+        for s in self.models():
+            assert all(s.caps[j] == s.caps[i] for i, j in self.along_chains(s))
+
+    def test_height_plus_residue_falling_along_a_chain(self):
+        for s in self.models():
+            hr = [h + r for h, r in zip(s.heights, s.residues)]
+            assert all(hr[j] == hr[i] for i, j in self.along_chains(s))
+
+
+# CI's large operands, each of about MAX_STRATA strata.
+LARGE = (
+    "af(2047,2047)",
+    "pullback(T=af(2048,1),m=1,D=af(2046,10),outside=0)",
+    "pullback(T=val(2047,1023),m=1023,D=af(1023,1023))",
+    "pullback(T=val(2047,1024),m=1024,D=af(1020,1020))",
+    "af(40,40)",
+    "pullback(T=val(2047,1000),m=1000,D=field(0))",
+)
+
+
+def reference(expr):
+    """``expr``'s ``(kinds, heights, residues, caps, labels, blocks)``, position by position."""
+    if isinstance(expr, Pullback):
+        td, m = expr_td(expr), expr.m
+        td_d, dim_d = expr_td(expr.subring), expr_dim(expr.subring)
+        td_kd = td - m - td_d
+        n_out = max(m - 1, expr.outside) + 1
+        rows = [(KIND_OUTSIDE, h, td - h, 0, f"out:{h}") for h in range(n_out)]
+        rows += [(KIND_CONTAINS, m + e, td_d - e, td_kd, f"in:{e}") for e in range(dim_d + 1)]
+        outside, inside = range(n_out), range(n_out, len(rows))
+        t_cat = expr_catenarian(expr.ambient)
+        blocks = (
+            PairBlock(outside, outside, 0, t_cat),
+            PairBlock(range(m), inside, td_kd, t_cat),
+            PairBlock(inside, inside, 0, expr_catenarian(expr.subring)),
+        )
+    else:
+        td, n = expr_td(expr), expr_dim(expr) + 1
+        rows = [(KIND_PLAIN, h, td - h, 0, f"h{h}") for h in range(n)]
+        blocks = (PairBlock(range(n), range(n), 0, expr_catenarian(expr)),)
+    return (*map(tuple, zip(*rows)), blocks)
+
+
+def certify_operands():
+    """The operands of the benchmark's ``certify`` workload at seeds 17, 19 and 23."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import gen
+    requests = [r for seed in (17, 19, 23) for r in gen.certify_requests(seed)]
+    return sorted({text for r in requests for text in (r.a, r.b)})
+
+
+class TestRuns:
+    def test_views_match_a_position_by_position_reference(self):
+        exprs = [*catalog().values(), *map(parse_expr, [*certify_operands(), *LARGE])]
+        assert len(exprs) > 500
+        for expr in exprs:
+            s = summarize(expr)
+            views = (s.kinds, s.heights, s.residues, s.caps, s.labels, s.blocks)
+            assert views == reference(expr), to_source(expr)
+
+    @pytest.mark.parametrize(
+        "text", ["af(2047,2047)", "pullback(T=val(2047,1023),m=1023,D=af(1023,1023))", "af(15,15)"]
+    )
+    def test_a_compile_stores_o_of_blocks_data(self, text):
+        # A compile builds no view, and holds per-position data in none of
+        # its fields: every plain tuple is no longer than the model's
+        # blocks, and each run is a few integers.  Strings and the
+        # pullback's numeric record are of fixed size.
+        s = summarize.__wrapped__(parse_expr(text))
+        assert vars(s) == {}
+        assert all(len(value) <= len(s.blocks) for value in s if type(value) is tuple)
+        assert all(type(x) in (int, bool) for run in s.runs for x in run)
 
 
 class TestIsAfPoly:
