@@ -10,33 +10,32 @@ rather than from the formulas under test:
 * ``chain_enumerate`` finds the longest anchored chain built from a
   small set of legal moves, each justified by a primitive fact about
   contractions and fibers.  It does so in one bottom-up pass that reads
-  the pair blocks, one row of anchors (a stratum of one side against
-  every stratum of the other) at a time, in values Z = height of A +
-  height of B + best run.  In Z an advance gains only min(residue t.d.,
-  cap), and along a chain block (cap 0) of the column side the fiber
-  never falls and a finished row never rises, so that block takes the
-  maximum of the row and the fiber at the block's top, one cut and one
-  fill; a product block takes one maximum over its upper positions.
-  The best advance on the row side through a block is a running
-  maximum per block, kept as one row, and a row starts as a copy of the
-  first one it steps through.  Most rows need nothing more: a row that
-  steps through its own chain block and merges no other block starts as
-  its chain successor's finished row, and the column side's steps leave
-  that row as it is unless the successor's residue lies below both the
-  largest cap of the column side's product steps and the row's own
-  residue.  Along a chain block heights rise, residues never rise and
-  height + residue never falls, so each chain step's fiber is at most
-  the successor's, and a product step then adds what the successor's
-  did.  Such a row is skipped.  The moves are symmetric in A and B, so
-  the rows are taken over the side with fewer rows left to compute,
-  which one bisection a side counts.  The pass returns the best run
-  from the zero anchor (0, 0), in the last row it walks, and needs only
-  the initial jump to (0, 0): the zero ideal lies under every stratum,
-  so a chain that climbs from (0, 0) gains at least what any other
-  jump does.  Each side's rows, row steps and counts are its summary's
-  ``walk_plan``, built in O(S) once per summary; a call then costs
-  O(nb * blocks) per computed row, and a skipped one only enters its
-  running maxima.
+  the runs, one row of anchors (a stratum of one side against every
+  stratum of the other) at a time, in values Z = height of A + height
+  of B + best run.  In Z an advance gains only min(residue t.d., cap),
+  and along a chain block (cap 0) of the column side the fiber never
+  falls and a finished row never rises, so that block takes the maximum
+  of the row and the fiber at the block's top, one cut and one fill;
+  the product block takes one maximum over its upper positions.  The
+  row side is walked run by run from each top down, the run over M
+  first: a row starts as the finished row above it in its run, and a
+  row below the product block merges the finished row at M, which
+  holds the maximum over the run over M.  Most rows need nothing more:
+  along a run the residue falls by 1 a position, so a row that merges
+  nothing and whose residue exceeds the column side's product cap is
+  left as it starts, each chain step's fiber being at most the one
+  above it and the product step adding what it added there.  Such rows
+  are the bottom of each run's stretch of rows that merge nothing, so
+  the pass jumps over them, and the number of rows a side computes is
+  a sum over its runs.  The moves are symmetric in A and B, so the
+  rows are taken over the side with fewer rows to compute.  The pass
+  returns the best run from the zero anchor (0, 0), in the last row it
+  walks, and needs only the initial jump to (0, 0): the zero ideal lies
+  under every stratum, so a chain that climbs from (0, 0) gains at
+  least what any other jump does.  What the pass reads of each side is
+  its summary's ``walk_plan``, O(runs) data built once per summary; a
+  computed row costs at most one merge and three fills of O(nb) each,
+  and a skipped one nothing.
   ``iter_chains`` enumerates the same chains move by move over the
   ``ups`` view, with every legal initial jump; it is the literal
   reference the pass is tested against.  The maximum is a certified
@@ -58,14 +57,15 @@ Legal moves, for a chain of primes of A ox B organized by the anchor
 4. one final fiber segment at the last anchor, of length at most
    min(t.d.(A/p), t.d.(B/q)).
 
-The moves read the summaries' position arrays and pair blocks directly.
+The moves read the summaries' position arrays and pair views directly,
+and the pass each side's runs, through its ``walk_plan``.
 The module imports only ``spectra`` and ``errors`` and calls no formula
 code, so the enumerator stays independent of what it checks; the check
 suites that compare the two live in ``checks``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
@@ -165,95 +165,83 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """Maximum total over all legal anchored chains: a lower bound for dim.
 
     One bottom-up pass computes the maximum that ``iter_chains``
-    enumerates move by move, reading the pair blocks rather than the
-    pairs, one row of anchors (i, j), all positions j of B, at a time.
+    enumerates move by move, reading the runs rather than the pairs,
+    one row of anchors (i, j), all positions j of B, at a time.
     tail(i, j) is the longest run of advances plus the final fiber
     segment from (i, j); the pass works on Z(i, j) = heights_a[i] +
     heights_b[j] + tail(i, j), in which an advance gains no height
-    difference.  A B-advance through block k of B from (i, j) to a
-    strict successor j2 gives Z(i, j2) + min(t.d.(A/p), cap_k), and an
-    A-advance through block k of A gives Z(i2, j) + min(t.d.(B/q),
-    cap_k); the fiber gives heights_a[i] + heights_b[j] +
+    difference.  A B-advance through a block of B of cap c from (i, j)
+    to a strict successor j2 gives Z(i, j2) + min(t.d.(A/p), c), and an
+    A-advance through a block of A of cap c gives Z(i2, j) +
+    min(t.d.(B/q), c); the fiber gives heights_a[i] + heights_b[j] +
     min(r_a, r_b).  Every chain block has cap 0, so a step inside one
     adds nothing.
 
     Every legal move has a mirror image with A and B swapped, so the
     maximum does not depend on the order of the sides.  After checking
     both sides as the caller named them, the pass takes its rows over
-    the side with fewer rows left to compute (see the skip rule below),
-    then over the side with fewer strata, then over A as named: fewer,
+    the side with fewer rows to compute (see the skip rule below), then
+    over the side with fewer strata, then over A as named: fewer,
     longer rows pay a row's fixed cost fewer times.  Below, A is the
     side walked as rows.
 
-    A's strata are walked by decreasing height, one row each.
-    ``col[k]`` holds, per position j of B, the maximum of Z(i2, j) over
-    the positions i2 of block k of A already walked.  Inside a chain
-    block positions and heights rise together, and in a product block
-    every upper position lies above every lower one, so those positions
-    are exactly the strict successors of the current one.
+    A's runs are walked one at a time, each from its top down, the run
+    over M first.  The strict successors of a position i are the higher
+    positions of its run, through its chain block, and, for i below m in
+    the first run, every position of the second run, through the product
+    block of cap c.  A row starts as the finished row of i + 1, or as
+    zeros at a run's top.  That row holds the maximum over every higher
+    position of the run, as each row of the run started from the one
+    above it and no step lowers an entry.  So the finished row at M, the
+    second run's bottom, walked before the first run, holds the maximum
+    over the second run; with min(r_b, c) added it is ``under``, which
+    each row below m merges in one elementwise maximum.  Then come the
+    fiber and the B-advances over B's blocks in reverse storage order:
+    the second run's chain, the product block, the first run's chain.
+    Each reads finished values: no block raises a position that a block
+    taken before it reads.  No finished row but the one above and the
+    one at M is read again, so a row is the list of the row above it,
+    raised in place.
 
-    A row starts as a copy of ``col`` of the first block of cap 0 that
-    the row's stratum steps through (its chain block, unless it is the
-    chain's top), or as zeros, and takes the other A-advances from
-    ``col`` one block of A at a time, each block of cap > 0 with its
-    min(r_b, cap) added in the merge.  Then come the fiber and the
-    B-advances over B's blocks in reverse storage order.  Each block
-    reads finished values: the blocks taken after it are those stored
-    before it, and no block raises a position that a block stored after
-    it reads (the runs of a summary can state no other order).
+    Along a chain block of B, one run, heights rise by 1 and residues
+    fall by 1 a position, so the fiber h_a + h + min(r_a, r) never falls
+    along it and min(r_b, cap) never rises.  Every finished row never
+    rises along it, as the step below leaves it so and no later step of
+    the row touches it; then neither does a row entering the block's
+    step, a maximum of such rows and zeros, with min(r_b, cap) added and
+    raised on prefixes of the block.  In the block every higher position
+    is a strict successor and a step adds min(r_a, 0) = 0, so the
+    block's suffix maximum, with the fiber, is the maximum of each entry
+    and t, the fiber at the block's top.  The entries below t are a tail
+    of the block: one bisection finds where it starts and one slice
+    assignment fills it with t.  In the product block every upper
+    position is a successor of every lower one, so each lower position
+    rises to p, the maximum over the upper ones plus min(r_a, cap), and
+    the suffix maximum of the first run's chain spreads p down to
+    position 0.  The lower range is a prefix of the first run, so the
+    step raises positions 0 to m - 1, by the same cut and fill, and the
+    block still never rises.  Every chain block is a step, one of one
+    position too, as it carries the fiber.  A computed row then costs at
+    most one merge and three bisections and fills, each O(nb).
 
-    Along a chain block of B, one run, heights rise, residues never
-    rise and height + residue never falls, so the fiber
-    h_a + h + min(r_a, r) never falls along it and min(r_b, cap)
-    never rises.  Every finished row never rises along it, as the step
-    below leaves it so and no later step of the row touches it; then
-    neither does a row entering the block's step, a maximum of such rows
-    and zeros, with min(r_b, cap) added and raised on prefixes of the
-    block.  In the block every higher position is a strict successor
-    and a step adds min(r_a, 0) = 0, so the block's suffix maximum, with
-    the fiber, is the maximum of each entry and t, the fiber at the
-    block's top.  The entries below t are a tail of the block: one
-    bisection finds where it starts and one slice assignment fills it
-    with t.  In a product block every upper position is a successor of
-    every lower one, so each lower position rises to p, the maximum over
-    the upper ones plus min(r_a, cap), and the suffix maximum of the
-    chain block holding it spreads p down to that block's start.  A
-    product block's lower range is a prefix of the first run, so the
-    step raises the positions from 0 to the range's last position, by
-    the same cut and fill, and the block still never rises.
-    Every chain block is a step, one of one position too, as it carries
-    the fiber.  A row then costs O(1) Python steps per block of B, each
-    a bisection and a fill of at most nb entries, and one comprehension
-    per other block of A it merges.
-
-    Last the row becomes ``col[k]`` for each block k of A whose upper
-    range holds i.  Where i is k's top position, walked first, ``col[k]``
-    is still empty.  Otherwise the row stepped through the chain block of
-    A that is k's upper range, a whole run, whose maximum holds every
-    row of the range walked so far, so the row already dominates
-    ``col[k]``.  A computed row costs O(nb * blocks), with O(blocks)
-    Python steps for B's blocks.
-
-    A row at i that steps through its own chain block and merges no
-    other block starts as ``col`` of that block: the finished row of
-    i + 1, its chain successor, the last of the chain walked.  It is
-    skipped, doing only its ``ends``, when r_a(i+1) is at least cmax,
-    the largest cap among B's product steps, or equals r_a(i); then its
-    steps leave that row as it is.  Take them in order on row(i+1), the
-    row that i + 1's own steps leave, whether computed or itself
-    skipped.  Along a chain block of A, one run, heights rise, residues
-    never rise and height + residue never falls.  So a chain step's
-    t = h_a + h + min(r, r_a) is at most the t row i + 1 took there: if
-    r_a(i+1) <= r, h_a(i) + r_a(i) <= h_a(i+1) + r_a(i+1); otherwise
-    both residues exceed r and h_a(i) < h_a(i+1).  Row i + 1's
-    step left every entry of the block at or above its t, and no step
-    lowers an entry, so the bisection cuts nothing.  A product step reads
-    upper positions that no later step raises, so it finds the maximum
-    row i + 1 found and adds min(cap, r_a(i)), which is min(cap,
-    r_a(i+1)) when r_a(i+1) >= cap or r_a(i+1) = r_a(i); so it fills
-    nothing either.  Each side's plan counts its rows that are never
-    skipped and lists the others' successor residues by value, so one
-    bisection at the other side's cmax counts the rows a side computes.
+    A row at i below its run's top that merges nothing, i at or above m
+    in the first run or anywhere in the second, is skipped when r_a(i)
+    exceeds cmax, the largest cap among B's product steps (0 without
+    one): its steps leave the finished row of i + 1 as it is.  Take them
+    in order on row(i+1), the row that i + 1's own steps leave, whether
+    computed or itself skipped.  Along A's run h_a(i) = h_a(i+1) - 1 and
+    r_a(i) = r_a(i+1) + 1, so a chain step's t = h_a + h + min(r, r_a)
+    is at most the t row i + 1 took there.  Row i + 1's step left every
+    entry of the block at or above its t, and no step lowers an entry,
+    so the bisection cuts nothing.  A product step reads upper positions
+    that no later step raises, so it finds the maximum row i + 1 found
+    and adds min(cap, r_a(i)), which is min(cap, r_a(i+1)) as r_a(i+1)
+    >= cmax >= cap; so it fills nothing either.  Residues rise down a
+    run, so the skipped rows are the bottom of the stretch that merges
+    nothing: the pass walks a run from its top down and jumps from the
+    first row of the stretch of residue above cmax to the first row
+    below the stretch.  ``_computed`` counts the rows it walks, per run
+    in closed form.
 
     The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
     jump to (0, 0) has length 0, and no other jump beats a chain from
@@ -265,58 +253,65 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ht(p) when p's cap is 0, and goes on from (i, j) as the jump's chain
     would; B's jump is the mirror image, through (i, 0).
 
-    A's rows, each its stratum's height, residue, block lists and
-    successor residue in walk order, A's counts, and B's row steps and
-    cmax depend on one side only: each summary's ``walk_plan`` builds
-    them in O(S) on its first call and keeps them, and the check that
-    every pair is certified reads each summary's kept ``uncertified``.
-    So a call builds only ``col``, its computed rows, and one list of
-    min(r_b, cap) per cap of a block of A that a computed row merges.
+    A's runs, each with its top's residue and the start ``lo`` of its
+    stretch, B's steps and cmax depend on one side only: each summary's
+    ``walk_plan`` builds them, O(runs) data, on its first call and keeps
+    them, and the check that every pair is certified reads each
+    summary's kept ``uncertified``.  So a call builds only its computed
+    rows and, when A has a product block, ``under``.
     """
     _require_exact_sides(a, b)
-    rows_a, _, cap_a, fixed_a, successors_a = a.walk_plan
-    rows_b, _, cap_b, fixed_b, successors_b = b.walk_plan
-    computed_a = fixed_a + bisect_left(successors_a, cap_b)
-    computed_b = fixed_b + bisect_left(successors_b, cap_a)
-    if (computed_b, len(rows_b)) < (computed_a, len(rows_a)):
+    cap_a, cap_b = a.walk_plan[1], b.walk_plan[1]
+    if (_computed(b, cap_a), b.runs[-1][0]) < (_computed(a, cap_b), a.runs[-1][0]):
         a, b = b, a
     return _row_pass(a, b)
 
 
+def _computed(a: SpectrumSummary, cap: int) -> int:
+    """How many rows a pass with A's strata as the rows computes against a column side of ``cap``.
+
+    Per run: its top, its positions below ``lo``, and the rows of its
+    stretch whose residue is at most ``cap``.  Residues rise by 1 a
+    position down the run from ``top``, so those are the cap - top rows
+    under the top, or the whole stretch if it is shorter.
+    """
+    n = 0
+    for start, stop, _, _, lo, top in a.walk_plan[2]:
+        n += 1 + lo - start
+        if cap > top:
+            n += min(stop - 1 - lo, cap - top)
+    return n
+
+
 def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
-    rows_a = a.walk_plan[0]
-    _, steps_b, cap_b, _, _ = b.walk_plan
+    m, cap, runs_a, _ = a.walk_plan
+    _, cap_b, _, steps_b = b.walk_plan
     residues_b = b.residues
-    # min(cap, r_b) per position of B, for the A-advances through a block
-    # of cap > 0, built when a computed row first merges such a block.
-    capped: dict = {}
-    # An A-step reads a block only from a position with a successor in
-    # it, walked first, so no entry is read before it is written.
-    col: list = [None] * len(a.blocks)
-    for h_a, r_a, through, starts, ends, successor in rows_a:
-        if successor is not None and (successor >= cap_b or successor == r_a):
-            # The finished row of the chain successor, which this row's
-            # steps would leave as it is; no list in col changes once
-            # there, so the two rows may share it.
-            z = col[through]
-        else:
-            z = [0] * len(residues_b) if through is None else col[through].copy()
-            for k, cap in starts:
-                if cap:
-                    add = capped.get(cap)
-                    if add is None:
-                        add = capped[cap] = [cap if cap < r else r for r in residues_b]
-                    z = [v if v > u + c else u + c for v, u, c in zip(z, col[k], add)]
-                else:
-                    z = [v if v > u else u for v, u in zip(z, col[k])]
+    z = None
+    # The run over M first, so that its finished row at M is known when
+    # the first run's positions below m merge it.
+    for start, stop, h, hr, lo, _ in reversed(runs_a):
+        if z is not None:
+            # The finished row at M, with the product block's min(r_b, cap) added.
+            under = [u + (cap if cap < r else r) for u, r in zip(z, residues_b)]
+        z = [0] * len(residues_b)
+        i = stop - 1
+        while i >= start:
+            h_a = h + i - start
+            r_a = hr - h_a
+            if i < m:
+                z = [v if v > u else u for v, u in zip(z, under)]
             # z never rises along a fill, so the entries below t are its tail.
-            for upper, h, c, start, stop in steps_b:
-                t = (h_a + h if upper is None else max(z[upper])) + (c if c < r_a else r_a)
-                cut = bisect_right(z, -t, start, stop, key=neg)
-                z[cut:stop] = [t] * (stop - cut)
-        for k in ends:
-            col[k] = z
+            for upper, h_b, c, begin, end in steps_b:
+                t = (h_a + h_b if upper is None else max(z[upper])) + (c if c < r_a else r_a)
+                cut = bisect_right(z, -t, begin, end, key=neg)
+                z[cut:end] = [t] * (end - cut)
+            i -= 1
+            # A row of the stretch of residue above cap_b leaves z as it
+            # is, and so does each row under it there: jump below lo.
+            if i >= lo and r_a + 1 > cap_b:
+                i = lo - 1
     # The last row is A's position 0, the only stratum of height 0.
     return z[0]
 

@@ -46,10 +46,11 @@ and take each maximum at a block's ends.  Then
 ``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
 or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
 ``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-``walk_plan``, the chain oracle's rows in walk order, each with its
-block lists and its chain successor's residue, one row step per
-block, and the counts by which the oracle picks its row side, O(S)
-references built from the views on the oracle's first call; and
+``walk_plan``, what the chain oracle reads of the model as either
+side: the product block's range length and cap, each run's bounds,
+heights, top residue and the stretch of rows that merge nothing, and
+one column step per block, O(runs) data built on the oracle's first
+call; and
 ``uncertified``, the first uncertified pair or None, which the oracle
 reads on every call.  ``iter_pairs`` generates the ``pairs`` entries
 without keeping them.  The formulas, the chain
@@ -308,88 +309,42 @@ class SpectrumSummary(
         return tuple(map(tuple, rows))
 
     @cached_property
-    def walk_plan(self) -> tuple[tuple[tuple, ...], tuple, int, int, tuple[int, ...]]:
-        """``(rows, row_steps, cap, fixed, successors)``: the chain oracle's walk over this model.
+    def walk_plan(self) -> tuple[int, int, tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+        """``(m, cap, runs, steps)``: the chain oracle's walk over this model, O(runs) data.
 
-        ``rows`` serves the model as the oracle's row side: one tuple
-        ``(height, residue, through, starts, ends, successor)`` per
-        position i, by decreasing height.  ``through`` is the first block
-        k of cap 0 with a pair (i, i2), i < i2, or None: the row starts as
-        a copy of that block's running maximum, or as zeros.  ``starts``
-        holds ``(k, cap)`` for every other such block, and ``ends`` holds
-        each k whose upper range holds i.  The oracle's row at i then
-        becomes k's running maximum: it dominates every row of k's upper
-        range walked before it, as that range is a whole run, whose chain
-        block the row at any position of the range but the top steps
-        through.
-        ``successor`` is the residue of position i + 1 when ``through`` is
-        i's own chain block and ``starts`` is empty, and None otherwise.
-        Such a row starts as the finished row of i + 1, its chain
-        successor, and the oracle skips it when ``successor`` is at least
-        the column side's ``cap`` or equals i's own residue (see
-        ``oracle``).  ``fixed`` counts the rows whose ``successor`` is
-        None, and ``successors`` lists the others' ``successor`` by
-        increasing value, leaving out those equal to the row's own
-        residue: against a column side of ``cap`` c the oracle computes
-        ``fixed + bisect_left(successors, c)`` rows.
+        ``m`` and ``cap`` are the product block's range length and cap, 0
+        and 0 for a model of one run: the positions below ``m`` lie under
+        every position of the second run, and ``cap`` is the largest cap
+        of a product step this model gives as the column side.
 
-        ``row_steps`` serves the model as the column side, in reverse
-        storage order of the blocks: steps ``(upper, height, cap, start,
-        stop)``, each raising the row's entries below a value t on
-        positions ``start`` to ``stop - 1`` to t.  A chain block, of one
+        ``runs`` serves the model as the oracle's row side, one tuple
+        ``(start, stop, height, hr, lo, top)`` per run: its positions,
+        its first height, its height + residue, ``lo`` and ``top``, the
+        residue at its top.  The positions from ``lo`` up to the top's
+        predecessor, the run's stretch, step out of the run's chain
+        block and merge no other block; ``lo`` is ``m`` in the first run
+        of a pullback and the run's start otherwise, but at most its top.
+
+        ``steps`` serves the model as the column side, in reverse storage
+        order of the blocks: steps ``(upper, height, cap, start, stop)``,
+        each raising the row's entries below a value t on positions
+        ``start`` to ``stop - 1`` to t.  A run's chain block, of one
         position too, is one step ``(None, height, residue, start, stop)``
-        over all its positions, with its top's height and residue, from
-        which the oracle takes t as the fiber at the top.  A product block
-        is one step ``(upper slice, None, cap, start, stop)`` over its
-        lower range, a prefix of the first run, so from position 0 to the
-        range's last position; t is the maximum over the upper slice plus
-        min(residue, cap).  ``cap`` is the largest cap of the product
-        steps, 0 if there are none.
-
-        Equal entries are one shared tuple, so a plan holds O(S) references.
+        over the run, with its top's height and residue, from which the
+        oracle takes t as the fiber at the top.  The product block is the
+        step ``(slice(n, stop), None, cap, 0, m)`` over its lower range,
+        the first run's positions below ``m``; t is the maximum over the
+        second run, positions n to stop - 1, plus min(residue, cap).
         """
-        heights, residues, blocks = self.heights, self.residues, self.blocks
-        starts: list[list[tuple[int, int]]] = [[] for _ in heights]
-        ends: list[list[int]] = [[] for _ in heights]
-        row_steps = []
-        step_cap = 0
-        for k, block in enumerate(blocks):
-            lower, upper = block.lower, block.upper
-            if lower == upper:
-                top = upper[-1]
-                row_steps.append((None, heights[top], residues[top], lower.start, top + 1))
-            if lower.start == upper[-1]:
-                continue
-            for i in lower:
-                if i < upper[-1]:
-                    starts[i].append((k, block.cap))
-            for i in upper:
-                ends[i].append(k)
-            if lower != upper:
-                step_cap = max(step_cap, block.cap)
-                row_steps.append((slice(upper.start, upper.stop), None, block.cap, 0, lower.stop))
-        shared: dict[tuple, tuple] = {}
-        rows = []
-        successors = []
-        for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
-            through = next((k for k, cap in starts[i] if not cap), None)
-            others = tuple(start for start in starts[i] if start[0] != through)
-            reached = tuple(ends[i])
-            # A chain block with a pair (i, i2) is i's own, and holds i + 1.
-            own_chain = through is not None and blocks[through].lower == blocks[through].upper
-            successor = residues[i + 1] if own_chain and not others else None
-            if successor is not None and successor != residues[i]:
-                successors.append(successor)
-            rows.append((
-                heights[i],
-                residues[i],
-                through,
-                shared.setdefault(others, others),
-                shared.setdefault(reached, reached),
-                successor,
-            ))
-        fixed = sum(row[5] is None for row in rows)
-        return tuple(rows), tuple(reversed(row_steps)), step_cap, fixed, tuple(sorted(successors))
+        m, cap = self.product[:2] if self.product else (0, 0)
+        runs = tuple(
+            (start, stop, h, hr, min(max(start, m), stop - 1), hr - h - (stop - 1 - start))
+            for start, stop, h, hr, *_ in _spans(self.runs)
+        )
+        steps = [(None, h + stop - 1 - start, top, start, stop) for start, stop, h, _, _, top in runs]
+        if m:
+            steps.insert(1, (slice(*runs[1][:2]), None, cap, 0, m))
+        return m, cap, runs, tuple(reversed(steps))
 
     @cached_property
     def uncertified(self) -> tuple[int, int] | None:
@@ -658,15 +613,18 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 
 # More than the distinct operands of any benchmark workload, so that
 # the cache only stops a long-running process from growing without end.
-# A cached summary keeps the views built on it, such as the chain
-# oracle's O(S) ``walk_plan``, for as long as it stays cached.  The
-# parser's memo of texts has the same bound.
+# A cached summary keeps the views built on it, such as the O(S)
+# ``heights`` and ``residues`` and the chain oracle's O(runs)
+# ``walk_plan``, for as long as it stays cached.  The parser's memo of
+# texts has the same bound.
 SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores O(1) data and its views
 # O(S), but at 2048 strata an AF model has about 2.1M pairs, which
-# ``spectrum`` and a fully tied witness list each walk one by one.  The chain oracle's work grows
-# with the product of its two sides' strata, not with their pairs.
+# ``spectrum`` and a fully tied witness list each walk one by one.  The
+# chain oracle's work grows with the rows it computes times the column
+# side's strata, not with the pairs: at most the product of the two
+# sides' strata, and O(S) for two AF models.
 MAX_STRATA = 2048
 
 

@@ -1,6 +1,6 @@
 """Independent evaluators, the chain enumerator and the check suites."""
 import ast
-from bisect import bisect_left
+from bisect import bisect_right
 import inspect
 from functools import cached_property
 from itertools import product
@@ -13,6 +13,7 @@ from krulldim.errors import ConstraintError, InexactPairError, KrulldimError
 from krulldim.checks import MAX_GRID, catalog, run_suite, suite_names
 from krulldim.formulas import dim_tensor, fiber_dim
 from krulldim.oracle import (
+    _computed,
     _row_pass,
     best_chain,
     brewer_poly_dim,
@@ -20,6 +21,7 @@ from krulldim.oracle import (
     ext_field_dim,
     iter_chains,
 )
+from krulldim.parser import parse_expr
 from krulldim.spectra import (
     AfDomain,
     Field,
@@ -186,12 +188,11 @@ class TestChainEnumerate:
         af = summarize(AfDomain(2047, 2047))
         pullback = summarize(Pullback(Valuation(2047, 1023), 1023, AfDomain(1023, 1023)))
         # Against the pullback's cap 1, af(2047,2047) computes its top row
-        # and the row whose successor has residue 0: 2 of its 2,048.  The
+        # and the row of residue 1 under it: 2 of its 2,048.  The
         # pullback, against cap 0, computes D's top, its 1,023 rows outside
         # M, each merging the product block, and none of the rest.
         for x, y, computed in ((af, pullback, 2), (pullback, af, 1024)):
-            fixed, successors = x.walk_plan[3:]
-            assert fixed + bisect_left(successors, y.walk_plan[2]) == computed
+            assert _computed(x, y.walk_plan[1]) == computed
         assert chain_enumerate(af, pullback) == chain_enumerate(pullback, af) == 4094
         # Equal counts go to the side with fewer strata, then to side A.
         small, large = summarize(AfDomain(5, 5)), summarize(AfDomain(9, 9))
@@ -199,57 +200,78 @@ class TestChainEnumerate:
         assert chain_enumerate(small, small) == 10
         assert walked == [af.source] * 2 + [small.source] * 3
 
-    def test_walk_plan_shares_equal_entries(self):
-        rows, row_steps, cap, fixed, successors = summarize(AfDomain(300, 300)).walk_plan
-        # Every position of an AF chain but the top steps through block 0,
-        # and every one is reached in it, where the row dominates the maximum.
-        assert [row[:2] for row in rows] == [(h, 300 - h) for h in range(300, -1, -1)]
-        assert rows[0][2:] == (None, (), (0,), None)
-        assert {row[2:5] for row in rows[1:]} == {(0, (), (0,))}
-        assert len({id(row[4]) for row in rows}) == 1
-        # Each row below the top merges no other block, so it carries its
-        # chain successor's residue, 300 - (h + 1); only the top is fixed.
-        assert [row[5] for row in rows[1:]] == list(range(300))
-        assert (fixed, successors) == (1, tuple(range(300)))
+    def test_walk_plan_of_an_af_model(self):
+        model = summarize(AfDomain(300, 300))
+        m, cap, runs, steps = model.walk_plan
+        # One run from the zero ideal, heights 0 to 300 at residue 300 - h,
+        # with no product block: its stretch of rows that merge nothing
+        # runs from position 0 up to the top's predecessor.
+        assert (m, cap) == (0, 0)
+        assert runs == ((0, 301, 0, 300, 0, 0),)
+        # Against a product cap c, the top and the c rows of residue 1 to
+        # c under it are computed: the row of height h only while its
+        # successor's residue, 300 - (h + 1), lies below c.
+        assert [_computed(model, c) for c in range(302)] == [1 + min(c, 300) for c in range(302)]
         # The chain is one step, filled from its bottom up to its top,
         # whose fiber it carries: height 300, residue 0.  No product step
         # gives a cap.
-        assert row_steps == ((None, 300, 0, 0, 301),)
-        assert cap == 0
+        assert steps == ((None, 300, 0, 0, 301),)
 
     def test_walk_plan_of_a_pullback(self):
         # Outside M at 0..4 (residue 14 - h), M and D's chain over it at
         # 5..11 (residue 11 - h), cap 9 - 6 = 3; heights rise with positions.
-        rows, row_steps, cap, fixed, successors = summarize(
-            Pullback(Valuation(14, 5), 5, AfDomain(6, 6))
-        ).walk_plan
-        # The product block's upper range is D's chain, which every row
-        # reached in it below the top steps through: each such row
-        # dominates the block's maximum, as its top row does.  Those rows
-        # carry their chain successor's residue, 11 - (h + 1); the rows
-        # outside M merge the product block, so none of them does.
-        over_m = (1, 2)
-        assert rows == (
-            (11, 0, None, (), over_m, None),
-            *((h, 11 - h, 2, (), over_m, 10 - h) for h in range(10, 4, -1)),
-            (4, 10, None, ((1, 3),), (0,), None),
-            *((h, 14 - h, 0, ((1, 3),), (0,), None) for h in range(3, -1, -1)),
-        )
-        assert (cap, fixed, successors) == (3, 6, (0, 1, 2, 3, 4, 5))
+        model = summarize(Pullback(Valuation(14, 5), 5, AfDomain(6, 6)))
+        m, cap, runs, steps = model.walk_plan
+        assert (m, cap) == (5, 3)
+        # Every position outside M lies below m = 5 and merges the product
+        # block, so the first run's stretch is empty: lo is its top, 4.
+        # Over M, the stretch is M up to the top's predecessor, at residues
+        # 6 down to 1 (successor residues 5 down to 0); the top's is 0.
+        assert runs == ((0, 5, 0, 14, 4, 10), (5, 12, 5, 11, 5, 0))
+        # The 5 rows outside M and D's top are always computed; against a
+        # cap c, so are the rows over M of residue at most c.
+        assert [_computed(model, c) for c in range(10)] == [6 + min(c, 6) for c in range(10)]
         # Each chain block carries its top's height and residue; the
         # product block fills its lower range, from the chain block's start.
-        assert row_steps == (
+        assert steps == (
             (None, 11, 0, 5, 12),
             (slice(5, 12), None, 3, 0, 5),
             (None, 4, 10, 0, 5),
         )
         # kM: M over the zero ideal, each a chain block of one position,
         # which is a step of its own.
-        assert S_KM.walk_plan[1] == (
+        assert S_KM.walk_plan[3] == (
             (None, 1, 0, 1, 2),
             (slice(1, 2), None, 1, 0, 1),
             (None, 0, 2, 0, 1),
         )
+
+    def test_computes_the_rows_it_counts(self, monkeypatch, certify_requests):
+        # A computed row takes one bisection per column step; count them.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return bisect_right(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "bisect_right", counted)
+        summaries = [summarize(e) for e in catalog().values()]
+        certify = [(summarize(parse_expr(r.a)), summarize(parse_expr(r.b))) for r in certify_requests]
+        pairs = [*product(summaries, summaries), *certify]
+        assert len(pairs) == 36 * 36 + 768
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                calls.clear()
+                _row_pass(x, y)
+                rows, rest = divmod(len(calls), len(y.walk_plan[3]))
+                # A position is computed if it is its run's top, merges the
+                # product block, or has a residue at most y's product cap.
+                m = x.product[0] if x.product else 0
+                cap = y.product[1] if y.product else 0
+                tops = {stop - 1 for stop, *_ in x.runs}
+                computed = [i for i, r in enumerate(x.residues) if i in tops or i < m or r <= cap]
+                assert (rows, rest) == (len(computed), 0), (x.source, y.source)
+                assert rows == _computed(x, y.walk_plan[1])
 
     def test_equals_dim_tensor_at_certify_size(self):
         # iter_chains cannot reach these sizes; dim_tensor can.
@@ -294,22 +316,28 @@ class TestChains:
             )
 
     @pytest.mark.parametrize(
-        "runs, product, value, reached_at_2",
+        "runs, product, value, plan",
         [
             # Two strata 2 < 3, one run of residues 1 and 0 over the run
-            # 0 < 1 in one product block: the row of position 2, which
-            # steps through its run's chain, replaces the block's maximum.
-            (((2, 0, 4, 0, True), (4, 2, 3, 1, True)), (2, 1, True), 4, (1, 2)),
+            # 0 < 1 in one product block: the row of position 2, M, is the
+            # last of its run walked, and positions 0 and 1 merge it.
+            (
+                ((2, 0, 4, 0, True), (4, 2, 3, 1, True)),
+                (2, 1, True),
+                4,
+                (
+                    2,
+                    1,
+                    ((0, 2, 0, 4, 1, 3), (2, 4, 2, 3, 2, 0)),
+                    ((None, 3, 0, 2, 4), (slice(2, 4), None, 1, 0, 2), (None, 1, 3, 0, 2)),
+                ),
+            ),
         ],
         ids=["one-chain-over-one-block"],
     )
-    def test_matches_the_literal_enumerator_on_built_models(
-        self, runs, product, value, reached_at_2
-    ):
+    def test_matches_the_literal_enumerator_on_built_models(self, runs, product, value, plan):
         model = built(runs, product)
-        # The blocks with a pair below it whose maximum position 2's row becomes.
-        ends = next(ends for h, _, _, _, ends, _ in model.walk_plan[0] if h == 2)
-        assert ends == reached_at_2
+        assert model.walk_plan == plan
         field = summarize(Field(2))
         # chain_enumerate walks the field as rows, one row to compute and
         # the fewer strata; the pass without that choice walks the model too.
@@ -320,8 +348,8 @@ class TestChains:
         "model, partner, value, successors",
         [
             # Position 0 is a run of its own under position 1 by a product
-            # block of cap 0, which its row steps through: that block's
-            # maximum is position 1's row, not the finished row of a chain
+            # block of cap 0, which it merges: its row starts as position
+            # 1's finished row, not the finished row of a chain
             # successor, and position 0's fiber, min(3, 2), beats it.
             (
                 built(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, 0, True)),
@@ -343,7 +371,6 @@ class TestChains:
             # out:0 and out:1 by a product block of cap 1.  The rows of
             # out:0 and out:1 merge that block, which the row of out:2, the
             # chain successor of out:1, does not: neither is ever skipped.
-            # Rows go by decreasing height: out:3, out:2, M, out:1, out:0.
             (
                 summarize(Pullback(AfDomain(4, 3), 2, Field(1), outside=3)),
                 Field(0),
@@ -354,10 +381,15 @@ class TestChains:
         ids=["through-a-product-block", "successor-residue-below-the-cap", "merges-another-block"],
     )
     def test_skips_only_rows_their_successor_finished(self, model, partner, value, successors):
-        # A row is skipped only if it steps through its own chain block,
-        # merges no other block, and its chain successor's residue reaches
-        # the column side's largest product cap or equals its own.
-        assert tuple(row[5] for row in model.walk_plan[0]) == successors
+        # A row may be skipped only in its run's stretch: below the run's
+        # top and merging no product block.  It starts as its chain
+        # successor's finished row and is skipped when the successor's
+        # residue reaches the column side's product cap.  ``successors``
+        # holds, by decreasing height, the successor's residue of each
+        # position in a stretch and None for every other.
+        stretch = {i for start, stop, _, _, lo, _ in model.walk_plan[2] for i in range(lo, stop - 1)}
+        by_height = sorted(range(len(model.heights)), key=model.heights.__getitem__, reverse=True)
+        assert tuple(model.residues[i + 1] if i in stretch else None for i in by_height) == successors
         other = summarize(partner)
         for a, b in ((model, other), (other, model)):
             assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value

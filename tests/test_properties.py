@@ -17,6 +17,7 @@ from krulldim.oracle import _row_pass, best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
+    MAX_STRATA,
     AfDomain,
     Field,
     PolyRing,
@@ -127,6 +128,44 @@ def built_models(draw):
     cap = draw(st.integers(0, 3))
     runs.append((stop, base, hr, cap, draw(st.booleans())))
     return built_model(runs, (m, cap, draw(st.booleans())))
+
+
+@st.composite
+def af_operands(draw, td, dim):
+    """An AF constructor of t.d. ``td`` and dimension ``dim``: a field, af, val or poly over an af."""
+    kind = draw(st.sampled_from(["af", "poly", "field" if dim == 0 else "val"]))
+    if kind == "field":
+        return Field(td)
+    if kind == "val":
+        return Valuation(td, dim)
+    n = draw(st.integers(0, dim)) if kind == "poly" else 0
+    # Catenarian three times in four: an inexact side makes the oracle refuse.
+    base = AfDomain(td - n, dim - n, draw(st.sampled_from([True, True, True, False])))
+    return base if kind == "af" else PolyRing(base, n)
+
+
+@st.composite
+def large_exprs(draw):
+    """Operands of up to ``MAX_STRATA`` strata: AF models, and pullbacks of any m, outside and D.
+
+    Each af, also under a poly, draws its catenarian flag, so either
+    side of a pullback may be inexact.
+    """
+    if draw(st.booleans()):
+        dim = draw(st.integers(0, MAX_STRATA - 1))
+        return draw(af_operands(dim + draw(st.integers(0, MAX_STRATA)), dim))
+    # T's strata outside M take at most MAX_STRATA - 1 positions, leaving D one.
+    dim_t = draw(st.integers(1, MAX_STRATA - 2))
+    td_t = dim_t + draw(st.integers(0, MAX_STRATA))
+    ambient = draw(af_operands(td_t, dim_t))
+    if isinstance(ambient, Valuation):
+        m, outside = dim_t, dim_t - 1
+    else:
+        m = draw(st.integers(1, dim_t))
+        outside = draw(st.integers(m - 1, dim_t))
+    td_d = draw(st.integers(0, td_t - m))
+    dim_d = draw(st.integers(0, min(td_d, MAX_STRATA - 2 - max(m - 1, outside))))
+    return Pullback(ambient, m, draw(af_operands(td_d, dim_d)), outside)
 
 
 # Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
@@ -320,6 +359,36 @@ class TestFormulaAgreements:
             return
         best = best_chain(model, b).total
         assert chain_enumerate(model, b) == _row_pass(model, b) == _row_pass(b, model) == best
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=large_exprs(), b=large_exprs())
+    # The row of af(1050,768) of residue 808, the pullback's cap, is the
+    # last the walk computes: its product step adds 808 where the row
+    # above it added 807.
+    @example(
+        a=AfDomain(1050, 768),
+        b=Pullback(Valuation(1616, 808), 808, Field(0)),
+    )
+    # The rows outside M of the first pullback merge the finished row at
+    # M, D's bottom, which dominates the rows of D above it.
+    @example(
+        a=Pullback(Valuation(3340, 1670), 1670, Valuation(29, 10)),
+        b=Pullback(Valuation(1862, 1670), 1670, Field(0)),
+    )
+    def test_fused_pass_matches_dim_tensor_on_large_models(self, a, b):
+        """Up to ``MAX_STRATA`` strata a side, the pass equals ``dim_tensor`` with either side as rows.
+
+        There the walk jumps over long stretches of skipped rows, and
+        rows below a long product block merge the finished row at M.
+        Where a side has an uncertified pair the oracle refuses.
+        """
+        sa, sb = summarize(a), summarize(b)
+        if sa.uncertified or sb.uncertified:
+            with pytest.raises(InexactPairError):
+                chain_enumerate(sa, sb)
+            return
+        value = dim_tensor(a, b).value
+        assert chain_enumerate(sa, sb) == _row_pass(sa, sb) == _row_pass(sb, sa) == value
 
     @settings(deadline=None)
     @given(a=small_exprs(), b=small_exprs())

@@ -1,6 +1,5 @@
 """Constructor validation and spectrum compilation."""
 from itertools import chain, pairwise
-from pathlib import Path
 
 import pytest
 
@@ -317,18 +316,10 @@ def reference(expr):
     return (*map(tuple, zip(*rows)), blocks)
 
 
-def certify_operands():
-    """The operands of the benchmark's ``certify`` workload at seeds 17, 19 and 23."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-        import gen
-    requests = [r for seed in (17, 19, 23) for r in gen.certify_requests(seed)]
-    return sorted({text for r in requests for text in (r.a, r.b)})
-
-
 class TestRuns:
-    def test_views_match_a_position_by_position_reference(self):
-        exprs = [*catalog().values(), *map(parse_expr, [*certify_operands(), *LARGE])]
+    def test_views_match_a_position_by_position_reference(self, certify_requests):
+        operands = sorted({text for r in certify_requests for text in (r.a, r.b)})
+        exprs = [*catalog().values(), *map(parse_expr, [*operands, *LARGE])]
         assert len(exprs) > 500
         for expr in exprs:
             s = summarize(expr)
@@ -347,6 +338,21 @@ class TestRuns:
         assert vars(s) == {}
         assert all(len(value) <= len(s.blocks) for value in s if type(value) is tuple)
         assert all(type(x) in (int, bool) for run in s.runs for x in run)
+
+    @pytest.mark.parametrize(
+        "text", ["af(2047,2047)", "pullback(T=val(2047,1023),m=1023,D=af(1023,1023))"]
+    )
+    def test_a_walk_plan_stores_o_of_runs_data(self, text):
+        # The chain oracle's plan holds two integers, one entry per run and
+        # one step per block, each a few integers, None or one slice.
+        s = summarize.__wrapped__(parse_expr(text))
+        m, cap, runs, steps = s.walk_plan
+        assert type(m) is type(cap) is int
+        assert len(runs) == len(s.runs) and len(steps) == len(s.blocks) <= 3
+        assert all(len(run) == 6 and all(type(x) is int for x in run) for run in runs)
+        assert all(len(step) == 5 for step in steps)
+        for x in (x for step in steps for x in step):
+            assert x is None or type(x) is int or type(x.start) is type(x.stop) is int
 
 
 class TestIsAfPoly:
