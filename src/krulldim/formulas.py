@@ -14,17 +14,23 @@ k-algebras and is named after the label it reports:
 ``dim_tensor`` dispatches a pair of expressions to the strongest
 applicable formula and cross-checks every other formula that also
 applies.  Every maximum over the strata or comparable pairs of a model
-is read at the ends of its pair blocks: along a block's ranges residues
-and caps never rise and height + residue never falls, and a chain block
-has one cap, as each chain block is one run (see ``spectra``).  So
-``d_value``, ``thm28_dim``, ``thm28_ht`` and ``pullback_pair_dim`` read
-a few entries per block, however many strata the models have.  Which
-strata and pairs attain a maximum is worked out from the same
-expressions, over every stratum or pair, and labelled as witnesses,
-only when the report's witnesses are first read, so an answer that
-only needs its value builds none.  The two-sided formula for two
-pullbacks whose conductors have full height (``pullback_pair_dim``) is
-only ever such a cross-check.
+is computed from its runs (see ``spectra``): along a run the height
+rises by 1 a position while height + residue and the cap stay fixed, so
+each term is monotone along a block's ranges and its maximum is plain
+arithmetic on a run's first position and its top.  So ``d_value``,
+``thm28_dim``, ``thm28_ht`` and ``pullback_pair_dim`` read a few
+integers per run and build no positional view, however many strata the
+models have.  The ties have closed forms too: a term that never falls
+along a run rises strictly up to one height, its plateau, and is fixed
+from there, so the strata attaining a maximum are the positions of a
+run from its plateau to its top, and a block's tied pairs a prefix of
+its lower range times such a stretch of its upper run.  They are
+labelled as witnesses, from the ``labels`` of the side they name, only
+when the report's witnesses are first read, so an answer that only
+needs its value builds none.  The height formulas take ``Stratum``
+objects, so ``ht`` builds each side's ``strata`` and nothing more.
+The two-sided formula for two pullbacks whose conductors have full
+height (``pullback_pair_dim``) is only ever such a cross-check.
 """
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ from .spectra import (  # the gates are derived, and named, where a summary is c
     Record,
     SpectrumSummary,
     Stratum,
+    run_spans,
     summarize,
 )
 
@@ -112,32 +119,46 @@ def fiber_dim(p: Stratum, q: Stratum) -> int:
 def d_value(s: int, d: int, b: SpectrumSummary) -> int:
     """max over q in Spec(B) of ht(q[s]) + min(s, d + t.d.(B/q)).
 
-    Along a chain block, one run, the cap is one value, height rises and
-    height + residue is fixed, so the term never falls
-    either: its maximum is the largest value at a block's top position.
+    Along a run the cap is one value, height rises and height + residue
+    is fixed, so the term never falls either: its maximum is the largest
+    value at a run's top.
     """
     if d > s:
         raise ConstraintError("d_value requires d <= s")
-    best = -1
-    heights, residues, caps = b.heights, b.residues, b.caps
-    for block in b.blocks:
-        upper = block.upper
-        if upper:
-            # min() spelled out: this runs on every dim query.
-            q = upper[-1]
-            c, r = caps[q], d + residues[q]
-            v = heights[q] + (c if c < s else s) + (r if r < s else s)
-            if v > best:
-                best = v
+    best, start = -1, 0
+    for stop, h, hr, c, _ in b.runs:
+        # min() spelled out: this runs on every dim query.
+        top = h + stop - 1 - start
+        r = d + hr - top
+        v = top + (c if c < s else s) + (r if r < s else s)
+        if v > best:
+            best = v
+        start = stop
     return best
 
 
+def _plateau(start, stop, h, hr, s, d):
+    """The first position of a run from which h + min(s, d + residue) stays fixed.
+
+    Below the height d + hr - s the term rises by 1 a position, and from
+    it on it is d + hr; a run that stops below that height rises to its top.
+    """
+    top = h + stop - 1 - start
+    return start + min(top, max(h, d + hr - s)) - h
+
+
 def _d_value_winners(s, d, b, best):
-    """The positions of B's strata at which ``d_value``'s term equals ``best``."""
-    return [
-        q for q, (h, c, r) in enumerate(zip(b.heights, b.caps, b.residues))
-        if h + min(c, s) + min(d + r, s) == best
-    ]
+    """The positions of B's strata at which ``d_value``'s term equals ``best``.
+
+    The term never falls along a run, so they are the positions from the
+    plateau to the top of each run whose top reaches ``best``.
+    """
+    winners = []
+    for start, stop, h, hr, c, _ in run_spans(b.runs):
+        top = h + stop - 1 - start
+        if top + min(c, s) + min(d + hr - top, s) == best:
+            winners += range(_plateau(start, stop, h, hr, s, d), stop)
+    return winners
 
 
 def af_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
@@ -176,7 +197,8 @@ def _inexact_error(summary, i, j, context):
 def _check_membership(summary, stratum, side):
     """The stratum's position in ``summary``, which must have built it."""
     i = stratum.index
-    if not (0 <= i < len(summary.heights) and summary.strata[i] is stratum):
+    strata = summary.strata
+    if not (0 <= i < len(strata) and strata[i] is stratum):
         raise ConstraintError(f"stratum {stratum.label!r} is not part of summary {side}")
     return i
 
@@ -212,17 +234,20 @@ def _through_max_at(pd, td_a, b, q):
     pair = b.first_uncertified(q)
     if pair is not None:
         raise _inexact_error(b, *pair, "conductor height formula")
-    residues, caps = b.residues, b.caps
-    best = -1
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so ht(q1)
     # cancels and ht(q) is added once at the end.  What is left never
-    # rises along a block's lower range, a run or a prefix of one, whose
-    # bottom lies at or below q, so the bottom gives each block's best pair.
-    for lower, upper, cap, _ in b.blocks:
-        if lower and q in upper:
-            q1 = lower.start
-            best = max(best, min(td_a, caps[q1]) + min(pd.td_d, cap) + min(residues[q1], pd.td_kd))
-    return b.heights[q] + best
+    # rises along a block's lower range, a run or a prefix of one, so each
+    # block's best pair is from its bottom, a run's first position: the
+    # first run's chain for q in it, else the product block and the
+    # second run's chain.  A chain block's cap is 0.
+    td_kd = pd.td_kd
+    (n, h, hr, c, _), *over = b.runs
+    best = min(td_a, c) + min(hr - h, td_kd)
+    if q < n:
+        return h + q + best
+    ((_, h1, hr1, c1, _),) = over
+    best = max(best + min(pd.td_d, b.product[1]), min(td_a, c1) + min(hr1 - h1, td_kd))
+    return h1 + q - n + best
 
 
 def sct_height_af(
@@ -275,49 +300,64 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     term1 = d_value(a.td, pd.outside, b)
     # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
     # block of cap c the pair's through-M value is f(q1) + g(q) +
-    # min(t.d.(D), c), with f and g as in the witness builder below; f's
-    # constant ht(M) is added once at the end.  Along a block's ranges,
-    # each a run or a prefix of one, residues and caps never rise and
-    # height + residue never falls, so f never rises and g never falls,
-    # and every lower position lies below every upper one or is one of
-    # them: each block's best pair is (its bottom, its top).  min()
-    # spelled out: this runs on every dim query.
+    # min(t.d.(D), c), with
+    #   f(q1) = ht(M) + min(cap(q1), t.d.(A)) + min(t.d.(B/q1), t.d.(K:D)),
+    #   g(q) = ht(q) + min(t.d.(D), dim(D) + t.d.(B/q));
+    # f's constant ht(M) is added once at the end.  Along a run residues
+    # fall by 1 a position and the cap is fixed, so f never rises along a
+    # block's lower range, a run or a prefix of one, and g never falls
+    # along its upper range, a run: each block's best pair is (its bottom,
+    # its top), f at its lower run's first position and g at its upper
+    # run's top.  The blocks are the first run's chain, then for two runs
+    # the product block, range(m) of the first run under the second, and
+    # the second run's chain; a chain block's cap is 0.  min() spelled
+    # out: this runs on every dim query.
     td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
-    heights, residues, caps = b.heights, b.residues, b.caps
-    term2 = -1
-    for lower, upper, cap, _ in b.blocks:
-        if lower and upper:
-            q1, q = lower.start, upper[-1]
-            c, r, r_top = caps[q1], residues[q1], dim_d + residues[q]
-            best = (
-                (c if c < td_a else td_a) + (r if r < td_kd else td_kd)
-                + heights[q] + (td_d if td_d < r_top else r_top) + (cap if cap < td_d else td_d)
-            )
-            if best > term2:
-                term2 = best
+    ends, start = [], 0
+    for stop, h, hr, c, _ in b.runs:
+        r, top = hr - h, h + stop - 1 - start
+        r_top = dim_d + hr - top
+        ends.append((
+            (c if c < td_a else td_a) + (r if r < td_kd else td_kd),
+            top + (td_d if td_d < r_top else r_top),
+        ))
+        start = stop
+    (f0, g0), *over = ends
+    term2 = f0 + g0
+    if over:
+        ((f1, g1),) = over
+        cap = b.product[1]
+        term2 = max(term2, f0 + g1 + (cap if cap < td_d else td_d), f1 + g1)
     term2 += pd.m
 
     value = term1 if term1 > term2 else term2
 
     def witnesses(side="B"):
+        labels = b.labels
         if term1 == value:
-            labels = b.labels
             for q in _d_value_winners(a.td, pd.outside, b, term1):
                 yield Witness(TERM_OUTSIDE, f"{side}:{labels[q]}", term1)
         if term2 == value:
-            f = [pd.m + min(c, td_a) + min(r, td_kd) for r, c in zip(residues, caps)]
-            g = [h + min(td_d, dim_d + r) for h, r in zip(heights, residues)]
             # The tied pairs in pair_key order: by block, lower end, upper
-            # end.  A block whose best falls short of term2 has none.
-            for block in b.blocks:
-                tied = term2 - min(td_d, block.cap)
-                by_g: dict[int, list[int]] = {}
-                for q in block.upper:
-                    by_g.setdefault(g[q], []).append(q)
-                for q1 in block.lower:
-                    for q in by_g.get(tied - f[q1], ()):
-                        if q1 <= q:
-                            yield Witness(TERM_THROUGH, f"{side}:{b.pair_label(q1, q)}", term2)
+            # end.  A block whose best falls short of term2 has none.  In
+            # one that reaches it, f is at its best on the prefix of the
+            # lower range whose residue is at least min(r, t.d.(K:D)), r
+            # the bottom's residue, and g on the upper run from its
+            # plateau, where dim(D) + t.d.(B/q) reaches t.d.(D).
+            spans = tuple(run_spans(b.runs))
+            blocks = [(range(spans[0][1]), 0, 0, 0)]  # (lower, its run, upper run, cap)
+            if over:
+                m, cap, _ = b.product
+                blocks += [(range(m), 0, 1, cap), (range(*spans[1][:2]), 1, 1, 0)]
+            for lower, i, j, cap in blocks:
+                if pd.m + ends[i][0] + ends[j][1] + min(td_d, cap) == term2:
+                    r = spans[i][3] - spans[i][2]
+                    start, stop, h, hr, _, _ = spans[j]
+                    plateau = _plateau(start, stop, h, hr, td_d, dim_d)
+                    for q1 in lower[: r - min(r, td_kd) + 1]:
+                        head = f"{side}:{labels[q1]}<="
+                        for q in range(max(q1, plateau), stop):
+                            yield Witness(TERM_THROUGH, head + labels[q], term2)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
@@ -338,8 +378,8 @@ def pullback_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
             )
 
     def term(x, x_pd, y):
-        m = x.conductor_index
-        return x.heights[m] + min(y.td, x.caps[m]) + d_value(x_pd.td_d, x_pd.dim_d, y)
+        _, h, _, c, _ = x.runs[1]  # M is the second run's first position
+        return h + min(y.td, c) + d_value(x_pd.td_d, x_pd.dim_d, y)
 
     return max(term(a, pa, b), term(b, pb, a))
 

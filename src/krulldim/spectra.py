@@ -40,23 +40,24 @@ pullback the product block between them, stored after the chain outside
 M.  A pair (i, j) has quotient height n -> heights[j] - heights[i] +
 min(n, cap) with its block's cap.  Along each block's ranges residues
 and caps never rise and height + residue never falls, and a chain block
-has one cap, so the formulas read the positional views and the blocks
-and take each maximum at a block's ends.  Then
-``strata``, one ``Stratum`` per position (the only object view);
-``pairs``, every comparable pair as ``(i, j, (quot_base, quot_cap))``,
-or ``(i, j, None)`` if uncertified; ``ups``, the certified pairs, with
-``ups[i]`` holding ``(j, quot_base, quot_cap)`` by increasing j;
-``walk_plan``, what the chain oracle reads of the model as either
-side: the product block's range length and cap, each run's bounds,
-heights, top residue and the stretch of rows that merge nothing, and
-one column step per block, O(runs) data built on the oracle's first
-call; and
-``uncertified``, the first uncertified pair or None, which the oracle
-reads on every call.  ``iter_pairs`` generates the ``pairs`` entries
-without keeping them.  The formulas, the chain
-oracle, the ``spectrum`` command and the check suites' own loops build
-neither pair view; only the oracle's literal enumerator ``iter_chains``
-builds ``ups``.
+has one cap, so each maximum lies at a block's ends.  The formulas
+compute it from the runs themselves and read none of these views but
+``labels``, for the witnesses they list.  Then ``strata``, one
+``Stratum`` per position (the only object view), built from the runs
+in one pass; ``pairs``, every comparable pair as ``(i, j, (quot_base,
+quot_cap))``, or ``(i, j, None)`` if uncertified; ``ups``, the
+certified pairs, with ``ups[i]`` holding ``(j, quot_base, quot_cap)``
+by increasing j; ``walk_plan``, what the chain oracle reads of the
+model as either side: the product block's range length and cap, each
+run's bounds, heights, top residue and the stretch of rows that merge
+nothing, and one column step per block, O(runs) data built on the
+oracle's first call; and ``uncertified``, the first uncertified pair or
+None, which the oracle reads on every call, read like
+``first_uncertified(q)`` from the ``exact`` flags of the runs and the
+product block.  ``iter_pairs`` generates the ``pairs`` entries without
+keeping them.  The formulas, the chain oracle, the ``spectrum`` command
+and the check suites' own loops build neither pair view; only the
+oracle's literal enumerator ``iter_chains`` builds ``ups``.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
@@ -67,7 +68,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import count
 
 from .errors import ConsistencyError, ConstraintError
 
@@ -276,9 +276,18 @@ class SpectrumSummary(
 
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
-        return tuple(
-            map(Stratum, count(), self.kinds, self.heights, self.residues, self.caps, self.labels)
-        )
+        """One ``Stratum`` per position, built from the runs in one pass."""
+        if len(self.runs) == 1:
+            names = ((KIND_PLAIN, "h", 0),)
+        else:
+            names = ((KIND_OUTSIDE, "out:", 0), (KIND_CONTAINS, "in:", self.runs[0][0]))
+        strata = []
+        for (start, stop, h, hr, cap, _), (kind, prefix, base) in zip(run_spans(self.runs), names):
+            strata += [
+                Stratum(i, kind, h + i - start, hr - h - i + start, cap, f"{prefix}{i - base}")
+                for i in range(start, stop)
+            ]
+        return tuple(strata)
 
     def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
         """Generate the entries of ``pairs`` from the blocks, keeping none."""
@@ -339,7 +348,7 @@ class SpectrumSummary(
         m, cap = self.product[:2] if self.product else (0, 0)
         runs = tuple(
             (start, stop, h, hr, min(max(start, m), stop - 1), hr - h - (stop - 1 - start))
-            for start, stop, h, hr, *_ in _spans(self.runs)
+            for start, stop, h, hr, *_ in run_spans(self.runs)
         )
         steps = [(None, h + stop - 1 - start, top, start, stop) for start, stop, h, _, _, top in runs]
         if m:
@@ -352,23 +361,39 @@ class SpectrumSummary(
 
         An uncertified pair is a non-reflexive pair of an inexact block
         whose lower end is not the block's bottom, so the first starts
-        just above it.
+        just above it: (1, 2) in the first run's chain, (1, n) in the
+        product block, n the second run's start, and (n + 1, n + 2) in
+        the second run's chain, each where its block reaches it.
         """
-        for block in self.blocks:
-            i = block.lower.start + 1
-            if block.exact or i not in block.lower:
-                continue
-            j = max(i + 1, block.upper.start)
-            if j in block.upper:
-                return i, j
+        (n, *_, exact), *over = self.runs
+        if not exact and n > 2:
+            return 1, 2
+        if over:
+            ((stop, *_, inner_exact),) = over
+            m, _, product_exact = self.product
+            if not product_exact and m > 1:
+                return 1, n
+            if not inner_exact and stop - n > 2:
+                return n + 1, n + 2
         return None
 
     def first_uncertified(self, upper: int) -> tuple[int, int] | None:
-        """The first uncertified pair in ``pairs`` order whose upper end is ``upper``, or None."""
-        for block in self.blocks:
-            i = block.lower.start + 1
-            if not block.exact and i in block.lower and i < upper and upper in block.upper:
-                return i, upper
+        """The first uncertified pair in ``pairs`` order whose upper end is ``upper``, or None.
+
+        Its lower end is the one above the bottom of the first inexact
+        block holding ``upper`` in its upper range, if it lies below ``upper``.
+        """
+        (n, *_, exact), *over = self.runs
+        if upper < n:
+            return (1, upper) if not exact and 1 < upper else None
+        if over:
+            ((stop, *_, inner_exact),) = over
+            if upper < stop:
+                m, _, product_exact = self.product
+                if not product_exact and m > 1:
+                    return 1, upper
+                if not inner_exact and n + 1 < upper:
+                    return n + 1, upper
         return None
 
     @property
@@ -695,7 +720,7 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     return _finish(td, runs, (m, td_kd, t_cat), data, "pullback")
 
 
-def _spans(runs) -> Iterator[tuple]:
+def run_spans(runs) -> Iterator[tuple]:
     """``(start, stop, height, hr, cap, exact)`` per run: each starts where the one before stops."""
     start = 0
     for run in runs:
@@ -707,7 +732,7 @@ def _finish(td, runs, product, pullback_data, source) -> SpectrumSummary:
     is_af = all(hr == td and not cap for _, _, hr, cap, _ in runs)
     summary = SpectrumSummary(
         td=td,
-        dim=max(h + stop - start - 1 for start, stop, h, *_ in _spans(runs)),
+        dim=max(h + stop - start - 1 for start, stop, h, *_ in run_spans(runs)),
         is_af=is_af,
         runs=runs,
         product=product,
@@ -756,7 +781,7 @@ def _check_summary(summary: SpectrumSummary) -> None:
         raise ConsistencyError("a model is one run, or two joined by one product block")
     if runs[0][1:3] != (0, td):
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
-    for k, (start, stop, h, hr, cap, _) in enumerate(_spans(runs)):
+    for k, (start, stop, h, hr, cap, _) in enumerate(run_spans(runs)):
         if stop <= start:
             raise ConsistencyError(f"run {k} holds no position")
         # The residue is least at the run's top.

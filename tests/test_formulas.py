@@ -39,7 +39,7 @@ from krulldim.formulas import (
     thm28_dim,
     thm28_ht,
 )
-from krulldim.parser import to_source
+from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
     AfDomain,
@@ -49,6 +49,7 @@ from krulldim.spectra import (
     Valuation,
     summarize,
 )
+from test_properties import built_models, large_exprs
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
@@ -472,42 +473,6 @@ class TestBlockEvaluation:
                 assert thm28_ht(a, b, p, q) == want, (p.label, q.label)
 
 
-class _Counted(tuple):
-    """A tuple that adds to ``_Counted.reads`` each entry read through it."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        got = tuple.__getitem__(self, i)
-        _Counted.reads += len(got) if isinstance(i, slice) else 1
-        return got
-
-    def __iter__(self):
-        _Counted.reads += len(self)
-        return tuple.__iter__(self)
-
-    def __contains__(self, value):
-        _Counted.reads += len(self)
-        return tuple.__contains__(self, value)
-
-    def index(self, *args):
-        _Counted.reads += len(self)
-        return tuple.index(self, *args)
-
-    def count(self, value):
-        _Counted.reads += len(self)
-        return tuple.count(self, value)
-
-
-def _counted(expr):
-    """A copy of ``expr``'s model, with every per-stratum view counting its reads."""
-    s = summarize(expr)._replace()
-    s.strata  # the display views are built before anything is counted
-    for name in ("heights", "residues", "caps", "kinds"):
-        vars(s)[name] = _Counted(getattr(s, name))
-    return s
-
-
 # Two full-height pullbacks and an AF model, each of about MAX_STRATA strata.
 LARGE = (
     Pullback(Valuation(2047, 1023), 1023, AfDomain(1023, 1023)),
@@ -515,36 +480,261 @@ LARGE = (
     AfDomain(2047, 2047),
 )
 
+# The views a summary derives from its runs, one entry per position, and its blocks.
+POSITIONAL_VIEWS = {"kinds", "heights", "residues", "caps", "blocks", "labels", "strata"}
+
+
+def _witnessed(report, a, b):
+    """The models, A's and B's, whose strata ``report``'s witnesses name, once read."""
+    refs = [w.ref for w in report.witnesses]
+    return [s for tag, s in (("A:", a), ("B:", b)) if any(r.startswith(tag) for r in refs)]
+
+
+def _may_build(_answer, *models):
+    """The models on which the call that gave ``_answer`` may build its view."""
+    return models
+
 
 class TestCostPerBlock:
-    """The formulas read a bounded number of model entries per block,
-    however many strata the models have."""
+    """The formulas read each block at its ends, from the runs, however many
+    strata the models have.  On fresh models of about MAX_STRATA strata and
+    kM, an answer builds no positional view but the ``labels`` of a side
+    whose witnesses are read, and a height none but the ``strata`` that
+    ``select`` builds."""
 
-    @pytest.fixture(scope="class")
-    def models(self):
-        return [*map(_counted, LARGE), summarize(KM)]
+    @pytest.fixture
+    def models(self, monkeypatch):
+        """Fresh copies of LARGE's models and kM's, which ``dim_tensor`` compiles to too."""
+        fresh = {e: summarize(e)._replace() for e in (*LARGE, KM)}
+        monkeypatch.setattr(formulas, "summarize", fresh.__getitem__)
+        return [fresh[e] for e in (*LARGE, KM)]
 
     @pytest.mark.parametrize(
-        "call",
+        "view, call",
         [
-            lambda pb, pb2, af, km: thm28_dim(pb, af).value,
-            lambda pb, pb2, af, km: thm28_dim(km, pb).value,
-            lambda pb, pb2, af, km: d_value(af.td, 1000, pb),
-            lambda pb, pb2, af, km: d_value(pb.td, pb.dim, af),
-            lambda pb, pb2, af, km: thm28_ht(pb, pb2, pb.conductor_stratum, pb2.conductor_stratum),
-            lambda pb, pb2, af, km: thm28_ht(km, af, km.conductor_stratum, af.strata[-1]),
-            lambda pb, pb2, af, km: pullback_pair_dim(pb, pb2),
+            ("labels", lambda pb, pb2, af, km: _may_build(thm28_dim(pb, af).value)),
+            ("labels", lambda pb, pb2, af, km: _may_build(thm28_dim(km, pb).value)),
+            ("labels", lambda pb, pb2, af, km: _may_build(d_value(af.td, 1000, pb))),
+            ("labels", lambda pb, pb2, af, km: _may_build(d_value(pb.td, pb.dim, af))),
+            (
+                "strata",
+                lambda pb, pb2, af, km: _may_build(
+                    thm28_ht(pb, pb2, pb.select("M"), pb2.select("M")), pb, pb2
+                ),
+            ),
+            (
+                "strata",
+                lambda pb, pb2, af, km: _may_build(
+                    thm28_ht(km, af, km.select("M"), af.select("out:2047")), km, af
+                ),
+            ),
+            ("labels", lambda pb, pb2, af, km: _may_build(pullback_pair_dim(pb, pb2))),
+            (
+                "strata",
+                lambda pb, pb2, af, km: _may_build(
+                    sct_height_af(af, pb, af.select("out:1500"), pb.select("in:500")), af, pb
+                ),
+            ),
+            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[0], LARGE[1]), pb, pb2)),
+            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[2], LARGE[0]), af, pb)),
+            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(KM, LARGE[2]), km, af)),
+            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[2], LARGE[2]), af, af)),
+            ("labels", lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[1], KM).value)),
         ],
         ids=[
             "thm28_dim-pb-af", "thm28_dim-km-pb", "d_value-pb", "d_value-af",
-            "thm28_ht-pb-pb", "thm28_ht-km-af", "pullback_pair_dim",
+            "thm28_ht-pb-pb", "thm28_ht-km-af", "pullback_pair_dim", "sct_height_af-af-pb",
+            "dim_tensor-pb-pb", "dim_tensor-af-pb", "dim_tensor-km-af", "dim_tensor-af-af",
+            "dim_tensor-value",
         ],
     )
-    def test_reads_per_block(self, models, call):
-        assert all(len(s.heights) >= 2000 for s in models[:3])
-        _Counted.reads = 0
-        call(*models)
-        assert _Counted.reads <= 8 * sum(len(s.blocks) for s in models[:3])
+    def test_reads_per_block(self, models, view, call):
+        assert all(s.runs[-1][0] >= 2000 for s in models[:3])
+        may_build = call(*models)
+        for s in models:
+            allowed = {view} if any(s is x for x in may_build) else set()
+            assert POSITIONAL_VIEWS & set(vars(s)) <= allowed, s.source
+
+
+# --------------------------------------------------------------------------
+# The closed forms over the runs against a reference that reads the
+# positional views and the blocks, position by position.
+
+
+def _ref_d_value(s, d, b):
+    best = -1
+    heights, residues, caps = b.heights, b.residues, b.caps
+    for block in b.blocks:
+        upper = block.upper
+        if upper:
+            q = upper[-1]
+            best = max(best, heights[q] + min(caps[q], s) + min(d + residues[q], s))
+    return best
+
+
+def _ref_d_value_winners(s, d, b, best):
+    return [
+        q for q, (h, c, r) in enumerate(zip(b.heights, b.caps, b.residues))
+        if h + min(c, s) + min(d + r, s) == best
+    ]
+
+
+def _ref_through_ties(pd, td_a, b, term2):
+    """The tied through-M pairs (q1, q) in pair_key order."""
+    heights, residues, caps = b.heights, b.residues, b.caps
+    f = [pd.m + min(c, td_a) + min(r, pd.td_kd) for r, c in zip(residues, caps)]
+    g = [h + min(pd.td_d, pd.dim_d + r) for h, r in zip(heights, residues)]
+    for block in b.blocks:
+        tied = term2 - min(pd.td_d, block.cap)
+        by_g: dict[int, list[int]] = {}
+        for q in block.upper:
+            by_g.setdefault(g[q], []).append(q)
+        for q1 in block.lower:
+            for q in by_g.get(tied - f[q1], ()):
+                if q1 <= q:
+                    yield q1, q
+
+
+def _ref_through_max_at(pd, td_a, b, q):
+    pair = _ref_first_uncertified(b, q)
+    if pair is not None:
+        return pair
+    residues, caps = b.residues, b.caps
+    best = -1
+    for lower, upper, cap, _ in b.blocks:
+        if lower and q in upper:
+            q1 = lower.start
+            best = max(best, min(td_a, caps[q1]) + min(pd.td_d, cap) + min(residues[q1], pd.td_kd))
+    return b.heights[q] + best
+
+
+def _ref_uncertified(b):
+    for block in b.blocks:
+        i = block.lower.start + 1
+        if block.exact or i not in block.lower:
+            continue
+        j = max(i + 1, block.upper.start)
+        if j in block.upper:
+            return i, j
+    return None
+
+
+def _ref_first_uncertified(b, upper):
+    for block in b.blocks:
+        i = block.lower.start + 1
+        if not block.exact and i in block.lower and i < upper and upper in block.upper:
+            return i, upper
+    return None
+
+
+def _ref_thm28_dim(a, b):
+    """thm28_dim's value, terms and witnesses, or its refusal's message."""
+    pair = _ref_uncertified(b)
+    if pair is not None:
+        return (
+            f"tensor dimension formula needs quotient heights for pair {b.pair_label(*pair)}, "
+            "which the non-catenarian model does not certify"
+        )
+    pd = a.pullback_data
+    term1 = _ref_d_value(a.td, pd.outside, b)
+    term2 = pd.m + max(
+        min(a.td, b.caps[lower.start]) + min(b.residues[lower.start], pd.td_kd)
+        + b.heights[upper[-1]] + min(pd.td_d, pd.dim_d + b.residues[upper[-1]])
+        + min(cap, pd.td_d)
+        for lower, upper, cap, _ in b.blocks
+    )
+    value = max(term1, term2)
+    witnesses = []
+    if term1 == value:
+        witnesses += [
+            Witness(TERM_OUTSIDE, f"B:{b.labels[q]}", term1)
+            for q in _ref_d_value_winners(a.td, pd.outside, b, term1)
+        ]
+    if term2 == value:
+        witnesses += [
+            Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
+            for q1, q in _ref_through_ties(pd, a.td, b, term2)
+        ]
+    return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), tuple(witnesses)
+
+
+def _assert_model_matches_reference(b):
+    """``uncertified``, ``first_uncertified`` at every position and ``d_value``
+    with its winners over a grid of (s, d)."""
+    assert b.uncertified == _ref_uncertified(b), b
+    for q in range(-1, b.runs[-1][0] + 1):
+        assert b.first_uncertified(q) == _ref_first_uncertified(b, q), (b, q)
+    for s in sorted({0, 1, 2, 3, 5, 8, b.td, b.td + 3}):
+        for d in sorted({0, 1, s // 2, s - 1, s} & set(range(s + 1))):
+            best = d_value(s, d, b)
+            assert best == _ref_d_value(s, d, b), (b, s, d)
+            assert formulas._d_value_winners(s, d, b, best) == _ref_d_value_winners(s, d, b, best)
+
+
+def _assert_pair_matches_reference(a, b):
+    """``d_value`` with its winners at a's arguments against b, and, for a gated
+    pullback a, ``thm28_dim`` and ``_through_max_at`` at every position of b."""
+    pd = a.pullback_data
+    args = [(a.td, a.dim)] + ([] if pd is None else [(a.td, pd.outside), (pd.td_d, pd.dim_d)])
+    for s, d in args:
+        best = d_value(s, d, b)
+        assert best == _ref_d_value(s, d, b), (a, b, s, d)
+        assert formulas._d_value_winners(s, d, b, best) == _ref_d_value_winners(s, d, b, best)
+    if pd is None or not a.gates:
+        return
+    want = _ref_thm28_dim(a, b)
+    try:
+        report = thm28_dim(a, b)
+    except InexactPairError as exc:
+        assert str(exc) == want, (a, b)
+    else:
+        assert (report.value, report.term_breakdown, report.witnesses) == want, (a, b)
+    for q in range(b.runs[-1][0]):
+        want = _ref_through_max_at(pd, a.td, b, q)
+        try:
+            got = formulas._through_max_at(pd, a.td, b, q)
+        except InexactPairError as exc:
+            assert str(exc).startswith(
+                f"conductor height formula needs quotient heights for pair {b.pair_label(*want)},"
+            ), (a, b, q)
+        else:
+            assert got == want, (a, b, q)
+
+
+class TestClosedFormsMatchTheReference:
+    """Values and witnesses read from the runs equal the reference's, in order."""
+
+    def test_catalog_pairs(self):
+        models = [summarize(e) for e in (*catalog().values(), *NON_CATENARIAN)]
+        for b in models:
+            _assert_model_matches_reference(b)
+        for a, b in product(models, models):
+            _assert_pair_matches_reference(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=built_models())
+    def test_built_models(self, b):
+        _assert_model_matches_reference(b)
+        for a in map(summarize, catalog_pullbacks().values()):
+            _assert_pair_matches_reference(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=large_exprs(), y=large_exprs())
+    def test_large_models(self, x, y):
+        a, b = summarize(x), summarize(y)
+        _assert_model_matches_reference(b)
+        _assert_pair_matches_reference(a, b)
+        _assert_pair_matches_reference(b, a)
+
+    def test_certify_operands(self, certify_requests):
+        pairs = {(parse_expr(r.a), parse_expr(r.b)) for r in certify_requests}
+        operands = {e for pair in pairs for e in pair}
+        assert len(operands) == 819
+        for e in operands:
+            _assert_model_matches_reference(summarize(e))
+        for x, y in pairs:
+            _assert_pair_matches_reference(summarize(x), summarize(y))
+            _assert_pair_matches_reference(summarize(y), summarize(x))
 
 
 class TestPullbackPair:
