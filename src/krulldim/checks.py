@@ -181,9 +181,10 @@ def _suite_prop24() -> Iterator[Case]:
     """Every certified pair satisfies lower height + quotient base <= upper height."""
     for name, expr in catalog().items():
         s = summarize(expr)
+        strata = s.strata
         for i, j, quot in s.iter_pairs():
             if quot is not None:
-                lhs, top = s.heights[i] + quot[0], s.heights[j]
+                lhs, top = strata[i].height + quot[0], strata[j].height
                 yield f"{name}: {s.pair_label(i, j)}", f"<= {top}", lhs, lhs <= top
 
 
@@ -249,7 +250,7 @@ def _suite_lambda() -> Iterator[Case]:
     cat = catalog()
     for a_name, b_name in product(_LAMBDA_PAIR_NAMES, _LAMBDA_PAIR_NAMES):
         sa, sb = summarize(cat[a_name]), summarize(cat[b_name])
-        zero_b = sb.zero_stratum
+        zero_b = sb.strata[0]
         for chain in iter_chains(sa, sb):
             if chain.anchors[0][1] is not zero_b:
                 continue

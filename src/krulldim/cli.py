@@ -187,11 +187,11 @@ def _dim_json(report: DimReport) -> dict:
     }
 
 
-def _pair_json(summary: SpectrumSummary, i: int, j: int, quot) -> dict:
+def _pair_json(labels: list[str], i: int, j: int, quot) -> dict:
     base, cap = quot if quot is not None else (None, None)
     return {
-        "lower": summary.labels[i],
-        "upper": summary.labels[j],
+        "lower": labels[i],
+        "upper": labels[j],
         "exact": quot is not None,
         "quot_base": base,
         "quot_cap": cap,
@@ -199,6 +199,7 @@ def _pair_json(summary: SpectrumSummary, i: int, j: int, quot) -> dict:
 
 
 def _spectrum_json(summary: SpectrumSummary) -> dict:
+    labels = [s.label for s in summary.strata]
     return {
         "strata": [
             {
@@ -211,7 +212,7 @@ def _spectrum_json(summary: SpectrumSummary) -> dict:
             }
             for s in summary.strata
         ],
-        "pairs": [_pair_json(summary, *pair) for pair in summary.iter_pairs()],
+        "pairs": [_pair_json(labels, *pair) for pair in summary.iter_pairs()],
         "flags": {
             "td": summary.td,
             "dim": summary.dim,
@@ -238,9 +239,11 @@ def _print_spectrum_text(summary: SpectrumSummary) -> None:
             f"ht(p[n])={s.height}+min(n,{s.cap})  [{summary.provenance(s.index)}]"
         )
     print("pairs:")
+    labels = [s.label for s in summary.strata]
     for i, j, quot in summary.iter_pairs():
+        pair = f"{labels[i]}<={labels[j]}"
         shown = "uncertified" if quot is None else "{}+min(n,{})".format(*quot)
-        print(f"  {summary.pair_label(i, j):<16} quot={shown}")
+        print(f"  {pair:<16} quot={shown}")
 
 
 def _run_dim(args) -> int:

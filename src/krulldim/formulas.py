@@ -25,10 +25,10 @@ along a run rises strictly up to one height, its plateau, and is fixed
 from there, so the strata attaining a maximum are the positions of a
 run from its plateau to its top, and a block's tied pairs a prefix of
 its lower range times such a stretch of its upper run.  They are
-labelled as witnesses, from the ``labels`` of the side they name, only
-when the report's witnesses are first read, so an answer that only
-needs its value builds none.  The height formulas take ``Stratum``
-objects, so ``ht`` builds each side's ``strata`` and nothing more.
+labelled as witnesses, each by its side's O(1) ``label``, only when the
+report's witnesses are first read, so an answer builds no positional
+view of either side.  The height formulas take ``Stratum`` objects, so ``ht``
+builds each side's ``strata`` and nothing more.
 The two-sided formula for two pullbacks whose conductors have full
 height (``pullback_pair_dim``) is only ever such a cross-check.
 """
@@ -333,12 +333,12 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     value = term1 if term1 > term2 else term2
 
     def witnesses(side="B"):
-        labels = b.labels
+        label = b.label
         if term1 == value:
             for q in _d_value_winners(a.td, pd.outside, b, term1):
-                yield Witness(TERM_OUTSIDE, f"{side}:{labels[q]}", term1)
+                yield Witness(TERM_OUTSIDE, f"{side}:{label(q)}", term1)
         if term2 == value:
-            # The tied pairs in pair_key order: by block, lower end, upper
+            # The tied pairs in ``pairs`` order: by block, lower end, upper
             # end.  A block whose best falls short of term2 has none.  In
             # one that reaches it, f is at its best on the prefix of the
             # lower range whose residue is at least min(r, t.d.(K:D)), r
@@ -354,10 +354,12 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
                     r = spans[i][3] - spans[i][2]
                     start, stop, h, hr, _, _ = spans[j]
                     plateau = _plateau(start, stop, h, hr, td_d, dim_d)
+                    # Each upper end is labelled once, however many lower ends it pairs with.
+                    uppers = [label(q) for q in range(plateau, stop)]
                     for q1 in lower[: r - min(r, td_kd) + 1]:
-                        head = f"{side}:{labels[q1]}<="
-                        for q in range(max(q1, plateau), stop):
-                            yield Witness(TERM_THROUGH, head + labels[q], term2)
+                        head = f"{side}:{label(q1)}<="
+                        for upper in uppers[max(q1 - plateau, 0):]:
+                            yield Witness(TERM_THROUGH, head + upper, term2)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
@@ -406,7 +408,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             value,
             THEOREM_SHARP,
             (("td(A)", sa.td), ("td(B)", sb.td)),
-            lambda: (Witness("min-td", f"A:{sa.labels[0]}|B:{sb.labels[0]}", value),),
+            lambda: (Witness("min-td", f"A:{sa.label(0)}|B:{sb.label(0)}", value),),
             ("A:AF", "B:AF"),
         )
 
@@ -421,9 +423,9 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
         def witnesses():
             for q in _d_value_winners(sa.td, sa.dim, sb, d_ab):
-                yield Witness("dim(A)+td(B)", f"B:{sb.labels[q]}", d_ab)
+                yield Witness("dim(A)+td(B)", f"B:{sb.label(q)}", d_ab)
             for p in _d_value_winners(sb.td, sb.dim, sa, d_ba):
-                yield Witness("td(A)+dim(B)", f"A:{sa.labels[p]}", d_ba)
+                yield Witness("td(A)+dim(B)", f"A:{sa.label(p)}", d_ba)
 
         return DimReport(
             value,
@@ -465,7 +467,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             THEOREM_W37,
             (("D-max", value),),
             lambda: (
-                Witness("D-max", f"{other}:{y.labels[i]}", value)
+                Witness("D-max", f"{other}:{y.label(i)}", value)
                 for i in _d_value_winners(x.td, x.dim, y, value)
             ),
             (f"{tag}:{GATE_AF}",),

@@ -36,10 +36,10 @@ rather than from the formulas under test:
   its summary's ``walk_plan``, O(runs) data built once per summary; a
   computed row costs at most one merge and three fills of O(nb) each,
   and a skipped one nothing.
-  ``iter_chains`` enumerates the same chains move by move over the
-  ``ups`` view, with every legal initial jump; it is the literal
-  reference the pass is tested against.  The maximum is a certified
-  lower bound for dim(A ox B).
+  ``iter_chains`` enumerates the same chains move by move over each
+  side's certified pairs, from ``iter_pairs``, with every legal initial
+  jump; it is the literal reference the pass is tested against.  The
+  maximum is a certified lower bound for dim(A ox B).
 
 Legal moves, for a chain of primes of A ox B organized by the anchor
 (p, q) = (contraction to A, contraction to B):
@@ -57,8 +57,8 @@ Legal moves, for a chain of primes of A ox B organized by the anchor
 4. one final fiber segment at the last anchor, of length at most
    min(t.d.(A/p), t.d.(B/q)).
 
-The moves read the summaries' position arrays and pair views directly,
-and the pass each side's runs, through its ``walk_plan``.
+The moves read the summaries' ``strata`` and ``iter_pairs``, and the
+pass each side's runs, through its ``walk_plan``.
 The module imports only ``spectra`` and ``errors`` and calls no formula
 code, so the enumerator stays independent of what it checks; the check
 suites that compare the two live in ``checks``.
@@ -102,7 +102,7 @@ def brewer_poly_dim(a: SpectrumSummary, n: int) -> int:
     """
     if n < 0:
         raise ConstraintError("polynomial variable count must be >= 0")
-    return max(h + min(n, c) + n for h, c in zip(a.heights, a.caps))
+    return max(q.height + min(n, q.cap) + n for q in a.strata)
 
 
 def ext_field_dim(a: SpectrumSummary, s: int) -> int:
@@ -113,42 +113,33 @@ def ext_field_dim(a: SpectrumSummary, s: int) -> int:
     """
     if s < 0:
         raise ConstraintError("transcendence degree must be >= 0")
-    return max(
-        h + min(s, c) + min(s, r) for h, r, c in zip(a.heights, a.residues, a.caps)
-    )
+    return max(q.height + min(s, q.cap) + min(s, q.residue_td) for q in a.strata)
 
 
 # --------------------------------------------------------------------------
 # Chain enumeration
 
 
-# Anchors are pairs (i, j) of stratum positions in A and in B.
+# Anchors are pairs (p, q) of strata of A and of B.
 
 
-def _initial_jump(a, b, i, j) -> int | None:
+def _initial_jump(a, b, p, q) -> int | None:
     best = None
-    if a.caps[i] == 0:
-        best = b.heights[j] + min(a.td, b.caps[j]) + a.heights[i]
-    if b.caps[j] == 0:
-        v = a.heights[i] + min(b.td, a.caps[i]) + b.heights[j]
+    if p.cap == 0:
+        best = q.height + min(a.td, q.cap) + p.height
+    if q.cap == 0:
+        v = p.height + min(b.td, p.cap) + q.height
         best = v if best is None else max(best, v)
     return best
 
 
-def _advances(a, b, i, j) -> Iterator[tuple[int, int, int]]:
-    """(next i, next j, segment length) for every advance from anchor (i, j)."""
-    r = a.residues[i]
-    for j2, base, cap in b.ups[j]:
-        if j2 != j:
-            yield i, j2, base + min(r, cap)
-    r = b.residues[j]
-    for i2, base, cap in a.ups[i]:
-        if i2 != i:
-            yield i2, j, base + min(r, cap)
-
-
-def _fiber(a, b, i, j) -> int:
-    return min(a.residues[i], b.residues[j])
+def _ups(summary: SpectrumSummary) -> list[list[tuple[int, int, int]]]:
+    """Per position i, ``(j, quot_base, quot_cap)`` per certified pair i < j, by increasing j."""
+    ups = [[] for _ in summary.strata]
+    for i, j, quot in summary.iter_pairs():
+        if quot is not None and i != j:
+            ups[i].append((j, *quot))
+    return ups
 
 
 def _require_exact_sides(a, b):
@@ -258,7 +249,8 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ``walk_plan`` builds them, O(runs) data, on its first call and keeps
     them, and the check that every pair is certified reads each
     summary's kept ``uncertified``.  So a call builds only its computed
-    rows and, when A has a product block, ``under``.
+    rows and, when A has a product block, B's residues, read off B's
+    runs, and ``under``.
     """
     _require_exact_sides(a, b)
     cap_a, cap_b = a.walk_plan[1], b.walk_plan[1]
@@ -286,8 +278,13 @@ def _computed(a: SpectrumSummary, cap: int) -> int:
 def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
     m, cap, runs_a, _ = a.walk_plan
-    _, cap_b, _, steps_b = b.walk_plan
-    residues_b = b.residues
+    _, cap_b, runs_b, steps_b = b.walk_plan
+    if m:
+        # B's residue per position, for the product block's min(r_b, cap).
+        residues_b = []
+        for run in runs_b:
+            residues_b += range(run[3] - run[2], run[5] - 1, -1)
+    nb = runs_b[-1][1]
     z = None
     # The run over M first, so that its finished row at M is known when
     # the first run's positions below m merge it.
@@ -295,7 +292,7 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
         if z is not None:
             # The finished row at M, with the product block's min(r_b, cap) added.
             under = [u + (cap if cap < r else r) for u, r in zip(z, residues_b)]
-        z = [0] * len(residues_b)
+        z = [0] * nb
         i = stop - 1
         while i >= start:
             h_a = h + i - start
@@ -320,20 +317,21 @@ def iter_chains(a: SpectrumSummary, b: SpectrumSummary) -> Iterator[AnchoredChai
     """Every legal anchored chain, each already carrying its fiber segment."""
     _require_exact_sides(a, b)
     sa, sb = a.strata, b.strata
+    ups_a, ups_b = _ups(a), _ups(b)
 
     def walk(anchors, segments):
-        i, j = anchors[-1]
-        yield AnchoredChain(
-            tuple((sa[x], sb[y]) for x, y in anchors),
-            tuple(segments + [_fiber(a, b, i, j)]),
-        )
-        for i2, j2, gain in _advances(a, b, i, j):
-            yield from walk(anchors + [(i2, j2)], segments + [gain])
+        p, q = anchors[-1]
+        yield AnchoredChain(tuple(anchors), tuple(segments + [min(p.residue_td, q.residue_td)]))
+        # Advance q at fixed p, then p at fixed q.
+        for j, base, cap in ups_b[q.index]:
+            yield from walk(anchors + [(p, sb[j])], segments + [base + min(p.residue_td, cap)])
+        for i, base, cap in ups_a[p.index]:
+            yield from walk(anchors + [(sa[i], q)], segments + [base + min(q.residue_td, cap)])
 
-    for i, j in product(range(len(sa)), range(len(sb))):
-        jump = _initial_jump(a, b, i, j)
+    for p, q in product(sa, sb):
+        jump = _initial_jump(a, b, p, q)
         if jump is not None:
-            yield from walk([(i, j)], [jump])
+            yield from walk([(p, q)], [jump])
 
 
 def best_chain(a: SpectrumSummary, b: SpectrumSummary) -> AnchoredChain:

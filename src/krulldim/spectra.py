@@ -32,32 +32,29 @@ a step, gap or overlap in a range, a second product block, a chain
 block that is not one run or blocks out of order cannot be stated, and
 ``_check_summary`` checks only values, once per run.
 
-Views built on first use, each derived from the runs: ``kinds``,
-``heights``, ``residues``, ``caps`` and ``labels``, one entry per
-position; ``blocks``, the comparable pairs as at most three
-``PairBlock``s in ``pair_key`` order: each run's chain, and for a
-pullback the product block between them, stored after the chain outside
-M.  A pair (i, j) has quotient height n -> heights[j] - heights[i] +
-min(n, cap) with its block's cap.  Along each block's ranges residues
-and caps never rise and height + residue never falls, and a chain block
-has one cap, so each maximum lies at a block's ends.  The formulas
-compute it from the runs themselves and read none of these views but
-``labels``, for the witnesses they list.  Then ``strata``, one
-``Stratum`` per position (the only object view), built from the runs
-in one pass; ``pairs``, every comparable pair as ``(i, j, (quot_base,
-quot_cap))``, or ``(i, j, None)`` if uncertified; ``ups``, the
-certified pairs, with ``ups[i]`` holding ``(j, quot_base, quot_cap)``
-by increasing j; ``walk_plan``, what the chain oracle reads of the
-model as either side: the product block's range length and cap, each
-run's bounds, heights, top residue and the stretch of rows that merge
-nothing, and one column step per block, O(runs) data built on the
-oracle's first call; and ``uncertified``, the first uncertified pair or
-None, which the oracle reads on every call, read like
-``first_uncertified(q)`` from the ``exact`` flags of the runs and the
-product block.  ``iter_pairs`` generates the ``pairs`` entries without
-keeping them.  The formulas, the chain oracle, the ``spectrum`` command
-and the check suites' own loops build neither pair view; only the
-oracle's literal enumerator ``iter_chains`` builds ``ups``.
+The comparable pairs come in at most three blocks, in storage order:
+each run's chain and, for a pullback, the product block, stored after
+the chain outside M.  A pair (i, j) has quotient height n -> ht(j) -
+ht(i) + min(n, cap) with its block's cap, a chain block's being 0.  In a
+block that is not exact only the reflexive pairs and the pairs from its
+bottom position are certified.  The formulas compute every maximum from
+the runs themselves, and ``label``, ``pair_label`` and ``provenance``
+name a position from them in O(1).
+
+Views built on first use, each derived from the runs: ``strata``, one
+``Stratum`` per position, the only positional view; ``pairs``, every
+comparable pair as ``(i, j, (quot_base, quot_cap))``, or ``(i, j,
+None)`` if uncertified, which ``iter_pairs`` generates without keeping
+them; ``walk_plan``, what the chain oracle reads of the model as either
+side: the product block's range length and cap, each run's bounds,
+heights, top residue and the stretch of rows that merge nothing, and
+one column step per block, O(runs) data built on the oracle's first
+call; and ``uncertified``, the first uncertified pair or None, which
+the oracle reads on every call, read like ``first_uncertified(q)`` from
+the ``exact`` flags of the runs and the product block.  Nothing in the
+package builds ``pairs``: ``spectrum``, the check suites and the oracle's
+literal enumerator walk ``iter_pairs``, and the formulas and the chain
+oracle's pass read no pair at all.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
@@ -154,23 +151,6 @@ class PullbackData(
     __slots__ = ()
 
 
-Pair = tuple[int, int, int]
-
-
-class PairBlock(namedtuple("PairBlock", "lower upper cap exact")):
-    """The comparable pairs (i, j) with i in ``lower``, j in ``upper`` and i <= j.
-
-    A chain block has ``lower == upper`` and holds the reflexive pairs of
-    its positions; in a product block every lower position lies below
-    every upper one.  Every pair's quotient cap is ``cap``.  In a block
-    that is not ``exact`` only the reflexive pairs and the pairs from
-    its bottom position ``lower.start`` are certified.  A plain named
-    tuple: a block equals the tuple of its fields.
-    """
-
-    __slots__ = ()
-
-
 class SpectrumSummary(
     Record,
     namedtuple(
@@ -198,124 +178,79 @@ class SpectrumSummary(
     def __hash__(self):
         return hash(self[:-1])
 
-    @cached_property
-    def kinds(self) -> tuple[str, ...]:
-        n, stop = self.runs[0][0], self.runs[-1][0]
-        if len(self.runs) == 1:
-            return (KIND_PLAIN,) * n
-        return (KIND_OUTSIDE,) * n + (KIND_CONTAINS,) * (stop - n)
-
-    # Tuples grow by concatenation here: a model has at most two runs.
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        heights, start = (), 0
-        for stop, h, *_ in self.runs:
-            heights += (*range(h, h + stop - start),)
-            start = stop
-        return heights
-
-    @cached_property
-    def residues(self) -> tuple[int, ...]:
-        residues, start = (), 0
-        for stop, h, hr, *_ in self.runs:
-            residues += (*range(hr - h, hr - h - stop + start, -1),)
-            start = stop
-        return residues
-
-    @cached_property
-    def caps(self) -> tuple[int, ...]:
-        caps, start = (), 0
-        for stop, _, _, cap, _ in self.runs:
-            caps += (cap,) * (stop - start)
-            start = stop
-        return caps
-
-    @cached_property
-    def blocks(self) -> tuple[PairBlock, ...]:
-        """The pair blocks in storage order: each run's chain, the product block after the first."""
-        first, *over = self.runs
-        outside = range(first[0])
-        chain = PairBlock(outside, outside, 0, first[4])
+    def label(self, i: int) -> str:
+        """Display label of position i: ``h<height>``, ``out:<height>`` or ``in:<D-height>``."""
+        n = self.runs[0][0]
         if self.product is None:
-            return (chain,)
-        ((stop, *_, inner_exact),) = over
-        inside = range(first[0], stop)
-        m, cap, exact = self.product
-        product = PairBlock(range(m), inside, cap, exact)
-        return chain, product, PairBlock(inside, inside, 0, inner_exact)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """Display label per position: ``h<height>``, ``out:<height>`` or ``in:<D-height>``."""
-        n, stop = self.runs[0][0], self.runs[-1][0]
-        if len(self.runs) == 1:
-            return tuple(f"h{h}" for h in range(n))
-        return tuple(f"out:{h}" for h in range(n)) + tuple(f"in:{e}" for e in range(stop - n))
+            return f"h{i}"
+        return f"out:{i}" if i < n else f"in:{i - n}"
 
     def pair_label(self, i: int, j: int) -> str:
-        return f"{self.labels[i]}<={self.labels[j]}"
-
-    def pair_key(self, i: int, j: int) -> tuple[int, int, int]:
-        """Sort key giving the listing order of ``pairs``.
-
-        Pairs among strata outside M (or plain strata) come first, then
-        pairs from outside M up to M, then pairs over M; each group by
-        lower, then upper position.
-        """
-        kinds = self.kinds
-        return ((kinds[i] == KIND_CONTAINS) + (kinds[j] == KIND_CONTAINS), i, j)
+        return f"{self.label(i)}<={self.label(j)}"
 
     def provenance(self, i: int) -> str:
-        """Where stratum i comes from, for display."""
-        kind, h = self.kinds[i], self.heights[i]
-        if kind == KIND_PLAIN:
-            return f"{self.source}/ht={h}"
-        if kind == KIND_OUTSIDE:
-            return f"pullback/outside M/ht={h}"
-        return f"pullback/contains M/D-ht={h - self.pullback_data.m}"
+        """Where stratum i comes from, for display.
+
+        The first run sits at heights equal to its positions, and the
+        second, over M, at D-heights counted from its start.
+        """
+        n = self.runs[0][0]
+        if self.product is None:
+            return f"{self.source}/ht={i}"
+        if i < n:
+            return f"pullback/outside M/ht={i}"
+        return f"pullback/contains M/D-ht={i - n}"
 
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
         """One ``Stratum`` per position, built from the runs in one pass."""
-        if len(self.runs) == 1:
-            names = ((KIND_PLAIN, "h", 0),)
-        else:
-            names = ((KIND_OUTSIDE, "out:", 0), (KIND_CONTAINS, "in:", self.runs[0][0]))
+        kinds = (KIND_PLAIN,) if self.product is None else (KIND_OUTSIDE, KIND_CONTAINS)
+        label = self.label
         strata = []
-        for (start, stop, h, hr, cap, _), (kind, prefix, base) in zip(run_spans(self.runs), names):
+        for (start, stop, h, hr, cap, _), kind in zip(run_spans(self.runs), kinds):
             strata += [
-                Stratum(i, kind, h + i - start, hr - h - i + start, cap, f"{prefix}{i - base}")
+                Stratum(i, kind, h + i - start, hr - h - i + start, cap, label(i))
                 for i in range(start, stop)
             ]
         return tuple(strata)
 
     def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
-        """Generate the entries of ``pairs`` from the blocks, keeping none."""
-        heights = self.heights
-        for block in self.blocks:
-            bottom, upper = block.lower.start, block.upper
-            for i in block.lower:
+        """Generate the entries of ``pairs`` block by block, in storage order, keeping none.
+
+        Heights rise by 1 a position along each run, so a pair's quotient
+        base ht(j) - ht(i) is j - i plus its block's ``shift``: 0 in a
+        chain block, and in the product block the second run's first
+        height less its first position, as the first run sits at
+        heights equal to its positions.
+        """
+        (n, *_, exact), *over = self.runs
+        outside = range(n)
+        blocks = [(outside, outside, 0, 0, exact)]  # (lower, upper, shift, cap, exact)
+        if over:
+            ((stop, h, *_, inner_exact),) = over
+            m, cap, product_exact = self.product
+            inside = range(n, stop)
+            blocks += [
+                (range(m), inside, h - n, cap, product_exact),
+                (inside, inside, 0, 0, inner_exact),
+            ]
+        for lower, upper, shift, cap, exact in blocks:
+            bottom = lower.start
+            for i in lower:
                 for j in range(max(i, upper.start), upper.stop):
-                    certified = block.exact or i == j or i == bottom
-                    yield i, j, (heights[j] - heights[i], block.cap) if certified else None
+                    certified = exact or i == j or i == bottom
+                    yield i, j, (j - i + shift, cap) if certified else None
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int, tuple[int, int] | None], ...]:
-        """Every comparable pair in ``pair_key`` order.
+        """Every comparable pair, as ``iter_pairs`` generates them.
 
-        A certified pair is ``(i, j, (quot_base, quot_cap))``, an
-        uncertified one ``(i, j, None)``.
+        Pairs among strata outside M (or plain strata) come first, then
+        pairs from outside M up to M, then pairs over M; each group by
+        lower, then upper position.  A certified pair is ``(i, j,
+        (quot_base, quot_cap))``, an uncertified one ``(i, j, None)``.
         """
         return tuple(self.iter_pairs())
-
-    @cached_property
-    def ups(self) -> tuple[tuple[Pair, ...], ...]:
-        """``ups[i]``: ``(j, quot_base, quot_cap)`` per certified pair i <= j, by increasing j."""
-        rows: list[list[Pair]] = [[] for _ in self.heights]
-        for i, j, quot in self.iter_pairs():
-            if quot is not None:
-                rows[i].append((j, *quot))
-        return tuple(map(tuple, rows))
 
     @cached_property
     def walk_plan(self) -> tuple[int, int, tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
@@ -396,47 +331,24 @@ class SpectrumSummary(
                     return n + 1, upper
         return None
 
-    @property
-    def zero_stratum(self) -> Stratum:
-        return self.strata[0]
-
-    @property
-    def top_stratum(self) -> Stratum:
-        """The first stratum of height ``dim``.
-
-        The first run sits at heights equal to its positions, so that is
-        position ``dim`` when the first run reaches it, and otherwise the
-        last, the top of D's chain.
-        """
-        return self.strata[self.dim if self.dim < self.runs[0][0] else -1]
-
-    @property
-    def conductor_index(self) -> int:
-        """Position of the conductor ideal M itself (pullbacks only): the second run's start."""
-        if self.pullback_data is None:
-            raise ConstraintError("conductor stratum requested on a non-pullback summary")
-        return self.runs[0][0]
-
-    @property
-    def conductor_stratum(self) -> Stratum:
-        return self.strata[self.conductor_index]
-
     def select(self, selector: str) -> Stratum:
         """Resolve a stratum selector: ``0``, ``M``, ``out:<h>`` or ``in:<e>``.
 
-        ``0`` is the zero ideal, ``M`` the conductor stratum of a
-        pullback (the top stratum otherwise).  ``out:<h>`` picks the
-        height-h stratum outside M, or the plain height-h stratum of a
-        non-pullback summary; ``in:<e>`` the stratum at D-height e over M.
-        Heights rise by one per position along each run, the first from
-        the zero ideal and the second from M, so those are position h of
-        the first run and position e of the second.
+        ``0`` is the zero ideal, position 0, and ``M`` the conductor
+        stratum of a pullback, the second run's first position, or the
+        top stratum otherwise, position ``dim`` of the one run.
+        ``out:<h>`` picks the height-h stratum outside M, or the plain
+        height-h stratum of a non-pullback summary; ``in:<e>`` the
+        stratum at D-height e over M.  Heights rise by one per position
+        along each run, the first from the zero ideal and the second
+        from M, so those are position h of the first run and position e
+        of the second.
         """
         pd = self.pullback_data
         if selector == "0":
-            return self.zero_stratum
+            return self.strata[0]
         if selector == "M":
-            return self.conductor_stratum if pd is not None else self.top_stratum
+            return self.strata[self.runs[0][0] if pd is not None else self.dim]
         if selector.startswith("out:"):
             start, stop = 0, self.runs[0][0]
         elif selector.startswith("in:"):
@@ -638,18 +550,18 @@ def expr_catenarian(expr: AlgebraExpr) -> bool:
 
 # More than the distinct operands of any benchmark workload, so that
 # the cache only stops a long-running process from growing without end.
-# A cached summary keeps the views built on it, such as the O(S)
-# ``heights`` and ``residues`` and the chain oracle's O(runs)
-# ``walk_plan``, for as long as it stays cached.  The parser's memo of
-# texts has the same bound.
+# A cached summary keeps the views built on it for as long as it stays
+# cached: the O(S) ``strata``, the O(S^2) ``pairs`` and the chain
+# oracle's O(runs) ``walk_plan``.  The parser's memo of texts has the
+# same bound.
 SUMMARY_CACHE_SIZE = 4096
 
-# Largest model summarize builds.  A model stores O(1) data and its views
-# O(S), but at 2048 strata an AF model has about 2.1M pairs, which
-# ``spectrum`` and a fully tied witness list each walk one by one.  The
-# chain oracle's work grows with the rows it computes times the column
-# side's strata, not with the pairs: at most the product of the two
-# sides' strata, and O(S) for two AF models.
+# Largest model summarize builds.  A model stores a few integers per run
+# and ``strata`` is O(S), but at 2048 strata an AF model has about 2.1M
+# pairs, which ``spectrum`` and a fully tied witness list each walk one
+# by one.  The chain oracle's work grows with the rows it computes times
+# the column side's strata, not with the pairs: at most the product of
+# the two sides' strata, and O(S) for two AF models.
 MAX_STRATA = 2048
 
 
@@ -786,26 +698,28 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError(f"run {k} holds no position")
         # The residue is least at the run's top.
         if min(h, hr - h - stop + start + 1, cap) < 0:
-            raise ConsistencyError(f"negative height, residue or cap at {summary.labels[stop - 1]}")
+            raise ConsistencyError(f"negative height, residue or cap at {summary.label(stop - 1)}")
         if hr > td:
-            raise ConsistencyError(f"height + residue_td > td at {summary.labels[start]}")
+            raise ConsistencyError(f"height + residue_td > td at {summary.label(start)}")
         if cap > 0 and not k:
-            raise ConsistencyError(f"cap > 0 outside M at {summary.labels[start]}")
+            raise ConsistencyError(f"cap > 0 outside M at {summary.label(start)}")
     if product is not None:
         m, cap, _ = product
         (n, *_), (_, base, _, c, _) = runs
         if cap < 0:
-            raise ConsistencyError(f"negative quotient cap in {summary.blocks[1]}")
+            raise ConsistencyError(f"negative quotient cap in the product block {product}")
         if m < 1 or cap != c:
             raise ConsistencyError(
-                f"{summary.labels[n]} must lie over the zero ideal by a pair of cap {c}"
+                f"{summary.label(n)} must lie over the zero ideal by a pair of cap {c}"
             )
         if m > n:
-            raise ConsistencyError(f"the lower range of {summary.blocks[1]} leaves the first run")
+            raise ConsistencyError(
+                f"the lower range of the product block {product} leaves the first run"
+            )
         # Distinct comparable primes differ in height, which the chain
         # oracle's bottom-up order relies on.
         if m > base:
-            raise ConsistencyError(f"heights do not rise strictly in {summary.blocks[1]}")
+            raise ConsistencyError(f"heights do not rise strictly in the product block {product}")
 
     pd = summary.pullback_data
     if pd is not None and runs[-1][0] - runs[0][0] != pd.dim_d + 1:

@@ -39,6 +39,8 @@ def _pair(lower, upper, quot):
 
 HT_AF = ["ht", "af(2,2)", "af(2,1)", "--p", "out:1", "--q", "0"]
 AF33_NONCAT = "af(3,3,cat=false)"
+# m = 2, dim(D) = 2, a product cap of 1 and both runs inexact.
+PB_INEXACT = "pullback(T=af(5,3,cat=false),m=2,D=af(2,2,cat=false),outside=3)"
 
 SPECTRUM_TEXT = {
     KM: """\
@@ -69,6 +71,40 @@ pairs:
   h2<=h2           quot=0+min(n,0)
   h2<=h3           quot=uncertified
   h3<=h3           quot=0+min(n,0)
+""",
+    PB_INEXACT: """\
+td=5 dim=4 af=false pullback(m=2, td_K=3, td_D=2, dim_D=2, td_KD=1, outside=3)
+strata:
+  out:0   ht=0  res=5  ht(p[n])=0+min(n,0)  [pullback/outside M/ht=0]
+  out:1   ht=1  res=4  ht(p[n])=1+min(n,0)  [pullback/outside M/ht=1]
+  out:2   ht=2  res=3  ht(p[n])=2+min(n,0)  [pullback/outside M/ht=2]
+  out:3   ht=3  res=2  ht(p[n])=3+min(n,0)  [pullback/outside M/ht=3]
+  in:0    ht=2  res=2  ht(p[n])=2+min(n,1)  [pullback/contains M/D-ht=0]
+  in:1    ht=3  res=1  ht(p[n])=3+min(n,1)  [pullback/contains M/D-ht=1]
+  in:2    ht=4  res=0  ht(p[n])=4+min(n,1)  [pullback/contains M/D-ht=2]
+pairs:
+  out:0<=out:0     quot=0+min(n,0)
+  out:0<=out:1     quot=1+min(n,0)
+  out:0<=out:2     quot=2+min(n,0)
+  out:0<=out:3     quot=3+min(n,0)
+  out:1<=out:1     quot=0+min(n,0)
+  out:1<=out:2     quot=uncertified
+  out:1<=out:3     quot=uncertified
+  out:2<=out:2     quot=0+min(n,0)
+  out:2<=out:3     quot=uncertified
+  out:3<=out:3     quot=0+min(n,0)
+  out:0<=in:0      quot=2+min(n,1)
+  out:0<=in:1      quot=3+min(n,1)
+  out:0<=in:2      quot=4+min(n,1)
+  out:1<=in:0      quot=uncertified
+  out:1<=in:1      quot=uncertified
+  out:1<=in:2      quot=uncertified
+  in:0<=in:0       quot=0+min(n,0)
+  in:0<=in:1       quot=1+min(n,0)
+  in:0<=in:2       quot=2+min(n,0)
+  in:1<=in:1       quot=0+min(n,0)
+  in:1<=in:2       quot=uncertified
+  in:2<=in:2       quot=0+min(n,0)
 """,
 }
 
@@ -215,7 +251,9 @@ class TestSpectrum:
         }
         assert {s["label"] for s in payload["strata"]} == {"out:0", "in:0"}
 
-    @pytest.mark.parametrize("expr", list(SPECTRUM_TEXT), ids=["kM", "af33-noncat"])
+    @pytest.mark.parametrize(
+        "expr", list(SPECTRUM_TEXT), ids=["kM", "af33-noncat", "pullback-inexact"]
+    )
     def test_text_golden(self, capsys, expr):
         assert run(capsys, "spectrum", expr) == (0, SPECTRUM_TEXT[expr], "")
 
@@ -402,9 +440,11 @@ def test_answering_builds_no_pair_view(capsys):
             ["spectrum", a, "--json"],
         ):
             assert run(capsys, *argv)[0] == 0
+    # ht and spectrum build the strata, which spectrum labels its pairs
+    # from; dim keeps the first uncertified pair, none.
     for text in (KM, big):
         built = vars(summarize(parse_expr(text)))
-        assert not {"ups", "pairs"} & set(built), text
+        assert set(built) <= {"strata", "uncertified"}, text
 
 
 def test_text_dim_builds_no_witness(capsys, monkeypatch):

@@ -95,50 +95,50 @@ class TestAfPair:
 
 class TestFiberDim:
     def test_fields(self):
-        assert fiber_dim(summarize(Field(2)).zero_stratum, summarize(Field(3)).zero_stratum) == 2
+        assert fiber_dim(summarize(Field(2)).strata[0], summarize(Field(3)).strata[0]) == 2
 
     def test_closed_point(self):
-        assert fiber_dim(S_KM.conductor_stratum, S_KX.top_stratum) == 0
+        assert fiber_dim(S_KM.select("M"), S_KX.strata[-1]) == 0
 
     def test_zero_against_closed(self):
-        assert fiber_dim(S_KM.zero_stratum, S_KX.top_stratum) == 0
+        assert fiber_dim(S_KM.strata[0], S_KX.strata[-1]) == 0
 
 
 class TestThm28Height:
     def test_zero_pair(self):
-        assert thm28_ht(S_KM, S_KX, S_KM.zero_stratum, S_KX.zero_stratum, 0) == 0
+        assert thm28_ht(S_KM, S_KX, S_KM.strata[0], S_KX.strata[0], 0) == 0
 
     def test_conductor_over_maximal(self):
-        assert thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum, 0) == 3
+        assert thm28_ht(S_KM, S_KX, S_KM.select("M"), S_KX.strata[-1], 0) == 3
 
     def test_outside_with_fiber_offset(self):
         # ht = ht(p) + ht(q[t.d.(A)]) + delta on the outside branch
-        p, q = S_KM.zero_stratum, S_KX.zero_stratum
+        p, q = S_KM.strata[0], S_KX.strata[0]
         assert thm28_ht(S_KM, S_KX, p, q, 1) == 0 + 0 + 1
 
     def test_delta_out_of_range(self):
         with pytest.raises(ConstraintError):
-            thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum, 1)
+            thm28_ht(S_KM, S_KX, S_KM.select("M"), S_KX.strata[-1], 1)
 
     def test_needs_pullback(self):
         with pytest.raises(ApplicabilityError):
-            thm28_ht(S_KX, S_KM, S_KX.zero_stratum, S_KM.zero_stratum, 0)
+            thm28_ht(S_KX, S_KM, S_KX.strata[0], S_KM.strata[0], 0)
 
     def test_inexact_pairs_rejected(self):
         bad_b = summarize(AfDomain(3, 3, catenarian=False))
         with pytest.raises(InexactPairError):
-            thm28_ht(S_KM, bad_b, S_KM.conductor_stratum, bad_b.top_stratum, 0)
+            thm28_ht(S_KM, bad_b, S_KM.select("M"), bad_b.strata[-1], 0)
 
     @pytest.mark.parametrize("b_name", sorted(catalog()))
     def test_through_term_is_the_maximum_over_pairs_into_q(self, b_name):
         b = summarize(catalog()[b_name])
         for a in map(summarize, catalog_pullbacks().values()):
-            pd, m = a.pullback_data, a.conductor_stratum
+            pd, m = a.pullback_data, a.select("M")
             for q in b.strata:
                 brute = max(
-                    b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
-                    + min(b.residues[q1], pd.td_kd)
-                    for q1, j, (base, cap) in b.pairs
+                    b.strata[q1].height + min(a.td, b.strata[q1].cap) + base + min(pd.td_d, cap)
+                    + min(b.strata[q1].residue_td, pd.td_kd)
+                    for q1, j, (base, cap) in b.iter_pairs()
                     if j == q.index
                 )
                 assert thm28_ht(a, b, m, q, 0) == m.height + brute
@@ -155,7 +155,7 @@ class TestThm28Height:
         b = summarize(b_expr)
         uncertified = [(i, j) for i, j, quot in b.iter_pairs() if quot is None]
         assert uncertified
-        pd, m = S_KM.pullback_data, S_KM.conductor_stratum
+        pd, m = S_KM.pullback_data, S_KM.select("M")
         for q in b.strata:
             into_q = [i for i, j in uncertified if j == q.index]
             if into_q:
@@ -167,9 +167,9 @@ class TestThm28Height:
                     thm28_ht(S_KM, b, m, q, 0)
             else:
                 brute = max(
-                    b.heights[q1] + min(S_KM.td, b.caps[q1]) + base + min(pd.td_d, cap)
-                    + min(b.residues[q1], pd.td_kd)
-                    for q1, j, quot in b.pairs
+                    b.strata[q1].height + min(S_KM.td, b.strata[q1].cap) + base
+                    + min(pd.td_d, cap) + min(b.strata[q1].residue_td, pd.td_kd)
+                    for q1, j, quot in b.iter_pairs()
                     if j == q.index
                     for base, cap in [quot]
                 )
@@ -177,7 +177,7 @@ class TestThm28Height:
 
     def test_first_uncertified_pair_into_q_is_pinned(self):
         b = summarize(Pullback(AfDomain(4, 3, catenarian=False), 2, Field(0), outside=2))
-        m = S_KM.conductor_stratum
+        m = S_KM.select("M")
         with pytest.raises(InexactPairError, match="pair out:1<=in:0,"):
             thm28_ht(S_KM, b, m, b.select("in:0"), 0)
         assert thm28_ht(S_KM, b, m, b.select("out:1"), 0) == 3
@@ -185,43 +185,43 @@ class TestThm28Height:
 
 class TestMixedIdealHeight:
     def test_conductor_over_maximal(self):
-        assert thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum, 0) == 3
+        assert thm28_ht(S_KM, S_KX, S_KM.select("M"), S_KX.strata[-1], 0) == 3
 
     def test_conductor_over_zero(self):
-        assert thm28_ht(S_KM, S_KX, S_KM.conductor_stratum, S_KX.zero_stratum, 0) == 2
+        assert thm28_ht(S_KM, S_KX, S_KM.select("M"), S_KX.strata[0], 0) == 2
 
     def test_zero_ideal(self):
-        assert thm28_ht(S_KM, S_KX, S_KM.zero_stratum, S_KX.zero_stratum, 0) == 0
+        assert thm28_ht(S_KM, S_KX, S_KM.strata[0], S_KX.strata[0], 0) == 0
 
 
 class TestSctHeight:
     def test_two_curves(self):
         a, b = summarize(AfDomain(1, 1)), summarize(AfDomain(1, 1))
-        assert sct_height_af(a, b, a.top_stratum, b.top_stratum, 0) == 2
+        assert sct_height_af(a, b, a.strata[-1], b.strata[-1], 0) == 2
 
     def test_field_side(self):
         a, b = summarize(Field(2)), S_KM
-        q = b.conductor_stratum
+        q = b.select("M")
         # ht(q[2]) = ht(q) + min(2, cap) = 1 + 1
-        assert sct_height_af(a, b, a.zero_stratum, q, 0) == q.height + min(2, q.cap) == 2
+        assert sct_height_af(a, b, a.strata[0], q, 0) == q.height + min(2, q.cap) == 2
 
     def test_with_fiber_offset(self):
         a, b = summarize(AfDomain(2, 2)), summarize(Field(1))
         p = a.select("out:1")
-        assert sct_height_af(a, b, p, b.zero_stratum, 1) == 0 + 1 + 1
+        assert sct_height_af(a, b, p, b.strata[0], 1) == 0 + 1 + 1
 
     def test_rejects_non_af(self):
         with pytest.raises(ApplicabilityError):
-            sct_height_af(S_KM, S_KX, S_KM.zero_stratum, S_KX.zero_stratum, 0)
+            sct_height_af(S_KM, S_KX, S_KM.strata[0], S_KX.strata[0], 0)
 
 
 class TestLambdaBound:
     def test_conductor_over_maximal(self):
-        assert lambda_bound(S_KM, S_KX, S_KM.conductor_stratum, S_KX.top_stratum, 0) == 3
+        assert lambda_bound(S_KM, S_KX, S_KM.select("M"), S_KX.strata[-1], 0) == 3
 
     def test_fields(self):
         a, b = summarize(Field(2)), summarize(Field(3))
-        assert lambda_bound(a, b, a.zero_stratum, b.zero_stratum, 0) == 0
+        assert lambda_bound(a, b, a.strata[0], b.strata[0], 0) == 0
 
     def test_af_pair(self):
         a, b = summarize(AfDomain(2, 1)), summarize(AfDomain(2, 2))
@@ -259,11 +259,11 @@ class TestMembership:
         a, b = summarize(a_expr), summarize(b_expr)
         twin = summarize.__wrapped__(a_expr if side == "A" else b_expr)
         assert twin == (a if side == "A" else b) and twin is not a and twin is not b
-        p, q = a.zero_stratum, b.zero_stratum
+        p, q = a.strata[0], b.strata[0]
         if side == "A":
-            p = twin.zero_stratum
+            p = twin.strata[0]
         else:
-            q = twin.zero_stratum
+            q = twin.strata[0]
         with pytest.raises(ConstraintError, match=f"not part of summary {side}"):
             fn(a, b, p, q, 0)
 
@@ -370,7 +370,7 @@ def _thm28_dim_over_pairs(a, b):
     """thm28_dim evaluated pair by pair over the ``pairs`` view of B.
 
     Returns the refusal message, or the value, the terms and the labels
-    of the tied through-M pairs in ``pair_key`` order.
+    of the tied through-M pairs in ``pairs`` order.
     """
     uncertified = [(i, j) for i, j, quot in b.pairs if quot is None]
     if uncertified:
@@ -378,24 +378,28 @@ def _thm28_dim_over_pairs(a, b):
             "tensor dimension formula needs quotient heights for pair "
             f"{b.pair_label(*uncertified[0])}, which the non-catenarian model does not certify"
         )
-    pd = a.pullback_data
+    pd, x = a.pullback_data, b.strata
     through = {
-        (q1, q): pd.m + b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
-        + min(b.residues[q1], pd.td_kd) + min(pd.td_d, pd.dim_d + b.residues[q])
+        (q1, q): pd.m + x[q1].height + min(a.td, x[q1].cap) + base + min(pd.td_d, cap)
+        + min(x[q1].residue_td, pd.td_kd) + min(pd.td_d, pd.dim_d + x[q].residue_td)
         for q1, q, (base, cap) in b.pairs
     }
     term1, term2 = d_value(a.td, pd.outside, b), max(through.values())
     value = max(term1, term2)
-    ties = sorted((p for p, v in through.items() if v == value), key=lambda p: b.pair_key(*p))
+    ties = [p for p, v in through.items() if v == value]
     return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), [b.pair_label(*p) for p in ties]
 
 
 class TestBlockEvaluation:
     """The formulas read pair blocks; a pair-by-pair evaluation must agree."""
 
-    def test_pairs_follow_pair_key_order(self):
+    def test_pairs_follow_the_listing_order(self):
+        # Pairs among strata outside M (or plain strata), then from outside
+        # M up to M, then over M; each group by lower, then upper position.
         for b in map(summarize, [*catalog().values(), *NON_CATENARIAN]):
-            assert list(b.pairs) == sorted(b.pairs, key=lambda p: b.pair_key(p[0], p[1]))
+            over_m = [x.kind == KIND_CONTAINS for x in b.strata]
+            key = lambda p: (over_m[p[0]] + over_m[p[1]], p[0], p[1])  # noqa: E731
+            assert list(b.pairs) == sorted(b.pairs, key=key)
 
     def test_thm28_dim_matches_the_pairs_view(self):
         operands = [*catalog().values(), *NON_CATENARIAN]
@@ -444,7 +448,7 @@ class TestBlockEvaluation:
         s = data.draw(st.integers(0, 8))
         d = data.draw(st.integers(0, s))
         assert d_value(s, d, b) == max(
-            h + min(c, s) + min(d + r, s) for h, r, c in zip(b.heights, b.residues, b.caps)
+            x.height + min(x.cap, s) + min(d + x.residue_td, s) for x in b.strata
         )
 
     @pytest.mark.parametrize("b_kind", B_KINDS)
@@ -466,8 +470,8 @@ class TestBlockEvaluation:
                     continue
                 else:
                     want = p.height + max(
-                        b.heights[q1] + min(a.td, b.caps[q1]) + base + min(pd.td_d, cap)
-                        + min(b.residues[q1], pd.td_kd)
+                        b.strata[q1].height + min(a.td, b.strata[q1].cap) + base
+                        + min(pd.td_d, cap) + min(b.strata[q1].residue_td, pd.td_kd)
                         for q1, (base, cap) in into_q
                     )
                 assert thm28_ht(a, b, p, q) == want, (p.label, q.label)
@@ -480,27 +484,18 @@ LARGE = (
     AfDomain(2047, 2047),
 )
 
-# The views a summary derives from its runs, one entry per position, and its blocks.
-POSITIONAL_VIEWS = {"kinds", "heights", "residues", "caps", "blocks", "labels", "strata"}
-
-
-def _witnessed(report, a, b):
-    """The models, A's and B's, whose strata ``report``'s witnesses name, once read."""
-    refs = [w.ref for w in report.witnesses]
-    return [s for tag, s in (("A:", a), ("B:", b)) if any(r.startswith(tag) for r in refs)]
-
-
 def _may_build(_answer, *models):
-    """The models on which the call that gave ``_answer`` may build its view."""
+    """The models on which the call that gave ``_answer`` may build ``strata``."""
     return models
 
 
 class TestCostPerBlock:
     """The formulas read each block at its ends, from the runs, however many
     strata the models have.  On fresh models of about MAX_STRATA strata and
-    kM, an answer builds no positional view but the ``labels`` of a side
-    whose witnesses are read, and a height none but the ``strata`` that
-    ``select`` builds."""
+    kM, an answer, its witnesses read too, builds no view, and a height
+    none but the ``strata`` that ``select`` builds.  Each may keep its
+    side B's first uncertified pair, a pair of integers or None, which
+    ``thm28_dim`` reads and the chain oracle reads on every call."""
 
     @pytest.fixture
     def models(self, monkeypatch):
@@ -510,36 +505,27 @@ class TestCostPerBlock:
         return [fresh[e] for e in (*LARGE, KM)]
 
     @pytest.mark.parametrize(
-        "view, call",
+        "call",
         [
-            ("labels", lambda pb, pb2, af, km: _may_build(thm28_dim(pb, af).value)),
-            ("labels", lambda pb, pb2, af, km: _may_build(thm28_dim(km, pb).value)),
-            ("labels", lambda pb, pb2, af, km: _may_build(d_value(af.td, 1000, pb))),
-            ("labels", lambda pb, pb2, af, km: _may_build(d_value(pb.td, pb.dim, af))),
-            (
-                "strata",
-                lambda pb, pb2, af, km: _may_build(
-                    thm28_ht(pb, pb2, pb.select("M"), pb2.select("M")), pb, pb2
-                ),
+            lambda pb, pb2, af, km: _may_build(thm28_dim(pb, af).witnesses),
+            lambda pb, pb2, af, km: _may_build(thm28_dim(km, pb).witnesses),
+            lambda pb, pb2, af, km: _may_build(d_value(af.td, 1000, pb)),
+            lambda pb, pb2, af, km: _may_build(d_value(pb.td, pb.dim, af)),
+            lambda pb, pb2, af, km: _may_build(
+                thm28_ht(pb, pb2, pb.select("M"), pb2.select("M")), pb, pb2
             ),
-            (
-                "strata",
-                lambda pb, pb2, af, km: _may_build(
-                    thm28_ht(km, af, km.select("M"), af.select("out:2047")), km, af
-                ),
+            lambda pb, pb2, af, km: _may_build(
+                thm28_ht(km, af, km.select("M"), af.select("out:2047")), km, af
             ),
-            ("labels", lambda pb, pb2, af, km: _may_build(pullback_pair_dim(pb, pb2))),
-            (
-                "strata",
-                lambda pb, pb2, af, km: _may_build(
-                    sct_height_af(af, pb, af.select("out:1500"), pb.select("in:500")), af, pb
-                ),
+            lambda pb, pb2, af, km: _may_build(pullback_pair_dim(pb, pb2)),
+            lambda pb, pb2, af, km: _may_build(
+                sct_height_af(af, pb, af.select("out:1500"), pb.select("in:500")), af, pb
             ),
-            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[0], LARGE[1]), pb, pb2)),
-            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[2], LARGE[0]), af, pb)),
-            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(KM, LARGE[2]), km, af)),
-            ("labels", lambda pb, pb2, af, km: _witnessed(dim_tensor(LARGE[2], LARGE[2]), af, af)),
-            ("labels", lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[1], KM).value)),
+            lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[0], LARGE[1]).witnesses),
+            lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[2], LARGE[0]).witnesses),
+            lambda pb, pb2, af, km: _may_build(dim_tensor(KM, LARGE[2]).witnesses),
+            lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[2], LARGE[2]).witnesses),
+            lambda pb, pb2, af, km: _may_build(dim_tensor(LARGE[1], KM).value),
         ],
         ids=[
             "thm28_dim-pb-af", "thm28_dim-km-pb", "d_value-pb", "d_value-af",
@@ -548,48 +534,54 @@ class TestCostPerBlock:
             "dim_tensor-value",
         ],
     )
-    def test_reads_per_block(self, models, view, call):
+    def test_reads_per_block(self, models, call):
         assert all(s.runs[-1][0] >= 2000 for s in models[:3])
         may_build = call(*models)
         for s in models:
-            allowed = {view} if any(s is x for x in may_build) else set()
-            assert POSITIONAL_VIEWS & set(vars(s)) <= allowed, s.source
+            allowed = {"uncertified", *(["strata"] if any(s is x for x in may_build) else [])}
+            assert set(vars(s)) <= allowed, s.source
 
 
 # --------------------------------------------------------------------------
 # The closed forms over the runs against a reference that reads the
-# positional views and the blocks, position by position.
+# strata, position by position, over the pair blocks.
+
+
+def _blocks(b):
+    """B's pair blocks in ``pairs`` order, each ``(lower, upper, cap, exact)``.
+
+    Each run's chain, and for a pullback the product block after the first.
+    """
+    (n, *_, exact), *over = b.runs
+    blocks = [(range(n), range(n), 0, exact)]
+    if over:
+        ((stop, *_, inner_exact),) = over
+        m, cap, product_exact = b.product
+        inside = range(n, stop)
+        blocks += [(range(m), inside, cap, product_exact), (inside, inside, 0, inner_exact)]
+    return blocks
 
 
 def _ref_d_value(s, d, b):
-    best = -1
-    heights, residues, caps = b.heights, b.residues, b.caps
-    for block in b.blocks:
-        upper = block.upper
-        if upper:
-            q = upper[-1]
-            best = max(best, heights[q] + min(caps[q], s) + min(d + residues[q], s))
-    return best
+    return max(x.height + min(x.cap, s) + min(d + x.residue_td, s) for x in b.strata)
 
 
 def _ref_d_value_winners(s, d, b, best):
     return [
-        q for q, (h, c, r) in enumerate(zip(b.heights, b.caps, b.residues))
-        if h + min(c, s) + min(d + r, s) == best
+        x.index for x in b.strata if x.height + min(x.cap, s) + min(d + x.residue_td, s) == best
     ]
 
 
 def _ref_through_ties(pd, td_a, b, term2):
-    """The tied through-M pairs (q1, q) in pair_key order."""
-    heights, residues, caps = b.heights, b.residues, b.caps
-    f = [pd.m + min(c, td_a) + min(r, pd.td_kd) for r, c in zip(residues, caps)]
-    g = [h + min(pd.td_d, pd.dim_d + r) for h, r in zip(heights, residues)]
-    for block in b.blocks:
-        tied = term2 - min(pd.td_d, block.cap)
+    """The tied through-M pairs (q1, q) in ``pairs`` order."""
+    f = [pd.m + min(x.cap, td_a) + min(x.residue_td, pd.td_kd) for x in b.strata]
+    g = [x.height + min(pd.td_d, pd.dim_d + x.residue_td) for x in b.strata]
+    for lower, upper, cap, _ in _blocks(b):
+        tied = term2 - min(pd.td_d, cap)
         by_g: dict[int, list[int]] = {}
-        for q in block.upper:
+        for q in upper:
             by_g.setdefault(g[q], []).append(q)
-        for q1 in block.lower:
+        for q1 in lower:
             for q in by_g.get(tied - f[q1], ()):
                 if q1 <= q:
                     yield q1, q
@@ -599,30 +591,30 @@ def _ref_through_max_at(pd, td_a, b, q):
     pair = _ref_first_uncertified(b, q)
     if pair is not None:
         return pair
-    residues, caps = b.residues, b.caps
+    x = b.strata
     best = -1
-    for lower, upper, cap, _ in b.blocks:
+    for lower, upper, cap, _ in _blocks(b):
         if lower and q in upper:
-            q1 = lower.start
-            best = max(best, min(td_a, caps[q1]) + min(pd.td_d, cap) + min(residues[q1], pd.td_kd))
-    return b.heights[q] + best
+            q1 = x[lower.start]
+            best = max(best, min(td_a, q1.cap) + min(pd.td_d, cap) + min(q1.residue_td, pd.td_kd))
+    return x[q].height + best
 
 
 def _ref_uncertified(b):
-    for block in b.blocks:
-        i = block.lower.start + 1
-        if block.exact or i not in block.lower:
+    for lower, upper, _, exact in _blocks(b):
+        i = lower.start + 1
+        if exact or i not in lower:
             continue
-        j = max(i + 1, block.upper.start)
-        if j in block.upper:
+        j = max(i + 1, upper.start)
+        if j in upper:
             return i, j
     return None
 
 
 def _ref_first_uncertified(b, upper):
-    for block in b.blocks:
-        i = block.lower.start + 1
-        if not block.exact and i in block.lower and i < upper and upper in block.upper:
+    for lower, upper_range, _, exact in _blocks(b):
+        i = lower.start + 1
+        if not exact and i in lower and i < upper and upper in upper_range:
             return i, upper
     return None
 
@@ -635,24 +627,24 @@ def _ref_thm28_dim(a, b):
             f"tensor dimension formula needs quotient heights for pair {b.pair_label(*pair)}, "
             "which the non-catenarian model does not certify"
         )
-    pd = a.pullback_data
+    pd, x = a.pullback_data, b.strata
     term1 = _ref_d_value(a.td, pd.outside, b)
     term2 = pd.m + max(
-        min(a.td, b.caps[lower.start]) + min(b.residues[lower.start], pd.td_kd)
-        + b.heights[upper[-1]] + min(pd.td_d, pd.dim_d + b.residues[upper[-1]])
+        min(a.td, x[lower.start].cap) + min(x[lower.start].residue_td, pd.td_kd)
+        + x[upper[-1]].height + min(pd.td_d, pd.dim_d + x[upper[-1]].residue_td)
         + min(cap, pd.td_d)
-        for lower, upper, cap, _ in b.blocks
+        for lower, upper, cap, _ in _blocks(b)
     )
     value = max(term1, term2)
     witnesses = []
     if term1 == value:
         witnesses += [
-            Witness(TERM_OUTSIDE, f"B:{b.labels[q]}", term1)
+            Witness(TERM_OUTSIDE, f"B:{x[q].label}", term1)
             for q in _ref_d_value_winners(a.td, pd.outside, b, term1)
         ]
     if term2 == value:
         witnesses += [
-            Witness(TERM_THROUGH, f"B:{b.pair_label(q1, q)}", term2)
+            Witness(TERM_THROUGH, f"B:{x[q1].label}<={x[q].label}", term2)
             for q1, q in _ref_through_ties(pd, a.td, b, term2)
         ]
     return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), tuple(witnesses)

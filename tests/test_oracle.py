@@ -25,7 +25,6 @@ from krulldim.parser import parse_expr
 from krulldim.spectra import (
     AfDomain,
     Field,
-    PairBlock,
     PolyRing,
     Pullback,
     SpectrumSummary,
@@ -134,7 +133,9 @@ class TestChainEnumerate:
         # range is a prefix of a run, so a stepped one such as
         # range(0, 3, 2), which the refusal once missed, cannot be stated.
         model = built(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, 0, False))
-        assert model.blocks[1] == PairBlock(range(3), range(3, 4), 0, False)
+        assert [pair for pair in model.iter_pairs() if pair[1] == 3 and pair[0] < 3] == [
+            (0, 3, (3, 0)), (1, 3, None), (2, 3, None)
+        ]
         assert [(i, j) for i, j, quot in model.iter_pairs() if quot is None] == [(1, 3), (2, 3)]
         assert model.uncertified == (1, 3)
         field = summarize(Field(0))
@@ -144,13 +145,15 @@ class TestChainEnumerate:
 
     def test_builds_no_pair_view(self):
         # The catalog shares kM with other tests, which may have built its views.
+        # The pass reads each side's plan and first uncertified pair, and
+        # builds the column side's residues for one call only.
         summarize.cache_clear()
         big = AfDomain(300, 300)
         for x, y in ((big, big), (KM, big), (KM, KM)):
             sx, sy = summarize(x), summarize(y)
             assert chain_enumerate(sx, sy) == _row_pass(sx, sy) == _row_pass(sy, sx)
             for s in (sx, sy):
-                assert not {"ups", "pairs"} & set(vars(s)), s.source
+                assert set(vars(s)) == {"walk_plan", "uncertified"}, s.source
 
     def test_walk_plan_is_built_once_per_summary(self, monkeypatch):
         build = vars(SpectrumSummary)["walk_plan"].func
@@ -269,7 +272,9 @@ class TestChainEnumerate:
                 m = x.product[0] if x.product else 0
                 cap = y.product[1] if y.product else 0
                 tops = {stop - 1 for stop, *_ in x.runs}
-                computed = [i for i, r in enumerate(x.residues) if i in tops or i < m or r <= cap]
+                computed = [
+                    q for q in x.strata if q.index in tops or q.index < m or q.residue_td <= cap
+                ]
                 assert (rows, rest) == (len(computed), 0), (x.source, y.source)
                 assert rows == _computed(x, y.walk_plan[1])
 
@@ -388,8 +393,10 @@ class TestChains:
         # holds, by decreasing height, the successor's residue of each
         # position in a stretch and None for every other.
         stretch = {i for start, stop, _, _, lo, _ in model.walk_plan[2] for i in range(lo, stop - 1)}
-        by_height = sorted(range(len(model.heights)), key=model.heights.__getitem__, reverse=True)
-        assert tuple(model.residues[i + 1] if i in stretch else None for i in by_height) == successors
+        strata = model.strata
+        by_height = sorted(strata, key=lambda x: x.height, reverse=True)
+        got = tuple(strata[x.index + 1].residue_td if x.index in stretch else None for x in by_height)
+        assert got == successors
         other = summarize(partner)
         for a, b in ((model, other), (other, model)):
             assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
@@ -399,7 +406,7 @@ class TestChains:
         # checks that no other initial jump does better.
         summaries = [summarize(e) for e in catalog().values()]
         for a, b in product(summaries, summaries):
-            zero = (a.zero_stratum, b.zero_stratum)
+            zero = (a.strata[0], b.strata[0])
             from_zero = max(c.total for c in iter_chains(a, b) if c.anchors[0] == zero)
             assert from_zero == best_chain(a, b).total, (a.source, b.source)
 

@@ -186,10 +186,9 @@ class TestSummaryInvariants:
         """dim is the top height; every stratum respects ht + t.d. residue <= t.d."""
         s = summarize(expr)
         assert s.dim == max(x.height for x in s.strata)
-        assert s.zero_stratum.residue_td == s.td
+        assert s.strata[0].residue_td == s.td
+        assert [x.index for x in s.strata] == list(range(len(s.strata)))
         for x in s.strata:
-            i = x.index
-            assert (x.height, x.residue_td, x.cap) == (s.heights[i], s.residues[i], s.caps[i])
             assert x.height + x.residue_td <= s.td
             # polynomial heights never overshoot the altitude inequality
             assert x.height + min(10, x.cap) + x.residue_td <= s.td
@@ -205,11 +204,12 @@ class TestSummaryInvariants:
     def test_pairs(self, expr):
         """Reflexive pairs exist and certified pairs add heights exactly."""
         s = summarize(expr)
+        heights = [x.height for x in s.strata]
         assert {i for i, j, _ in s.pairs if i == j} == set(range(len(s.strata)))
         for i, j, quot in s.pairs:
-            assert s.heights[i] <= s.heights[j]
+            assert heights[i] <= heights[j]
             if quot is not None:
-                assert s.heights[i] + quot[0] <= s.heights[j]
+                assert heights[i] + quot[0] <= heights[j]
 
     @given(expr=st.one_of(catenarian_af_exprs(), pullback_exprs()))
     def test_transitive_coherence(self, expr):
@@ -241,17 +241,20 @@ def assert_d_part_is_d_model(pb):
     """The strata of ``summarize(pb)`` over M are ``summarize(D)`` shifted up by m.
 
     The pullback reads D's constructor instead of compiling D; this holds
-    it to D's own model: heights, residues, the inner chain's ``exact``,
-    and the t.d. and dimension kept in ``pullback_data``.
+    it to D's own model: heights, residues, the pairs among them and
+    which of those are certified, and the t.d. and dimension kept in
+    ``pullback_data``.
     """
     s, d = summarize(pb), summarize(pb.subring)
     pd = s.pullback_data
-    inner = s.blocks[-1]
-    assert inner.lower == inner.upper
-    assert [i for i, kind in enumerate(s.kinds) if kind == KIND_CONTAINS] == list(inner.lower)
-    assert tuple(s.heights[i] - pd.m for i in inner.lower) == d.heights
-    assert tuple(s.residues[i] for i in inner.lower) == d.residues
-    assert inner.exact == d.blocks[0].exact
+    n = s.runs[0][0]
+    inner = s.strata[n:]
+    assert [x for x in s.strata if x.kind == KIND_CONTAINS] == list(inner)
+    assert [(x.height - pd.m, x.residue_td) for x in inner] == [
+        (x.height, x.residue_td) for x in d.strata
+    ]
+    over_m = [(i - n, j - n, quot) for i, j, quot in s.iter_pairs() if i >= n]
+    assert over_m == list(d.iter_pairs())
     assert (pd.td_d, pd.dim_d) == (d.td, d.dim)
 
 
@@ -397,7 +400,7 @@ class TestFormulaAgreements:
         sa, sb = summarize(a), summarize(b)
         if not (certified(sa) and certified(sb)):
             return
-        zero = (sa.zero_stratum, sb.zero_stratum)
+        zero = (sa.strata[0], sb.strata[0])
         from_zero = max(c.total for c in iter_chains(sa, sb) if c.anchors[0] == zero)
         assert from_zero == best_chain(sa, sb).total
 

@@ -11,7 +11,6 @@ from krulldim.parser import GRAMMAR
 from krulldim.spectra import (
     AfDomain,
     Field,
-    PairBlock,
     PolyRing,
     Pullback,
     PullbackData,
@@ -92,7 +91,7 @@ def test_no_field_or_attribute_can_be_assigned(record):
 
 def test_views_still_fill_in():
     s = summarize(AfDomain(4, 2))
-    assert s.labels == ("h0", "h1", "h2") and vars(s)["labels"] is s.labels
+    assert s.strata[2].label == "h2" and vars(s)["strata"] is s.strata
     report = dim_tensor(KM, AfDomain(2, 2))
     assert report.witnesses is report.witnesses
 
@@ -124,13 +123,6 @@ def test_report_equality_hash_and_repr_ignore_witnesses():
         "gates=('A:Thm2.8-catenarian', 'A:Cor2.9-htM<=2', 'A:Prop2.10-tdKD<=2', 'B:AF'), "
         "refusals=())"
     )
-
-
-def test_pair_block_is_a_plain_named_tuple():
-    block = PairBlock(range(2), range(2), 0, True)
-    assert block == (range(2), range(2), 0, True)
-    with pytest.raises(AttributeError):
-        block.cap = 1
 
 
 @pytest.mark.parametrize("name", GRAMMAR)

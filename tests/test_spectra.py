@@ -1,5 +1,5 @@
 """Constructor validation and spectrum compilation."""
-from itertools import chain, pairwise
+from itertools import pairwise, zip_longest
 
 import pytest
 
@@ -15,7 +15,6 @@ from krulldim.spectra import (
     SUMMARY_CACHE_SIZE,
     AfDomain,
     Field,
-    PairBlock,
     PolyRing,
     Pullback,
     Valuation,
@@ -55,7 +54,7 @@ class TestSummarize:
         s = summarize(KM)
         assert s.td == 2 and s.dim == 1 and not s.is_af
         assert heights(s) == [("containsM", 1, 0, 1), ("outsideM", 0, 2, 0)]
-        m_stratum = s.conductor_stratum
+        m_stratum = s.select("M")
         assert (m_stratum.height, m_stratum.cap) == (1, 1)
         pd = s.pullback_data
         assert (pd.m, pd.td_k, pd.td_d, pd.dim_d, pd.td_kd, pd.outside) == (1, 1, 0, 0, 1, 0)
@@ -67,7 +66,7 @@ class TestSummarize:
         assert s.is_af
         # catenarian model: every comparable pair is certified with an exact base
         assert not uncertified(s)
-        assert all(s.heights[i] + quot[0] == s.heights[j] for i, j, quot in s.pairs)
+        assert all(s.strata[i].height + quot[0] == s.strata[j].height for i, j, quot in s.pairs)
 
     def test_poly_over_field_matches_af_profile(self):
         assert summarize(PolyRing(Field(2), 1)) == summarize(AfDomain(3, 1))
@@ -91,7 +90,8 @@ class TestSummarize:
 
     def test_noncatenarian_pairs_uncertified(self):
         s = summarize(AfDomain(3, 3, catenarian=False))
-        flags = {(s.heights[i], s.heights[j]): quot is not None for i, j, quot in s.pairs}
+        heights = [x.height for x in s.strata]
+        flags = {(heights[i], heights[j]): quot is not None for i, j, quot in s.pairs}
         assert flags[(0, 2)] and flags[(1, 1)]
         assert not flags[(1, 2)] and not flags[(1, 3)] and not flags[(2, 3)]
 
@@ -235,50 +235,65 @@ class TestCheckSummary:
             _check_summary(s._replace(runs=((1, 0, 2, 0, True), (3, 1, 2, 1, True))))
 
     # The layout rules the chain oracle and the formulas rest on, which the
-    # runs hold by construction: checked on the views of every catalog
-    # model and of CI's large operands.
+    # runs hold by construction: checked on the chain oracle's steps and
+    # the strata of every catalog model and of CI's large operands.
     @staticmethod
     def models():
         return [summarize(e) for e in (*catalog().values(), *map(parse_expr, LARGE))]
 
     @staticmethod
-    def along_chains(s):
+    def chains(s):
+        """Each chain block's positions, in storage order: the walk plan's steps of no upper range."""
+        steps = s.walk_plan[3][::-1]
+        return [range(start, stop) for upper, *_, start, stop in steps if upper is None]
+
+    @classmethod
+    def along_chains(cls, s):
         """Each pair of neighbouring positions in a chain block."""
-        for block in s.blocks:
-            if block.lower == block.upper:
-                yield from pairwise(block.lower)
+        for positions in cls.chains(s):
+            yield from pairwise(positions)
 
     def test_second_reflexive_entry(self):
         for s in self.models():
-            chains = [block.lower for block in s.blocks if block.lower == block.upper]
-            assert list(chain.from_iterable(chains)) == list(range(len(s.heights))), s.source
+            covered = [i for positions in self.chains(s) for i in positions]
+            assert covered == list(range(len(s.strata))), s.source
 
     def test_reflexive_pairs_need_cap_0(self):
         # Strata over M may have a cap > 0; their chain's pairs do not.
         models = self.models()
-        assert any(any(s.caps) for s in models)
+        assert any(x.cap for s in models for x in s.strata)
         for s in models:
-            assert all(block.cap == 0 for block in s.blocks if block.lower == block.upper)
+            chain_of = {i: k for k, positions in enumerate(self.chains(s)) for i in positions}
+            assert all(
+                quot[1] == 0
+                for i, j, quot in s.iter_pairs()
+                if quot is not None and chain_of[i] == chain_of[j]
+            ), s.source
 
     def test_blocks_out_of_order(self):
         # The chain oracle takes the blocks in reverse storage order, so no
-        # block raises positions that a block stored after it reads.
+        # step raises positions that a step taken before it reads: its own
+        # range for a chain, the upper range for the product block.
         for s in self.models():
-            for k, block in enumerate(s.blocks):
-                for later in s.blocks[k + 1:]:
-                    assert block.lower[-1] < later.upper[0] or later.upper[-1] < block.lower[0]
+            steps = s.walk_plan[3]
+            for k, (_, _, _, start, stop) in enumerate(steps):
+                for upper, _, _, begin, end in steps[:k]:
+                    read = range(begin, end) if upper is None else range(upper.start, upper.stop)
+                    assert stop <= read.start or read.stop <= start, s.source
 
     def test_residue_rising_along_a_chain(self):
         for s in self.models():
-            assert all(s.residues[j] < s.residues[i] for i, j in self.along_chains(s))
+            x = s.strata
+            assert all(x[j].residue_td < x[i].residue_td for i, j in self.along_chains(s))
 
     def test_cap_changing_along_a_chain(self):
         for s in self.models():
-            assert all(s.caps[j] == s.caps[i] for i, j in self.along_chains(s))
+            x = s.strata
+            assert all(x[j].cap == x[i].cap for i, j in self.along_chains(s))
 
     def test_height_plus_residue_falling_along_a_chain(self):
         for s in self.models():
-            hr = [h + r for h, r in zip(s.heights, s.residues)]
+            hr = [x.height + x.residue_td for x in s.strata]
             assert all(hr[j] == hr[i] for i, j in self.along_chains(s))
 
 
@@ -293,8 +308,30 @@ LARGE = (
 )
 
 
+# Models with inexact blocks, which neither the catalog nor the certify
+# workload holds: each run's chain and the product block, alone and together.
+INEXACT = (
+    "af(3,3,cat=false)",
+    "poly(af(4,2,cat=false),1)",
+    "pullback(T=af(6,5,cat=false),m=3,D=field(0),outside=2)",
+    "pullback(T=val(3,1),m=1,D=af(2,2,cat=false))",
+    "pullback(T=af(5,3,cat=false),m=2,D=af(2,2,cat=false),outside=3)",
+)
+
+
 def reference(expr):
-    """``expr``'s ``(kinds, heights, residues, caps, labels, blocks)``, position by position."""
+    """``expr``'s strata and pairs, position by position.
+
+    The strata are ``(kind, height, residue_td, cap, label)`` rows.  The
+    pairs come in ``pairs`` order: among the strata outside M (or plain
+    strata), then from outside M up to M, then over M, each group by
+    lower, then upper position.  Two strata of one group are comparable
+    when the lower comes first, and a stratum outside M lies under every
+    stratum over M when its height is below ht(M).  A pair's quotient
+    base is the difference of the heights, with cap t.d.(K:D) from
+    outside M up to M and 0 otherwise.  A non-catenarian ring certifies
+    only the reflexive pairs and those from its zero ideal.
+    """
     if isinstance(expr, Pullback):
         td, m = expr_td(expr), expr.m
         td_d, dim_d = expr_td(expr.subring), expr_dim(expr.subring)
@@ -304,27 +341,45 @@ def reference(expr):
         rows += [(KIND_CONTAINS, m + e, td_d - e, td_kd, f"in:{e}") for e in range(dim_d + 1)]
         outside, inside = range(n_out), range(n_out, len(rows))
         t_cat = expr_catenarian(expr.ambient)
-        blocks = (
-            PairBlock(outside, outside, 0, t_cat),
-            PairBlock(range(m), inside, td_kd, t_cat),
-            PairBlock(inside, inside, 0, expr_catenarian(expr.subring)),
+        # (lower group, upper group, cap, catenarian)
+        groups = (
+            (outside, outside, 0, t_cat),
+            (outside, inside, td_kd, t_cat),
+            (inside, inside, 0, expr_catenarian(expr.subring)),
         )
     else:
         td, n = expr_td(expr), expr_dim(expr) + 1
         rows = [(KIND_PLAIN, h, td - h, 0, f"h{h}") for h in range(n)]
-        blocks = (PairBlock(range(n), range(n), 0, expr_catenarian(expr)),)
-    return (*map(tuple, zip(*rows)), blocks)
+        groups = ((range(n), range(n), 0, expr_catenarian(expr)),)
+
+    def comparable(lower, upper, i, j):
+        # In one group the lower stratum comes first; across, it lies below M.
+        return i <= j if lower == upper else rows[i][1] < rows[upper.start][1]
+
+    pairs = (
+        (i, j, (rows[j][1] - rows[i][1], cap) if exact or i == j or i == lower.start else None)
+        for lower, upper, cap, exact in groups
+        for i in lower
+        for j in upper
+        if comparable(lower, upper, i, j)
+    )
+    return rows, pairs
 
 
 class TestRuns:
     def test_views_match_a_position_by_position_reference(self, certify_requests):
         operands = sorted({text for r in certify_requests for text in (r.a, r.b)})
-        exprs = [*catalog().values(), *map(parse_expr, [*operands, *LARGE])]
+        exprs = [*catalog().values(), *map(parse_expr, [*operands, *LARGE, *INEXACT])]
         assert len(exprs) > 500
+        missing = object()
         for expr in exprs:
             s = summarize(expr)
-            views = (s.kinds, s.heights, s.residues, s.caps, s.labels, s.blocks)
-            assert views == reference(expr), to_source(expr)
+            rows, pairs = reference(expr)
+            shown = [(x.kind, x.height, x.residue_td, x.cap, x.label) for x in s.strata]
+            assert shown == rows, to_source(expr)
+            assert [x.index for x in s.strata] == list(range(len(rows)))
+            got = zip_longest(s.iter_pairs(), pairs, fillvalue=missing)
+            assert all(x == y for x, y in got), to_source(expr)
 
     @pytest.mark.parametrize(
         "text", ["af(2047,2047)", "pullback(T=val(2047,1023),m=1023,D=af(1023,1023))", "af(15,15)"]
@@ -332,11 +387,13 @@ class TestRuns:
     def test_a_compile_stores_o_of_blocks_data(self, text):
         # A compile builds no view, and holds per-position data in none of
         # its fields: every plain tuple is no longer than the model's
-        # blocks, and each run is a few integers.  Strings and the
-        # pullback's numeric record are of fixed size.
+        # blocks, a chain per run and the product block between two, and
+        # each run is a few integers.  Strings and the pullback's numeric
+        # record are of fixed size.
         s = summarize.__wrapped__(parse_expr(text))
         assert vars(s) == {}
-        assert all(len(value) <= len(s.blocks) for value in s if type(value) is tuple)
+        blocks = 2 * len(s.runs) - 1
+        assert all(len(value) <= blocks for value in s if type(value) is tuple)
         assert all(type(x) in (int, bool) for run in s.runs for x in run)
 
     @pytest.mark.parametrize(
@@ -348,7 +405,7 @@ class TestRuns:
         s = summarize.__wrapped__(parse_expr(text))
         m, cap, runs, steps = s.walk_plan
         assert type(m) is type(cap) is int
-        assert len(runs) == len(s.runs) and len(steps) == len(s.blocks) <= 3
+        assert len(runs) == len(s.runs) and len(steps) == 2 * len(s.runs) - 1 <= 3
         assert all(len(run) == 6 and all(type(x) is int for x in run) for run in runs)
         assert all(len(step) == 5 for step in steps)
         for x in (x for step in steps for x in step):
@@ -453,17 +510,16 @@ class TestSelectors:
         for expr in exprs:
             s = summarize(expr)
             pd = s.pullback_data
-            assert s.top_stratum is s.strata[s.heights.index(s.dim)], expr
-            n = len(s.heights)
+            # M: the conductor, the first stratum over M, or the first of height dim.
+            top = [x for x in s.strata if x.kind == KIND_CONTAINS or pd is None and x.height == s.dim]
+            assert s.select("M") is top[0], expr
+            n = len(s.strata)
             wanted = [(f"out:{h}", KIND_OUTSIDE if pd else KIND_PLAIN, h) for h in range(n + 2)]
             if pd is not None:
                 wanted += [(f"in:{e}", KIND_CONTAINS, pd.m + e) for e in range(n + 2)]
             for selector, kind, height in wanted:
                 # The reference: the first position of that kind and height.
-                found = [
-                    st for st, k, h in zip(s.strata, s.kinds, s.heights)
-                    if k == kind and h == height
-                ]
+                found = [st for st in s.strata if st.kind == kind and st.height == height]
                 if found:
                     assert s.select(selector) is found[0], (expr, selector)
                 else:
