@@ -18,24 +18,25 @@ rather than from the formulas under test:
   of the row and the fiber at the block's top, one cut and one fill;
   the product block takes one maximum over its upper positions.  The
   row side is walked run by run from each top down, the run over M
-  first: a row starts as the finished row above it in its run, and a
-  row below the product block merges the finished row at M, which
-  holds the maximum over the run over M.  Most rows need nothing more:
-  along a run the residue falls by 1 a position, so a row that merges
-  nothing and whose residue exceeds the column side's product cap is
-  left as it starts, each chain step's fiber being at most the one
-  above it and the product step adding what it added there.  Such rows
-  are the bottom of each run's stretch of rows that merge nothing, so
-  the pass jumps over them, and the number of rows a side computes is
-  a sum over its runs.  The moves are symmetric in A and B, so the
-  rows are taken over the side with fewer rows to compute.  The pass
-  returns the best run from the zero anchor (0, 0), in the last row it
-  walks, and needs only the initial jump to (0, 0): the zero ideal lies
-  under every stratum, so a chain that climbs from (0, 0) gains at
-  least what any other jump does.  What the pass reads of each side is
-  its summary's ``walk_plan``, O(runs) data built once per summary; a
-  computed row costs at most one merge and three fills of O(nb) each,
-  and a skipped one nothing.
+  first: a row starts as the finished row above it in its run, and
+  row m - 1, the top row under the product block, merges the finished
+  row at M, which holds the maximum over the run over M; every row
+  below it starts from a row that holds it.  Most rows need nothing more:
+  along a run the residue falls by 1 a position, so a row above the
+  product block's lower range whose residue exceeds the column side's
+  product cap is left as it starts, each chain step's fiber being at
+  most the one above it and the product step adding what it added
+  there.  Such rows are the bottom of each run's stretch of rows above
+  that range, so the pass jumps over them, and the number of rows a
+  side computes is a sum over its runs.  The moves are symmetric in A
+  and B, so the rows are taken over the side with fewer rows to
+  compute.  The pass returns the best run from the zero anchor (0, 0),
+  in the last row it walks, and needs only the initial jump to (0, 0):
+  the zero ideal lies under every stratum, so a chain that climbs from
+  (0, 0) gains at least what any other jump does.  What the pass reads
+  of each side is its summary's ``walk_plan``, O(runs) data built once
+  per summary; a computed row costs at most three fills of O(nb) each,
+  row m - 1 one merge more, and a skipped one nothing.
   ``iter_chains`` enumerates the same chains move by move over each
   side's certified pairs, from ``iter_pairs``, with every legal initial
   jump; it is the literal reference the pass is tested against.  The
@@ -186,7 +187,9 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     above it and no step lowers an entry.  So the finished row at M, the
     second run's bottom, walked before the first run, holds the maximum
     over the second run; with min(r_b, c) added it is ``under``, which
-    each row below m merges in one elementwise maximum.  Then come the
+    row m - 1 merges in one elementwise maximum.  Each row below it
+    starts from a row that already holds ``under``, and no step lowers
+    an entry, so merging it again would change nothing.  Then come the
     fiber and the B-advances over B's blocks in reverse storage order:
     the second run's chain, the product block, the first run's chain.
     Each reads finished values: no block raises a position that a block
@@ -213,14 +216,15 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     step raises positions 0 to m - 1, by the same cut and fill, and the
     block still never rises.  Every chain block is a step, one of one
     position too, as it carries the fiber.  A computed row then costs at
-    most one merge and three bisections and fills, each O(nb).
+    most three bisections and fills, each O(nb), and row m - 1 one
+    merge more.
 
-    A row at i below its run's top that merges nothing, i at or above m
-    in the first run or anywhere in the second, is skipped when r_a(i)
-    exceeds cmax, the largest cap among B's product steps (0 without
-    one): its steps leave the finished row of i + 1 as it is.  Take them
-    in order on row(i+1), the row that i + 1's own steps leave, whether
-    computed or itself skipped.  Along A's run h_a(i) = h_a(i+1) - 1 and
+    A row at i below its run's top and outside the product block's
+    lower range, i at or above m in the first run or anywhere in the
+    second, is skipped when r_a(i) exceeds cmax, the largest cap among
+    B's product steps (0 without one): its steps leave the finished row
+    of i + 1 as it is.  Take them in order on row(i+1), the row that
+    i + 1's own steps leave, whether computed or itself skipped.  Along A's run h_a(i) = h_a(i+1) - 1 and
     r_a(i) = r_a(i+1) + 1, so a chain step's t = h_a + h + min(r, r_a)
     is at most the t row i + 1 took there.  Row i + 1's step left every
     entry of the block at or above its t, and no step lowers an entry,
@@ -228,9 +232,9 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     that no later step raises, so it finds the maximum row i + 1 found
     and adds min(cap, r_a(i)), which is min(cap, r_a(i+1)) as r_a(i+1)
     >= cmax >= cap; so it fills nothing either.  Residues rise down a
-    run, so the skipped rows are the bottom of the stretch that merges
-    nothing: the pass walks a run from its top down and jumps from the
-    first row of the stretch of residue above cmax to the first row
+    run, so the skipped rows are the bottom of the stretch above the
+    lower range: the pass walks a run from its top down and jumps from
+    the first row of the stretch of residue above cmax to the first row
     below the stretch.  ``_computed`` counts the rows it walks, per run
     in closed form.
 
@@ -249,8 +253,8 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ``walk_plan`` builds them, O(runs) data, on its first call and keeps
     them, and the check that every pair is certified reads each
     summary's kept ``uncertified``.  So a call builds only its computed
-    rows and, when A has a product block, B's residues, read off B's
-    runs, and ``under``.
+    rows and, when A has a product block, ``under``, one run of B at a
+    time from that run's residues, which fall by 1 a position.
     """
     _require_exact_sides(a, b)
     cap_a, cap_b = a.walk_plan[1], b.walk_plan[1]
@@ -279,25 +283,24 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     """``chain_enumerate``'s pass with A's strata as the rows, whatever their number."""
     m, cap, runs_a, _ = a.walk_plan
     _, cap_b, runs_b, steps_b = b.walk_plan
-    if m:
-        # B's residue per position, for the product block's min(r_b, cap).
-        residues_b = []
-        for run in runs_b:
-            residues_b += range(run[3] - run[2], run[5] - 1, -1)
     nb = runs_b[-1][1]
     z = None
     # The run over M first, so that its finished row at M is known when
-    # the first run's positions below m merge it.
+    # row m - 1 merges it.
     for start, stop, h, hr, lo, _ in reversed(runs_a):
         if z is not None:
-            # The finished row at M, with the product block's min(r_b, cap) added.
-            under = [u + (cap if cap < r else r) for u, r in zip(z, residues_b)]
+            # The finished row at M, with the product block's min(r_b, cap)
+            # added, run by run of B, whose residues fall by 1 a position.
+            under = []
+            for begin, end, h_b, hr_b, _, top in runs_b:
+                residues = range(hr_b - h_b, top - 1, -1)
+                under += [u + (cap if cap < r else r) for u, r in zip(z[begin:end], residues)]
         z = [0] * nb
         i = stop - 1
         while i >= start:
             h_a = h + i - start
             r_a = hr - h_a
-            if i < m:
+            if i == m - 1:
                 z = [v if v > u else u for v, u in zip(z, under)]
             # z never rises along a fill, so the entries below t are its tail.
             for upper, h_b, c, begin, end in steps_b:

@@ -47,11 +47,12 @@ comparable pair as ``(i, j, (quot_base, quot_cap))``, or ``(i, j,
 None)`` if uncertified, which ``iter_pairs`` generates without keeping
 them; ``walk_plan``, what the chain oracle reads of the model as either
 side: the product block's range length and cap, each run's bounds,
-heights, top residue and the stretch of rows that merge nothing, and
-one column step per block, O(runs) data built on the oracle's first
-call; and ``uncertified``, the first uncertified pair or None, which
-the oracle reads on every call, read like ``first_uncertified(q)`` from
-the ``exact`` flags of the runs and the product block.  Nothing in the
+heights, top residue and the stretch of rows above the product
+block's lower range, and one column step per block, O(runs) data
+built on the oracle's first call; and ``uncertified``, the first
+uncertified pair or None, which the oracle reads on every call, read
+like ``first_uncertified(q)`` from the ``exact`` flags of the runs and
+the product block.  Nothing in the
 package builds ``pairs``: ``spectrum``, the check suites and the oracle's
 literal enumerator walk ``iter_pairs``, and the formulas and the chain
 oracle's pass read no pair at all.
@@ -470,13 +471,13 @@ class Pullback(Record, namedtuple("Pullback", "ambient m subring outside", defau
             raise ConstraintError(
                 "pullback D must be an AF constructor (field, af, val or poly)"
             )
-        td_t, dim_t = expr_td(ambient), expr_dim(ambient)
+        td_t, dim_t, _ = _af_shape(ambient)
         if m < 1:
             raise ConstraintError("pullback requires m >= 1")
         if m > dim_t:
             raise ConstraintError("m <= dim(T) violated")
         td_k = td_t - m
-        if expr_td(subring) > td_k:
+        if _af_shape(subring)[0] > td_k:
             raise ConstraintError("t.d.(D) <= t.d.(K) violated")
         if isinstance(ambient, Valuation):
             if m != dim_t:
@@ -508,41 +509,45 @@ def is_af_constructor(expr: AlgebraExpr) -> bool:
 
 
 def expr_td(expr: AlgebraExpr) -> int:
-    if isinstance(expr, (Field, AfDomain, Valuation)):
-        return expr.td
-    if isinstance(expr, PolyRing):
-        return expr_td(expr.base) + expr.n
-    if isinstance(expr, Pullback):
-        return expr_td(expr.ambient)
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    return _af_shape(expr.ambient if type(expr) is Pullback else expr)[0]
 
 
 def expr_dim(expr: AlgebraExpr) -> int:
-    if isinstance(expr, Field):
-        return 0
-    if isinstance(expr, (AfDomain, Valuation)):
-        return expr.dim
-    if isinstance(expr, PolyRing):
-        return expr_dim(expr.base) + expr.n
-    if isinstance(expr, Pullback):
-        return max(expr.outside, expr.m + expr_dim(expr.subring))
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    if type(expr) is Pullback:
+        return max(expr.outside, expr.m + _af_shape(expr.subring)[1])
+    return _af_shape(expr)[1]
 
 
 def expr_catenarian(expr: AlgebraExpr) -> bool:
-    """Whether the model of the expression certifies all quotient pairs.
+    """Whether the model of an AF constructor certifies all quotient pairs."""
+    if type(expr) is Pullback:
+        raise TypeError(f"no catenarity model for {expr!r}")
+    return _af_shape(expr)[2]
 
-    A domain of dimension at most 1 is catenarian whatever its flag
-    says: every nonzero prime is maximal and has height 1, so no two
-    saturated chains between the same primes can differ in length.
+
+def _af_shape(expr: AlgebraExpr) -> tuple[int, int, bool]:
+    """``(td, dim, catenarian)`` of an AF constructor, read in one walk down its poly bases.
+
+    A polynomial ring in n variables adds n to its base's t.d. and
+    dimension and keeps its catenarity.  A domain of dimension at most 1
+    is catenarian whatever its flag says: every nonzero prime is maximal
+    and has height 1, so no two saturated chains between the same primes
+    can differ in length.
     """
-    if isinstance(expr, (Field, Valuation)):
-        return True
-    if isinstance(expr, AfDomain):
-        return expr.catenarian or expr.dim <= 1
-    if isinstance(expr, PolyRing):
-        return expr_catenarian(expr.base)
-    raise TypeError(f"no catenarity model for {expr!r}")
+    n = 0
+    while type(expr) is PolyRing:
+        expr, k = expr
+        n += k
+    kind = type(expr)
+    if kind is AfDomain:
+        td, dim, catenarian = expr
+        return td + n, dim + n, catenarian or dim <= 1
+    if kind is Valuation:
+        td, dim = expr
+        return td + n, dim + n, True
+    if kind is Field:
+        return expr[0] + n, n, True
+    raise TypeError(f"not an algebra expression: {expr!r}")
 
 
 # --------------------------------------------------------------------------
@@ -568,21 +573,21 @@ MAX_STRATA = 2048
 @lru_cache(maxsize=SUMMARY_CACHE_SIZE)
 def summarize(expr: AlgebraExpr) -> SpectrumSummary:
     """Compile an algebra expression into its stratified spectrum model."""
-    if isinstance(expr, Field):
-        return _summarize_af(expr.td, 0, True, f"field({expr.td})")
-    if isinstance(expr, AfDomain):
-        return _summarize_af(
-            expr.td, expr.dim, expr_catenarian(expr), f"af({expr.td},{expr.dim})"
-        )
-    if isinstance(expr, Valuation):
-        return _summarize_af(expr.td, expr.dim, True, f"val({expr.td},{expr.dim})")
-    if isinstance(expr, PolyRing):
-        td = expr_td(expr)
-        dim = expr_dim(expr)
-        return _summarize_af(td, dim, expr_catenarian(expr), f"poly[{td},{dim}]")
-    if isinstance(expr, Pullback):
+    kind = type(expr)
+    if kind is Pullback:
         return _summarize_pullback(expr)
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    td, dim, catenarian = _af_shape(expr)
+    if kind is AfDomain:
+        source = f"af({td},{dim})"
+    elif kind is Valuation:
+        source = f"val({td},{dim})"
+    elif kind is PolyRing:
+        source = f"poly[{td},{dim}]"
+    else:
+        source = f"field({td})"
+    n = dim + 1
+    _check_size(n)
+    return _finish(td, ((n, 0, td, 0, catenarian),), None, None, source)
 
 
 def _check_size(n: int) -> None:
@@ -592,42 +597,23 @@ def _check_size(n: int) -> None:
         )
 
 
-def _summarize_af(td, dim, catenarian, source) -> SpectrumSummary:
-    n = dim + 1
-    _check_size(n)
-    return _finish(td, ((n, 0, td, 0, catenarian),), None, None, source)
-
-
 def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
-    td = expr_td(expr.ambient)
-    m = expr.m
-    td_k = td - m
+    ambient, m, subring, outside = expr
+    td, dim_t, t_cat = _af_shape(ambient)
     # D is an AF constructor, so its primes are the chain 0..dim(D) with
     # residues t.d.(D) - h, read from the constructor without compiling D.
-    td_d, dim_d = expr_td(expr.subring), expr_dim(expr.subring)
+    td_d, dim_d, d_cat = _af_shape(subring)
+    td_k = td - m
     td_kd = td_k - td_d
-    t_cat = expr_catenarian(expr.ambient)
-    data = PullbackData(
-        m=m,
-        td_k=td_k,
-        td_d=td_d,
-        dim_d=dim_d,
-        td_kd=td_kd,
-        outside=expr.outside,
-        ambient_catenarian=t_cat,
-        conductor_is_top=(m == expr_dim(expr.ambient)),
-    )
+    data = PullbackData(m, td_k, td_d, dim_d, td_kd, outside, t_cat, m == dim_t)
 
     # Strata outside M at heights 0..n_out-1, then one per stratum of D.
     # D's own size is refused first, with D's own count.
-    n_out = max(m - 1, expr.outside) + 1
+    n_out = max(m - 1, outside) + 1
     n_in = dim_d + 1
     _check_size(n_in)
     _check_size(n_out + n_in)
-    runs = (
-        (n_out, 0, td, 0, t_cat),
-        (n_out + n_in, m, m + td_d, td_kd, expr_catenarian(expr.subring)),
-    )
+    runs = ((n_out, 0, td, 0, t_cat), (n_out + n_in, m, m + td_d, td_kd, d_cat))
     # Primes at height >= m outside M are incomparable with M.
     return _finish(td, runs, (m, td_kd, t_cat), data, "pullback")
 
@@ -641,16 +627,22 @@ def run_spans(runs) -> Iterator[tuple]:
 
 
 def _finish(td, runs, product, pullback_data, source) -> SpectrumSummary:
-    is_af = all(hr == td and not cap for _, _, hr, cap, _ in runs)
+    """The checked summary of ``runs`` and ``product``: every model, compiled or built, is made here.
+
+    ``dim`` is the greatest top height of a run and ``is_af`` whether
+    every run has height + residue td and cap 0.
+    """
+    dim = start = 0
+    is_af = True
+    for stop, h, hr, cap, _ in runs:
+        top = h + stop - start - 1
+        if top > dim:
+            dim = top
+        if hr != td or cap:
+            is_af = False
+        start = stop
     summary = SpectrumSummary(
-        td=td,
-        dim=max(h + stop - start - 1 for start, stop, h, *_ in run_spans(runs)),
-        is_af=is_af,
-        runs=runs,
-        product=product,
-        pullback_data=pullback_data,
-        gates=_gates(is_af, pullback_data),
-        source=source,
+        td, dim, is_af, runs, product, pullback_data, _gates(is_af, pullback_data), source
     )
     _check_summary(summary)
     return summary
@@ -688,21 +680,24 @@ def _check_summary(summary: SpectrumSummary) -> None:
     then the only one of height 0, and the chain oracle walks (0, 0)
     last and returns its tail on the strength of this.
     """
-    td, runs, product = summary.td, summary.runs, summary.product
+    td, _, _, runs, product, pd, *_ = summary
     if len(runs) != (1 if product is None else 2):
         raise ConsistencyError("a model is one run, or two joined by one product block")
-    if runs[0][1:3] != (0, td):
+    if runs[0][1] != 0 or runs[0][2] != td:
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
-    for k, (start, stop, h, hr, cap, _) in enumerate(run_spans(runs)):
+    start = k = 0
+    for stop, h, hr, cap, _ in runs:
         if stop <= start:
             raise ConsistencyError(f"run {k} holds no position")
         # The residue is least at the run's top.
-        if min(h, hr - h - stop + start + 1, cap) < 0:
+        if h < 0 or cap < 0 or hr - h < stop - start - 1:
             raise ConsistencyError(f"negative height, residue or cap at {summary.label(stop - 1)}")
         if hr > td:
             raise ConsistencyError(f"height + residue_td > td at {summary.label(start)}")
         if cap > 0 and not k:
             raise ConsistencyError(f"cap > 0 outside M at {summary.label(start)}")
+        start = stop
+        k += 1
     if product is not None:
         m, cap, _ = product
         (n, *_), (_, base, _, c, _) = runs
@@ -720,8 +715,6 @@ def _check_summary(summary: SpectrumSummary) -> None:
         # oracle's bottom-up order relies on.
         if m > base:
             raise ConsistencyError(f"heights do not rise strictly in the product block {product}")
-
-    pd = summary.pullback_data
     if pd is not None and runs[-1][0] - runs[0][0] != pd.dim_d + 1:
         raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
 

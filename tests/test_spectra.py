@@ -2,11 +2,16 @@
 from itertools import pairwise, zip_longest
 
 import pytest
+from hypothesis import given, settings
 
 from krulldim.checks import catalog
 from krulldim.errors import ConsistencyError, ConstraintError
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
+    GATE_AF,
+    GATE_CATENARIAN,
+    GATE_HT_M,
+    GATE_TD_KD,
     KIND_CONTAINS,
     KIND_OUTSIDE,
     KIND_PLAIN,
@@ -17,14 +22,18 @@ from krulldim.spectra import (
     Field,
     PolyRing,
     Pullback,
+    PullbackData,
+    SpectrumSummary,
     Valuation,
     _check_summary,
     expr_catenarian,
     expr_dim,
     expr_td,
     is_af_poly,
+    run_spans,
     summarize,
 )
+from test_properties import large_exprs
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 
@@ -410,6 +419,134 @@ class TestRuns:
         assert all(len(step) == 5 for step in steps)
         for x in (x for step in steps for x in step):
             assert x is None or type(x) is int or type(x.start) is type(x.stop) is int
+
+
+# A plain restatement of the compile, the reference it is tested
+# against: ``isinstance`` dispatch, one recursive call per constructor
+# value, ``dim`` and ``is_af`` derived with ``max`` and ``all``, and the
+# records built by keyword.
+def ref_td(expr):
+    if isinstance(expr, (Field, AfDomain, Valuation)):
+        return expr.td
+    if isinstance(expr, PolyRing):
+        return ref_td(expr.base) + expr.n
+    return ref_td(expr.ambient)
+
+
+def ref_dim(expr):
+    if isinstance(expr, Field):
+        return 0
+    if isinstance(expr, (AfDomain, Valuation)):
+        return expr.dim
+    if isinstance(expr, PolyRing):
+        return ref_dim(expr.base) + expr.n
+    return max(expr.outside, expr.m + ref_dim(expr.subring))
+
+
+def ref_catenarian(expr):
+    if isinstance(expr, AfDomain):
+        return expr.catenarian or expr.dim <= 1
+    if isinstance(expr, PolyRing):
+        return ref_catenarian(expr.base)
+    return True
+
+
+def ref_summary(expr):
+    td = ref_td(expr)
+    if isinstance(expr, Pullback):
+        m, subring = expr.m, expr.subring
+        t_cat = ref_catenarian(expr.ambient)
+        data = PullbackData(
+            m=m,
+            td_k=td - m,
+            td_d=ref_td(subring),
+            dim_d=ref_dim(subring),
+            td_kd=td - m - ref_td(subring),
+            outside=expr.outside,
+            ambient_catenarian=t_cat,
+            conductor_is_top=(m == ref_dim(expr.ambient)),
+        )
+        n_out = max(m - 1, expr.outside) + 1
+        runs = (
+            (n_out, 0, td, 0, t_cat),
+            (n_out + data.dim_d + 1, m, m + data.td_d, data.td_kd, ref_catenarian(subring)),
+        )
+        return ref_finish(td, runs, (m, data.td_kd, t_cat), data, "pullback")
+    dim = ref_dim(expr)
+    if isinstance(expr, Field):
+        source = f"field({td})"
+    elif isinstance(expr, AfDomain):
+        source = f"af({td},{dim})"
+    elif isinstance(expr, Valuation):
+        source = f"val({td},{dim})"
+    else:
+        source = f"poly[{td},{dim}]"
+    return ref_finish(td, ((dim + 1, 0, td, 0, ref_catenarian(expr)),), None, None, source)
+
+
+def ref_finish(td, runs, product, pd, source):
+    is_af = all(hr == td and not cap for _, _, hr, cap, _ in runs)
+    gates = [GATE_AF] if is_af else []
+    if pd is not None:
+        passed = (
+            (GATE_CATENARIAN, pd.ambient_catenarian),
+            (GATE_HT_M, pd.m <= 2),
+            (GATE_TD_KD, pd.td_kd <= 2),
+        )
+        gates += [gate for gate, passes in passed if passes]
+    return SpectrumSummary(
+        td=td,
+        dim=max(h + stop - start - 1 for start, stop, h, *_ in run_spans(runs)),
+        is_af=is_af,
+        runs=runs,
+        product=product,
+        pullback_data=pd,
+        gates=tuple(gates),
+        source=source,
+    )
+
+
+class TestCompileReference:
+    """Every compile equals ``ref_summary`` field by field, each of the same type, and in ``source``."""
+
+    @staticmethod
+    def assert_compiles_as_reference(exprs):
+        for expr in exprs:
+            s, ref = summarize(expr), ref_summary(expr)
+            assert tuple(s) == tuple(ref) and s.source == ref.source, to_source(expr)
+            assert [type(x) for x in s] == [type(x) for x in ref], to_source(expr)
+            assert (expr_td(expr), expr_dim(expr)) == (ref_td(expr), ref_dim(expr))
+            if not isinstance(expr, Pullback):
+                assert expr_catenarian(expr) is ref_catenarian(expr)
+
+    def test_catalog(self):
+        self.assert_compiles_as_reference(catalog().values())
+
+    def test_flagged_and_large_operands(self):
+        # Flagged non-catenarian at every dimension, where the flag counts
+        # only above dimension 1, alone, under a poly and on either side of
+        # a pullback, and CI's large operands.
+        flagged = (
+            "af(0,0,cat=false)",
+            "af(1,1,cat=false)",
+            "poly(poly(af(1,1,cat=false),0),2)",
+            "pullback(T=af(3,1,cat=false),m=1,D=af(1,1,cat=false),outside=1)",
+        )
+        self.assert_compiles_as_reference(map(parse_expr, (*flagged, *INEXACT, *LARGE)))
+
+    def test_certify_operands(self, certify_requests):
+        texts = sorted({text for r in certify_requests for text in (r.a, r.b)})
+        self.assert_compiles_as_reference(map(parse_expr, texts))
+
+    def test_query_cold_operands(self, cold_requests):
+        exprs = [parse_expr(text) for r in cold_requests for text in (r.a, r.b)]
+        assert len(exprs) == 4000 and sum(isinstance(e, Pullback) for e in exprs) > 1000
+        self.assert_compiles_as_reference(exprs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expr=large_exprs())
+    def test_large_operands(self, expr):
+        self.assert_compiles_as_reference([expr])
 
 
 class TestIsAfPoly:
