@@ -11,36 +11,37 @@ rather than from the formulas under test:
   small set of legal moves, each justified by a primitive fact about
   contractions and fibers.  It does so in one bottom-up pass that reads
   the runs, one row of anchors (a stratum of one side against every
-  stratum of the other) at a time, in values Z = height of A + height
-  of B + best run.  In Z an advance gains only min(residue t.d., cap),
-  and along a chain block (cap 0) of the column side the fiber never
-  falls and a finished row never rises, so that block takes the maximum
-  of the row and the fiber at the block's top, one cut and one fill;
-  the product block takes one maximum over its upper positions.  The
-  row side is walked run by run from each top down, the run over M
-  first: a row starts as the finished row above it in its run, and
-  row m - 1, the top row under the product block, merges the finished
-  row at M, which holds the maximum over the run over M; every row
-  below it starts from a row that holds it.  Most rows need nothing more:
-  along a run the residue falls by 1 a position, so a row above the
-  product block's lower range whose residue exceeds the column side's
-  product cap is left as it starts, each chain step's fiber being at
-  most the one above it and the product step adding what it added
-  there.  Such rows are the bottom of each run's stretch of rows above
-  that range, so the pass jumps over them, and the number of rows a
-  side computes is a sum over its runs.  The moves are symmetric in A
-  and B, so the rows are taken over the side with fewer rows to
-  compute.  The pass returns the best run from the zero anchor (0, 0),
-  in the last row it walks, and needs only the initial jump to (0, 0):
-  the zero ideal lies under every stratum, so a chain that climbs from
-  (0, 0) gains at least what any other jump does.  What the pass reads
-  of each side is its summary's ``walk_plan``, O(runs) data built once
-  per summary; a computed row costs at most three fills of O(nb) each,
-  row m - 1 one merge more, and a skipped one nothing.
-  ``iter_chains`` enumerates the same chains move by move over each
-  side's certified pairs, from ``iter_pairs``, with every legal initial
-  jump; it is the literal reference the pass is tested against.  The
-  maximum is a certified lower bound for dim(A ox B).
+  stratum of the other) at a time, in values Z = height of A + height of
+  B + best run.  In Z an advance gains only min(residue t.d., cap), and
+  along a chain block (cap 0) of the column side the fiber never falls
+  and a finished row never rises, so that block takes the maximum of the
+  row and the fiber at the block's top, one cut and one fill; the
+  product block reads the maximum over its upper positions at the first
+  of them, one entry.  The row side is walked run by run from each top
+  down, the run over M first: a row starts as the finished row above it
+  in its run, and row m - 1, the top row under the product block, merges
+  the finished row at M, which holds the maximum over the run over M;
+  every row below it starts from a row that holds it.  Most rows need
+  nothing more: down a run the residue rises by 1 a position, so a row
+  under its run's top whose residue exceeds the column side's product
+  cap is left as it starts, each chain step's fiber being at most the
+  one above it and the product step adding what it added there.  Such
+  rows are the bottom of each run, and the pass jumps over them all but
+  row m - 1, which merges and is computed at any residue.  So a side
+  computes its runs' tops, the rows of residue at most the other side's
+  product cap and row m - 1, a count read per run in closed form.  The
+  moves are symmetric in A and B, so the rows are taken over the side
+  with fewer rows to compute.  The pass returns the best run from the
+  zero anchor (0, 0), in the last row it walks, and needs only the
+  initial jump to (0, 0): the zero ideal lies under every stratum, so a
+  chain that climbs from (0, 0) gains at least what any other jump does.
+  What the pass reads of each side is its summary's ``walk_plan``,
+  O(runs) data built once per summary; a computed row costs at most
+  three fills of O(nb) each, row m - 1 one merge more, and a skipped one
+  nothing.  ``iter_chains`` enumerates the same chains move by move over
+  each side's certified pairs, from ``iter_pairs``, with every legal
+  initial jump; it is the literal reference the pass is tested against.
+  The maximum is a certified lower bound for dim(A ox B).
 
 Legal moves, for a chain of primes of A ox B organized by the anchor
 (p, q) = (contraction to A, contraction to B):
@@ -69,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import product
+from itertools import chain, product
 from operator import neg
 
 from .errors import ConstraintError, InexactPairError
@@ -186,16 +187,16 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     position of the run, as each row of the run started from the one
     above it and no step lowers an entry.  So the finished row at M, the
     second run's bottom, walked before the first run, holds the maximum
-    over the second run; with min(r_b, c) added it is ``under``, which
-    row m - 1 merges in one elementwise maximum.  Each row below it
-    starts from a row that already holds ``under``, and no step lowers
-    an entry, so merging it again would change nothing.  Then come the
-    fiber and the B-advances over B's blocks in reverse storage order:
-    the second run's chain, the product block, the first run's chain.
-    Each reads finished values: no block raises a position that a block
-    taken before it reads.  No finished row but the one above and the
-    one at M is read again, so a row is the list of the row above it,
-    raised in place.
+    over the second run, and row m - 1 merges it, with min(r_b, c)
+    added, in one elementwise maximum.  Each row below it starts from a
+    row that already holds that merge, and no step lowers an entry, so
+    merging it again would change nothing.  Then come the fiber and the
+    B-advances over B's blocks in reverse storage order: the second
+    run's chain, the product block, the first run's chain.  Each reads
+    finished values: no block raises a position that a block taken
+    before it reads.  No finished row but the one above and the one at M
+    is read again, so a row is the list of the row above it, raised in
+    place.
 
     Along a chain block of B, one run, heights rise by 1 and residues
     fall by 1 a position, so the fiber h_a + h + min(r_a, r) never falls
@@ -212,31 +213,34 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     position is a successor of every lower one, so each lower position
     rises to p, the maximum over the upper ones plus min(r_a, cap), and
     the suffix maximum of the first run's chain spreads p down to
-    position 0.  The lower range is a prefix of the first run, so the
-    step raises positions 0 to m - 1, by the same cut and fill, and the
-    block still never rises.  Every chain block is a step, one of one
-    position too, as it carries the fiber.  A computed row then costs at
-    most three bisections and fills, each O(nb), and row m - 1 one
-    merge more.
+    position 0.  The upper positions are B's second run, whose step is
+    taken first, so the row never rises along them and their maximum is
+    the entry at the first, n: one read.  The lower range is a prefix of
+    the first run, so the step raises positions 0 to m - 1, by the same
+    cut and fill, and the block still never rises.  Every chain block is
+    a step, one of one position too, as it carries the fiber.  A
+    computed row then costs at most three bisections and fills, each
+    O(nb), and row m - 1 one merge more.
 
-    A row at i below its run's top and outside the product block's
-    lower range, i at or above m in the first run or anywhere in the
-    second, is skipped when r_a(i) exceeds cmax, the largest cap among
-    B's product steps (0 without one): its steps leave the finished row
-    of i + 1 as it is.  Take them in order on row(i+1), the row that
-    i + 1's own steps leave, whether computed or itself skipped.  Along A's run h_a(i) = h_a(i+1) - 1 and
-    r_a(i) = r_a(i+1) + 1, so a chain step's t = h_a + h + min(r, r_a)
-    is at most the t row i + 1 took there.  Row i + 1's step left every
-    entry of the block at or above its t, and no step lowers an entry,
-    so the bisection cuts nothing.  A product step reads upper positions
-    that no later step raises, so it finds the maximum row i + 1 found
-    and adds min(cap, r_a(i)), which is min(cap, r_a(i+1)) as r_a(i+1)
-    >= cmax >= cap; so it fills nothing either.  Residues rise down a
-    run, so the skipped rows are the bottom of the stretch above the
-    lower range: the pass walks a run from its top down and jumps from
-    the first row of the stretch of residue above cmax to the first row
-    below the stretch.  ``_computed`` counts the rows it walks, per run
-    in closed form.
+    A row at i below its run's top, other than row m - 1, is skipped
+    when r_a(i) exceeds cmax, the largest cap among B's product steps (0
+    without one): it starts as the finished row of i + 1, as a row below
+    m - 1 would merge only what row m - 1 merged, and its steps leave it
+    as it is.  Take them in order on row(i+1), the row that i + 1's own
+    steps leave, whether computed or itself skipped.  Along A's run
+    h_a(i) = h_a(i+1) - 1 and r_a(i) = r_a(i+1) + 1, so a chain step's t
+    = h_a + h + min(r, r_a) is at most the t row i + 1 took there.  Row
+    i + 1's step left every entry of the block at or above its t, and no
+    step lowers an entry, so the bisection cuts nothing.  A product step
+    reads an upper position that no later step raises, so it finds the
+    maximum row i + 1 found and adds min(cap, r_a(i)), which is min(cap,
+    r_a(i+1)) as r_a(i+1) >= cmax >= cap; so it fills nothing either.
+    Residues rise down a run, so the skipped rows are the bottom of the
+    run but row m - 1: the pass walks a run from its top down and jumps
+    from the first row of residue above cmax to row m - 1, if that lies
+    under it, and past the run otherwise.  ``_computed`` counts the rows
+    it walks, per run in closed form, and row m - 1 when it lies among
+    the skipped.
 
     The answer is Z(0, 0) = tail(0, 0), in the last row: the initial
     jump to (0, 0) has length 0, and no other jump beats a chain from
@@ -248,13 +252,12 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
     ht(p) when p's cap is 0, and goes on from (i, j) as the jump's chain
     would; B's jump is the mirror image, through (i, 0).
 
-    A's runs, each with its top's residue and the start ``lo`` of its
-    stretch, B's steps and cmax depend on one side only: each summary's
-    ``walk_plan`` builds them, O(runs) data, on its first call and keeps
-    them, and the check that every pair is certified reads each
-    summary's kept ``uncertified``.  So a call builds only its computed
-    rows and, when A has a product block, ``under``, one run of B at a
-    time from that run's residues, which fall by 1 a position.
+    A's runs, each with its top's residue, B's steps and cmax depend on
+    one side only: each summary's ``walk_plan`` builds them, O(runs)
+    data, on its first call and keeps them, and the check that every
+    pair is certified reads each summary's kept ``uncertified``.  So a
+    call builds only its computed rows, and row m - 1 reads B's residues
+    from B's runs, along which they fall by 1 a position.
     """
     _require_exact_sides(a, b)
     cap_a, cap_b = a.walk_plan[1], b.walk_plan[1]
@@ -266,16 +269,23 @@ def chain_enumerate(a: SpectrumSummary, b: SpectrumSummary) -> int:
 def _computed(a: SpectrumSummary, cap: int) -> int:
     """How many rows a pass with A's strata as the rows computes against a column side of ``cap``.
 
-    Per run: its top, its positions below ``lo``, and the rows of its
-    stretch whose residue is at most ``cap``.  Residues rise by 1 a
-    position down the run from ``top``, so those are the cap - top rows
-    under the top, or the whole stretch if it is shorter.
+    Per run: its top and the rows under it whose residue is at most
+    ``cap``.  Residues rise by 1 a position down the run from ``top``,
+    so those are the cap - top rows under the top, or the whole run if
+    it is shorter.  Then row m - 1, when it lies under its run's top at
+    a residue above ``cap``.
     """
+    m, _, runs, _ = a.walk_plan
     n = 0
-    for start, stop, _, _, lo, top in a.walk_plan[2]:
-        n += 1 + lo - start
+    for start, stop, _, _, top in runs:
+        n += 1
         if cap > top:
-            n += min(stop - 1 - lo, cap - top)
+            k, below = cap - top, stop - 1 - start
+            n += k if k < below else below
+    if m:
+        _, stop, _, _, top = runs[0]
+        if m < stop and top + stop - m > cap:
+            n += 1
     return n
 
 
@@ -287,31 +297,36 @@ def _row_pass(a: SpectrumSummary, b: SpectrumSummary) -> int:
     z = None
     # The run over M first, so that its finished row at M is known when
     # row m - 1 merges it.
-    for start, stop, h, hr, lo, _ in reversed(runs_a):
-        if z is not None:
-            # The finished row at M, with the product block's min(r_b, cap)
-            # added, run by run of B, whose residues fall by 1 a position.
-            under = []
-            for begin, end, h_b, hr_b, _, top in runs_b:
-                residues = range(hr_b - h_b, top - 1, -1)
-                under += [u + (cap if cap < r else r) for u, r in zip(z[begin:end], residues)]
+    for start, stop, h, hr, _ in reversed(runs_a):
+        at_m = z
         z = [0] * nb
         i = stop - 1
         while i >= start:
             h_a = h + i - start
             r_a = hr - h_a
             if i == m - 1:
-                z = [v if v > u else u for v, u in zip(z, under)]
-            # z never rises along a fill, so the entries below t are its tail.
+                # The finished row at M with the product block's
+                # min(r_b, cap) added, B's residues falling by 1 a
+                # position along each of its runs.
+                residues = chain(
+                    *[range(hr_b - h_b, top - 1, -1) for _, _, h_b, hr_b, top in runs_b]
+                )
+                z = [
+                    v if v > (w := u + (cap if cap < r else r)) else w
+                    for v, u, r in zip(z, at_m, residues)
+                ]
+            # z never rises along a fill, so the entries below t are its
+            # tail, and the upper run's first entry is its maximum.
             for upper, h_b, c, begin, end in steps_b:
-                t = (h_a + h_b if upper is None else max(z[upper])) + (c if c < r_a else r_a)
+                t = (h_a + h_b if upper is None else z[upper]) + (c if c < r_a else r_a)
                 cut = bisect_right(z, -t, begin, end, key=neg)
                 z[cut:end] = [t] * (end - cut)
             i -= 1
-            # A row of the stretch of residue above cap_b leaves z as it
-            # is, and so does each row under it there: jump below lo.
-            if i >= lo and r_a + 1 > cap_b:
-                i = lo - 1
+            # The next row, of residue r_a + 1, above cap_b, leaves z as it
+            # is, and so does each row under it but row m - 1: jump to that
+            # row, or past the run.
+            if r_a >= cap_b and i != m - 1:
+                i = m - 1 if i >= m else start - 1
     # The last row is A's position 0, the only stratum of height 0.
     return z[0]
 

@@ -47,8 +47,7 @@ comparable pair as ``(i, j, (quot_base, quot_cap))``, or ``(i, j,
 None)`` if uncertified, which ``iter_pairs`` generates without keeping
 them; ``walk_plan``, what the chain oracle reads of the model as either
 side: the product block's range length and cap, each run's bounds,
-heights, top residue and the stretch of rows above the product
-block's lower range, and one column step per block, O(runs) data
+heights and top residue, and one column step per block, O(runs) data
 built on the oracle's first call; and ``uncertified``, the first
 uncertified pair or None, which the oracle reads on every call, read
 like ``first_uncertified(q)`` from the ``exact`` flags of the runs and
@@ -263,12 +262,9 @@ class SpectrumSummary(
         of a product step this model gives as the column side.
 
         ``runs`` serves the model as the oracle's row side, one tuple
-        ``(start, stop, height, hr, lo, top)`` per run: its positions,
-        its first height, its height + residue, ``lo`` and ``top``, the
-        residue at its top.  The positions from ``lo`` up to the top's
-        predecessor, the run's stretch, step out of the run's chain
-        block and merge no other block; ``lo`` is ``m`` in the first run
-        of a pullback and the run's start otherwise, but at most its top.
+        ``(start, stop, height, hr, top)`` per run: its positions, its
+        first height, its height + residue and ``top``, the residue at
+        its top.
 
         ``steps`` serves the model as the column side, in reverse storage
         order of the blocks: steps ``(upper, height, cap, start, stop)``,
@@ -277,18 +273,19 @@ class SpectrumSummary(
         position too, is one step ``(None, height, residue, start, stop)``
         over the run, with its top's height and residue, from which the
         oracle takes t as the fiber at the top.  The product block is the
-        step ``(slice(n, stop), None, cap, 0, m)`` over its lower range,
-        the first run's positions below ``m``; t is the maximum over the
-        second run, positions n to stop - 1, plus min(residue, cap).
+        step ``(n, None, cap, 0, m)`` over its lower range, the first
+        run's positions below ``m``; t is the row's entry at n, the
+        second run's first position and the maximum over that run, plus
+        min(residue, cap).
         """
         m, cap = self.product[:2] if self.product else (0, 0)
         runs = tuple(
-            (start, stop, h, hr, min(max(start, m), stop - 1), hr - h - (stop - 1 - start))
+            (start, stop, h, hr, hr - h - (stop - 1 - start))
             for start, stop, h, hr, *_ in run_spans(self.runs)
         )
-        steps = [(None, h + stop - 1 - start, top, start, stop) for start, stop, h, _, _, top in runs]
+        steps = [(None, h + stop - 1 - start, top, start, stop) for start, stop, h, _, top in runs]
         if m:
-            steps.insert(1, (slice(*runs[1][:2]), None, cap, 0, m))
+            steps.insert(1, (runs[1][0], None, cap, 0, m))
         return m, cap, runs, tuple(reversed(steps))
 
     @cached_property

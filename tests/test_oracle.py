@@ -192,25 +192,26 @@ class TestChainEnumerate:
         pullback = summarize(Pullback(Valuation(2047, 1023), 1023, AfDomain(1023, 1023)))
         # Against the pullback's cap 1, af(2047,2047) computes its top row
         # and the row of residue 1 under it: 2 of its 2,048.  The
-        # pullback, against cap 0, computes D's top, its 1,023 rows outside
-        # M, each merging the product block, and none of the rest.
-        for x, y, computed in ((af, pullback, 2), (pullback, af, 1024)):
+        # pullback, against cap 0, computes D's top and the top of its
+        # 1,023 rows outside M, which is row m - 1 and merges the product
+        # block, and none of the rest: 2 of its 2,047.
+        for x, y, computed in ((af, pullback, 2), (pullback, af, 2)):
             assert _computed(x, y.walk_plan[1]) == computed
         assert chain_enumerate(af, pullback) == chain_enumerate(pullback, af) == 4094
         # Equal counts go to the side with fewer strata, then to side A.
         small, large = summarize(AfDomain(5, 5)), summarize(AfDomain(9, 9))
         assert chain_enumerate(small, large) == chain_enumerate(large, small) == 14
         assert chain_enumerate(small, small) == 10
-        assert walked == [af.source] * 2 + [small.source] * 3
+        assert walked == [pullback.source] * 2 + [small.source] * 3
 
     def test_walk_plan_of_an_af_model(self):
         model = summarize(AfDomain(300, 300))
         m, cap, runs, steps = model.walk_plan
         # One run from the zero ideal, heights 0 to 300 at residue 300 - h,
-        # with no product block: its stretch of rows that merge nothing
-        # runs from position 0 up to the top's predecessor.
+        # with no product block, so no row m - 1: only its top and the
+        # rows of residue at most the column side's cap are computed.
         assert (m, cap) == (0, 0)
-        assert runs == ((0, 301, 0, 300, 0, 0),)
+        assert runs == ((0, 301, 0, 300, 0),)
         # Against a product cap c, the top and the c rows of residue 1 to
         # c under it are computed: the row of height h only while its
         # successor's residue, 300 - (h + 1), lies below c.
@@ -226,26 +227,28 @@ class TestChainEnumerate:
         model = summarize(Pullback(Valuation(14, 5), 5, AfDomain(6, 6)))
         m, cap, runs, steps = model.walk_plan
         assert (m, cap) == (5, 3)
-        # Every position outside M lies below m = 5 and merges the product
-        # block, so the first run's stretch is empty: lo is its top, 4.
-        # Over M, the stretch is M up to the top's predecessor, at residues
-        # 6 down to 1 (successor residues 5 down to 0); the top's is 0.
-        assert runs == ((0, 5, 0, 14, 4, 10), (5, 12, 5, 11, 5, 0))
-        # The 5 rows outside M and D's top are always computed; against a
-        # cap c, so are the rows over M of residue at most c.
-        assert [_computed(model, c) for c in range(10)] == [6 + min(c, 6) for c in range(10)]
+        # Outside M, residues 14 down to 10 at the top, position 4, which
+        # is row m - 1; over M, residues 6 at M down to 0 at the top.
+        assert runs == ((0, 5, 0, 14, 10), (5, 12, 5, 11, 0))
+        # Each run's top is always computed, row m - 1 among them; against
+        # a cap c, so are the rows under a top of residue at most c: over
+        # M from c = 1, outside M from c = 11.
+        assert [_computed(model, c) for c in range(17)] == [
+            2 + min(c, 6) + min(max(c - 10, 0), 4) for c in range(17)
+        ]
         # Each chain block carries its top's height and residue; the
-        # product block fills its lower range, from the chain block's start.
+        # product block fills its lower range, from the chain block's
+        # start, and reads the row at M, position 5.
         assert steps == (
             (None, 11, 0, 5, 12),
-            (slice(5, 12), None, 3, 0, 5),
+            (5, None, 3, 0, 5),
             (None, 4, 10, 0, 5),
         )
         # kM: M over the zero ideal, each a chain block of one position,
         # which is a step of its own.
         assert S_KM.walk_plan[3] == (
             (None, 1, 0, 1, 2),
-            (slice(1, 2), None, 1, 0, 1),
+            (1, None, 1, 0, 1),
             (None, 0, 2, 0, 1),
         )
 
@@ -267,13 +270,16 @@ class TestChainEnumerate:
                 calls.clear()
                 _row_pass(x, y)
                 rows, rest = divmod(len(calls), len(y.walk_plan[3]))
-                # A position is computed if it is its run's top, merges the
-                # product block, or has a residue at most y's product cap.
+                # A position is computed if it is its run's top, is row
+                # m - 1, which merges the product block, or has a residue
+                # at most y's product cap.
                 m = x.product[0] if x.product else 0
                 cap = y.product[1] if y.product else 0
                 tops = {stop - 1 for stop, *_ in x.runs}
                 computed = [
-                    q for q in x.strata if q.index in tops or q.index < m or q.residue_td <= cap
+                    q
+                    for q in x.strata
+                    if q.index in tops or q.index == m - 1 or q.residue_td <= cap
                 ]
                 assert (rows, rest) == (len(computed), 0), (x.source, y.source)
                 assert rows == _computed(x, y.walk_plan[1])
@@ -333,8 +339,8 @@ class TestChains:
                 (
                     2,
                     1,
-                    ((0, 2, 0, 4, 1, 3), (2, 4, 2, 3, 2, 0)),
-                    ((None, 3, 0, 2, 4), (slice(2, 4), None, 1, 0, 2), (None, 1, 3, 0, 2)),
+                    ((0, 2, 0, 4, 3), (2, 4, 2, 3, 0)),
+                    ((None, 3, 0, 2, 4), (2, None, 1, 0, 2), (None, 1, 3, 0, 2)),
                 ),
             ),
         ],
@@ -373,26 +379,29 @@ class TestChains:
                 (None, 1, 2),
             ),
             # A compiled pullback: out:0 to out:3, then M at height 2, under
-            # out:0 and out:1 by a product block of cap 1.  The rows of
-            # out:0 and out:1 merge that block, which the row of out:2, the
-            # chain successor of out:1, does not: neither is ever skipped.
+            # out:0 and out:1 by a product block of cap 1.  The row of out:1,
+            # row m - 1, merges that block, which the row of out:2, its
+            # chain successor, does not: it is never skipped.  The row of
+            # out:0 starts as out:1's finished row, which holds the block,
+            # and may be skipped at out:1's residue, 3.
             (
                 summarize(Pullback(AfDomain(4, 3), 2, Field(1), outside=3)),
                 Field(0),
                 3,
-                (None, 1, None, None, None),
+                (None, 1, None, None, 3),
             ),
         ],
         ids=["through-a-product-block", "successor-residue-below-the-cap", "merges-another-block"],
     )
     def test_skips_only_rows_their_successor_finished(self, model, partner, value, successors):
-        # A row may be skipped only in its run's stretch: below the run's
-        # top and merging no product block.  It starts as its chain
-        # successor's finished row and is skipped when the successor's
-        # residue reaches the column side's product cap.  ``successors``
-        # holds, by decreasing height, the successor's residue of each
-        # position in a stretch and None for every other.
-        stretch = {i for start, stop, _, _, lo, _ in model.walk_plan[2] for i in range(lo, stop - 1)}
+        # A row may be skipped only below its run's top and when it is not
+        # row m - 1, which merges the product block.  It starts as its
+        # chain successor's finished row and is skipped when the
+        # successor's residue reaches the column side's product cap.
+        # ``successors`` holds, by decreasing height, the successor's
+        # residue of each such position and None for every other.
+        m, _, runs, _ = model.walk_plan
+        stretch = {i for start, stop, *_ in runs for i in range(start, stop - 1) if i != m - 1}
         strata = model.strata
         by_height = sorted(strata, key=lambda x: x.height, reverse=True)
         got = tuple(strata[x.index + 1].residue_td if x.index in stretch else None for x in by_height)
@@ -400,6 +409,63 @@ class TestChains:
         other = summarize(partner)
         for a, b in ((model, other), (other, model)):
             assert chain_enumerate(a, b) == _row_pass(a, b) == best_chain(a, b).total == value
+
+    @pytest.mark.parametrize(
+        "model, m",
+        [
+            # Outside M at 0..3, residues 7 down to 4, every one under M:
+            # row m - 1 is the first run's top.
+            (built(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, 2, True)), 4),
+            # Outside M at 0..3, residues 6 down to 3, only position 0 under
+            # M: row m - 1 is the last row walked.
+            (summarize(Pullback(AfDomain(6, 4), 1, AfDomain(1, 1), outside=3)), 1),
+            # Outside M at 0..2, residues 5 down to 3, 0 and 1 under M: row
+            # m - 1 lies right under the first run's top.
+            (summarize(Pullback(AfDomain(5, 3), 2, AfDomain(1, 1), outside=2)), 2),
+            # Outside M at 0..4, residues 7 down to 3, 0..2 under M: row
+            # m - 1 lies under row m, of residue 4.
+            (summarize(Pullback(AfDomain(7, 5), 3, AfDomain(2, 1), outside=4)), 3),
+        ],
+        ids=[
+            "merge-row-at-the-top",
+            "merge-row-at-position-0",
+            "merge-row-under-the-top",
+            "merge-row-inside",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "partner, cap",
+        [
+            (Field(2), 0),
+            (AfDomain(3, 3), 0),
+            (KM, 1),
+            (Pullback(Valuation(6, 2), 2, Field(0)), 4),
+            (Pullback(Valuation(9, 1), 1, Field(0)), 8),
+        ],
+        ids=["field-cap-0", "af-cap-0", "cap-1", "cap-4", "cap-above-every-residue"],
+    )
+    def test_row_m_minus_1_matches_the_literal_enumerator(self, monkeypatch, model, m, partner, cap):
+        # Row m - 1 merges the finished row at M and is computed at any
+        # residue, while the rows around it may be skipped.  Against each
+        # partner as the column side, and as the rows against the model's
+        # cap, the pass equals the move-by-move maximum and computes the
+        # rows ``_computed`` counts: one bisection per column step.
+        other = summarize(partner)
+        assert (model.walk_plan[0], other.walk_plan[1]) == (m, cap)
+        assert cap < 8 or all(q.residue_td <= cap for q in model.strata)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return bisect_right(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "bisect_right", counted)
+        value = best_chain(model, other).total
+        for a, b in ((model, other), (other, model)):
+            calls.clear()
+            assert _row_pass(a, b) == value, (a.source, b.source)
+            assert len(calls) == _computed(a, b.walk_plan[1]) * len(b.walk_plan[3])
+            assert chain_enumerate(a, b) == value
 
     def test_chains_from_the_zero_anchor_reach_the_maximum(self):
         # chain_enumerate returns tail(0, 0); the move-by-move reference

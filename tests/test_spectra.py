@@ -282,12 +282,13 @@ class TestCheckSummary:
     def test_blocks_out_of_order(self):
         # The chain oracle takes the blocks in reverse storage order, so no
         # step raises positions that a step taken before it reads: its own
-        # range for a chain, the upper range for the product block.
+        # range for a chain, the upper range's first position for the
+        # product block.
         for s in self.models():
             steps = s.walk_plan[3]
             for k, (_, _, _, start, stop) in enumerate(steps):
                 for upper, _, _, begin, end in steps[:k]:
-                    read = range(begin, end) if upper is None else range(upper.start, upper.stop)
+                    read = range(begin, end) if upper is None else range(upper, upper + 1)
                     assert stop <= read.start or read.stop <= start, s.source
 
     def test_residue_rising_along_a_chain(self):
@@ -410,15 +411,14 @@ class TestRuns:
     )
     def test_a_walk_plan_stores_o_of_runs_data(self, text):
         # The chain oracle's plan holds two integers, one entry per run and
-        # one step per block, each a few integers, None or one slice.
+        # one step per block, each a few integers or None.
         s = summarize.__wrapped__(parse_expr(text))
         m, cap, runs, steps = s.walk_plan
         assert type(m) is type(cap) is int
         assert len(runs) == len(s.runs) and len(steps) == 2 * len(s.runs) - 1 <= 3
-        assert all(len(run) == 6 and all(type(x) is int for x in run) for run in runs)
+        assert all(len(run) == 5 and all(type(x) is int for x in run) for run in runs)
         assert all(len(step) == 5 for step in steps)
-        for x in (x for step in steps for x in step):
-            assert x is None or type(x) is int or type(x.start) is type(x.stop) is int
+        assert all(x is None or type(x) is int for step in steps for x in step)
 
 
 # A plain restatement of the compile, the reference it is tested
