@@ -9,7 +9,6 @@ imports none of the formula code this module does.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator
 from itertools import product
 
@@ -26,6 +25,7 @@ from .spectra import (
     Pullback,
     Record,
     Valuation,
+    _tuple_new,
     is_af_poly,
     summarize,
 )
@@ -38,12 +38,18 @@ MAX_GRID = 16
 Case = tuple[str, object, object, bool]
 
 
-class CheckFailure(Record, namedtuple("CheckFailure", "inputs expected actual")):
+class CheckFailure(Record):
     __slots__ = ()
 
+    def __new__(cls, inputs, expected, actual):
+        return _tuple_new(cls, (inputs, expected, actual))
 
-class CheckReport(Record, namedtuple("CheckReport", "suite cases failures")):
+
+class CheckReport(Record):
     __slots__ = ()
+
+    def __new__(cls, suite, cases, failures):
+        return _tuple_new(cls, (suite, cases, failures))
 
     @property
     def passed(self) -> bool:

@@ -34,7 +34,6 @@ height (``pullback_pair_dim``) is only ever such a cross-check.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache, cached_property, partial
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
@@ -49,6 +48,7 @@ from .spectra import (  # the gates are derived, and named, where a summary is c
     Record,
     SpectrumSummary,
     Stratum,
+    _tuple_new,
     run_spans,
     summarize,
 )
@@ -62,20 +62,16 @@ TERM_OUTSIDE = "outside-M"
 TERM_THROUGH = "through-M"
 
 
-class Witness(Record, namedtuple("Witness", "term ref value")):
+class Witness(Record):
     """A stratum or pair reference achieving one term's maximum."""
 
     __slots__ = ()
 
+    def __new__(cls, term, ref, value):
+        return _tuple_new(cls, (term, ref, value))
 
-class DimReport(
-    Record,
-    namedtuple(
-        "DimReport",
-        "value theorem term_breakdown build_witnesses gates refusals",
-        defaults=((), ()),
-    ),
-):
+
+class DimReport(Record):
     """A dimension answer plus the formula that produced it.
 
     ``witnesses`` are built by calling ``build_witnesses`` when they are
@@ -85,6 +81,11 @@ class DimReport(
     ``refusals`` gives, for each conductor-formula orientation that
     declined the pair, the side and the reason.
     """
+
+    def __new__(cls, value, theorem, term_breakdown, build_witnesses, gates=(), refusals=()):
+        return _tuple_new(
+            cls, (value, theorem, term_breakdown, build_witnesses, gates, refusals)
+        )
 
     def _shown(self) -> tuple:
         """Every field but ``build_witnesses``."""

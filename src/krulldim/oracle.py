@@ -68,16 +68,15 @@ suites that compare the two live in ``checks``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, product
 from operator import neg
 
 from .errors import ConstraintError, InexactPairError
-from .spectra import Record, SpectrumSummary
+from .spectra import Record, SpectrumSummary, _tuple_new
 
 
-class AnchoredChain(Record, namedtuple("AnchoredChain", "anchors segment_lengths")):
+class AnchoredChain(Record):
     """A chain of primes organized by contraction anchors.
 
     ``segment_lengths`` lists the initial jump, one entry per anchor
@@ -86,6 +85,9 @@ class AnchoredChain(Record, namedtuple("AnchoredChain", "anchors segment_lengths
     """
 
     __slots__ = ()
+
+    def __new__(cls, anchors, segment_lengths):
+        return _tuple_new(cls, (anchors, segment_lengths))
 
     @property
     def total(self) -> int:

@@ -911,7 +911,7 @@ def _bumped(fn, when):
         got = fn(*args)
         if not when(*args):
             return got
-        if isinstance(got, DimReport):  # a named tuple, so tested first
+        if isinstance(got, DimReport):  # a tuple subclass, so tested first
             return got._replace(value=got.value + 1)
         if isinstance(got, tuple):
             return (got[0] + 1, *got[1:])
