@@ -540,23 +540,6 @@ def is_af_constructor(expr: AlgebraExpr) -> bool:
     return isinstance(expr, (Field, AfDomain, PolyRing, Valuation))
 
 
-def expr_td(expr: AlgebraExpr) -> int:
-    return _af_shape(expr.ambient if type(expr) is Pullback else expr)[0]
-
-
-def expr_dim(expr: AlgebraExpr) -> int:
-    if type(expr) is Pullback:
-        return max(expr.outside, expr.m + _af_shape(expr.subring)[1])
-    return _af_shape(expr)[1]
-
-
-def expr_catenarian(expr: AlgebraExpr) -> bool:
-    """Whether the model of an AF constructor certifies all quotient pairs."""
-    if type(expr) is Pullback:
-        raise TypeError(f"no catenarity model for {expr!r}")
-    return _af_shape(expr)[2]
-
-
 def _af_shape(expr: AlgebraExpr) -> tuple[int, int, bool]:
     """``(td, dim, catenarian)`` of an AF constructor, read in one walk down its poly bases.
 

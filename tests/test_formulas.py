@@ -1,10 +1,11 @@
 """Formula evaluators, applicability gates and dispatch."""
 import json
 from collections import Counter
-from itertools import product
+from bisect import bisect_left
+from itertools import islice, product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from krulldim import cli, formulas
 from krulldim.checks import catalog, catalog_pullbacks
@@ -49,7 +50,7 @@ from krulldim.spectra import (
     Valuation,
     summarize,
 )
-from test_properties import built_models, large_exprs
+from models import SMALL, built_models, distinct_models, large_exprs, probe_positions
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
@@ -562,14 +563,21 @@ def _blocks(b):
     return blocks
 
 
-def _ref_d_value(s, d, b):
-    return max(x.height + min(x.cap, s) + min(d + x.residue_td, s) for x in b.strata)
+def _ref_d_terms(s, d, b):
+    """``d_value``'s term at each position of B."""
+    return [x.height + min(x.cap, s) + min(d + x.residue_td, s) for x in b.strata]
 
 
-def _ref_d_value_winners(s, d, b, best):
-    return [
-        x.index for x in b.strata if x.height + min(x.cap, s) + min(d + x.residue_td, s) == best
-    ]
+def _ref_winners(terms, best):
+    return [q for q, v in enumerate(terms) if v == best]
+
+
+def _assert_d_value_matches_reference(s, d, b):
+    """``d_value`` and its winners at (s, d) against B."""
+    terms = _ref_d_terms(s, d, b)
+    best = d_value(s, d, b)
+    assert best == max(terms), (b, s, d)
+    assert formulas._d_value_winners(s, d, b, best) == _ref_winners(terms, best), (b, s, d)
 
 
 def _ref_through_ties(pd, td_a, b, term2):
@@ -582,9 +590,9 @@ def _ref_through_ties(pd, td_a, b, term2):
         for q in upper:
             by_g.setdefault(g[q], []).append(q)
         for q1 in lower:
-            for q in by_g.get(tied - f[q1], ()):
-                if q1 <= q:
-                    yield q1, q
+            upper_ends = by_g.get(tied - f[q1], [])
+            for q in upper_ends[bisect_left(upper_ends, q1):]:
+                yield q1, q
 
 
 def _ref_through_max_at(pd, td_a, b, q):
@@ -620,7 +628,7 @@ def _ref_first_uncertified(b, upper):
 
 
 def _ref_thm28_dim(a, b):
-    """thm28_dim's value, terms and witnesses, or its refusal's message."""
+    """thm28_dim's value, terms and an iterator over its witnesses, or its refusal's message."""
     pair = _ref_uncertified(b)
     if pair is not None:
         return (
@@ -628,7 +636,8 @@ def _ref_thm28_dim(a, b):
             "which the non-catenarian model does not certify"
         )
     pd, x = a.pullback_data, b.strata
-    term1 = _ref_d_value(a.td, pd.outside, b)
+    outside_terms = _ref_d_terms(a.td, pd.outside, b)
+    term1 = max(outside_terms)
     term2 = pd.m + max(
         min(a.td, x[lower.start].cap) + min(x[lower.start].residue_td, pd.td_kd)
         + x[upper[-1]].height + min(pd.td_d, pd.dim_d + x[upper[-1]].residue_td)
@@ -636,52 +645,69 @@ def _ref_thm28_dim(a, b):
         for lower, upper, cap, _ in _blocks(b)
     )
     value = max(term1, term2)
-    witnesses = []
-    if term1 == value:
-        witnesses += [
-            Witness(TERM_OUTSIDE, f"B:{x[q].label}", term1)
-            for q in _ref_d_value_winners(a.td, pd.outside, b, term1)
-        ]
-    if term2 == value:
-        witnesses += [
-            Witness(TERM_THROUGH, f"B:{x[q1].label}<={x[q].label}", term2)
-            for q1, q in _ref_through_ties(pd, a.td, b, term2)
-        ]
-    return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), tuple(witnesses)
+
+    def witnesses():
+        if term1 == value:
+            for q in _ref_winners(outside_terms, term1):
+                yield Witness(TERM_OUTSIDE, f"B:{x[q].label}", term1)
+        if term2 == value:
+            for q1, q in _ref_through_ties(pd, a.td, b, term2):
+                yield Witness(TERM_THROUGH, f"B:{x[q1].label}<={x[q].label}", term2)
+
+    return value, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses()
+
+
+def _positions(b, residues=()):
+    """Every position of B, or only its probe positions if it has over ``SMALL`` strata."""
+    n = b.runs[-1][0]
+    return range(n) if n <= SMALL else probe_positions(b, residues)
 
 
 def _assert_model_matches_reference(b):
     """``uncertified``, ``first_uncertified`` at every position and ``d_value``
-    with its winners over a grid of (s, d)."""
+    with its winners over a grid of (s, d), a coarser one over ``SMALL`` strata."""
     assert b.uncertified == _ref_uncertified(b), b
-    for q in range(-1, b.runs[-1][0] + 1):
+    for q in (-1, *_positions(b), b.runs[-1][0]):
         assert b.first_uncertified(q) == _ref_first_uncertified(b, q), (b, q)
-    for s in sorted({0, 1, 2, 3, 5, 8, b.td, b.td + 3}):
+    small = b.runs[-1][0] <= SMALL
+    for s in sorted({0, 1, 2, 3, 5, 8, b.td, b.td + 3} if small else {0, 8, b.td}):
         for d in sorted({0, 1, s // 2, s - 1, s} & set(range(s + 1))):
-            best = d_value(s, d, b)
-            assert best == _ref_d_value(s, d, b), (b, s, d)
-            assert formulas._d_value_winners(s, d, b, best) == _ref_d_value_winners(s, d, b, best)
+            _assert_d_value_matches_reference(s, d, b)
 
 
 def _assert_pair_matches_reference(a, b):
     """``d_value`` with its winners at a's arguments against b, and, for a gated
-    pullback a, ``thm28_dim`` and ``_through_max_at`` at every position of b."""
+    pullback a, ``thm28_dim`` and ``_through_max_at``."""
     pd = a.pullback_data
     args = [(a.td, a.dim)] + ([] if pd is None else [(a.td, pd.outside), (pd.td_d, pd.dim_d)])
     for s, d in args:
-        best = d_value(s, d, b)
-        assert best == _ref_d_value(s, d, b), (a, b, s, d)
-        assert formulas._d_value_winners(s, d, b, best) == _ref_d_value_winners(s, d, b, best)
-    if pd is None or not a.gates:
-        return
+        _assert_d_value_matches_reference(s, d, b)
+    if pd is not None and a.gates:
+        _assert_thm28_matches_reference(a, b)
+
+
+def _assert_thm28_matches_reference(a, b):
+    """``thm28_dim`` for a gated pullback a against b, and ``_through_max_at``
+    at every position of b.
+
+    A model over ``SMALL`` strata may tie quadratically many pairs, so
+    there only the first witnesses are compared.
+    """
+    pd = a.pullback_data
     want = _ref_thm28_dim(a, b)
     try:
         report = thm28_dim(a, b)
     except InexactPairError as exc:
         assert str(exc) == want, (a, b)
     else:
-        assert (report.value, report.term_breakdown, report.witnesses) == want, (a, b)
-    for q in range(b.runs[-1][0]):
+        value, terms, witnesses = want
+        limit = None if b.runs[-1][0] <= SMALL else 4 * SMALL
+        got = report.value, report.term_breakdown, list(islice(report.build_witnesses(), limit))
+        assert got == (value, terms, list(islice(witnesses, limit))), (a, b)
+    # The plateaus of the outside-M and through-M terms and the end of the
+    # prefix of tied lower ends.
+    residues = (a.td - pd.outside, pd.td_d - pd.dim_d, pd.td_kd)
+    for q in _positions(b, residues):
         want = _ref_through_max_at(pd, a.td, b, q)
         try:
             got = formulas._through_max_at(pd, a.td, b, q)
@@ -691,6 +717,11 @@ def _assert_pair_matches_reference(a, b):
             ), (a, b, q)
         else:
             assert got == want, (a, b, q)
+
+
+# The distinct models up to t.d. 3, and the gated pullbacks among them.
+MODELS_TD_3 = list(distinct_models(3))
+GATED_TD_3 = [a for a in MODELS_TD_3 if a.pullback_data is not None and a.gates]
 
 
 class TestClosedFormsMatchTheReference:
@@ -703,6 +734,19 @@ class TestClosedFormsMatchTheReference:
         for a, b in product(models, models):
             _assert_pair_matches_reference(a, b)
 
+    def test_model_space(self):
+        for b in distinct_models(4):
+            _assert_model_matches_reference(b)
+
+    # Each gated pullback up to t.d. 3 against every model up to t.d. 3,
+    # 19,698 pairs, in four parts.  ``d_value`` at A's arguments, an (s, d)
+    # with s <= 3, is in ``test_model_space``'s grid.
+    @pytest.mark.parametrize("part", range(4))
+    def test_model_space_pairs(self, part):
+        assert (len(MODELS_TD_3), len(GATED_TD_3)) == (147, 134)
+        for a, b in product(GATED_TD_3[part::4], MODELS_TD_3):
+            _assert_thm28_matches_reference(a, b)
+
     @settings(max_examples=300, deadline=None)
     @given(b=built_models())
     def test_built_models(self, b):
@@ -712,6 +756,11 @@ class TestClosedFormsMatchTheReference:
 
     @settings(max_examples=60, deadline=None)
     @given(x=large_exprs(), y=large_exprs())
+    # The through-M term of this pullback against af(2047,2047) ties
+    # 2,098,109 pairs, of which the first 4 * SMALL are compared.
+    @example(
+        x=Pullback(AfDomain(2048, 1), 1, AfDomain(2046, 10), outside=0), y=AfDomain(2047, 2047)
+    )
     def test_large_models(self, x, y):
         a, b = summarize(x), summarize(y)
         _assert_model_matches_reference(b)

@@ -29,17 +29,12 @@ from krulldim.spectra import (
     Pullback,
     SpectrumSummary,
     Valuation,
-    _finish,
     summarize,
 )
+from models import built_model
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 S_KM = summarize(KM)
-
-
-def built(runs, product=None):
-    """The model of ``runs`` and ``product``, built by hand and checked as a compile is."""
-    return _finish(runs[0][2], runs, product, None, "built")
 
 
 # Operands of 10 to 20 strata, the size certify runs at: three AF models
@@ -132,7 +127,7 @@ class TestChainEnumerate:
         # only the pair (0, 3) from its bottom is certified.  A product
         # range is a prefix of a run, so a stepped one such as
         # range(0, 3, 2), which the refusal once missed, cannot be stated.
-        model = built(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, 0, False))
+        model = built_model(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, 0, False))
         assert [pair for pair in model.iter_pairs() if pair[1] == 3 and pair[0] < 3] == [
             (0, 3, (3, 0)), (1, 3, None), (2, 3, None)
         ]
@@ -347,7 +342,7 @@ class TestChains:
         ids=["one-chain-over-one-block"],
     )
     def test_matches_the_literal_enumerator_on_built_models(self, runs, product, value, plan):
-        model = built(runs, product)
+        model = built_model(runs, product)
         assert model.walk_plan == plan
         field = summarize(Field(2))
         # chain_enumerate walks the field as rows, one row to compute and
@@ -363,7 +358,7 @@ class TestChains:
             # 1's finished row, not the finished row of a chain
             # successor, and position 0's fiber, min(3, 2), beats it.
             (
-                built(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, 0, True)),
+                built_model(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, 0, True)),
                 Field(2),
                 2,
                 (None, None),
@@ -373,7 +368,7 @@ class TestChains:
             # does not, so its row gains min(2, 2) where position 2's gained
             # min(2, 1); position 0's successor residue, 2, reaches the cap.
             (
-                built(((3, 0, 3, 0, True),)),
+                built_model(((3, 0, 3, 0, True),)),
                 Pullback(Valuation(3, 1), 1, Field(0)),
                 5,
                 (None, 1, 2),
@@ -415,7 +410,7 @@ class TestChains:
         [
             # Outside M at 0..3, residues 7 down to 4, every one under M:
             # row m - 1 is the first run's top.
-            (built(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, 2, True)), 4),
+            (built_model(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, 2, True)), 4),
             # Outside M at 0..3, residues 6 down to 3, only position 0 under
             # M: row m - 1 is the last row walked.
             (summarize(Pullback(AfDomain(6, 4), 1, AfDomain(1, 1), outside=3)), 1),

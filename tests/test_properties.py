@@ -17,18 +17,15 @@ from krulldim.oracle import _row_pass, best_chain, chain_enumerate, iter_chains
 from krulldim.parser import parse_expr, to_source
 from krulldim.spectra import (
     KIND_CONTAINS,
-    MAX_STRATA,
     AfDomain,
     Field,
     PolyRing,
     Pullback,
     Valuation,
-    _finish,
-    expr_dim,
-    expr_td,
     is_af_poly,
     summarize,
 )
+from models import built_model, built_models, large_exprs
 
 
 def certified(summary):
@@ -94,78 +91,9 @@ def small_exprs():
     AF operands may be flagged non-catenarian.
     """
     return st.one_of(
-        af_exprs(max_td=3).filter(lambda e: expr_dim(e) <= 3),
+        af_exprs(max_td=3).filter(lambda e: summarize(e).dim <= 3),
         pullback_exprs(max_m=2, max_td_kd=1),
     )
-
-
-def built_model(runs, product=None):
-    """The model of ``runs`` and ``product``, built by hand and checked as a compile is."""
-    return _finish(runs[0][2], tuple(runs), product, None, "built")
-
-
-@st.composite
-def built_models(draw):
-    """A model of one or two runs and 1 to 6 strata, with free parameters.
-
-    The first run starts at the zero ideal, so its length, its t.d. and
-    its exactness are free.  A second run has a free length, base
-    height, height + residue, cap and exactness, and the product block
-    joining them a free m and exactness.  No compile builds most of
-    these: the base height may leave a gap above m - 1, height + residue
-    need not be the t.d., and a product block may be inexact where its
-    runs are not.
-    """
-    td = draw(st.integers(0, 5))
-    n = draw(st.integers(1, min(td + 1, 4)))
-    runs = [(n, 0, td, 0, draw(st.booleans()))]
-    if td == 0 or draw(st.booleans()):
-        return built_model(runs)
-    m = draw(st.integers(1, min(n, td)))
-    base = draw(st.integers(m, td))
-    stop = n + draw(st.integers(1, min(td - base + 1, 6 - n)))
-    hr = draw(st.integers(base + stop - n - 1, td))
-    cap = draw(st.integers(0, 3))
-    runs.append((stop, base, hr, cap, draw(st.booleans())))
-    return built_model(runs, (m, cap, draw(st.booleans())))
-
-
-@st.composite
-def af_operands(draw, td, dim):
-    """An AF constructor of t.d. ``td`` and dimension ``dim``: a field, af, val or poly over an af."""
-    kind = draw(st.sampled_from(["af", "poly", "field" if dim == 0 else "val"]))
-    if kind == "field":
-        return Field(td)
-    if kind == "val":
-        return Valuation(td, dim)
-    n = draw(st.integers(0, dim)) if kind == "poly" else 0
-    # Catenarian three times in four: an inexact side makes the oracle refuse.
-    base = AfDomain(td - n, dim - n, draw(st.sampled_from([True, True, True, False])))
-    return base if kind == "af" else PolyRing(base, n)
-
-
-@st.composite
-def large_exprs(draw):
-    """Operands of up to ``MAX_STRATA`` strata: AF models, and pullbacks of any m, outside and D.
-
-    Each af, also under a poly, draws its catenarian flag, so either
-    side of a pullback may be inexact.
-    """
-    if draw(st.booleans()):
-        dim = draw(st.integers(0, MAX_STRATA - 1))
-        return draw(af_operands(dim + draw(st.integers(0, MAX_STRATA)), dim))
-    # T's strata outside M take at most MAX_STRATA - 1 positions, leaving D one.
-    dim_t = draw(st.integers(1, MAX_STRATA - 2))
-    td_t = dim_t + draw(st.integers(0, MAX_STRATA))
-    ambient = draw(af_operands(td_t, dim_t))
-    if isinstance(ambient, Valuation):
-        m, outside = dim_t, dim_t - 1
-    else:
-        m = draw(st.integers(1, dim_t))
-        outside = draw(st.integers(m - 1, dim_t))
-    td_d = draw(st.integers(0, td_t - m))
-    dim_d = draw(st.integers(0, min(td_d, MAX_STRATA - 2 - max(m - 1, outside))))
-    return Pullback(ambient, m, draw(af_operands(td_d, dim_d)), outside)
 
 
 # Polynomial rings over domains of dimension <= 1 flagged non-catenarian,
@@ -280,7 +208,7 @@ class TestPullbackSubringModel:
     @pytest.mark.parametrize("d", SUBRINGS, ids=to_source)
     @pytest.mark.parametrize("ambient", ["val", "af"])
     def test_each_constructor_kind(self, d, ambient):
-        td = expr_td(d) + 3
+        td = summarize(d).td + 3
         if ambient == "val":
             pb = Pullback(Valuation(td, 2), 2, d)
         else:
@@ -299,7 +227,7 @@ class TestPullbackSubringModel:
 
     @given(d=af_exprs(), m=st.integers(1, 3), td_kd=st.integers(0, 2))
     def test_any_af_subring(self, d, m, td_kd):
-        assert_d_part_is_d_model(Pullback(Valuation(m + expr_td(d) + td_kd, m), m, d))
+        assert_d_part_is_d_model(Pullback(Valuation(m + summarize(d).td + td_kd, m), m, d))
 
 
 # ---------------------------------------------------------------------------

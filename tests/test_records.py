@@ -1,4 +1,4 @@
-"""The package's records: named tuples that behave as frozen values."""
+"""The package's records: tuple subclasses of ``Record`` that behave as frozen values."""
 from itertools import combinations
 
 import pytest
@@ -116,7 +116,8 @@ def test_report_equality_hash_and_repr_ignore_witnesses():
     assert report.witnesses and not other.witnesses
     assert report == other and hash(report) == hash(other) and repr(report) == repr(other)
     assert report != report._replace(value=report.value + 1)
-    # The text the dataclass printed, before records were named tuples.
+    # The text the dataclass printed, which the records, now tuple subclasses
+    # of ``Record``, keep.
     assert repr(report) == (
         "DimReport(value=4, theorem='Thm2.8', "
         "term_breakdown=(('outside-M', 2), ('through-M', 4)), "

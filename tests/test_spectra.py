@@ -1,5 +1,5 @@
 """Constructor validation and spectrum compilation."""
-from itertools import pairwise, zip_longest
+from itertools import islice, pairwise, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +26,11 @@ from krulldim.spectra import (
     SpectrumSummary,
     Valuation,
     _check_summary,
-    expr_catenarian,
-    expr_dim,
-    expr_td,
     is_af_poly,
     run_spans,
     summarize,
 )
-from test_properties import large_exprs
+from models import SMALL, distinct_models, large_exprs, probe_positions
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 
@@ -83,7 +80,7 @@ class TestSummarize:
 
     def test_pullback_dim_formula(self):
         pb = Pullback(AfDomain(3, 3), 1, Field(1), outside=3)
-        assert summarize(pb).dim == max(3, 1 + 0) == expr_dim(pb)
+        assert summarize(pb).dim == max(3, 1 + 0) == ref_dim(pb)
         pb2 = Pullback(Valuation(4, 1), 1, AfDomain(1, 1))
         assert summarize(pb2).dim == 1 + 1
 
@@ -108,7 +105,7 @@ class TestSummarize:
         # A domain of dimension <= 1 is catenarian whatever its flag says,
         # and so is the model of a polynomial ring over it.
         for base in (AfDomain(0, 0, False), AfDomain(1, 1, False)):
-            assert expr_catenarian(base)
+            assert summarize(base).runs[0][-1] is True
             assert not uncertified(summarize(PolyRing(PolyRing(base, 0), 2)))
         assert uncertified(summarize(PolyRing(AfDomain(2, 2, False), 1)))
 
@@ -268,8 +265,10 @@ class TestCheckSummary:
             assert covered == list(range(len(s.strata))), s.source
 
     def test_reflexive_pairs_need_cap_0(self):
-        # Strata over M may have a cap > 0; their chain's pairs do not.
-        models = self.models()
+        # Strata over M may have a cap > 0; their chain's pairs do not.  The
+        # pairs are walked one by one, on the catalog's models and every
+        # distinct model up to t.d. 4, not on models of ~2,048 strata.
+        models = [*map(summarize, catalog().values()), *distinct_models(4)]
         assert any(x.cap for s in models for x in s.strata)
         for s in models:
             chain_of = {i: k for k, positions in enumerate(self.chains(s)) for i in positions}
@@ -343,24 +342,24 @@ def reference(expr):
     only the reflexive pairs and those from its zero ideal.
     """
     if isinstance(expr, Pullback):
-        td, m = expr_td(expr), expr.m
-        td_d, dim_d = expr_td(expr.subring), expr_dim(expr.subring)
+        td, m = ref_td(expr), expr.m
+        td_d, dim_d = ref_td(expr.subring), ref_dim(expr.subring)
         td_kd = td - m - td_d
         n_out = max(m - 1, expr.outside) + 1
         rows = [(KIND_OUTSIDE, h, td - h, 0, f"out:{h}") for h in range(n_out)]
         rows += [(KIND_CONTAINS, m + e, td_d - e, td_kd, f"in:{e}") for e in range(dim_d + 1)]
         outside, inside = range(n_out), range(n_out, len(rows))
-        t_cat = expr_catenarian(expr.ambient)
+        t_cat = ref_catenarian(expr.ambient)
         # (lower group, upper group, cap, catenarian)
         groups = (
             (outside, outside, 0, t_cat),
             (outside, inside, td_kd, t_cat),
-            (inside, inside, 0, expr_catenarian(expr.subring)),
+            (inside, inside, 0, ref_catenarian(expr.subring)),
         )
     else:
-        td, n = expr_td(expr), expr_dim(expr) + 1
+        td, n = ref_td(expr), ref_dim(expr) + 1
         rows = [(KIND_PLAIN, h, td - h, 0, f"h{h}") for h in range(n)]
-        groups = ((range(n), range(n), 0, expr_catenarian(expr)),)
+        groups = ((range(n), range(n), 0, ref_catenarian(expr)),)
 
     def comparable(lower, upper, i, j):
         # In one group the lower stratum comes first; across, it lies below M.
@@ -378,9 +377,12 @@ def reference(expr):
 
 class TestRuns:
     def test_views_match_a_position_by_position_reference(self, certify_requests):
+        # A model over SMALL strata has quadratically many pairs, of which
+        # the first 4 * SMALL are compared.
         operands = sorted({text for r in certify_requests for text in (r.a, r.b)})
         exprs = [*catalog().values(), *map(parse_expr, [*operands, *LARGE, *INEXACT])]
-        assert len(exprs) > 500
+        exprs += [group[0] for group in distinct_models(4).values()]
+        assert len(exprs) > 1200
         missing = object()
         for expr in exprs:
             s = summarize(expr)
@@ -388,7 +390,8 @@ class TestRuns:
             shown = [(x.kind, x.height, x.residue_td, x.cap, x.label) for x in s.strata]
             assert shown == rows, to_source(expr)
             assert [x.index for x in s.strata] == list(range(len(rows)))
-            got = zip_longest(s.iter_pairs(), pairs, fillvalue=missing)
+            limit = None if len(rows) <= SMALL else 4 * SMALL
+            got = zip_longest(islice(s.iter_pairs(), limit), islice(pairs, limit), fillvalue=missing)
             assert all(x == y for x, y in got), to_source(expr)
 
     @pytest.mark.parametrize(
@@ -515,9 +518,6 @@ class TestCompileReference:
             s, ref = summarize(expr), ref_summary(expr)
             assert tuple(s) == tuple(ref) and s.source == ref.source, to_source(expr)
             assert [type(x) for x in s] == [type(x) for x in ref], to_source(expr)
-            assert (expr_td(expr), expr_dim(expr)) == (ref_td(expr), ref_dim(expr))
-            if not isinstance(expr, Pullback):
-                assert expr_catenarian(expr) is ref_catenarian(expr)
 
     def test_catalog(self):
         self.assert_compiles_as_reference(catalog().values())
@@ -547,6 +547,33 @@ class TestCompileReference:
     @given(expr=large_exprs())
     def test_large_operands(self, expr):
         self.assert_compiles_as_reference([expr])
+
+
+class TestModelSpace:
+    """The tests' enumeration of the distinct small models, and the positions probed on large ones."""
+
+    def test_distinct_model_counts(self):
+        counts = [(len(m), sum(map(len, m.values()))) for m in map(distinct_models, (2, 3, 4))]
+        assert counts == [(37, 147), (147, 615), (429, 1956)]
+
+    def test_every_expression_compiles_to_its_representatives_model(self):
+        for model, exprs in distinct_models(4).items():
+            assert model.source == summarize(exprs[0]).source
+            for expr in exprs:
+                assert ref_summary(expr) == model, to_source(expr)
+
+    @pytest.mark.parametrize("text", LARGE)
+    def test_probes_hold_the_run_ends(self, text):
+        s = summarize(parse_expr(text))
+        probes = probe_positions(s)
+        ends = {
+            i for start, stop, *_ in run_spans(s.runs) for i in (start, start + 1, stop - 2, stop - 1)
+        }
+        if s.product is not None:
+            ends |= {s.product[0] - 1, s.product[0]}
+        ends &= set(range(len(s.strata)))
+        assert ends <= set(probes) and len(probes) <= len(ends) + 3
+        assert probes == sorted(set(probes)) and 0 <= probes[0] and probes[-1] < len(s.strata)
 
 
 class TestIsAfPoly:
@@ -593,8 +620,7 @@ class TestConstraints:
 
     def test_expr_helpers(self):
         pb = Pullback(PolyRing(Valuation(2, 1), 1), 2, Field(0), outside=1)
-        assert expr_td(pb) == 3
-        assert expr_dim(pb) == 2
+        assert (summarize(pb).td, summarize(pb).dim) == (3, 2)
 
 
 class TestSelectors:
