@@ -195,20 +195,20 @@ def _inexact_error(summary, i, j, context):
     )
 
 
-def _check_membership(summary, stratum, side):
-    """The stratum's position in ``summary``, which must have built it."""
-    i = stratum.index
-    strata = summary.strata
-    if not (0 <= i < len(strata) and strata[i] is stratum):
-        raise ConstraintError(f"stratum {stratum.label!r} is not part of summary {side}")
-    return i
+def _check_pair(a, b, p, q, delta):
+    """The positions of ``p`` in ``a`` and ``q`` in ``b``, which must have built them.
 
-
-def _check_delta(p, q, delta):
+    ``delta`` must lie in 0..fiber_dim(p, q).
+    """
+    i, strata = p.index, a.strata
+    if not (0 <= i < len(strata) and strata[i] is p):
+        raise ConstraintError(f"stratum {p.label!r} is not part of summary A")
+    j, strata = q.index, b.strata
+    if not (0 <= j < len(strata) and strata[j] is q):
+        raise ConstraintError(f"stratum {q.label!r} is not part of summary B")
     if delta < 0 or delta > fiber_dim(p, q):
-        raise ConstraintError(
-            f"delta must lie in 0..fiber_dim = {fiber_dim(p, q)}, got {delta}"
-        )
+        raise ConstraintError(f"delta must lie in 0..fiber_dim = {fiber_dim(p, q)}, got {delta}")
+    return i, j
 
 
 def thm28_ht(
@@ -222,9 +222,7 @@ def thm28_ht(
     plus delta.
     """
     pd, _ = _require_gated(a)
-    _check_membership(a, p, "A")
-    j = _check_membership(b, q, "B")
-    _check_delta(p, q, delta)
+    _, j = _check_pair(a, b, p, q, delta)
     if p.kind == KIND_CONTAINS:
         return p.height + _through_max_at(pd, a.td, b, j) + delta
     return p.height + q.height + min(a.td, q.cap) + delta
@@ -240,14 +238,15 @@ def _through_max_at(pd, td_a, b, q):
     # rises along a block's lower range, a run or a prefix of one, so each
     # block's best pair is from its bottom, a run's first position: the
     # first run's chain for q in it, else the product block and the
-    # second run's chain.  A chain block's cap is 0.
+    # second run's chain.  A chain block's cap is 0, and the product
+    # block's the second run's.
     td_kd = pd.td_kd
     (n, h, hr, c, _), *over = b.runs
     best = min(td_a, c) + min(hr - h, td_kd)
     if q < n:
         return h + q + best
     ((_, h1, hr1, c1, _),) = over
-    best = max(best + min(pd.td_d, b.product[1]), min(td_a, c1) + min(hr1 - h1, td_kd))
+    best = max(best + min(pd.td_d, c1), min(td_a, c1) + min(hr1 - h1, td_kd))
     return h1 + q - n + best
 
 
@@ -257,9 +256,7 @@ def sct_height_af(
     """Special chain height ht(q[t.d.(A)]) + ht(p) + delta, for AF A."""
     if not a.is_af:
         raise ApplicabilityError("sct_height_af needs an AF summary on the left")
-    _check_membership(a, p, "A")
-    _check_membership(b, q, "B")
-    _check_delta(p, q, delta)
+    _check_pair(a, b, p, q, delta)
     return q.height + min(a.td, q.cap) + p.height + delta
 
 
@@ -270,9 +267,7 @@ def lambda_bound(
 
     t.d.(A) - t.d.(A/p) + ht(q[t.d.(A/p)]) + delta.
     """
-    _check_membership(a, p, "A")
-    _check_membership(b, q, "B")
-    _check_delta(p, q, delta)
+    _check_pair(a, b, p, q, delta)
     return a.td - p.residue_td + q.height + min(p.residue_td, q.cap) + delta
 
 
@@ -280,8 +275,7 @@ def composed_height_bound(
     a: SpectrumSummary, b: SpectrumSummary, p: Stratum, q: Stratum
 ) -> int:
     """Two-sided bound: both lambda prefixes plus the fiber dimension."""
-    _check_membership(a, p, "A")
-    _check_membership(b, q, "B")
+    _check_pair(a, b, p, q, 0)
     return (a.td - p.residue_td) + (b.td - q.residue_td) + fiber_dim(p, q)
 
 
@@ -310,9 +304,9 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     # along its upper range, a run: each block's best pair is (its bottom,
     # its top), f at its lower run's first position and g at its upper
     # run's top.  The blocks are the first run's chain, then for two runs
-    # the product block, range(m) of the first run under the second, and
-    # the second run's chain; a chain block's cap is 0.  min() spelled
-    # out: this runs on every dim query.
+    # the product block, range(m) of the first run under the second, of
+    # the second run's cap, and the second run's chain; a chain block's
+    # cap is 0.  min() spelled out: this runs on every dim query.
     td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
     ends, start = [], 0
     for stop, h, hr, c, _ in b.runs:
@@ -327,7 +321,7 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     term2 = f0 + g0
     if over:
         ((f1, g1),) = over
-        cap = b.product[1]
+        cap = b.runs[1][3]
         term2 = max(term2, f0 + g1 + (cap if cap < td_d else td_d), f1 + g1)
     term2 += pd.m
 
@@ -346,11 +340,10 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
             # the bottom's residue, and g on the upper run from its
             # plateau, where dim(D) + t.d.(B/q) reaches t.d.(D).
             spans = tuple(run_spans(b.runs))
-            blocks = [(range(spans[0][1]), 0, 0, 0)]  # (lower, its run, upper run, cap)
-            if over:
-                m, cap, _ = b.product
-                blocks += [(range(m), 0, 1, cap), (range(*spans[1][:2]), 1, 1, 0)]
-            for lower, i, j, cap in blocks:
+            n = spans[0][1]
+            for lower, upper, _, cap, _ in b._blocks():
+                # The run of each range, which lies in the first or starts the second.
+                i, j = lower.start >= n, upper.start >= n
                 if pd.m + ends[i][0] + ends[j][1] + min(td_d, cap) == term2:
                     r = spans[i][3] - spans[i][2]
                     start, stop, h, hr, _, _ = spans[j]
@@ -359,8 +352,8 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
                     uppers = [label(q) for q in range(plateau, stop)]
                     for q1 in lower[: r - min(r, td_kd) + 1]:
                         head = f"{side}:{label(q1)}<="
-                        for upper in uppers[max(q1 - plateau, 0):]:
-                            yield Witness(TERM_THROUGH, head + upper, term2)
+                        for tail in uppers[max(q1 - plateau, 0):]:
+                            yield Witness(TERM_THROUGH, head + tail, term2)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates

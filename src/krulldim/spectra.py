@@ -26,20 +26,22 @@ minus its height and with ``cap``, and its pairs are all certified when
 ``exact``.  An AF model is one run from the zero ideal, position 0.  A
 pullback is two: T's strata outside M by height, from the zero ideal,
 then D's chain over M by D-height, the conductor M itself first, joined
-by one product block ``product = (m, cap, exact)`` that puts the first
-run's positions below height m under every position of the second.  So
-a step, gap or overlap in a range, a second product block, a chain
-block that is not one run or blocks out of order cannot be stated, and
+by one product block ``product = (m, exact)`` that puts the first run's
+positions below height m under every position of the second, with the
+second run's cap.  So a step, gap or overlap in a range, a second
+product block, a product cap other than the second run's, a chain block
+that is not one run or blocks out of order cannot be stated, and
 ``_check_summary`` checks only values, once per run.
 
 The comparable pairs come in at most three blocks, in storage order:
 each run's chain and, for a pullback, the product block, stored after
-the chain outside M.  A pair (i, j) has quotient height n -> ht(j) -
-ht(i) + min(n, cap) with its block's cap, a chain block's being 0.  In a
-block that is not exact only the reflexive pairs and the pairs from its
-bottom position are certified.  The formulas compute every maximum from
-the runs themselves, and ``label``, ``pair_label`` and ``provenance``
-name a position from them in O(1).
+the chain outside M.  ``_blocks`` lists them, and is the one place that
+does.  A pair (i, j) has quotient height n -> ht(j) - ht(i) + min(n,
+cap) with its block's cap, a chain block's being 0.  In a block that is
+not exact only the reflexive pairs and the pairs from its bottom
+position are certified.  The formulas compute every maximum from the
+runs themselves, and ``label``, ``pair_label`` and ``provenance`` name
+a position from them in O(1).
 
 Views built on first use, each derived from the runs: ``strata``, one
 ``Stratum`` per position, the only positional view; ``pairs``, every
@@ -49,12 +51,12 @@ them; ``walk_plan``, what the chain oracle reads of the model as either
 side: the product block's range length and cap, each run's bounds,
 heights and top residue, and one column step per block, O(runs) data
 built on the oracle's first call; and ``uncertified``, the first
-uncertified pair or None, which the oracle reads on every call, read
-like ``first_uncertified(q)`` from the ``exact`` flags of the runs and
-the product block.  Nothing in the
-package builds ``pairs``: ``spectrum``, the check suites and the oracle's
-literal enumerator walk ``iter_pairs``, and the formulas and the chain
-oracle's pass read no pair at all.
+uncertified pair or None, which the oracle reads on every call.  It and
+``first_uncertified(q)`` read the blocks' ``exact`` flags by one rule,
+``_first_uncertified``.  Nothing in the package builds ``pairs``:
+``spectrum``, the check suites and the oracle's literal enumerator walk
+``iter_pairs``, and the formulas and the chain oracle's pass read no
+pair at all.
 
 A model of S strata has up to S(S+1)/2 pairs, which ``spectrum`` lists
 one by one, so ``summarize`` refuses, with ``ConstraintError``, a model
@@ -194,14 +196,15 @@ class SpectrumSummary(Record):
     """Finite stratified model of Spec of a constructor expression.
 
     The model is stored as one or two chain ``runs`` and, joining two,
-    one ``product`` block (see the module docstring).  ``gates`` lists
-    the hypothesis gates of the dimension formulas the model passes,
-    strongest first, derived once when it is compiled: AF, then for a
-    pullback catenarian T (Thm 2.8), ht(M) <= 2 (Cor 2.9) and
-    t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the constructor for
-    provenance strings only, so ``==`` and the hash leave it out.
-    ``pullback_data`` is None unless the model is a pullback's.  A
-    summary has a ``__dict__`` for its views.
+    one ``product`` block ``(m, exact)`` (see the module docstring),
+    whose cap is the second run's.  ``gates`` lists the hypothesis gates
+    of the dimension formulas the model passes, strongest first, derived
+    once when it is compiled: AF, then for a pullback catenarian T (Thm
+    2.8), ht(M) <= 2 (Cor 2.9) and t.d.(K:D) <= 2 (Prop 2.10).
+    ``source`` names the constructor for provenance strings only, so
+    ``==`` and the hash leave it out.  ``pullback_data`` is None unless
+    the model is a pullback's.  A summary has a ``__dict__`` for its
+    views.
     """
 
     def __new__(cls, td, dim, is_af, runs, product=None, pullback_data=None, gates=(), source=""):
@@ -249,27 +252,37 @@ class SpectrumSummary(Record):
             ]
         return tuple(strata)
 
-    def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
-        """Generate the entries of ``pairs`` block by block, in storage order, keeping none.
+    def _blocks(self) -> list[tuple[range, range, int, int, bool]]:
+        """The pair blocks in storage order, each ``(lower, upper, shift, cap, exact)``.
 
-        Heights rise by 1 a position along each run, so a pair's quotient
-        base ht(j) - ht(i) is j - i plus its block's ``shift``: 0 in a
-        chain block, and in the product block the second run's first
-        height less its first position, as the first run sits at
-        heights equal to its positions.
+        The first run's chain and, for a pullback, the product block from
+        ``range(m)`` up to the second run, then the second run's chain.
+        ``lower`` and ``upper`` are the positions of a pair's lower and
+        upper ends, each range starting at a run's first position, and a
+        lower end pairs with the upper ends from itself up.  Heights rise
+        by 1 a position along each run, so a pair's quotient base ht(j) -
+        ht(i) is j - i plus ``shift``: 0 in a chain block, and in the
+        product block the second run's first height less its first
+        position, as the first run sits at heights equal to its
+        positions.  A chain block's cap is 0 and the product block's the
+        second run's.
         """
-        (n, *_, exact), *over = self.runs
+        (n, _, _, _, exact), *over = self.runs
         outside = range(n)
-        blocks = [(outside, outside, 0, 0, exact)]  # (lower, upper, shift, cap, exact)
+        blocks = [(outside, outside, 0, 0, exact)]
         if over:
-            ((stop, h, *_, inner_exact),) = over
-            m, cap, product_exact = self.product
+            ((stop, h, _, cap, inner_exact),) = over
+            m, product_exact = self.product
             inside = range(n, stop)
             blocks += [
                 (range(m), inside, h - n, cap, product_exact),
                 (inside, inside, 0, 0, inner_exact),
             ]
-        for lower, upper, shift, cap, exact in blocks:
+        return blocks
+
+    def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
+        """Generate the entries of ``pairs`` block by block, in storage order, keeping none."""
+        for lower, upper, shift, cap, exact in self._blocks():
             bottom = lower.start
             for i in lower:
                 for j in range(max(i, upper.start), upper.stop):
@@ -313,7 +326,7 @@ class SpectrumSummary(Record):
         second run's first position and the maximum over that run, plus
         min(residue, cap).
         """
-        m, cap = self.product[:2] if self.product else (0, 0)
+        m, cap = (self.product[0], self.runs[1][3]) if self.product else (0, 0)
         runs = tuple(
             (start, stop, h, hr, hr - h - (stop - 1 - start))
             for start, stop, h, hr, *_ in run_spans(self.runs)
@@ -325,43 +338,32 @@ class SpectrumSummary(Record):
 
     @cached_property
     def uncertified(self) -> tuple[int, int] | None:
-        """The first uncertified pair in ``pairs`` order, or None when every pair is certified.
+        """The first uncertified pair in ``pairs`` order, or None when every pair is certified."""
+        # Every block is exact when both runs and the product block are;
+        # most models are, and they list no block.
+        runs, product = self.runs, self.product
+        if runs[0][4] and runs[-1][4] and (product is None or product[1]):
+            return None
+        return self._first_uncertified(None)
+
+    def first_uncertified(self, upper: int) -> tuple[int, int] | None:
+        """The first uncertified pair in ``pairs`` order whose upper end is ``upper``, or None."""
+        return None if self.uncertified is None else self._first_uncertified(upper)
+
+    def _first_uncertified(self, upper: int | None) -> tuple[int, int] | None:
+        """The first uncertified pair, or the first whose upper end is ``upper`` unless it is None.
 
         An uncertified pair is a non-reflexive pair of an inexact block
         whose lower end is not the block's bottom, so the first starts
-        just above it: (1, 2) in the first run's chain, (1, n) in the
-        product block, n the second run's start, and (n + 1, n + 2) in
-        the second run's chain, each where its block reaches it.
+        one above it, with the least upper end above that or ``upper``.
         """
-        (n, *_, exact), *over = self.runs
-        if not exact and n > 2:
-            return 1, 2
-        if over:
-            ((stop, *_, inner_exact),) = over
-            m, _, product_exact = self.product
-            if not product_exact and m > 1:
-                return 1, n
-            if not inner_exact and stop - n > 2:
-                return n + 1, n + 2
-        return None
-
-    def first_uncertified(self, upper: int) -> tuple[int, int] | None:
-        """The first uncertified pair in ``pairs`` order whose upper end is ``upper``, or None.
-
-        Its lower end is the one above the bottom of the first inexact
-        block holding ``upper`` in its upper range, if it lies below ``upper``.
-        """
-        (n, *_, exact), *over = self.runs
-        if upper < n:
-            return (1, upper) if not exact and 1 < upper else None
-        if over:
-            ((stop, *_, inner_exact),) = over
-            if upper < stop:
-                m, _, product_exact = self.product
-                if not product_exact and m > 1:
-                    return 1, upper
-                if not inner_exact and n + 1 < upper:
-                    return n + 1, upper
+        for lower, uppers, _, _, exact in self._blocks():
+            i = lower.start + 1
+            if exact or i not in lower:
+                continue
+            j = max(i + 1, uppers.start) if upper is None else upper
+            if i < j and j in uppers:
+                return i, j
         return None
 
     def select(self, selector: str) -> Stratum:
@@ -630,7 +632,7 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     _check_size(n_out + n_in)
     runs = ((n_out, 0, td, 0, t_cat), (n_out + n_in, m, m + td_d, td_kd, d_cat))
     # Primes at height >= m outside M are incomparable with M.
-    return _finish(td, runs, (m, td_kd, t_cat), data, "pullback")
+    return _finish(td, runs, (m, t_cat), data, "pullback")
 
 
 def run_spans(runs) -> Iterator[tuple]:
@@ -691,9 +693,10 @@ def _check_summary(summary: SpectrumSummary) -> None:
 
     The zero ideal lies under every prime, and A/(0) is A, so each pair
     (0, j) is certified with stratum j's own cap: the product block
-    starts at position 0 and has the second run's cap.  Stratum 0 is
-    then the only one of height 0, and the chain oracle walks (0, 0)
-    last and returns its tail on the strength of this.
+    starts at position 0, and its cap is the second run's by
+    construction.  Stratum 0 is then the only one of height 0, and the
+    chain oracle walks (0, 0) last and returns its tail on the strength
+    of this.
     """
     td, _, _, runs, product, pd, *_ = summary
     if len(runs) != (1 if product is None else 2):
@@ -714,14 +717,10 @@ def _check_summary(summary: SpectrumSummary) -> None:
         start = stop
         k += 1
     if product is not None:
-        m, cap, _ = product
-        (n, *_), (_, base, _, c, _) = runs
-        if cap < 0:
-            raise ConsistencyError(f"negative quotient cap in the product block {product}")
-        if m < 1 or cap != c:
-            raise ConsistencyError(
-                f"{summary.label(n)} must lie over the zero ideal by a pair of cap {c}"
-            )
+        m, _ = product
+        (n, *_), (_, base, *_) = runs
+        if m < 1:
+            raise ConsistencyError(f"{summary.label(n)} must lie over the zero ideal")
         if m > n:
             raise ConsistencyError(
                 f"the lower range of the product block {product} leaves the first run"

@@ -121,7 +121,7 @@ def built_models(draw):
     hr = draw(st.integers(base + stop - n - 1, td))
     cap = draw(st.integers(0, 3))
     runs.append((stop, base, hr, cap, draw(st.booleans())))
-    return built_model(runs, (m, cap, draw(st.booleans())))
+    return built_model(runs, (m, draw(st.booleans())))
 
 
 @st.composite

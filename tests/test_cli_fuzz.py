@@ -4,9 +4,11 @@ Every command line ends in exit code 0, or in exit code 2 with one
 ``error:`` line on stderr, and raises nothing else.  The command lines
 are built from the expression grammar, then mutated, with numerals,
 selectors and expressions at and just past each input bound.  A fixed
-``random.Random`` seed draws the same commands on every run.
+``random.Random`` seed draws the same commands on every run, once per
+session, and both fuzz tests read them.
 """
 import contextlib
+import functools
 import io
 import random
 
@@ -147,6 +149,13 @@ def _argv(rng):
     return argv
 
 
+@functools.cache
+def _command_lines():
+    """The ``COMMANDS`` command lines drawn from ``random.Random(SEED)``, as tuples."""
+    rng = random.Random(SEED)
+    return tuple(tuple(_argv(rng)) for _ in range(COMMANDS))
+
+
 def _outcome(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -158,10 +167,8 @@ def _outcome(argv):
 
 
 def test_every_command_line_exits_0_or_2_with_one_error_line():
-    rng = random.Random(SEED)
     codes = {0: 0, 2: 0}
-    for _ in range(COMMANDS):
-        argv = _argv(rng)
+    for argv in map(list, _command_lines()):
         code, usage, out, err = _outcome(argv)
         assert code in (0, 2), argv
         codes[code] += 1
@@ -212,10 +219,9 @@ def _read_as_argparse(argv):
 
 
 def test_reader_declines_or_reads_as_argparse():
-    rng, edits = random.Random(SEED), random.Random(SEED + 1)
+    edits = random.Random(SEED + 1)
     read = edited = 0
-    for _ in range(COMMANDS):
-        argv = _argv(rng)
+    for argv in map(list, _command_lines()):
         read += _read_as_argparse(argv)
         edited += _read_as_argparse(_edit_tokens(edits, argv))
     # Most plain command lines are read; edited ones are often declined.

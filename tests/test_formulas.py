@@ -551,13 +551,14 @@ class TestCostPerBlock:
 def _blocks(b):
     """B's pair blocks in ``pairs`` order, each ``(lower, upper, cap, exact)``.
 
-    Each run's chain, and for a pullback the product block after the first.
+    Each run's chain, and for a pullback the product block after the
+    first, with the second run's cap.
     """
     (n, *_, exact), *over = b.runs
     blocks = [(range(n), range(n), 0, exact)]
     if over:
-        ((stop, *_, inner_exact),) = over
-        m, cap, product_exact = b.product
+        ((stop, _, _, cap, inner_exact),) = over
+        m, product_exact = b.product
         inside = range(n, stop)
         blocks += [(range(m), inside, cap, product_exact), (inside, inside, 0, inner_exact)]
     return blocks

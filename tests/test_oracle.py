@@ -127,7 +127,7 @@ class TestChainEnumerate:
         # only the pair (0, 3) from its bottom is certified.  A product
         # range is a prefix of a run, so a stepped one such as
         # range(0, 3, 2), which the refusal once missed, cannot be stated.
-        model = built_model(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, 0, False))
+        model = built_model(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, False))
         assert [pair for pair in model.iter_pairs() if pair[1] == 3 and pair[0] < 3] == [
             (0, 3, (3, 0)), (1, 3, None), (2, 3, None)
         ]
@@ -269,7 +269,7 @@ class TestChainEnumerate:
                 # m - 1, which merges the product block, or has a residue
                 # at most y's product cap.
                 m = x.product[0] if x.product else 0
-                cap = y.product[1] if y.product else 0
+                cap = y.runs[1][3] if y.product else 0
                 tops = {stop - 1 for stop, *_ in x.runs}
                 computed = [
                     q
@@ -329,7 +329,7 @@ class TestChains:
             # last of its run walked, and positions 0 and 1 merge it.
             (
                 ((2, 0, 4, 0, True), (4, 2, 3, 1, True)),
-                (2, 1, True),
+                (2, True),
                 4,
                 (
                     2,
@@ -358,7 +358,7 @@ class TestChains:
             # 1's finished row, not the finished row of a chain
             # successor, and position 0's fiber, min(3, 2), beats it.
             (
-                built_model(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, 0, True)),
+                built_model(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, True)),
                 Field(2),
                 2,
                 (None, None),
@@ -410,7 +410,7 @@ class TestChains:
         [
             # Outside M at 0..3, residues 7 down to 4, every one under M:
             # row m - 1 is the first run's top.
-            (built_model(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, 2, True)), 4),
+            (built_model(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, True)), 4),
             # Outside M at 0..3, residues 6 down to 3, only position 0 under
             # M: row m - 1 is the last row walked.
             (summarize(Pullback(AfDomain(6, 4), 1, AfDomain(1, 1), outside=3)), 1),
