@@ -23,11 +23,13 @@ integers per run and build no positional view, however many strata the
 models have.  The ties have closed forms too: a term that never falls
 along a run rises strictly up to one height, its plateau, and is fixed
 from there, so the strata attaining a maximum are the positions of a
-run from its plateau to its top, and a block's tied pairs a prefix of
-its lower range times such a stretch of its upper run.  They are
-labelled as witnesses, each by its side's O(1) ``label``, only when the
-report's witnesses are first read, so an answer builds no positional
-view of either side.  The height formulas take ``Stratum`` objects, so ``ht``
+run from its plateau to its top, and a block's tied pairs the
+comparable pairs from a prefix of its lower range to such a stretch of
+its upper run.  Each tied run or block is one witness, labelled by its
+side's O(1) ``span_label`` (``B:h2..h4``, ``B:out:0..out:2<=in:1..in:3``)
+only when the report's witnesses are first read, so a report holds at
+most five witnesses and an answer builds no positional view of either
+side.  The height formulas take ``Stratum`` objects, so ``ht``
 builds each side's ``strata`` and nothing more.
 The two-sided formula for two pullbacks whose conductors have full
 height (``pullback_pair_dim``) is only ever such a cross-check.
@@ -63,7 +65,13 @@ TERM_THROUGH = "through-M"
 
 
 class Witness(Record):
-    """A stratum or pair reference achieving one term's maximum."""
+    """A run of strata or a block of pairs achieving one term's maximum.
+
+    ``ref`` names a side and a span of its labels, ``A:h2..h4``, or a
+    span for each end of a pair, ``B:out:0..out:2<=in:1..in:3``: every
+    comparable pair from the first span up to the second.  A span of one
+    position is its label alone.
+    """
 
     __slots__ = ()
 
@@ -149,16 +157,16 @@ def _plateau(start, stop, h, hr, s, d):
 
 
 def _d_value_winners(s, d, b, best):
-    """The positions of B's strata at which ``d_value``'s term equals ``best``.
+    """The ranges of B's positions at which ``d_value``'s term equals ``best``.
 
-    The term never falls along a run, so they are the positions from the
-    plateau to the top of each run whose top reaches ``best``.
+    The term never falls along a run, so they are, one range per run
+    whose top reaches ``best``, the positions from its plateau to its top.
     """
     winners = []
     for start, stop, h, hr, c, _ in run_spans(b.runs):
         top = h + stop - 1 - start
         if top + min(c, s) + min(d + hr - top, s) == best:
-            winners += range(_plateau(start, stop, h, hr, s, d), stop)
+            winners.append(range(_plateau(start, stop, h, hr, s, d), stop))
     return winners
 
 
@@ -328,17 +336,18 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     value = term1 if term1 > term2 else term2
 
     def witnesses(side="B"):
-        label = b.label
+        span = b.span_label
         if term1 == value:
             for q in _d_value_winners(a.td, pd.outside, b, term1):
-                yield Witness(TERM_OUTSIDE, f"{side}:{label(q)}", term1)
+                yield Witness(TERM_OUTSIDE, f"{side}:{span(q)}", term1)
         if term2 == value:
-            # The tied pairs in ``pairs`` order: by block, lower end, upper
-            # end.  A block whose best falls short of term2 has none.  In
-            # one that reaches it, f is at its best on the prefix of the
-            # lower range whose residue is at least min(r, t.d.(K:D)), r
-            # the bottom's residue, and g on the upper run from its
-            # plateau, where dim(D) + t.d.(B/q) reaches t.d.(D).
+            # One witness per tied block, in ``pairs`` order.  A block whose
+            # best falls short of term2 has none.  In one that reaches it,
+            # f is at its best on the prefix of the lower range whose
+            # residue is at least min(r, t.d.(K:D)), r the bottom's
+            # residue, and g on the upper run from its plateau, where
+            # dim(D) + t.d.(B/q) reaches t.d.(D): the tied pairs are the
+            # comparable pairs from that prefix up to that stretch.
             spans = tuple(run_spans(b.runs))
             n = spans[0][1]
             for lower, upper, _, cap, _ in b._blocks():
@@ -348,12 +357,9 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
                     r = spans[i][3] - spans[i][2]
                     start, stop, h, hr, _, _ = spans[j]
                     plateau = _plateau(start, stop, h, hr, td_d, dim_d)
-                    # Each upper end is labelled once, however many lower ends it pairs with.
-                    uppers = [label(q) for q in range(plateau, stop)]
-                    for q1 in lower[: r - min(r, td_kd) + 1]:
-                        head = f"{side}:{label(q1)}<="
-                        for tail in uppers[max(q1 - plateau, 0):]:
-                            yield Witness(TERM_THROUGH, head + tail, term2)
+                    lowers = lower[: r - min(r, td_kd) + 1]
+                    ref = f"{side}:{span(lowers)}<={span(range(plateau, stop))}"
+                    yield Witness(TERM_THROUGH, ref, term2)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
@@ -417,9 +423,9 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
         def witnesses():
             for q in _d_value_winners(sa.td, sa.dim, sb, d_ab):
-                yield Witness("dim(A)+td(B)", f"B:{sb.label(q)}", d_ab)
+                yield Witness("dim(A)+td(B)", f"B:{sb.span_label(q)}", d_ab)
             for p in _d_value_winners(sb.td, sb.dim, sa, d_ba):
-                yield Witness("td(A)+dim(B)", f"A:{sa.label(p)}", d_ba)
+                yield Witness("td(A)+dim(B)", f"A:{sa.span_label(p)}", d_ba)
 
         return DimReport(
             value,
@@ -461,7 +467,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             THEOREM_W37,
             (("D-max", value),),
             lambda: (
-                Witness("D-max", f"{other}:{y.label(i)}", value)
+                Witness("D-max", f"{other}:{y.span_label(i)}", value)
                 for i in _d_value_winners(x.td, x.dim, y, value)
             ),
             (f"{tag}:{GATE_AF}",),

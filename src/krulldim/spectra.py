@@ -40,8 +40,9 @@ does.  A pair (i, j) has quotient height n -> ht(j) - ht(i) + min(n,
 cap) with its block's cap, a chain block's being 0.  In a block that is
 not exact only the reflexive pairs and the pairs from its bottom
 position are certified.  The formulas compute every maximum from the
-runs themselves, and ``label``, ``pair_label`` and ``provenance`` name
-a position from them in O(1).
+runs themselves, and ``label``, ``pair_label``, ``span_label`` and
+``provenance`` name a position, a pair or a range of positions from
+them in O(1).
 
 Views built on first use, each derived from the runs: ``strata``, one
 ``Stratum`` per position, the only positional view; ``pairs``, every
@@ -225,6 +226,16 @@ class SpectrumSummary(Record):
 
     def pair_label(self, i: int, j: int) -> str:
         return f"{self.label(i)}<={self.label(j)}"
+
+    def span_label(self, positions: range) -> str:
+        """Display label of a nonempty range of positions in one run: ``<first>..<last>``.
+
+        A range of one position is labelled as that position alone.
+        """
+        first, last = positions[0], positions[-1]
+        if first == last:
+            return self.label(first)
+        return f"{self.label(first)}..{self.label(last)}"
 
     def provenance(self, i: int) -> str:
         """Where stratum i comes from, for display.
@@ -580,10 +591,11 @@ SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores a few integers per run
 # and ``strata`` is O(S), but at 2048 strata an AF model has about 2.1M
-# pairs, which ``spectrum`` and a fully tied witness list each walk one
-# by one.  The chain oracle's work grows with the rows it computes times
-# the column side's strata, not with the pairs: at most the product of
-# the two sides' strata, and O(S) for two AF models.
+# pairs, which ``spectrum`` walks one by one.  A witness names a tied run
+# of strata or block of pairs as one range, so a report holds at most
+# five, however many strata tie.  The chain oracle's work grows with the
+# rows it computes times the column side's strata, not with the pairs: at
+# most the product of the two sides' strata, and O(S) for two AF models.
 MAX_STRATA = 2048
 
 

@@ -10,7 +10,9 @@ session, and both fuzz tests read them.
 import contextlib
 import functools
 import io
+import json
 import random
+import re
 
 import pytest
 
@@ -178,6 +180,40 @@ def test_every_command_line_exits_0_or_2_with_one_error_line():
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
     # Both outcomes are drawn often, so the fuzz reaches past the parser.
     assert min(codes.values()) > COMMANDS // 10, codes
+
+
+# A span of labels: one label, or the first and last of a run, which
+# share their kind and rise.
+SPAN = re.compile(r"(h|out:|in:)(\d+)(?:\.\.\1(\d+))?")
+
+
+def _is_ref(ref):
+    """Whether ``ref`` names a side and a span, or a span for each end of a
+    pair, or is Sharp's, one stratum of each side."""
+    if ref == "A:h0|B:h0":
+        return True
+    side, _, body = ref.partition(":")
+    ends = body.split("<=")
+    spans = [SPAN.fullmatch(end) for end in ends]
+    return side in ("A", "B") and len(ends) <= 2 and all(
+        span and (span[3] is None or int(span[2]) < int(span[3])) for span in spans
+    )
+
+
+def test_json_witnesses_are_at_most_five_spans():
+    """Each tied run or block is one witness: at most two runs of the
+    outside-M term and three blocks of the through-M term."""
+    replies = 0
+    for argv in map(list, _command_lines()):
+        if argv[0] not in ("dim", "explain") or "--json" not in argv:
+            continue
+        code, _, out, _ = _outcome(argv)
+        if code == 0:
+            replies += 1
+            witnesses = json.loads(out)["witnesses"]
+            assert 0 < len(witnesses) <= 5, argv
+            assert all(_is_ref(w["ref"]) for w in witnesses), (argv, witnesses)
+    assert replies > COMMANDS // 20, replies
 
 
 # Tokens on which argparse's reading differs from a plain one: help,

@@ -419,7 +419,7 @@ class TestBlockEvaluation:
                 assert str(err.value) == want
                 continue
             report = thm28_dim(a, b)
-            through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
+            through = [w.ref[2:] for w in _expand(a, b, report.witnesses) if w.term == TERM_THROUGH]
             assert (report.value, report.term_breakdown, through) == want, (a.source, b.source)
         assert refused == len(NON_CATENARIAN) * len(gated)
 
@@ -438,7 +438,7 @@ class TestBlockEvaluation:
             assert str(err.value) == want
             return
         report = thm28_dim(a, b)
-        through = [w.ref[2:] for w in report.witnesses if w.term == TERM_THROUGH]
+        through = [w.ref[2:] for w in _expand(a, b, report.witnesses) if w.term == TERM_THROUGH]
         assert (report.value, report.term_breakdown, through) == want
 
     @pytest.mark.parametrize("b_kind", B_KINDS)
@@ -548,6 +548,43 @@ class TestCostPerBlock:
 # strata, position by position, over the pair blocks.
 
 
+def _expand(a, b, witnesses):
+    """Each witness turned back into one witness per stratum or pair its ref names.
+
+    A ref names a side, ``A:`` or ``B:``, and a span of its labels, or a
+    span for each end of a pair: every comparable pair, in ``iter_pairs``
+    order, with its lower end in the first span and its upper end in the
+    second.  A span is a label or ``<first>..<last>``, each read from the
+    side's ``strata``.  A Sharp ref, ``A:<label>|B:<label>``, is kept.
+    """
+    for w in witnesses:
+        side, _, body = w.ref.partition(":")
+        if "|" in body:
+            yield w
+            continue
+        named = a if side == "A" else b
+        x = named.strata
+        index = {y.label: y.index for y in x}
+
+        def span(text):
+            first, _, last = text.partition("..")
+            return range(index[first], index[last or first] + 1)
+
+        if "<=" not in body:
+            for q in span(body):
+                yield w._replace(ref=f"{side}:{x[q].label}")
+            continue
+        lower, upper = map(span, body.split("<="))
+        found = False
+        # The pairs a ref names lie in one block, whose lower ends rise.
+        for i, j, _ in named.iter_pairs():
+            if i in lower and j in upper:
+                found = True
+                yield w._replace(ref=f"{side}:{x[i].label}<={x[j].label}")
+            elif found and i not in lower:
+                break
+
+
 def _blocks(b):
     """B's pair blocks in ``pairs`` order, each ``(lower, upper, cap, exact)``.
 
@@ -578,7 +615,9 @@ def _assert_d_value_matches_reference(s, d, b):
     terms = _ref_d_terms(s, d, b)
     best = d_value(s, d, b)
     assert best == max(terms), (b, s, d)
-    assert formulas._d_value_winners(s, d, b, best) == _ref_winners(terms, best), (b, s, d)
+    winners = formulas._d_value_winners(s, d, b, best)
+    assert all(winners) and len(winners) <= len(b.runs), (b, s, d)
+    assert [q for run in winners for q in run] == _ref_winners(terms, best), (b, s, d)
 
 
 def _ref_through_ties(pd, td_a, b, term2):
@@ -691,8 +730,9 @@ def _assert_thm28_matches_reference(a, b):
     """``thm28_dim`` for a gated pullback a against b, and ``_through_max_at``
     at every position of b.
 
-    A model over ``SMALL`` strata may tie quadratically many pairs, so
-    there only the first witnesses are compared.
+    Each witness is compared through its expansion, one per stratum or
+    pair.  A model over ``SMALL`` strata may tie quadratically many
+    pairs, so there only the expansion's first witnesses are compared.
     """
     pd = a.pullback_data
     want = _ref_thm28_dim(a, b)
@@ -703,7 +743,8 @@ def _assert_thm28_matches_reference(a, b):
     else:
         value, terms, witnesses = want
         limit = None if b.runs[-1][0] <= SMALL else 4 * SMALL
-        got = report.value, report.term_breakdown, list(islice(report.build_witnesses(), limit))
+        expanded = _expand(a, b, report.build_witnesses())
+        got = report.value, report.term_breakdown, list(islice(expanded, limit))
         assert got == (value, terms, list(islice(witnesses, limit))), (a, b)
     # The plateaus of the outside-M and through-M terms and the end of the
     # prefix of tied lower ends.
@@ -739,6 +780,22 @@ class TestClosedFormsMatchTheReference:
         for b in distinct_models(4):
             _assert_model_matches_reference(b)
 
+    def test_model_space_reports_hold_at_most_five_witnesses(self):
+        """A witness names a tied run or block: at most two runs of each
+        side for Wadsworth 3.8, or two runs of the outside-M term and three
+        blocks of the through-M term for Thm 2.8.  Every pair of models up
+        to t.d. 3, by a representative each."""
+        exprs = [es[0] for es in distinct_models(3).values()]
+        most = Counter()
+        for x, y in product(exprs, exprs):
+            try:
+                report = dim_tensor(x, y)
+            except ApplicabilityError:
+                continue
+            assert len(report.witnesses) <= 5, (x, y)
+            most[report.theorem] = max(most[report.theorem], len(report.witnesses))
+        assert most == {THEOREM_THM28: 5, THEOREM_W38: 4, THEOREM_W37: 2, THEOREM_SHARP: 1}
+
     # Each gated pullback up to t.d. 3 against every model up to t.d. 3,
     # 19,698 pairs, in four parts.  ``d_value`` at A's arguments, an (s, d)
     # with s <= 3, is in ``test_model_space``'s grid.
@@ -758,7 +815,8 @@ class TestClosedFormsMatchTheReference:
     @settings(max_examples=60, deadline=None)
     @given(x=large_exprs(), y=large_exprs())
     # The through-M term of this pullback against af(2047,2047) ties
-    # 2,098,109 pairs, of which the first 4 * SMALL are compared.
+    # 2,098,109 pairs in one witness, of whose expansion the first
+    # 4 * SMALL are compared.
     @example(
         x=Pullback(AfDomain(2048, 1), 1, AfDomain(2046, 10), outside=0), y=AfDomain(2047, 2047)
     )
@@ -846,8 +904,10 @@ class TestOrientation:
     """Exactly one side is a pullback: swapping the operands swaps A: and B:."""
 
     def test_af_against_km(self):
-        refs = [w.ref for w in dim_tensor(AfDomain(2, 2), KM).witnesses]
-        assert refs == ["A:h0<=h2", "A:h1<=h2"]
+        a, b = summarize(AfDomain(2, 2)), S_KM
+        witnesses = dim_tensor(AfDomain(2, 2), KM).witnesses
+        assert [w.ref for w in witnesses] == ["A:h0..h1<=h2"]
+        assert [w.ref for w in _expand(a, b, witnesses)] == ["A:h0<=h2", "A:h1<=h2"]
 
     def test_swapped_operands_swap_witness_sides(self):
         cat = catalog()
@@ -935,7 +995,7 @@ class TestLazyWitnesses:
                 continue
             seen[report.theorem] += 1
             first = report.witnesses
-            assert first == want, (x, y)
+            assert tuple(_expand(sx, sy, first)) == want, (x, y)
             assert report.witnesses is first
         assert seen[THEOREM_W38] and seen[THEOREM_W37]
 

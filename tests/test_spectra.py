@@ -94,6 +94,26 @@ class TestSummarize:
         # out:1 has height m - 1; nothing outside M at height >= m is comparable
         assert None not in by_label.values()
 
+    # Four strata outside M, at heights 0..3, and four over it.
+    PB_4_4 = Pullback(AfDomain(9, 4), 2, Valuation(4, 3), outside=3)
+
+    @pytest.mark.parametrize(
+        "expr, positions, want",
+        [
+            (AfDomain(5, 4), range(2, 3), "h2"),
+            (AfDomain(5, 4), range(1, 5), "h1..h4"),
+            (PB_4_4, range(0, 4), "out:0..out:3"),
+            (PB_4_4, range(5, 8), "in:1..in:3"),
+            (PB_4_4, range(4, 5), "in:0"),
+        ],
+        ids=["one-position", "run", "pullback-outside", "pullback-over-M", "pullback-M"],
+    )
+    def test_span_label(self, expr, positions, want):
+        # A span of one position is its label, a longer one its ends' labels.
+        s = summarize(expr)
+        first, last = s.strata[positions[0]].label, s.strata[positions[-1]].label
+        assert s.span_label(positions) == want == (first if first == last else f"{first}..{last}")
+
     def test_noncatenarian_pairs_uncertified(self):
         s = summarize(AfDomain(3, 3, catenarian=False))
         heights = [x.height for x in s.strata]
