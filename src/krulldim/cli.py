@@ -53,7 +53,7 @@ COMMANDS = {
         "height over a stratum pair of A ox B",
         {"a": None, "b": None},
         {
-            "--p": Flag(required=True, help="stratum selector in A (0, M, out:<h>, in:<e>)"),
+            "--p": Flag(required=True, help="stratum selector in A (0, M, h<i>, out:<h>, in:<e>)"),
             "--q": Flag(required=True, help="stratum selector in B"),
             "--delta": Flag(default="0", help="fiber offset, 0..fiber_dim"),
             "--json": _JSON,

@@ -51,7 +51,6 @@ from .spectra import (  # the gates are derived, and named, where a summary is c
     SpectrumSummary,
     Stratum,
     _tuple_new,
-    run_spans,
     summarize,
 )
 
@@ -147,27 +146,28 @@ def d_value(s: int, d: int, b: SpectrumSummary) -> int:
 
 
 def _plateau(start, stop, h, hr, s, d):
-    """The first position of a run from which h + min(s, d + residue) stays fixed.
+    """The positions of a run from its plateau to its top: h + min(s, d + residue) is fixed there.
 
     Below the height d + hr - s the term rises by 1 a position, and from
     it on it is d + hr; a run that stops below that height rises to its top.
     """
     top = h + stop - 1 - start
-    return start + min(top, max(h, d + hr - s)) - h
+    return range(start + min(top, max(h, d + hr - s)) - h, stop)
 
 
-def _d_value_winners(s, d, b, best):
-    """The ranges of B's positions at which ``d_value``'s term equals ``best``.
+def _d_value_ties(term, side, s, d, b, best):
+    """One ``Witness`` per run of B whose top reaches ``best`` in ``d_value``'s term.
 
-    The term never falls along a run, so they are, one range per run
-    whose top reaches ``best``, the positions from its plateau to its top.
+    The term never falls along a run, so the positions tied at ``best``
+    are those of such a run from its plateau to its top.
     """
-    winners = []
-    for start, stop, h, hr, c, _ in run_spans(b.runs):
+    start = 0
+    for stop, h, hr, c, _ in b.runs:
         top = h + stop - 1 - start
         if top + min(c, s) + min(d + hr - top, s) == best:
-            winners.append(range(_plateau(start, stop, h, hr, s, d), stop))
-    return winners
+            ties = _plateau(start, stop, h, hr, s, d)
+            yield Witness(term, f"{side}:{b.span_label(ties)}", best)
+        start = stop
 
 
 def af_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
@@ -336,30 +336,25 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     value = term1 if term1 > term2 else term2
 
     def witnesses(side="B"):
-        span = b.span_label
         if term1 == value:
-            for q in _d_value_winners(a.td, pd.outside, b, term1):
-                yield Witness(TERM_OUTSIDE, f"{side}:{span(q)}", term1)
+            yield from _d_value_ties(TERM_OUTSIDE, side, a.td, pd.outside, b, term1)
         if term2 == value:
-            # One witness per tied block, in ``pairs`` order.  A block whose
-            # best falls short of term2 has none.  In one that reaches it,
-            # f is at its best on the prefix of the lower range whose
-            # residue is at least min(r, t.d.(K:D)), r the bottom's
-            # residue, and g on the upper run from its plateau, where
-            # dim(D) + t.d.(B/q) reaches t.d.(D): the tied pairs are the
-            # comparable pairs from that prefix up to that stretch.
-            spans = tuple(run_spans(b.runs))
-            n = spans[0][1]
-            for lower, upper, _, cap, _ in b._blocks():
-                # The run of each range, which lies in the first or starts the second.
-                i, j = lower.start >= n, upper.start >= n
+            # One witness per tied block, in ``pairs`` order; (i, j) are the
+            # runs of its lower and upper ranges.  A block whose best falls
+            # short of term2 has none.  In one that reaches it, f is at its
+            # best on the prefix of the lower range whose residue is at
+            # least min(r, t.d.(K:D)), r the bottom's residue, and g on the
+            # upper run from its plateau, where dim(D) + t.d.(B/q) reaches
+            # t.d.(D): the tied pairs are the comparable pairs from that
+            # prefix up to that stretch.
+            span, runs = b.span_label, b.runs
+            for (lower, upper, _, cap, _), (i, j) in zip(b._blocks(), ((0, 0), (0, 1), (1, 1))):
                 if pd.m + ends[i][0] + ends[j][1] + min(td_d, cap) == term2:
-                    r = spans[i][3] - spans[i][2]
-                    start, stop, h, hr, _, _ = spans[j]
-                    plateau = _plateau(start, stop, h, hr, td_d, dim_d)
+                    r = runs[i][2] - runs[i][1]
+                    _, h, hr, _, _ = runs[j]
                     lowers = lower[: r - min(r, td_kd) + 1]
-                    ref = f"{side}:{span(lowers)}<={span(range(plateau, stop))}"
-                    yield Witness(TERM_THROUGH, ref, term2)
+                    uppers = _plateau(upper.start, upper.stop, h, hr, td_d, dim_d)
+                    yield Witness(TERM_THROUGH, f"{side}:{span(lowers)}<={span(uppers)}", term2)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
@@ -422,10 +417,8 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             )
 
         def witnesses():
-            for q in _d_value_winners(sa.td, sa.dim, sb, d_ab):
-                yield Witness("dim(A)+td(B)", f"B:{sb.span_label(q)}", d_ab)
-            for p in _d_value_winners(sb.td, sb.dim, sa, d_ba):
-                yield Witness("td(A)+dim(B)", f"A:{sa.span_label(p)}", d_ba)
+            yield from _d_value_ties("dim(A)+td(B)", "B", sa.td, sa.dim, sb, d_ab)
+            yield from _d_value_ties("td(A)+dim(B)", "A", sb.td, sb.dim, sa, d_ba)
 
         return DimReport(
             value,
@@ -466,10 +459,7 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
             value,
             THEOREM_W37,
             (("D-max", value),),
-            lambda: (
-                Witness("D-max", f"{other}:{y.span_label(i)}", value)
-                for i in _d_value_winners(x.td, x.dim, y, value)
-            ),
+            partial(_d_value_ties, "D-max", other, x.td, x.dim, y, value),
             (f"{tag}:{GATE_AF}",),
             tuple(refusals),
         )

@@ -378,43 +378,44 @@ class SpectrumSummary(Record):
         return None
 
     def select(self, selector: str) -> Stratum:
-        """Resolve a stratum selector: ``0``, ``M``, ``out:<h>`` or ``in:<e>``.
+        """Resolve a stratum selector: ``0``, ``M``, ``h<i>``, ``out:<h>`` or ``in:<e>``.
 
         ``0`` is the zero ideal, position 0, and ``M`` the conductor
         stratum of a pullback, the second run's first position, or the
         top stratum otherwise, position ``dim`` of the one run.
-        ``out:<h>`` picks the height-h stratum outside M, or the plain
-        height-h stratum of a non-pullback summary; ``in:<e>`` the
-        stratum at D-height e over M.  Heights rise by one per position
-        along each run, the first from the zero ideal and the second
-        from M, so those are position h of the first run and position e
-        of the second.
+        ``h<i>``, the label of a model without M, is its position i, and
+        a pullback's model refuses it.  ``out:<h>`` picks the height-h
+        stratum outside M, or the plain height-h stratum of a
+        non-pullback summary; ``in:<e>`` the stratum at D-height e over
+        M.  Heights rise by one per position along each run, the first
+        from the zero ideal and the second from M, so those are position
+        h of the first run and position e of the second.
         """
-        pd = self.pullback_data
+        pd, runs = self.pullback_data, self.runs
         if selector == "0":
             return self.strata[0]
         if selector == "M":
-            return self.strata[self.runs[0][0] if pd is not None else self.dim]
+            return self.strata[runs[0][0] if pd is not None else self.dim]
         if selector.startswith("out:"):
-            start, stop = 0, self.runs[0][0]
+            start, stop, digits = 0, runs[0][0], selector[4:]
         elif selector.startswith("in:"):
             if pd is None:
+                raise ConstraintError(f"selector {selector!r} needs a pullback summary")
+            start, stop, digits = runs[0][0], runs[1][0], selector[3:]
+        elif selector.startswith("h"):
+            if self.product is not None:
                 raise ConstraintError(
-                    f"selector {selector!r} needs a pullback summary"
+                    f"selector {selector!r} needs a summary without M (use out:<h> or in:<e>)"
                 )
-            start, stop = self.runs[0][0], self.runs[1][0]
+            start, stop, digits = 0, runs[0][0], selector[1:]
         else:
             raise ConstraintError(
-                f"unknown stratum selector {selector!r} (use 0, M, out:<h> or in:<e>)"
+                f"unknown stratum selector {selector!r} (use 0, M, h<i>, out:<h> or in:<e>)"
             )
-        i = start + _selector_index(selector)
+        i = start + read_natural(digits, f"selector {selector!r}")
         if i < stop:
             return self.strata[i]
         raise ConstraintError(f"no stratum matches selector {selector!r}")
-
-
-def _selector_index(selector: str) -> int:
-    return read_natural(selector.partition(":")[2], f"selector {selector!r}")
 
 
 def read_natural(text: str, what: str) -> int:
@@ -581,12 +582,14 @@ def _af_shape(expr: AlgebraExpr) -> tuple[int, int, bool]:
 # --------------------------------------------------------------------------
 # Compilation to summaries
 
-# More than the distinct operands of any benchmark workload, so that
-# the cache only stops a long-running process from growing without end.
-# A cached summary keeps the views built on it for as long as it stays
-# cached: the O(S) ``strata``, the O(S^2) ``pairs`` and the chain
-# oracle's O(runs) ``walk_plan``.  The parser's memo of texts has the
-# same bound.
+# The bound that keeps a long-running process from growing without end;
+# the parser's memo of texts has the same one.  The benchmark's
+# ``query-hot`` workload holds 32 operands and ``certify`` 379 at seed 19
+# (819 over seeds 17, 19 and 23), so both fit; ``query-cold`` never
+# repeats an operand, so there this cache and the memo never hit, and
+# this bound is what holds them.  A cached summary keeps the views built
+# on it for as long as it stays cached: the O(S) ``strata``, the O(S^2)
+# ``pairs`` and the chain oracle's O(runs) ``walk_plan``.
 SUMMARY_CACHE_SIZE = 4096
 
 # Largest model summarize builds.  A model stores a few integers per run

@@ -2,6 +2,7 @@
 import json
 from collections import Counter
 from bisect import bisect_left
+from functools import cache, lru_cache
 from itertools import islice, product
 
 import pytest
@@ -548,6 +549,12 @@ class TestCostPerBlock:
 # strata, position by position, over the pair blocks.
 
 
+@lru_cache(maxsize=16)
+def _label_index(x):
+    """Each label of a model's ``strata`` and its position."""
+    return {y.label: y.index for y in x.strata}
+
+
 def _expand(a, b, witnesses):
     """Each witness turned back into one witness per stratum or pair its ref names.
 
@@ -563,8 +570,7 @@ def _expand(a, b, witnesses):
             yield w
             continue
         named = a if side == "A" else b
-        x = named.strata
-        index = {y.label: y.index for y in x}
+        x, index = named.strata, _label_index(named)
 
         def span(text):
             first, _, last = text.partition("..")
@@ -572,17 +578,35 @@ def _expand(a, b, witnesses):
 
         if "<=" not in body:
             for q in span(body):
-                yield w._replace(ref=f"{side}:{x[q].label}")
+                yield Witness(w.term, f"{side}:{x[q].label}", w.value)
             continue
-        lower, upper = map(span, body.split("<="))
-        found = False
-        # The pairs a ref names lie in one block, whose lower ends rise.
-        for i, j, _ in named.iter_pairs():
-            if i in lower and j in upper:
-                found = True
-                yield w._replace(ref=f"{side}:{x[i].label}<={x[j].label}")
-            elif found and i not in lower:
-                break
+        for i, j in _span_pairs(named, *map(span, body.split("<="))):
+            yield Witness(w.term, f"{side}:{x[i].label}<={x[j].label}", w.value)
+
+
+def _span_pairs(b, lower, upper):
+    """The comparable pairs of B from ``lower`` up to ``upper``, in ``iter_pairs`` order.
+
+    They lie in the one block of ``_blocks`` whose ranges hold both spans,
+    and are generated from the spans' ends, so that a caller that stops
+    early walks no other pair.  On a model of at most ``SMALL`` strata
+    they must be the pairs with those ends that ``iter_pairs`` lists.
+    """
+    (_,) = [
+        lo for lo, up, _, _ in _blocks(b)
+        if lower[0] in lo and lower[-1] in lo and upper[0] in up and upper[-1] in up
+    ]
+    pairs = ((i, j) for i in lower for j in range(max(i, upper.start), upper.stop))
+    if b.runs[-1][0] > SMALL:
+        return pairs
+    listed = []
+    for i, j, _ in b.iter_pairs():
+        if i in lower and j in upper:
+            listed.append((i, j))
+        elif listed and i not in lower:
+            break
+    assert list(pairs) == listed, (b, lower, upper)
+    return listed
 
 
 def _blocks(b):
@@ -615,9 +639,10 @@ def _assert_d_value_matches_reference(s, d, b):
     terms = _ref_d_terms(s, d, b)
     best = d_value(s, d, b)
     assert best == max(terms), (b, s, d)
-    winners = formulas._d_value_winners(s, d, b, best)
-    assert all(winners) and len(winners) <= len(b.runs), (b, s, d)
-    assert [q for run in winners for q in run] == _ref_winners(terms, best), (b, s, d)
+    ties = list(formulas._d_value_ties("D", "B", s, d, b, best))
+    assert len(ties) <= len(b.runs), (b, s, d)
+    want = [Witness("D", f"B:{b.strata[q].label}", best) for q in _ref_winners(terms, best)]
+    assert list(_expand(None, b, ties)) == want, (b, s, d)
 
 
 def _ref_through_ties(pd, td_a, b, term2):
@@ -766,6 +791,21 @@ MODELS_TD_3 = list(distinct_models(3))
 GATED_TD_3 = [a for a in MODELS_TD_3 if a.pullback_data is not None and a.gates]
 
 
+@cache
+def _representative_witnesses():
+    """``(x, y, theorem, witnesses)`` of ``dim_tensor`` on each pair of
+    representatives of the models up to t.d. 3 that it answers."""
+    exprs = [es[0] for es in distinct_models(3).values()]
+    answers = []
+    for x, y in product(exprs, exprs):
+        try:
+            report = dim_tensor(x, y)
+        except ApplicabilityError:
+            continue
+        answers.append((x, y, report.theorem, report.witnesses))
+    return answers
+
+
 class TestClosedFormsMatchTheReference:
     """Values and witnesses read from the runs equal the reference's, in order."""
 
@@ -785,15 +825,10 @@ class TestClosedFormsMatchTheReference:
         side for Wadsworth 3.8, or two runs of the outside-M term and three
         blocks of the through-M term for Thm 2.8.  Every pair of models up
         to t.d. 3, by a representative each."""
-        exprs = [es[0] for es in distinct_models(3).values()]
         most = Counter()
-        for x, y in product(exprs, exprs):
-            try:
-                report = dim_tensor(x, y)
-            except ApplicabilityError:
-                continue
-            assert len(report.witnesses) <= 5, (x, y)
-            most[report.theorem] = max(most[report.theorem], len(report.witnesses))
+        for x, y, theorem, witnesses in _representative_witnesses():
+            assert len(witnesses) <= 5, (x, y)
+            most[theorem] = max(most[theorem], len(witnesses))
         assert most == {THEOREM_THM28: 5, THEOREM_W38: 4, THEOREM_W37: 2, THEOREM_SHARP: 1}
 
     # Each gated pullback up to t.d. 3 against every model up to t.d. 3,
@@ -1012,6 +1047,33 @@ class TestLazyWitnesses:
                 flipped = [{**w, "ref": _flip_side(w["ref"])} for w in printed]
                 swapped = dim_tensor(y, x).witnesses
                 assert [w._asdict() for w in swapped] == flipped, (y, x)
+
+
+class TestLabelsRoundTrip:
+    """Every label the program prints selects the position that carries it."""
+
+    def test_witness_refs(self):
+        """Each span end of each witness ref over the representative pairs."""
+        for x, y, _, witnesses in _representative_witnesses():
+            sides = {"A": summarize(x), "B": summarize(y)}
+            for w in witnesses:
+                for part in w.ref.split("|"):
+                    side, _, body = part.partition(":")
+                    named = sides[side]
+                    for label in body.replace("<=", "..").split(".."):
+                        want = named.strata[_label_index(named)[label]]
+                        assert named.select(label) is want, (x, y, w.ref)
+
+    def test_ht_json(self, capsys):
+        """The ``p`` and ``q`` of ``ht --json`` on catalog pairs, at 0 and M."""
+        for x, y in product(catalog().values(), repeat=2):
+            sx, sy = summarize(x), summarize(y)
+            for p, q in (("0", "M"), ("M", "0")):
+                argv = ["ht", to_source(x), to_source(y), "--p", p, "--q", q, "--json"]
+                assert cli.main(argv) == 0, argv
+                printed = json.loads(capsys.readouterr().out)
+                assert sx.select(printed["p"]) is sx.select(p), (x, y, p)
+                assert sy.select(printed["q"]) is sy.select(q), (x, y, q)
 
 
 def _bumped(fn, when):

@@ -659,6 +659,12 @@ class TestSelectors:
         assert s.select("0").height == 0
         assert s.select("M").height == 2
         assert s.select("out:1").height == 1
+        assert s.select("h1") is s.select("out:1") and s.select("h2") is s.select("M")
+
+    def test_a_pullback_refuses_plain_labels(self):
+        s = summarize(Pullback(Valuation(4, 1), 1, AfDomain(1, 1)))
+        with pytest.raises(ConstraintError, match="needs a summary without M"):
+            s.select("h0")
 
     @pytest.mark.parametrize(
         "sel",
@@ -669,6 +675,10 @@ class TestSelectors:
             "in:x",
             "out:\u00b2",
             "out:\u0661",
+            "h3",
+            "h",
+            "h+1",
+            "h:1",
             pytest.param("out:" + "0" * MAX_DIGITS + "1", id="out:overlong"),
         ],
     )
