@@ -26,11 +26,12 @@ minus its height and with ``cap``, and its pairs are all certified when
 ``exact``.  An AF model is one run from the zero ideal, position 0.  A
 pullback is two: T's strata outside M by height, from the zero ideal,
 then D's chain over M by D-height, the conductor M itself first, joined
-by one product block ``product = (m, exact)`` that puts the first run's
-positions below height m under every position of the second, with the
-second run's cap.  So a step, gap or overlap in a range, a second
-product block, a product cap other than the second run's, a chain block
-that is not one run or blocks out of order cannot be stated, and
+by one product block, read from the runs, that puts the first run's
+positions below the second run's base height m = ht(M) under every
+position of the second, with the second run's cap, exact when the first
+run is.  So a step, gap or overlap in a range, a second product block,
+a product block whose m, cap or exactness is not its runs', a chain
+block that is not one run or blocks out of order cannot be stated, and
 ``_check_summary`` checks only values, once per run.
 
 The comparable pairs come in at most three blocks, in storage order:
@@ -196,20 +197,19 @@ class PullbackData(Record):
 class SpectrumSummary(Record):
     """Finite stratified model of Spec of a constructor expression.
 
-    The model is stored as one or two chain ``runs`` and, joining two,
-    one ``product`` block ``(m, exact)`` (see the module docstring),
-    whose cap is the second run's.  ``gates`` lists the hypothesis gates
-    of the dimension formulas the model passes, strongest first, derived
-    once when it is compiled: AF, then for a pullback catenarian T (Thm
-    2.8), ht(M) <= 2 (Cor 2.9) and t.d.(K:D) <= 2 (Prop 2.10).
-    ``source`` names the constructor for provenance strings only, so
-    ``==`` and the hash leave it out.  ``pullback_data`` is None unless
-    the model is a pullback's.  A summary has a ``__dict__`` for its
-    views.
+    The model is stored as one or two chain ``runs``, two joined by one
+    product block read from them (see the module docstring).  ``gates``
+    lists the hypothesis gates of the dimension formulas the model
+    passes, strongest first, derived once when it is compiled: AF, then
+    for a pullback catenarian T (Thm 2.8), ht(M) <= 2 (Cor 2.9) and
+    t.d.(K:D) <= 2 (Prop 2.10).  ``source`` names the constructor for
+    provenance strings only, so ``==`` and the hash leave it out.
+    ``pullback_data`` is None unless the model is a pullback's.  A
+    summary has a ``__dict__`` for its views.
     """
 
-    def __new__(cls, td, dim, is_af, runs, product=None, pullback_data=None, gates=(), source=""):
-        return _tuple_new(cls, (td, dim, is_af, runs, product, pullback_data, gates, source))
+    def __new__(cls, td, dim, is_af, runs, pullback_data=None, gates=(), source=""):
+        return _tuple_new(cls, (td, dim, is_af, runs, pullback_data, gates, source))
 
     def __eq__(self, other):
         return self.__class__ is other.__class__ and self[:-1] == other[:-1]
@@ -219,9 +219,10 @@ class SpectrumSummary(Record):
 
     def label(self, i: int) -> str:
         """Display label of position i: ``h<height>``, ``out:<height>`` or ``in:<D-height>``."""
-        n = self.runs[0][0]
-        if self.product is None:
+        runs = self.runs
+        if len(runs) == 1:
             return f"h{i}"
+        n = runs[0][0]
         return f"out:{i}" if i < n else f"in:{i - n}"
 
     def pair_label(self, i: int, j: int) -> str:
@@ -243,17 +244,17 @@ class SpectrumSummary(Record):
         The first run sits at heights equal to its positions, and the
         second, over M, at D-heights counted from its start.
         """
-        n = self.runs[0][0]
-        if self.product is None:
+        runs = self.runs
+        if len(runs) == 1:
             return f"{self.source}/ht={i}"
-        if i < n:
+        if i < runs[0][0]:
             return f"pullback/outside M/ht={i}"
-        return f"pullback/contains M/D-ht={i - n}"
+        return f"pullback/contains M/D-ht={i - runs[0][0]}"
 
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
         """One ``Stratum`` per position, built from the runs in one pass."""
-        kinds = (KIND_PLAIN,) if self.product is None else (KIND_OUTSIDE, KIND_CONTAINS)
+        kinds = (KIND_PLAIN,) if len(self.runs) == 1 else (KIND_OUTSIDE, KIND_CONTAINS)
         label = self.label
         strata = []
         for (start, stop, h, hr, cap, _), kind in zip(run_spans(self.runs), kinds):
@@ -267,7 +268,8 @@ class SpectrumSummary(Record):
         """The pair blocks in storage order, each ``(lower, upper, shift, cap, exact)``.
 
         The first run's chain and, for a pullback, the product block from
-        ``range(m)`` up to the second run, then the second run's chain.
+        ``range(m)``, m the second run's base height, up to that run, then
+        the second run's chain.
         ``lower`` and ``upper`` are the positions of a pair's lower and
         upper ends, each range starting at a run's first position, and a
         lower end pairs with the upper ends from itself up.  Heights rise
@@ -276,19 +278,15 @@ class SpectrumSummary(Record):
         product block the second run's first height less its first
         position, as the first run sits at heights equal to its
         positions.  A chain block's cap is 0 and the product block's the
-        second run's.
+        second run's, and the product block is exact when the first run is.
         """
         (n, _, _, _, exact), *over = self.runs
         outside = range(n)
         blocks = [(outside, outside, 0, 0, exact)]
         if over:
-            ((stop, h, _, cap, inner_exact),) = over
-            m, product_exact = self.product
+            ((stop, m, _, cap, inner_exact),) = over
             inside = range(n, stop)
-            blocks += [
-                (range(m), inside, h - n, cap, product_exact),
-                (inside, inside, 0, 0, inner_exact),
-            ]
+            blocks += [(range(m), inside, m - n, cap, exact), (inside, inside, 0, 0, inner_exact)]
         return blocks
 
     def iter_pairs(self) -> Iterator[tuple[int, int, tuple[int, int] | None]]:
@@ -337,7 +335,7 @@ class SpectrumSummary(Record):
         second run's first position and the maximum over that run, plus
         min(residue, cap).
         """
-        m, cap = (self.product[0], self.runs[1][3]) if self.product else (0, 0)
+        m, cap = (self.runs[1][1], self.runs[1][3]) if len(self.runs) > 1 else (0, 0)
         runs = tuple(
             (start, stop, h, hr, hr - h - (stop - 1 - start))
             for start, stop, h, hr, *_ in run_spans(self.runs)
@@ -350,10 +348,10 @@ class SpectrumSummary(Record):
     @cached_property
     def uncertified(self) -> tuple[int, int] | None:
         """The first uncertified pair in ``pairs`` order, or None when every pair is certified."""
-        # Every block is exact when both runs and the product block are;
-        # most models are, and they list no block.
-        runs, product = self.runs, self.product
-        if runs[0][4] and runs[-1][4] and (product is None or product[1]):
+        # Every block is exact when both runs are, the product block with
+        # the first; most models are, and they list no block.
+        runs = self.runs
+        if runs[0][4] and runs[-1][4]:
             return None
         return self._first_uncertified(None)
 
@@ -391,19 +389,19 @@ class SpectrumSummary(Record):
         from the zero ideal and the second from M, so those are position
         h of the first run and position e of the second.
         """
-        pd, runs = self.pullback_data, self.runs
+        runs = self.runs
         if selector == "0":
             return self.strata[0]
         if selector == "M":
-            return self.strata[runs[0][0] if pd is not None else self.dim]
+            return self.strata[runs[0][0] if len(runs) > 1 else self.dim]
         if selector.startswith("out:"):
             start, stop, digits = 0, runs[0][0], selector[4:]
         elif selector.startswith("in:"):
-            if pd is None:
+            if len(runs) == 1:
                 raise ConstraintError(f"selector {selector!r} needs a pullback summary")
             start, stop, digits = runs[0][0], runs[1][0], selector[3:]
         elif selector.startswith("h"):
-            if self.product is not None:
+            if len(runs) > 1:
                 raise ConstraintError(
                     f"selector {selector!r} needs a summary without M (use out:<h> or in:<e>)"
                 )
@@ -619,7 +617,7 @@ def summarize(expr: AlgebraExpr) -> SpectrumSummary:
         source = f"field({td})"
     n = dim + 1
     _check_size(n)
-    return _finish(td, ((n, 0, td, 0, catenarian),), None, None, source)
+    return _finish(td, ((n, 0, td, 0, catenarian),), None, source)
 
 
 def _check_size(n: int) -> None:
@@ -647,7 +645,7 @@ def _summarize_pullback(expr: Pullback) -> SpectrumSummary:
     _check_size(n_out + n_in)
     runs = ((n_out, 0, td, 0, t_cat), (n_out + n_in, m, m + td_d, td_kd, d_cat))
     # Primes at height >= m outside M are incomparable with M.
-    return _finish(td, runs, (m, t_cat), data, "pullback")
+    return _finish(td, runs, data, "pullback")
 
 
 def run_spans(runs) -> Iterator[tuple]:
@@ -658,8 +656,8 @@ def run_spans(runs) -> Iterator[tuple]:
         start = run[0]
 
 
-def _finish(td, runs, product, pullback_data, source) -> SpectrumSummary:
-    """The checked summary of ``runs`` and ``product``: every model, compiled or built, is made here.
+def _finish(td, runs, pullback_data, source) -> SpectrumSummary:
+    """The checked summary of ``runs``: every model, compiled or built, is made here.
 
     ``dim`` is the greatest top height of a run and ``is_af`` whether
     every run has height + residue td and cap 0.
@@ -674,7 +672,7 @@ def _finish(td, runs, product, pullback_data, source) -> SpectrumSummary:
             is_af = False
         start = stop
     summary = SpectrumSummary(
-        td, dim, is_af, runs, product, pullback_data, _gates(is_af, pullback_data), source
+        td, dim, is_af, runs, pullback_data, _gates(is_af, pullback_data), source
     )
     _check_summary(summary)
     return summary
@@ -699,12 +697,14 @@ def _check_summary(summary: SpectrumSummary) -> None:
     order, each chain block is one run, in which heights rise by 1 a
     position and height + residue and the cap stay fixed, a product
     range lies inside one run with step 1, and the blocks come in
-    storage order.  What is left are values: position 0 is the zero
-    ideal; no height, residue or cap is negative; height + residue is
-    at most td; only the run over M has a cap > 0, so every stratum
-    localizes (cap 0) or quotients (a quotient of D) to an AF model and
-    the chain oracle may hold any stratum fixed; and the product range
-    lies in the first run, below the second run's base height.
+    storage order.  The product range ends below the second run's base
+    height m, so heights rise strictly across the block, as the chain
+    oracle's bottom-up order needs.  What is left are values: at most
+    two runs; position 0 is the zero ideal; no height, residue or cap is
+    negative; height + residue is at most td; only the run over M has a
+    cap > 0, so every stratum localizes (cap 0) or quotients (a quotient
+    of D) to an AF model and the chain oracle may hold any stratum
+    fixed; and the product range is not empty and lies in the first run.
 
     The zero ideal lies under every prime, and A/(0) is A, so each pair
     (0, j) is certified with stratum j's own cap: the product block
@@ -713,8 +713,8 @@ def _check_summary(summary: SpectrumSummary) -> None:
     chain oracle walks (0, 0) last and returns its tail on the strength
     of this.
     """
-    td, _, _, runs, product, pd, *_ = summary
-    if len(runs) != (1 if product is None else 2):
+    td, _, _, runs, pd, *_ = summary
+    if not 1 <= len(runs) <= 2:
         raise ConsistencyError("a model is one run, or two joined by one product block")
     if runs[0][1] != 0 or runs[0][2] != td:
         raise ConsistencyError("stratum 0 must be the zero ideal (0, td, 0+min(n,0))")
@@ -731,19 +731,14 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError(f"cap > 0 outside M at {summary.label(start)}")
         start = stop
         k += 1
-    if product is not None:
-        m, _ = product
-        (n, *_), (_, base, *_) = runs
+    if len(runs) == 2:
+        (n, *_), (_, m, *_) = runs
         if m < 1:
             raise ConsistencyError(f"{summary.label(n)} must lie over the zero ideal")
         if m > n:
             raise ConsistencyError(
-                f"the lower range of the product block {product} leaves the first run"
+                f"the lower range of the product block, range({m}), leaves the first run"
             )
-        # Distinct comparable primes differ in height, which the chain
-        # oracle's bottom-up order relies on.
-        if m > base:
-            raise ConsistencyError(f"heights do not rise strictly in the product block {product}")
     if pd is not None and runs[-1][0] - runs[0][0] != pd.dim_d + 1:
         raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
 

@@ -85,17 +85,17 @@ def probe_positions(summary, residues=()):
             i = start + hr - h - r
             probes |= {i - 1, i, i + 1}
         start = stop
-    if summary.product is not None:
-        m = summary.product[0]
+    if len(summary.runs) > 1:
+        m = summary.runs[1][1]
         probes |= {m - 1, m}
     rng = Random(str(summary.runs))
     probes |= {rng.randrange(start) for _ in range(3)}
     return sorted(p for p in probes if 0 <= p < start)
 
 
-def built_model(runs, product=None):
-    """The model of ``runs`` and ``product``, built by hand and checked as a compile is."""
-    return _finish(runs[0][2], tuple(runs), product, None, "built")
+def built_model(runs):
+    """The model of ``runs``, built by hand and checked as a compile is."""
+    return _finish(runs[0][2], tuple(runs), None, "built")
 
 
 @st.composite
@@ -103,12 +103,11 @@ def built_models(draw):
     """A model of one or two runs and 1 to 6 strata, with free parameters.
 
     The first run starts at the zero ideal, so its length, its t.d. and
-    its exactness are free.  A second run has a free length, base
-    height, height + residue, cap and exactness, and the product block
-    joining them a free m and exactness.  No compile builds most of
-    these: the base height may leave a gap above m - 1, height + residue
-    need not be the t.d., and a product block may be inexact where its
-    runs are not.
+    its exactness are free.  A second run has a free length, base height
+    m, which ends the product block's range, height + residue, cap and
+    exactness; the product block is exact when the first run is.  No
+    compile builds most of these: the second run's height + residue need
+    not be the t.d., and either run may be inexact.
     """
     td = draw(st.integers(0, 5))
     n = draw(st.integers(1, min(td + 1, 4)))
@@ -116,12 +115,11 @@ def built_models(draw):
     if td == 0 or draw(st.booleans()):
         return built_model(runs)
     m = draw(st.integers(1, min(n, td)))
-    base = draw(st.integers(m, td))
-    stop = n + draw(st.integers(1, min(td - base + 1, 6 - n)))
-    hr = draw(st.integers(base + stop - n - 1, td))
+    stop = n + draw(st.integers(1, min(td - m + 1, 6 - n)))
+    hr = draw(st.integers(m + stop - n - 1, td))
     cap = draw(st.integers(0, 3))
-    runs.append((stop, base, hr, cap, draw(st.booleans())))
-    return built_model(runs, (m, draw(st.booleans())))
+    runs.append((stop, m, hr, cap, draw(st.booleans())))
+    return built_model(runs)
 
 
 @st.composite

@@ -613,15 +613,15 @@ def _blocks(b):
     """B's pair blocks in ``pairs`` order, each ``(lower, upper, cap, exact)``.
 
     Each run's chain, and for a pullback the product block after the
-    first, with the second run's cap.
+    first: from range(m), m the second run's base height, with the
+    second run's cap, exact when the first run is.
     """
     (n, *_, exact), *over = b.runs
     blocks = [(range(n), range(n), 0, exact)]
     if over:
-        ((stop, _, _, cap, inner_exact),) = over
-        m, product_exact = b.product
+        ((stop, m, _, cap, inner_exact),) = over
         inside = range(n, stop)
-        blocks += [(range(m), inside, cap, product_exact), (inside, inside, 0, inner_exact)]
+        blocks += [(range(m), inside, cap, exact), (inside, inside, 0, inner_exact)]
     return blocks
 
 

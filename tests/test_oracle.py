@@ -123,19 +123,22 @@ class TestChainEnumerate:
                     chain_enumerate(a, b)
 
     def test_refuses_an_inexact_product_block(self):
-        # The run 0 < 1 < 2 under position 3 by an inexact product block:
-        # only the pair (0, 3) from its bottom is certified.  A product
-        # range is a prefix of a run, so a stepped one such as
-        # range(0, 3, 2), which the refusal once missed, cannot be stated.
-        model = built_model(((3, 0, 3, 0, True), (4, 3, 3, 0, True)), (3, False))
+        # The inexact run 0 < 1 < 2 under position 3 by the product block,
+        # inexact with it: only the pair (0, 3) from its bottom is
+        # certified.  A product range is a prefix of a run, so a stepped one
+        # such as range(0, 3, 2), which the refusal once missed, cannot be
+        # stated.
+        model = built_model(((3, 0, 3, 0, False), (4, 3, 3, 0, True)))
         assert [pair for pair in model.iter_pairs() if pair[1] == 3 and pair[0] < 3] == [
             (0, 3, (3, 0)), (1, 3, None), (2, 3, None)
         ]
-        assert [(i, j) for i, j, quot in model.iter_pairs() if quot is None] == [(1, 3), (2, 3)]
-        assert model.uncertified == (1, 3)
+        assert [(i, j) for i, j, quot in model.iter_pairs() if quot is None] == [
+            (1, 2), (1, 3), (2, 3)
+        ]
+        assert model.uncertified == (1, 2) and model.first_uncertified(3) == (1, 3)
         field = summarize(Field(0))
         for a, b in ((model, field), (field, model)):
-            with pytest.raises(InexactPairError, match="uncertified pair out:1<=in:0"):
+            with pytest.raises(InexactPairError, match="uncertified pair out:1<=out:2"):
                 chain_enumerate(a, b)
 
     def test_builds_no_pair_view(self):
@@ -268,8 +271,8 @@ class TestChainEnumerate:
                 # A position is computed if it is its run's top, is row
                 # m - 1, which merges the product block, or has a residue
                 # at most y's product cap.
-                m = x.product[0] if x.product else 0
-                cap = y.runs[1][3] if y.product else 0
+                m = x.runs[1][1] if len(x.runs) > 1 else 0
+                cap = y.runs[1][3] if len(y.runs) > 1 else 0
                 tops = {stop - 1 for stop, *_ in x.runs}
                 computed = [
                     q
@@ -322,14 +325,13 @@ class TestChains:
             )
 
     @pytest.mark.parametrize(
-        "runs, product, value, plan",
+        "runs, value, plan",
         [
             # Two strata 2 < 3, one run of residues 1 and 0 over the run
             # 0 < 1 in one product block: the row of position 2, M, is the
             # last of its run walked, and positions 0 and 1 merge it.
             (
                 ((2, 0, 4, 0, True), (4, 2, 3, 1, True)),
-                (2, True),
                 4,
                 (
                     2,
@@ -341,8 +343,8 @@ class TestChains:
         ],
         ids=["one-chain-over-one-block"],
     )
-    def test_matches_the_literal_enumerator_on_built_models(self, runs, product, value, plan):
-        model = built_model(runs, product)
+    def test_matches_the_literal_enumerator_on_built_models(self, runs, value, plan):
+        model = built_model(runs)
         assert model.walk_plan == plan
         field = summarize(Field(2))
         # chain_enumerate walks the field as rows, one row to compute and
@@ -358,7 +360,7 @@ class TestChains:
             # 1's finished row, not the finished row of a chain
             # successor, and position 0's fiber, min(3, 2), beats it.
             (
-                built_model(((1, 0, 3, 0, True), (2, 1, 1, 0, True)), (1, True)),
+                built_model(((1, 0, 3, 0, True), (2, 1, 1, 0, True))),
                 Field(2),
                 2,
                 (None, None),
@@ -410,7 +412,7 @@ class TestChains:
         [
             # Outside M at 0..3, residues 7 down to 4, every one under M:
             # row m - 1 is the first run's top.
-            (built_model(((4, 0, 7, 0, True), (7, 4, 6, 2, True)), (4, True)), 4),
+            (built_model(((4, 0, 7, 0, True), (7, 4, 6, 2, True))), 4),
             # Outside M at 0..3, residues 6 down to 3, only position 0 under
             # M: row m - 1 is the last row walked.
             (summarize(Pullback(AfDomain(6, 4), 1, AfDomain(1, 1), outside=3)), 1),

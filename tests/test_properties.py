@@ -275,7 +275,7 @@ class TestFormulaAgreements:
     # position only, so the row falls along that run: a fill that cut it
     # as if it rose would overwrite the raise.
     @example(
-        model=built_model([(2, 0, 4, 0, True), (5, 2, 4, 0, True)], (1, True)),
+        model=built_model([(2, 0, 4, 0, True), (5, 1, 4, 0, True)]),
         b=summarize(Field(0)),
     )
     def test_fused_pass_matches_the_literal_enumerator_on_built_models(self, model, b):

@@ -55,11 +55,11 @@ CASES = [
     ),
     (
         SpectrumSummary,
-        ("td", "dim", "is_af", "runs", "product", "pullback_data", "gates", "source"),
-        {"product": None, "pullback_data": None, "gates": (), "source": ""},
-        (2, 1, False, RUNS, (1, True), PullbackData(*DATA), ("Thm2.8-catenarian",), "pb"),
+        ("td", "dim", "is_af", "runs", "pullback_data", "gates", "source"),
+        {"pullback_data": None, "gates": (), "source": ""},
+        (2, 1, False, RUNS, PullbackData(*DATA), ("Thm2.8-catenarian",), "pb"),
         "SpectrumSummary(td=2, dim=1, is_af=False, "
-        "runs=((1, 0, 2, 0, True), (2, 1, 1, 1, True)), product=(1, True), "
+        "runs=((1, 0, 2, 0, True), (2, 1, 1, 1, True)), "
         "pullback_data=PullbackData(m=1, td_k=1, td_d=0, dim_d=0, td_kd=1, outside=0, "
         "ambient_catenarian=True, conductor_is_top=True), "
         "gates=('Thm2.8-catenarian',), source='pb')",

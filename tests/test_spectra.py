@@ -2,7 +2,7 @@
 from itertools import islice, pairwise, zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from krulldim.checks import catalog
 from krulldim.errors import ConsistencyError, ConstraintError
@@ -30,7 +30,14 @@ from krulldim.spectra import (
     run_spans,
     summarize,
 )
-from models import SMALL, distinct_models, large_exprs, probe_positions
+from models import (
+    SMALL,
+    built_model,
+    built_models,
+    distinct_models,
+    large_exprs,
+    probe_positions,
+)
 
 KM = Pullback(Valuation(2, 1), 1, Field(0))
 
@@ -176,7 +183,7 @@ class TestCheckSummary:
     def broken(self, **fields):
         """``PB``'s model with some of its fields replaced."""
         s = summarize(self.PB)
-        assert s.runs == ((2, 0, 3, 0, True), (3, 2, 2, 1, True)) and s.product == (2, True)
+        assert s.runs == ((2, 0, 3, 0, True), (3, 2, 2, 1, True))
         return s._replace(**fields)
 
     def test_compiled_summary_passes(self):
@@ -198,29 +205,17 @@ class TestCheckSummary:
             _check_summary(self.broken(runs=runs))
 
     def test_one_product_block_joins_two_runs(self):
-        s = summarize(AfDomain(2, 2))
-        with pytest.raises(ConsistencyError, match="one run, or two joined by one product block"):
-            _check_summary(s._replace(product=(1, True)))
-        with pytest.raises(ConsistencyError, match="one run, or two joined by one product block"):
-            _check_summary(self.broken(product=None))
-
-    # pullback(T=af(5,4),m=2,D=field(0),outside=4): out:0 to out:4, then M
-    # at height 2.  The product block's lower range, range(m), must lie
-    # below M: m = 4 puts out:3 above it, m = 3 out:2 level with it.
-    @pytest.mark.parametrize("m", [4, 3], ids=["descending", "repeated"])
-    def test_upper_ends_must_rise_strictly(self, m):
-        s = summarize(Pullback(AfDomain(5, 4), 2, Field(0), outside=4))
-        assert s.runs[1][1] == 2
-        with pytest.raises(ConsistencyError, match="rise strictly"):
-            _check_summary(s._replace(product=(m, *s.product[1:])))
+        # A model of no run, or of a third run, here a chain over M's
+        # chain, which would need a second product block.
+        for runs in ((), ((2, 0, 3, 0, True), (3, 2, 2, 1, True), (4, 3, 2, 1, True))):
+            with pytest.raises(ConsistencyError, match="one run, or two joined by one product block"):
+                _check_summary(self.broken(runs=runs))
 
     def test_second_height_0_stratum(self):
         # A second run at height 0 that the zero ideal does not lie under,
         # by an empty product range; the chain oracle, which walks (0, 0)
         # last and returns its tail, would end at the wrong anchor.
-        s = summarize(AfDomain(2, 1))._replace(
-            runs=((2, 0, 2, 0, True), (3, 0, 2, 0, True)), product=(0, True)
-        )
+        s = summarize(AfDomain(2, 1))._replace(runs=((2, 0, 2, 0, True), (3, 0, 2, 0, True)))
         with pytest.raises(ConsistencyError, match="in:0 must lie over the zero ideal"):
             _check_summary(s)
 
@@ -236,7 +231,10 @@ class TestCheckSummary:
         # one, unless m passes the first run's end, or a third run cuts the
         # chain over M in two.
         if side == "lower":
-            s, message = self.broken(product=(3, True)), "lower range of .* leaves the first run"
+            # M at height 3 over out:0 and out:1 puts a product range of
+            # three positions over a first run of two.
+            s = self.broken(runs=((2, 0, 3, 0, True), (3, 3, 3, 1, True)))
+            message = "lower range of .* leaves the first run"
         else:
             s = summarize(Pullback(Valuation(4, 2), 2, AfDomain(1, 1)))
             assert s.runs == ((2, 0, 4, 0, True), (4, 2, 3, 1, True))
@@ -497,7 +495,7 @@ def ref_summary(expr):
             (n_out, 0, td, 0, t_cat),
             (n_out + data.dim_d + 1, m, m + data.td_d, data.td_kd, ref_catenarian(subring)),
         )
-        return ref_finish(td, runs, (m, t_cat), data, "pullback")
+        return ref_finish(td, runs, data, "pullback")
     dim = ref_dim(expr)
     if isinstance(expr, Field):
         source = f"field({td})"
@@ -507,10 +505,10 @@ def ref_summary(expr):
         source = f"val({td},{dim})"
     else:
         source = f"poly[{td},{dim}]"
-    return ref_finish(td, ((dim + 1, 0, td, 0, ref_catenarian(expr)),), None, None, source)
+    return ref_finish(td, ((dim + 1, 0, td, 0, ref_catenarian(expr)),), None, source)
 
 
-def ref_finish(td, runs, product, pd, source):
+def ref_finish(td, runs, pd, source):
     is_af = all(hr == td and not cap for _, _, hr, cap, _ in runs)
     gates = [GATE_AF] if is_af else []
     if pd is not None:
@@ -525,7 +523,6 @@ def ref_finish(td, runs, product, pd, source):
         dim=max(h + stop - start - 1 for start, stop, h, *_ in run_spans(runs)),
         is_af=is_af,
         runs=runs,
-        product=product,
         pullback_data=pd,
         gates=tuple(gates),
         source=source,
@@ -592,8 +589,8 @@ class TestModelSpace:
         ends = {
             i for start, stop, *_ in run_spans(s.runs) for i in (start, start + 1, stop - 2, stop - 1)
         }
-        if s.product is not None:
-            ends |= {s.product[0] - 1, s.product[0]}
+        if len(s.runs) > 1:
+            ends |= {s.runs[1][1] - 1, s.runs[1][1]}
         ends &= set(range(len(s.strata)))
         assert ends <= set(probes) and len(probes) <= len(ends) + 3
         assert probes == sorted(set(probes)) and 0 <= probes[0] and probes[-1] < len(s.strata)
@@ -665,6 +662,29 @@ class TestSelectors:
         s = summarize(Pullback(Valuation(4, 1), 1, AfDomain(1, 1)))
         with pytest.raises(ConstraintError, match="needs a summary without M"):
             s.select("h0")
+
+    def test_a_model_without_m_refuses_in_selectors(self):
+        with pytest.raises(ConstraintError, match="needs a pullback summary"):
+            summarize(AfDomain(3, 3)).select("in:0")
+
+    @staticmethod
+    def assert_labels_select_their_positions(s):
+        """Each position's label selects its stratum, and ``M`` a second run's first position."""
+        strata = s.strata
+        assert all(s.select(s.label(i)) is x for i, x in enumerate(strata)), s.runs
+        if len(s.runs) > 1:
+            assert s.select("M") is strata[s.runs[0][0]], s.runs
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=built_models())
+    # Two runs and no pullback data: the labels read out:0, out:1, in:0, in:1.
+    @example(model=built_model([(2, 0, 3, 0, True), (4, 1, 3, 1, True)]))
+    def test_labels_select_their_positions_on_built_models(self, model):
+        self.assert_labels_select_their_positions(model)
+
+    def test_labels_select_their_positions_on_distinct_models(self):
+        for model in distinct_models(3):
+            self.assert_labels_select_their_positions(model)
 
     @pytest.mark.parametrize(
         "sel",
