@@ -20,23 +20,28 @@ each term is monotone along a block's ranges and its maximum is plain
 arithmetic on a run's first position and its top.  So ``d_value``,
 ``thm28_dim``, ``thm28_ht`` and ``pullback_pair_dim`` read a few
 integers per run and build no positional view, however many strata the
-models have.  The ties have closed forms too: a term that never falls
-along a run rises strictly up to one height, its plateau, and is fixed
-from there, so the strata attaining a maximum are the positions of a
-run from its plateau to its top, and a block's tied pairs the
-comparable pairs from a prefix of its lower range to such a stretch of
-its upper run.  Each tied run or block is one witness, labelled by its
-side's O(1) ``span_label`` (``B:h2..h4``, ``B:out:0..out:2<=in:1..in:3``)
-only when the report's witnesses are first read, so a report holds at
-most five witnesses and an answer builds no positional view of either
-side.  The height formulas take ``Stratum`` objects, so ``ht``
-builds each side's ``strata`` and nothing more.
+models have; ``thm28_dim`` is one straight pass over B's one or two
+runs, with ``min()`` and ``max()`` spelled out, as it runs once per
+pullback side of every Thm 2.8 request.  The ties have closed
+forms too: a term that never falls along a run rises strictly up to one
+height, its plateau, and is fixed from there, so the strata attaining a
+maximum are the positions of a run from its plateau to its top, and a
+block's tied pairs the comparable pairs from a prefix of its lower range
+to such a stretch of its upper run.  Each tied run or block is one
+witness, labelled from its offsets in its runs (``B:h2..h4``,
+``B:out:0..out:2<=in:1..in:3``) only when the report's witnesses are
+first read, so a report holds at most five witnesses and an answer
+builds no positional view of either side.  The witnesses of
+``thm28_dim`` are read from the terms and per-run ends its value pass
+kept, so reading them lists no pair block.  The height formulas take
+``Stratum`` objects, so ``ht`` builds each side's ``strata`` and nothing
+more.
 The two-sided formula for two pullbacks whose conductors have full
 height (``pullback_pair_dim``) is only ever such a cross-check.
 """
 from __future__ import annotations
 
-from functools import cache, cached_property, partial
+from functools import cache, partial
 
 from .errors import ApplicabilityError, ConsistencyError, ConstraintError, InexactPairError
 from .spectra import (  # the gates are derived, and named, where a summary is compiled
@@ -108,10 +113,14 @@ class DimReport(Record):
         shown = zip(self._fields[:3] + self._fields[4:], self._shown())
         return f"DimReport({', '.join(f'{name}={value!r}' for name, value in shown)})"
 
-    @cached_property
+    @property
     def witnesses(self) -> tuple[Witness, ...]:
         """The strata or pairs attaining each maximum, in formula order."""
-        return tuple(self.build_witnesses())
+        kept = self.__dict__
+        witnesses = kept.get("witnesses")
+        if witnesses is None:
+            witnesses = kept["witnesses"] = tuple(self.build_witnesses())
+        return witnesses
 
 
 def sharp_dim(s: int, t: int) -> int:
@@ -145,28 +154,43 @@ def d_value(s: int, d: int, b: SpectrumSummary) -> int:
     return best
 
 
-def _plateau(start, stop, h, hr, s, d):
-    """The positions of a run from its plateau to its top: h + min(s, d + residue) is fixed there.
+# A position's label is its run's prefix and its offset in that run (see
+# ``SpectrumSummary.label``): each run's prefix, by the number of runs.
+_LABEL_PREFIXES = {1: ("h",), 2: ("out:", "in:")}
 
-    Below the height d + hr - s the term rises by 1 a position, and from
-    it on it is d + hr; a run that stops below that height rises to its top.
+
+def _span(prefix, first, last):
+    """The label of the offsets ``first`` to ``last`` of the run of label ``prefix``.
+
+    ``<first>..<last>``, as ``SpectrumSummary.span_label`` gives it, or
+    the first alone if they are one.
     """
-    top = h + stop - 1 - start
-    return range(start + min(top, max(h, d + hr - s)) - h, stop)
+    if first == last:
+        return f"{prefix}{first}"
+    return f"{prefix}{first}..{prefix}{last}"
 
 
 def _d_value_ties(term, side, s, d, b, best):
     """One ``Witness`` per run of B whose top reaches ``best`` in ``d_value``'s term.
 
     The term never falls along a run, so the positions tied at ``best``
-    are those of such a run from its plateau to its top.
+    are those of such a run from its plateau to its top: below the height
+    d + hr - s the term rises by 1 a position, and from it on it is fixed.
+    A position's label is its run's prefix and its offset in the run, as
+    ``SpectrumSummary.label`` gives it, so a tied stretch is labelled from
+    its first and last offsets.  min() and max() spelled out: this runs
+    on every reply whose witnesses are read.
     """
+    runs = b.runs
     start = 0
-    for stop, h, hr, c, _ in b.runs:
-        top = h + stop - 1 - start
-        if top + min(c, s) + min(d + hr - top, s) == best:
-            ties = _plateau(start, stop, h, hr, s, d)
-            yield Witness(term, f"{side}:{b.span_label(ties)}", best)
+    for (stop, h, hr, c, _), prefix in zip(runs, _LABEL_PREFIXES[len(runs)]):
+        last = stop - 1 - start
+        top = h + last
+        r = d + hr - top
+        if top + (c if c < s else s) + (r if r < s else s) == best:
+            p = d + hr - s
+            first = (last if p > top else p - h) if p > h else 0
+            yield Witness(term, f"{side}:{_span(prefix, first, last)}", best)
         start = stop
 
 
@@ -295,14 +319,18 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     ht(q1[t.d.(A)]) + ht((q/q1)[t.d.(D)]) + min(t.d.(B/q1), t.d.(K:D))
     + min(t.d.(D), dim(D) + t.d.(B/q)).
     """
-    pd, gates = _require_gated(a)
+    pd, gates = a.pullback_data, a.gates
+    if pd is None or not gates:
+        _require_gated(a)  # raises the refusal
     pair = b.uncertified
     if pair is not None:
         raise _inexact_error(b, *pair, "tensor dimension formula")
 
-    term1 = d_value(a.td, pd.outside, b)
-    # The quotient base of a pair (q1, q) is ht(q) - ht(q1), so within a
-    # block of cap c the pair's through-M value is f(q1) + g(q) +
+    # One straight pass over B's one or two runs, min() and max() spelled
+    # out: this runs on every dim query.  The outside-M term is
+    # ``d_value``'s, the largest value at a run's top.  For the through-M
+    # term, the quotient base of a pair (q1, q) is ht(q) - ht(q1), so
+    # within a block of cap c the pair's value is f(q1) + g(q) +
     # min(t.d.(D), c), with
     #   f(q1) = ht(M) + min(cap(q1), t.d.(A)) + min(t.d.(B/q1), t.d.(K:D)),
     #   g(q) = ht(q) + min(t.d.(D), dim(D) + t.d.(B/q));
@@ -310,55 +338,105 @@ def thm28_dim(a: SpectrumSummary, b: SpectrumSummary) -> DimReport:
     # fall by 1 a position and the cap is fixed, so f never rises along a
     # block's lower range, a run or a prefix of one, and g never falls
     # along its upper range, a run: each block's best pair is (its bottom,
-    # its top), f at its lower run's first position and g at its upper
-    # run's top.  The blocks are the first run's chain, then for two runs
-    # the product block, range(m) of the first run under the second, of
-    # the second run's cap, and the second run's chain; a chain block's
-    # cap is 0.  min() spelled out: this runs on every dim query.
-    td_a, td_kd, td_d, dim_d = a.td, pd.td_kd, pd.td_d, pd.dim_d
-    ends, start = [], 0
-    for stop, h, hr, c, _ in b.runs:
-        r, top = hr - h, h + stop - 1 - start
-        r_top = dim_d + hr - top
-        ends.append((
-            (c if c < td_a else td_a) + (r if r < td_kd else td_kd),
-            top + (td_d if td_d < r_top else r_top),
-        ))
-        start = stop
-    (f0, g0), *over = ends
+    # its top), f at its lower run's first position, f0 or f1, and g at
+    # its upper run's top, g0 or g1.  The blocks are the first run's
+    # chain, then for two runs the product block, range(m) of the first
+    # run under the second, of the second run's cap, and the second run's
+    # chain; a chain block's cap is 0.  The first run starts at the zero
+    # ideal: height 0, residue t.d.(B) and cap 0 (see ``_check_summary``).
+    td_a = a.td
+    m, _, td_d, dim_d, td_kd, outside, _, _ = pd
+    runs, td_b = b.runs, b.td
+    n = runs[0][0]
+    top = n - 1
+    r = td_b - top  # the residue at the run's top
+    v = outside + r
+    term1 = top + (v if v < td_a else td_a)
+    f0 = td_b if td_b < td_kd else td_kd
+    v = dim_d + r
+    g0 = top + (td_d if td_d < v else v)
     term2 = f0 + g0
-    if over:
-        ((f1, g1),) = over
-        cap = b.runs[1][3]
-        term2 = max(term2, f0 + g1 + (cap if cap < td_d else td_d), f1 + g1)
-    term2 += pd.m
-
+    f1 = g1 = None
+    if len(runs) == 2:
+        stop, h, hr, c, _ = runs[1]
+        top = h + stop - 1 - n
+        r = hr - top
+        c_a = c if c < td_a else td_a
+        v = outside + r
+        v = top + c_a + (v if v < td_a else td_a)
+        if v > term1:
+            term1 = v
+        v = hr - h
+        f1 = c_a + (v if v < td_kd else td_kd)
+        v = dim_d + r
+        g1 = top + (td_d if td_d < v else v)
+        v = f0 + g1 + (c if c < td_d else td_d)
+        if v > term2:
+            term2 = v
+        v = f1 + g1
+        if v > term2:
+            term2 = v
+    term2 += m
     value = term1 if term1 > term2 else term2
 
+    kept = (b, td_a, pd, term1, term2, f0, g0, f1, g1)
+
+    # A closure, not a partial, so that a report copies as itself; it keeps
+    # one tuple, as each name it kept would cost a cell on every call.
     def witnesses(side="B"):
-        if term1 == value:
-            yield from _d_value_ties(TERM_OUTSIDE, side, a.td, pd.outside, b, term1)
-        if term2 == value:
-            # One witness per tied block, in ``pairs`` order; (i, j) are the
-            # runs of its lower and upper ranges.  A block whose best falls
-            # short of term2 has none.  In one that reaches it, f is at its
-            # best on the prefix of the lower range whose residue is at
-            # least min(r, t.d.(K:D)), r the bottom's residue, and g on the
-            # upper run from its plateau, where dim(D) + t.d.(B/q) reaches
-            # t.d.(D): the tied pairs are the comparable pairs from that
-            # prefix up to that stretch.
-            span, runs = b.span_label, b.runs
-            for (lower, upper, _, cap, _), (i, j) in zip(b._blocks(), ((0, 0), (0, 1), (1, 1))):
-                if pd.m + ends[i][0] + ends[j][1] + min(td_d, cap) == term2:
-                    r = runs[i][2] - runs[i][1]
-                    _, h, hr, _, _ = runs[j]
-                    lowers = lower[: r - min(r, td_kd) + 1]
-                    uppers = _plateau(upper.start, upper.stop, h, hr, td_d, dim_d)
-                    yield Witness(TERM_THROUGH, f"{side}:{span(lowers)}<={span(uppers)}", term2)
+        return _thm28_ties(side, *kept)
 
     return DimReport(
         value, THEOREM_THM28, ((TERM_OUTSIDE, term1), (TERM_THROUGH, term2)), witnesses, gates
     )
+
+
+def _thm28_ties(side, b, td_a, pd, term1, term2, f0, g0, f1, g1):
+    """The witnesses of a ``thm28_dim`` report, from the terms and ends its value path kept.
+
+    f0, g0 and f1, g1 are f at each run's first position and g at its top
+    (see ``thm28_dim``), f1 and g1 None for a model of one run.  The tied
+    runs of the outside-M term come first, then one witness per tied
+    block of the through-M term, in ``pairs`` order; a block whose best
+    falls short of term2 has none.  In one that reaches it, f is at its
+    best on the prefix of the lower range whose residue is at least
+    min(r, t.d.(K:D)), r the bottom's residue, and g on the upper run
+    from its plateau, where dim(D) + t.d.(B/q) reaches t.d.(D): the tied
+    pairs are the comparable pairs from that prefix up to that stretch.
+    Spans are offsets in a run, labelled as in ``_d_value_ties``.
+    """
+    m, _, td_d, dim_d, td_kd, outside, _, _ = pd
+    if term1 >= term2:
+        yield from _d_value_ties(TERM_OUTSIDE, side, td_a, outside, b, term1)
+    if term2 < term1:
+        return
+    best = term2 - m
+    runs, td_b = b.runs, b.td
+    prefixes = _LABEL_PREFIXES[len(runs)]
+    out = prefixes[0]
+    n = runs[0][0]
+    last = n - 1
+    r = td_b - (td_b if td_b < td_kd else td_kd)  # the lower prefix's last offset
+    if f0 + g0 == best:
+        lowers = _span(out, 0, r if r < last else last)
+        p = dim_d + td_b - td_d
+        first = (last if p > last else p) if p > 0 else 0
+        yield Witness(TERM_THROUGH, f"{side}:{lowers}<={_span(out, first, last)}", term2)
+    if f1 is None:
+        return
+    stop, h, hr, c, _ = runs[1]
+    last = stop - 1 - n
+    p = dim_d + hr - td_d
+    first = (last if p > h + last else p - h) if p > h else 0
+    uppers = _span(prefixes[1], first, last)
+    if f0 + g1 + (c if c < td_d else td_d) == best:
+        lowers = _span(out, 0, r if r < h - 1 else h - 1)
+        yield Witness(TERM_THROUGH, f"{side}:{lowers}<={uppers}", term2)
+    if f1 + g1 == best:
+        r = hr - h
+        r -= r if r < td_kd else td_kd
+        lowers = _span(prefixes[1], 0, r if r < last else last)
+        yield Witness(TERM_THROUGH, f"{side}:{lowers}<={uppers}", term2)
 
 
 def pullback_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
@@ -368,17 +446,17 @@ def pullback_pair_dim(a: SpectrumSummary, b: SpectrumSummary) -> int:
     dim(D_1), A_2).
     """
     pa, pb = _require_pullback(a), _require_pullback(b)
-    for side, pd in (("first", pa), ("second", pb)):
-        if not pd.conductor_is_top:
-            raise ApplicabilityError(
-                f"pullback_pair_dim needs ht(M) = dim(T); fails on the {side} operand"
-            )
-
-    def term(x, x_pd, y):
-        _, h, _, c, _ = x.runs[1]  # M is the second run's first position
-        return h + min(y.td, c) + d_value(x_pd.td_d, x_pd.dim_d, y)
-
-    return max(term(a, pa, b), term(b, pb, a))
+    if not (pa.conductor_is_top and pb.conductor_is_top):
+        side = "second" if pa.conductor_is_top else "first"
+        raise ApplicabilityError(
+            f"pullback_pair_dim needs ht(M) = dim(T); fails on the {side} operand"
+        )
+    # M is the second run's first position: its height, then its cap.
+    _, h, _, c, _ = a.runs[1]
+    ab = h + (c if c < b.td else b.td) + d_value(pa.td_d, pa.dim_d, b)
+    _, h, _, c, _ = b.runs[1]
+    ba = h + (c if c < a.td else a.td) + d_value(pb.td_d, pb.dim_d, a)
+    return ab if ab > ba else ba
 
 
 # --------------------------------------------------------------------------
@@ -430,56 +508,73 @@ def dim_tensor(a: AlgebraExpr, b: AlgebraExpr) -> DimReport:
 
     # At least one side is now a pullback that is not AF, so at most one
     # side is AF.  thm28_dim names its other operand B in every witness
-    # unless its witness builder is given another side.  The first report
-    # answers; every other formula that applies is a cross-check, kept as
-    # (formula, orientation, value) and formatted only if it fails.
-    report, refusals, checks, one_sided = None, [], [], None
-    for tag, x, y in (("A", sa, sb), ("B", sb, sa)):
-        if x.pullback_data is not None:
-            try:
-                r = thm28_dim(x, y)
-            except (ApplicabilityError, InexactPairError) as exc:
-                refusals.append(f"{tag}: {exc}")
-            else:
-                if report is None:
-                    answer, report = tag, r
-                else:
-                    checks.append(("conductor formula orientation", tag, r.value))
-        if x.is_af:
-            d_max = d_value(x.td, x.dim, y)
-            one_sided = (tag, x, y, d_max)
-            checks.append(("one-sided AF formula", tag, d_max))
+    # unless its witness builder is given another side.  The first
+    # orientation that answers gives the report; every other formula that
+    # applies is a cross-check, formatted only if it fails.
+    report = other = None
+    refusals = ()
+    if sa.pullback_data is not None:
+        try:
+            report = thm28_dim(sa, sb)
+        except (ApplicabilityError, InexactPairError) as exc:
+            refusals = (f"A: {exc}",)
+    if sb.pullback_data is not None:
+        try:
+            other = thm28_dim(sb, sa)
+        except (ApplicabilityError, InexactPairError) as exc:
+            refusals += (f"B: {exc}",)
+    # The one-sided formula D(t.d.(X), dim(X), Y) of the AF side X, if any.
+    if sa.is_af:
+        af, x, y = "A", sa, sb
+    elif sb.is_af:
+        af, x, y = "B", sb, sa
+    else:
+        af = None
+    if af is not None:
+        d_max = d_value(x.td, x.dim, y)
 
     if report is None:
-        if one_sided is None:
-            raise ApplicabilityError("no formula applies to this pair: " + "; ".join(refusals))
-        tag, x, y, value = one_sided
-        other = "B" if tag == "A" else "A"
-        return DimReport(
-            value,
-            THEOREM_W37,
-            (("D-max", value),),
-            partial(_d_value_ties, "D-max", other, x.td, x.dim, y, value),
-            (f"{tag}:{GATE_AF}",),
-            tuple(refusals),
-        )
+        if other is None:
+            if af is None:
+                raise ApplicabilityError("no formula applies to this pair: " + "; ".join(refusals))
+            return DimReport(
+                d_max,
+                THEOREM_W37,
+                (("D-max", d_max),),
+                partial(_d_value_ties, "D-max", "B" if af == "A" else "A", x.td, x.dim, y, d_max),
+                (f"{af}:{GATE_AF}",),
+                refusals,
+            )
+        answer, report, other = "B", other, None
+    else:
+        answer = "A"
 
+    # The cross-checks, side A's before side B's.
     value = report.value
+    if af == "A" and d_max != value:
+        raise _disagreement("one-sided AF formula", "A", d_max, answer, value)
+    if other is not None and other.value != value:
+        raise _disagreement("conductor formula orientation", "B", other.value, answer, value)
+    if af == "B" and d_max != value:
+        raise _disagreement("one-sided AF formula", "B", d_max, answer, value)
     pa, pb = sa.pullback_data, sb.pullback_data
     if pa is not None and pb is not None and pa.conductor_is_top and pb.conductor_is_top:
-        checks.append(("two-sided pullback formula", "A, B", pullback_pair_dim(sa, sb)))
-    for formula, t, v in checks:
+        v = pullback_pair_dim(sa, sb)
         if v != value:
-            raise ConsistencyError(
-                f"{formula} ({t}) gives {v}, conductor formula ({answer}) {value}"
-            )
+            raise _disagreement("two-sided pullback formula", "A, B", v, answer, value)
     return DimReport(
         value,
         THEOREM_THM28,
         report.term_breakdown,
         report.build_witnesses if answer == "A" else partial(report.build_witnesses, "A"),
         _tagged_gates(sa.gates, sb.gates),
-        tuple(refusals),
+        refusals,
+    )
+
+
+def _disagreement(formula, tag, got, answer, value):
+    return ConsistencyError(
+        f"{formula} ({tag}) gives {got}, conductor formula ({answer}) {value}"
     )
 
 

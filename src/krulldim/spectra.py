@@ -705,6 +705,10 @@ def _check_summary(summary: SpectrumSummary) -> None:
     cap > 0, so every stratum localizes (cap 0) or quotients (a quotient
     of D) to an AF model and the chain oracle may hold any stratum
     fixed; and the product range is not empty and lies in the first run.
+    A pullback's data must fit its runs: M is the first of the last
+    dim(D) + 1 strata, and its copies of ht(M), t.d.(K), t.d.(D),
+    t.d.(K:D), outside and T's catenarity, which the gates and the
+    formulas read, are the runs' values.
 
     The zero ideal lies under every prime, and A/(0) is A, so each pair
     (0, j) is certified with stratum j's own cap: the product block
@@ -739,8 +743,20 @@ def _check_summary(summary: SpectrumSummary) -> None:
             raise ConsistencyError(
                 f"the lower range of the product block, range({m}), leaves the first run"
             )
-    if pd is not None and runs[-1][0] - runs[0][0] != pd.dim_d + 1:
+    if pd is None:
+        return
+    if runs[-1][0] - runs[0][0] != pd.dim_d + 1:
         raise ConsistencyError("M must be the first of the last dim(D) + 1 strata")
+    # So the model has two runs.  The gates and the formulas read the
+    # pullback data's copies of values of the runs, which must equal them.
+    (n, _, _, _, exact), (_, m, hr, cap, _) = runs
+    copies = (pd.m, pd.td_k, pd.td_d, pd.td_kd, pd.outside, pd.ambient_catenarian)
+    derived = (m, td - m, hr - m, cap, n - 1, exact)
+    if copies != derived:
+        raise ConsistencyError(
+            "pullback data (m, td_k, td_d, td_kd, outside, ambient_catenarian) = "
+            f"{copies}, but the runs give {derived}"
+        )
 
 
 def is_af_poly(summary: SpectrumSummary, n: int) -> bool:

@@ -48,6 +48,7 @@ from krulldim.spectra import (
     Field,
     PolyRing,
     Pullback,
+    SpectrumSummary,
     Valuation,
     summarize,
 )
@@ -1125,3 +1126,108 @@ class TestCrossChecks:
         )
         with pytest.raises(ConsistencyError, match="two-sided pullback formula"):
             dim_tensor(KM, PB_VAL32)
+
+
+class TestDispatchCounts:
+    """``dim_tensor`` runs every conductor-formula orientation and the
+    two-sided formula exactly where they apply, so a leaner dispatch can
+    drop neither an orientation nor a cross-check."""
+
+    def test_calls_per_pair(self, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(formulas, "thm28_dim", counted(thm28_dim))
+        monkeypatch.setattr(formulas, "pullback_pair_dim", counted(pullback_pair_dim))
+        operands = [*catalog().values(), *NON_CATENARIAN, UNGATED]
+        seen = set()
+        for x, y in product(operands, operands):
+            calls.update(thm28_dim=0, pullback_pair_dim=0)
+            try:
+                report = dim_tensor(x, y)
+            except ApplicabilityError:
+                theorem, refused = None, True
+            else:
+                theorem, refused = report.theorem, bool(report.refusals)
+            pullbacks = [summarize(e).pullback_data for e in (x, y)]
+            pullbacks = [pd for pd in pullbacks if pd is not None]
+            full = len(pullbacks) == 2 and all(pd.conductor_is_top for pd in pullbacks)
+            if theorem in (THEOREM_SHARP, THEOREM_W38):
+                want = dict(thm28_dim=0, pullback_pair_dim=0)
+            else:
+                # Every pullback side is tried; the two-sided formula checks
+                # an answer for two full-height pullbacks.
+                answered = theorem == THEOREM_THM28
+                want = dict(thm28_dim=len(pullbacks), pullback_pair_dim=int(full and answered))
+            assert calls == want, (x, y, theorem)
+            seen.add((theorem, len(pullbacks), full, refused))
+        # Wadsworth 3.8 on AF pullbacks too, and every refusal case of one
+        # and of two pullbacks, two of full height among them.
+        assert seen >= {
+            (THEOREM_SHARP, 0, False, False),
+            (THEOREM_W38, 0, False, False),
+            (THEOREM_W38, 1, False, False),
+            (THEOREM_W38, 2, True, False),
+            (THEOREM_THM28, 1, False, False),
+            (THEOREM_THM28, 2, False, False),
+            (THEOREM_THM28, 2, False, True),
+            (THEOREM_THM28, 2, True, False),
+            (THEOREM_THM28, 2, True, True),
+            (THEOREM_W37, 1, False, True),
+            (THEOREM_W37, 2, True, True),
+            (None, 2, False, True),
+            (None, 2, True, True),
+        }, seen
+
+
+class TestWitnessesReuseTheValuePath:
+    """A report's witnesses are read from what its value path kept: with
+    ``SpectrumSummary._blocks`` refused, every report's witnesses still
+    equal the reference's, in order."""
+
+    @staticmethod
+    def _reference(sx, sy, report):
+        """The witnesses of ``report`` on (sx, sy) as the position-by-position
+        references give them, one per stratum or pair."""
+        if report.theorem == THEOREM_SHARP:
+            return (Witness("min-td", f"A:{sx.label(0)}|B:{sy.label(0)}", report.value),)
+        if report.theorem == THEOREM_W38:
+            return _attaining("dim(A)+td(B)", sx, "B", sy) + _attaining(
+                "td(A)+dim(B)", sy, "A", sx
+            )
+        if report.theorem == THEOREM_W37:
+            if report.gates == ("A:AF",):
+                return _attaining("D-max", sx, "B", sy)
+            return _attaining("D-max", sy, "A", sx)
+        # The conductor formula answers in the first orientation that does
+        # not refuse, and names the other side B, or A if it is the first.
+        a_refused = any(r.startswith("A:") for r in report.refusals)
+        if sx.pullback_data is not None and not a_refused:
+            return tuple(_ref_thm28_dim(sx, sy)[2])
+        return tuple(w._replace(ref=_flip_side(w.ref)) for w in _ref_thm28_dim(sy, sx)[2])
+
+    def test_model_space_pairs(self, monkeypatch):
+        exprs = [es[0] for es in distinct_models(3).values()]
+        reports = []
+        for x, y in product(exprs, exprs):
+            try:
+                reports.append((x, y, dim_tensor(x, y)))
+            except ApplicabilityError:
+                continue
+        assert len(reports) == 21_465
+
+        def refuse(self):
+            raise AssertionError("a witness read the pair blocks")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SpectrumSummary, "_blocks", refuse)
+            read = [report.witnesses for _, _, report in reports]
+        for (x, y, report), witnesses in zip(reports, read):
+            sx, sy = summarize(x), summarize(y)
+            assert tuple(_expand(sx, sy, witnesses)) == self._reference(sx, sy, report), (x, y)

@@ -26,6 +26,7 @@ from krulldim.spectra import (
     SpectrumSummary,
     Valuation,
     _check_summary,
+    _finish,
     is_af_poly,
     run_spans,
     summarize,
@@ -247,6 +248,28 @@ class TestCheckSummary:
         s = summarize(KM)
         with pytest.raises(ConsistencyError, match="M must be the first of the last dim"):
             _check_summary(s._replace(runs=((1, 0, 2, 0, True), (3, 1, 2, 1, True))))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"m": 1, "ambient_catenarian": False},
+            {"m": 1},
+            {"td_k": 2},
+            {"td_d": 1},
+            {"td_kd": 0},
+            {"outside": 2},
+            {"ambient_catenarian": False},
+        ],
+        ids=["m-and-catenarian", "m", "td_k", "td_d", "td_kd", "outside", "catenarian"],
+    )
+    def test_pullback_data_is_the_runs(self, changes):
+        # Each copy the gates and formulas read must be the runs' value:
+        # m = 1 and a non-catenarian T would pass Cor 2.9's gate and drop
+        # Thm 2.8's, though the runs are exact and M has height 2.
+        s = self.broken()
+        assert s.gates == ("Thm2.8-catenarian", "Cor2.9-htM<=2", "Prop2.10-tdKD<=2")
+        with pytest.raises(ConsistencyError, match=r"pullback data \(m, td_k, "):
+            _finish(s.td, s.runs, s.pullback_data._replace(**changes), "pullback")
 
     # The layout rules the chain oracle and the formulas rest on, which the
     # runs hold by construction: checked on the chain oracle's steps and
